@@ -18,8 +18,10 @@ Evaluation is by local moves: after the cheap rules above the graph is
 reduced with bigon collapses, triangle contractions, and — when the
 smallest face has degree four or more — the H-to-I rewiring that expands
 one edge into a weighted sum over recolorings.  Values of reduced forms
-are memoized under the canonical colored signature, so different
-reduction strategies share work and (testably) agree.
+are memoized under the canonical colored signature: the uncolored
+labeling is worked out once per embedded shape (and cached), and the
+colorings of one shape are told apart by their color vectors.  So
+different reduction strategies share work and (testably) agree.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceeded, LowValence, NotPlanar, NotTrivalent
 from .extscalar import ExtScalar
-from .planar import PlanarGraph, canonical_signature, genus
+from .planar import PlanarGraph, canonical_labelings, canonical_signature, genus
 from .qnum import (
     Level,
     circle_weight,
@@ -44,7 +46,9 @@ _MEMO_MAX = 1 << 20
 
 
 def cache_clear():
+    """Empty the value memo and the per-shape labeling cache."""
     _MEMO.clear()
+    canonical_labelings.cache_clear()
 
 
 def _budget_default():
@@ -121,8 +125,22 @@ class _RGraph:
         self.col[e] = color
         return e
 
-    def move_dart(self, d, v):
-        self.vof[d] = v
+    def splice(self, keep, drop):
+        """Join the edges of darts keep and drop into keep's edge.
+
+        Dart keep moves to the far end of drop's edge, taking the place
+        of drop's twin there; drop, its twin and the color of its edge
+        are deleted.  The vertices keep and drop sat at are left for the
+        caller to remove.
+        """
+        far = drop ^ 1
+        tgt = self.vof[far]
+        r = self.rot[tgt]
+        r[r.index(far)] = keep
+        self.vof[keep] = tgt
+        del self.vof[drop]
+        del self.vof[far]
+        del self.col[drop >> 1]
 
     def sigma(self):
         s = {}
@@ -217,14 +235,7 @@ def _check_and_clean(rg, ctx):
                 return "changed", ExtScalar.from_complex(w)
             if rg.col[e1] != rg.col[e2]:
                 return "zero", None
-            # splice: edge e1 swallows e2
-            far = d2 ^ 1
-            tgt = rg.vof[far]
-            rg.rot[tgt][rg.rot[tgt].index(far)] = d1
-            rg.vof[d1] = tgt
-            del rg.vof[d2]
-            del rg.vof[far]
-            del rg.col[e2]
+            rg.splice(d1, d2)  # edge e1 swallows e2
             del rg.rot[v]
             return "changed", None
         if deg > 3:
@@ -297,14 +308,7 @@ def _collapse_bigon(rg, face, ctx):
     if rg.col[etU] != rg.col[etW]:
         return None  # hard zero
     weight = ExtScalar.from_complex(1.0 / circle_weight(rg.col[etU], ctx.lv))
-    # splice the outer strands into one edge (keep etU)
-    fW = tW ^ 1
-    tgt = rg.vof[fW]
-    rg.rot[tgt][rg.rot[tgt].index(fW)] = tU
-    rg.vof[tU] = tgt
-    del rg.vof[tW]
-    del rg.vof[fW]
-    del rg.col[etW]
+    rg.splice(tU, tW)  # the outer strands become one edge (keep etU)
     rg.remove_edge(ep)
     rg.remove_edge(eq)
     del rg.rot[u]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import NotPlanar, NotTriangle, NotTrivalent
 
@@ -346,8 +347,6 @@ def vertex_sum_with_maps(g1: PlanarGraph, v1: int, g2: PlanarGraph, v2: int, off
         raise ValueError(f"degree mismatch {k} vs {g2.degree(v2)}")
     a = g1.rot[v1]
     b = g2.rot[v2]
-    if any(g1.edge_of(d) == g1.edge_of(a[0]) and d != a[0] and g1.vertex_of(d ^ 1) == v1 for d in a):
-        pass  # loops detected below edge-wise
     for d in a:
         if g1.vertex_of(d ^ 1) == v1:
             raise ValueError("loop at the glued vertex of the first graph")
@@ -487,64 +486,154 @@ def _component_darts(g: PlanarGraph):
     return comps
 
 
-def _signature_from(g: PlanarGraph, start: int, reflect: bool, coloring):
-    """Deterministic BFS relabeling starting at a dart; one component only."""
-    sigma = g._sigma
-    if reflect:
-        inv = [0] * len(sigma)
-        for d, s in enumerate(sigma):
-            inv[s] = d
-        sigma = inv
-    vlab = {}
+def _first_row(g: PlanarGraph, sig, d0: int):
+    """The first BFS row from d0: the labels met going round its vertex."""
+    vof = g._vertex_of
+    vlab = {vof[d0]: 0}
     elab = {}
-    out = []
+    row = []
+    d = d0
+    while True:
+        e = d >> 1
+        if e not in elab:
+            elab[e] = len(elab)
+        w = vof[d ^ 1]
+        if w not in vlab:
+            vlab[w] = len(vlab)
+        row.append(elab[e])
+        row.append(vlab[w])
+        d = sig[d]
+        if d == d0:
+            return tuple(row)
+
+
+def _bfs_labeling(g: PlanarGraph, sig, start: int, bound):
+    """Deterministic BFS relabeling of one component, starting at a dart.
+
+    Each dequeued dart gives one row: going round its vertex with sig,
+    the (edge label, vertex label) of every dart, labels being handed
+    out in order of first sight.  bound is the smallest signature found
+    so far (or None): the search gives up, returning None, as soon as a
+    row exceeds bound's row at the same index.  Otherwise it returns
+    (rows, edge order, tied) where edge order lists the edge ids by
+    label and tied says whether rows equals bound.
+    """
+    vof = g._vertex_of
+    vlab = [-1] * g.nv
+    vlab[vof[start]] = 0
+    nlab = 1
+    elab = [-1] * g.ne
+    order = []
+    rows = []
     queue = [start]
-    vlab[g.vertex_of(start)] = 0
-    qi = 0
-    while qi < len(queue):
-        d0 = queue[qi]
-        qi += 1
-        deg = g.degree(g.vertex_of(d0))
+    tied = bound is not None
+    for d0 in queue:
         row = []
         d = d0
-        for _ in range(deg):
+        while True:
             e = d >> 1
-            if e not in elab:
-                elab[e] = len(elab)
-            w = g.vertex_of(d ^ 1)
-            if w not in vlab:
-                vlab[w] = len(vlab)
+            le = elab[e]
+            if le < 0:
+                le = elab[e] = len(order)
+                order.append(e)
+            w = vof[d ^ 1]
+            lw = vlab[w]
+            if lw < 0:
+                lw = vlab[w] = nlab
+                nlab += 1
                 queue.append(d ^ 1)
-            row.append(elab[e])
-            row.append(vlab[w])
-            if coloring is not None:
-                row.append(coloring[e])
-            d = sigma[d]
-        out.append(tuple(row))
-    return tuple(out)
+            row.append(le)
+            row.append(lw)
+            d = sig[d]
+            if d == d0:
+                break
+        row = tuple(row)
+        if tied:
+            ref = bound[len(rows)]
+            if row > ref:
+                return None
+            if row < ref:
+                tied = False
+        rows.append(row)
+    return tuple(rows), tuple(order), tied
+
+
+@lru_cache(maxsize=1024)
+def canonical_labelings(g: PlanarGraph):
+    """The uncolored half of the canonical form, cached per embedded shape.
+
+    Returns (isolated vertex count, components).  Each component is
+    (signature, edge orders): the minimum BFS signature over every
+    starting dart and both orientations, and the edge order (edge ids
+    by BFS label) of every start that attains it.  Those starts are the
+    component's automorphisms, reflections included.  Only starts whose
+    first row is minimal are searched, and a search stops at its first
+    row above the best so far.  canonical_labelings.cache_info() reports
+    how often the shape was already known.
+    """
+    sigma = g._sigma
+    inv = [0] * len(sigma)
+    for d, s in enumerate(sigma):
+        inv[s] = d
+    vof = g._vertex_of
+    comps = _component_darts(g)
+    out = []
+    for comp in comps:
+        low = None
+        starts = []
+        for sig in (sigma, inv):
+            for d0 in comp:
+                row = _first_row(g, sig, d0)
+                if low is None or row < low:
+                    low = row
+                    starts = [(sig, d0)]
+                elif row == low:
+                    starts.append((sig, d0))
+        best = None
+        orders = []
+        for sig, d0 in starts:
+            found = _bfs_labeling(g, sig, d0, best)
+            if found is None:
+                continue
+            rows, order, tied = found
+            if tied:
+                orders.append(order)
+            else:
+                best = rows
+                orders = [order]
+        out.append((best, tuple(orders)))
+    isolated = g.nv - len({vof[d] for comp in comps for d in comp})
+    return isolated, tuple(out)
 
 
 def canonical_signature(g: PlanarGraph, coloring=None):
     """A hashable form invariant under relabeling and reflection.
 
-    Computed per connected component as the minimum BFS signature over all
-    starting darts and both orientations; components are sorted.  Isolated
-    vertices contribute a count.  Two graphs (with colorings) get the same
-    signature exactly when some isomorphism of embedded colored graphs,
-    possibly orientation-reversing, relates them.
+    Per connected component the uncolored part is the minimum BFS
+    signature over all starting darts and both orientations.  It comes
+    from canonical_labelings, which works it out once per embedded
+    shape.  Every start attaining the minimum relabels the component
+    the same way, so two such starts differ by an automorphism
+    (reflections included).  Each start fixes an edge order.  With a
+    coloring, a component becomes (signature, the smallest of its color
+    vectors read in those orders).  Components are sorted, and isolated
+    vertices contribute a count.
+
+    Two graphs (with colorings) get the same signature exactly when some
+    isomorphism of embedded colored graphs, possibly orientation-
+    reversing, relates them.  The colors used to be folded into the BFS
+    rows, at the price of one full search per coloring.  The colored
+    value now has another form, but it tells apart exactly the same
+    graphs.  The uncolored value is unchanged.
     """
-    comps = _component_darts(g)
-    sigs = []
-    for comp in comps:
-        best = None
-        for d0 in comp:
-            for refl in (False, True):
-                s = _signature_from(g, d0, refl, coloring)
-                if best is None or s < best:
-                    best = s
-        sigs.append(best)
-    sigs.sort()
-    isolated = g.nv - len({g.vertex_of(d) for comp in comps for d in comp})
+    isolated, comps = canonical_labelings(g)
+    if coloring is None:
+        sigs = sorted(sig for sig, _ in comps)
+    else:
+        sigs = sorted(
+            (sig, min(tuple(coloring[e] for e in order) for order in orders))
+            for sig, orders in comps
+        )
     return (isolated, tuple(sigs))
 
 

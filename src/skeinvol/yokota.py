@@ -172,12 +172,7 @@ def _strip_low_valence(rg, lv):
                     del rg.rot[v]
                 else:
                     factor = factor / delta
-                    w = rg.vof[d2 ^ 1]
-                    rg.rot[w][rg.rot[w].index(d2 ^ 1)] = d1
-                    rg.vof[d1] = w
-                    del rg.vof[d2]
-                    del rg.vof[d2 ^ 1]
-                    del rg.col[e2]
+                    rg.splice(d1, d2)
                     del rg.rot[v]
             break
     return factor

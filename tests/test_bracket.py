@@ -4,9 +4,19 @@ import math
 
 import pytest
 
-from skeinvol.bracket import bracket, bracket_distribution
+from skeinvol.bracket import bracket, bracket_distribution, cache_clear
 from skeinvol.errors import NotTrivalent
-from skeinvol.planar import PlanarGraph, circle, square_pyramid, tetrahedron, theta, triangular_prism
+from skeinvol.planar import (
+    PlanarGraph,
+    canonical_labelings,
+    canonical_signature,
+    circle,
+    cube,
+    square_pyramid,
+    tetrahedron,
+    theta,
+    triangular_prism,
+)
 from skeinvol.qnum import (
     Level,
     circle_weight,
@@ -15,6 +25,7 @@ from skeinvol.qnum import (
     quantum_integer,
     sixj,
 )
+from skeinvol.yokota import yokota_ext
 
 # fixture edge order of the tetrahedron, rearranged into symbol slots
 TET_SLOTS = (0, 1, 2, 5, 4, 3)
@@ -112,3 +123,29 @@ def test_theta_distribution():
     assert dist.colors == fusion_colors(2, 2, 7)
     for v in dist.values:
         assert abs(v.to_complex() - 1.0) < 1e-12
+
+
+def test_shape_cache_cleared_and_invisible():
+    canonical_signature(theta(), (2, 2, 2))
+    assert canonical_labelings.cache_info().currsize > 0
+    cache_clear()
+    assert canonical_labelings.cache_info().currsize == 0
+
+    def values():
+        # a private memo each time, so every call runs the full reduction
+        b = bracket(cube(), (2,) * 12, 7, memo={})
+        y = yokota_ext(square_pyramid(), (2,) * 8, 7, memo={})
+        return (b.m, b.e, y.m, y.e)
+
+    cold = values()
+    assert canonical_labelings.cache_info().hits > 0
+    warm = values()
+    # push every shape seen so far out of the cache: distinct graphs
+    # (a theta plus k isolated vertices) beyond the cache's maxsize
+    maxsize = canonical_labelings.cache_info().maxsize
+    for k in range(maxsize + 1):
+        canonical_signature(PlanarGraph(2 + k, theta().edges, theta().rot + ((),) * k))
+    assert canonical_labelings.cache_info().currsize == maxsize
+    evicted = values()
+    assert cold == warm == evicted
+    cache_clear()

@@ -1,6 +1,7 @@
 """Rotation-system planar graphs: fixtures, duals, moves, and the family."""
 
 import json
+import random
 
 import pytest
 
@@ -206,3 +207,138 @@ def test_rotation_validation():
     # a rotation row referencing a dart twice is rejected
     with pytest.raises(ValueError):
         PlanarGraph(2, ((0, 1),), ((0, 0), (1,)))
+
+
+# ---------------------------------------------------------------------------
+# the canonical form against a brute-force reference
+
+
+def _reference_rows(g, start, reflect, coloring):
+    """The BFS signature from one dart, colors folded into the rows."""
+    sigma = [g.sigma(d) for d in range(2 * g.ne)]
+    if reflect:
+        inv = [0] * len(sigma)
+        for d, s in enumerate(sigma):
+            inv[s] = d
+        sigma = inv
+    vlab = {g.vertex_of(start): 0}
+    elab = {}
+    out = []
+    queue = [start]
+    for d0 in queue:
+        row = []
+        d = d0
+        for _ in range(g.degree(g.vertex_of(d0))):
+            e = d >> 1
+            elab.setdefault(e, len(elab))
+            w = g.vertex_of(d ^ 1)
+            if w not in vlab:
+                vlab[w] = len(vlab)
+                queue.append(d ^ 1)
+            row += [elab[e], vlab[w]] + ([] if coloring is None else [coloring[e]])
+            d = sigma[d]
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def reference_signature(g, coloring=None):
+    """Minimum BFS signature over every dart and both orientations."""
+    seen = set()
+    sigs = []
+    for d0 in range(2 * g.ne):
+        if d0 in seen:
+            continue
+        comp, stack = {d0}, [d0]
+        while stack:
+            d = stack.pop()
+            for nd in (d ^ 1, g.sigma(d)):
+                if nd not in comp:
+                    comp.add(nd)
+                    stack.append(nd)
+        seen |= comp
+        sigs.append(min(_reference_rows(g, d, refl, coloring) for d in comp for refl in (False, True)))
+    isolated = g.nv - len({g.vertex_of(d) for d in range(2 * g.ne)})
+    return (isolated, tuple(sorted(sigs)))
+
+
+def relabel(g, coloring, rng):
+    """The same colored embedding under shuffled vertex ids, edge ids,
+    edge orientations and rotation starting points."""
+    vperm = list(range(g.nv))
+    eperm = list(range(g.ne))
+    rng.shuffle(vperm)
+    rng.shuffle(eperm)
+    flip = [rng.randrange(2) for _ in range(g.ne)]
+
+    def dart(d):
+        e = d >> 1
+        return 2 * eperm[e] + ((d & 1) ^ flip[e])
+
+    edges = [None] * g.ne
+    col = [None] * g.ne
+    for e, (u, v) in enumerate(g.edges):
+        edges[eperm[e]] = (vperm[v], vperm[u]) if flip[e] else (vperm[u], vperm[v])
+        col[eperm[e]] = coloring[e]
+    rot = [None] * g.nv
+    for v, r in enumerate(g.rot):
+        k = rng.randrange(len(r)) if r else 0
+        rot[vperm[v]] = [dart(d) for d in r[k:] + r[:k]]
+    return PlanarGraph(g.nv, edges, rot), tuple(col)
+
+
+def disjoint_union(g, h):
+    shift = 2 * g.ne
+    edges = list(g.edges) + [(u + g.nv, v + g.nv) for u, v in h.edges]
+    rot = list(g.rot) + [[d + shift for d in r] for r in h.rot]
+    return PlanarGraph(g.nv + h.nv, edges, rot)
+
+
+def with_isolated(g, k):
+    return PlanarGraph(g.nv + k, g.edges, list(g.rot) + [()] * k)
+
+
+def _signature_corpus():
+    rng = random.Random(20200205)
+    shapes = [build() for build in FIXTURE_BUILDERS] + [circle(), wheel(6)]
+    shapes += family_enumerate(2)
+    shapes += [
+        disjoint_union(theta(), circle()),
+        disjoint_union(tetrahedron(), tetrahedron()),
+        disjoint_union(triangular_prism(), theta()),
+        with_isolated(theta(), 2),
+        with_isolated(disjoint_union(circle(), circle()), 1),
+        PlanarGraph(3, (), ((), (), ())),
+        blow_up(tetrahedron(), 0),
+        triangulate(octahedron(), 0),
+    ]
+    shapes += [mirror(g) for g in shapes]
+    corpus = []
+    for g in shapes:
+        colorings = [None, (2,) * g.ne]
+        colorings += [tuple(rng.choice((0, 2)) for _ in range(g.ne)) for _ in range(4)]
+        colorings += [tuple(rng.choice((0, 2, 4)) for _ in range(g.ne)) for _ in range(2)]
+        for col in colorings:
+            corpus.append((g, col))
+            for h in (g, mirror(g)):
+                h2, col2 = relabel(h, (0,) * g.ne if col is None else col, rng)
+                corpus.append((h2, None if col is None else col2))
+    return corpus
+
+
+def _classes(sigs):
+    index = {}
+    return [index.setdefault(s, len(index)) for s in sigs]
+
+
+def test_canonical_signature_matches_reference_partition():
+    corpus = _signature_corpus()
+    new = [canonical_signature(g, col) for g, col in corpus]
+    ref = [reference_signature(g, col) for g, col in corpus]
+    # the same graphs are told apart: equal here exactly when equal there
+    assert _classes(new) == _classes(ref)
+    assert len(set(ref)) < len(ref)  # the corpus does contain isomorphic pairs
+    for (g, col), sig, want in zip(corpus, new, ref):
+        if col is None:
+            assert sig == want  # the uncolored value is the reference's
+    fam = family_enumerate(2)
+    assert [reference_signature(g) for g in fam] == sorted(reference_signature(g) for g in fam)
