@@ -269,6 +269,9 @@ class CycloOracle:
         for n in range(r - 1, 0, -1):
             inv[n - 1] = inv[n] * self.qint[n]
         self.qfact_inv = inv
+        # exact values per admissible triple; field elements are immutable
+        self._theta: dict[tuple, CycloExact] = {}
+        self._theta_inverse: dict[tuple, CycloExact] = {}
 
     @classmethod
     def of(cls, r, budget: int = 31) -> "CycloOracle":
@@ -284,18 +287,24 @@ class CycloOracle:
         return abs(a - b) <= c <= a + b and a + b + c <= 2 * self.r - 4
 
     def theta(self, a, b, c) -> CycloExact:
-        if not self._admissible_triple(a, b, c):
-            raise Inadmissible(f"triple ({a},{b},{c}) not admissible at r={self.r}")
-        s = (a + b + c) // 2
-        th = self.qfact[s + 1] * self.qfact_inv[s - a] * self.qfact_inv[s - b] * self.qfact_inv[s - c]
-        return -th if s % 2 else th
+        th = self._theta.get((a, b, c))
+        if th is None:
+            if not self._admissible_triple(a, b, c):
+                raise Inadmissible(f"triple ({a},{b},{c}) not admissible at r={self.r}")
+            s = (a + b + c) // 2
+            th = self.qfact[s + 1] * self.qfact_inv[s - a] * self.qfact_inv[s - b] * self.qfact_inv[s - c]
+            th = self._theta[(a, b, c)] = -th if s % 2 else th
+        return th
 
     def theta_inverse(self, a, b, c) -> CycloExact:
-        if not self._admissible_triple(a, b, c):
-            raise Inadmissible(f"triple ({a},{b},{c}) not admissible at r={self.r}")
-        s = (a + b + c) // 2
-        th = self.qfact_inv[s + 1] * self.qfact[s - a] * self.qfact[s - b] * self.qfact[s - c]
-        return -th if s % 2 else th
+        th = self._theta_inverse.get((a, b, c))
+        if th is None:
+            if not self._admissible_triple(a, b, c):
+                raise Inadmissible(f"triple ({a},{b},{c}) not admissible at r={self.r}")
+            s = (a + b + c) // 2
+            th = self.qfact_inv[s + 1] * self.qfact[s - a] * self.qfact[s - b] * self.qfact[s - c]
+            th = self._theta_inverse[(a, b, c)] = -th if s % 2 else th
+        return th
 
     def sixj_square(self, colors) -> CycloExact:
         """Exact square of the tetrahedral 6j symbol; zero when inadmissible."""

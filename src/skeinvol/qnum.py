@@ -66,7 +66,7 @@ class Level:
             facts.append(facts[-1] * SignLogReal.from_float(self._qint[k]))
         self._qfact = facts
         self._sixj_cache: dict[tuple, tuple[ExtScalar, dict]] = {}
-        self._mp_fact: dict[int, list] = {}
+        self._mp_tables: dict[int, MpFactorials] = {}
 
     @classmethod
     def of(cls, r) -> "Level":
@@ -89,22 +89,93 @@ class Level:
             return SignLogReal(0)
         return self._qfact[n]
 
-    def _mp_facts(self, prec: int) -> list:
-        """[k]! for k = 0 .. r-1 as signed mpf at the given precision."""
-        cached = self._mp_fact.get(prec)
-        if cached is not None:
-            return cached
-        with MP_LOCK, mp.workprec(prec):
-            two_pi = 2 * mp.pi
-            s0 = mp.sin(two_pi / self.r)
-            facts = [mp.mpf(1)]
-            for k in range(1, self.r):
-                facts.append(facts[-1] * mp.sin(two_pi * k / self.r) / s0)
-        self._mp_fact[prec] = facts
-        return facts
+    def mp_factorials(self, prec: int) -> "MpFactorials":
+        """The fixed-point factorial tables for prec-bit work, built once."""
+        tab = self._mp_tables.get(prec)
+        if tab is None:
+            tab = MpFactorials(self.r, prec)
+            self._mp_tables[prec] = tab
+        return tab
 
     def __repr__(self):
         return f"Level(r={self.r})"
+
+
+def _fixed_point(values, bits):
+    """Signed mantissas of exactly `bits` bits, and exponents, of nonzero mpfs."""
+    mans, exps = [], []
+    for x in values:
+        sign, man, exp, bc = x._mpf_
+        shift = bits - bc
+        mans.append(-(man << shift) if sign else man << shift)
+        exps.append(exp - shift)
+    return mans, exps
+
+
+class MpFactorials:
+    """High-precision 6j arithmetic at one level and one precision.
+
+    For k = 0 .. r-1 the table holds [k]! and 1/[k]! as integer mantissas
+    of P = prec + 32 bits, each with its own exponent: the value is
+    man * 2**exp.  A product of table entries is a chain of integer
+    multiplies, each truncated by >> P, with the exponents summed as
+    ints.  An eight-factor chain keeps at least P - 8 significant bits
+    and its truncations cost under 2**-(P-9) relative, so the 32 guard
+    bits keep every term good past prec bits.  The terms of one sum are
+    added exactly in one integer at their lowest exponent and rounded to
+    an mpf once, at the caller's working precision.
+    """
+
+    def __init__(self, r: int, prec: int):
+        self.r = r
+        self.prec = prec
+        self.bits = prec + 32
+        with MP_LOCK, mp.workprec(self.bits):
+            two_pi = 2 * mp.pi
+            s0 = mp.sin(two_pi / r)
+            facts = [mp.mpf(1)]
+            for k in range(1, r):
+                facts.append(facts[-1] * mp.sin(two_pi * k / r) / s0)
+            inverses = [1 / f for f in facts]
+        self._fm, self._fe = _fixed_point(facts, self.bits)
+        self._im, self._ie = _fixed_point(inverses, self.bits)
+
+    def zsum(self, t):
+        """Signed z-sum of the 6-tuple t (no vertex normalization), as an mpf.
+
+        The sum runs over z = max T_i .. min(min Q_j, r-2); each term is
+        (-1)^z [z+1]! / (prod_i [z-T_i]! prod_j [Q_j-z]!), see sixj.
+        """
+        (t1, t2, t3, t4), (q1, q2, q3) = _sum_ranges(t)
+        fm, fe, im, ie, p = self._fm, self._fe, self._im, self._ie, self.bits
+        mans, exps = [], []
+        for z in range(max(t1, t2, t3, t4), min(q1, q2, q3, self.r - 2) + 1):
+            m = fm[z + 1] * im[z - t1] >> p
+            m = m * im[z - t2] >> p
+            m = m * im[z - t3] >> p
+            m = m * im[z - t4] >> p
+            m = m * im[q1 - z] >> p
+            m = m * im[q2 - z] >> p
+            m = m * im[q3 - z] >> p
+            mans.append(-m if z & 1 else m)
+            exps.append(fe[z + 1] + ie[z - t1] + ie[z - t2] + ie[z - t3]
+                        + ie[z - t4] + ie[q1 - z] + ie[q2 - z] + ie[q3 - z])
+        emin = min(exps)
+        acc = 0
+        for m, e in zip(mans, exps):
+            acc += m << (e - emin)
+        # each of the seven truncations scaled the mantissa by 2**-p
+        return mp.mpf((acc, emin + 7 * p))
+
+    def theta(self, a: int, b: int, c: int):
+        """Signed Theta(a,b,c) of an admissible triple, as an mpf."""
+        s = (a + b + c) // 2
+        fm, fe, im, ie, p = self._fm, self._fe, self._im, self._ie, self.bits
+        m = fm[s + 1] * im[s - a] >> p
+        m = m * im[s - b] >> p
+        m = m * im[s - c] >> p
+        e = fe[s + 1] + ie[s - a] + ie[s - b] + ie[s - c]
+        return mp.mpf((-m if s & 1 else m, e + 3 * p))
 
 
 def _lv(level) -> Level:
@@ -317,27 +388,13 @@ def _sixj_double(t, lv):
 
 def _sixj_mp(t, lv, prec):
     """Full recomputation of the symbol with mpmath at prec bits."""
-    T, Q = _sum_ranges(t)
-    zlo = max(T)
-    zhi = min(min(Q), lv.r - 2)
-    facts = lv._mp_facts(prec)
+    tab = lv.mp_factorials(prec)
     with MP_LOCK, mp.workprec(prec):
-        zsum = mp.mpf(0)
-        for z in range(zlo, zhi + 1):
-            term = facts[z + 1]
-            for ti in T:
-                term /= facts[z - ti]
-            for qj in Q:
-                term /= facts[qj - z]
-            zsum += -term if z % 2 else term
-        triples = _vertex_triples(t)
+        zsum = tab.zsum(t)
         quad = 0
         prefmag = mp.mpf(1)
-        for (a, b, c) in triples:
-            s = (a + b + c) // 2
-            th = facts[s + 1] / (facts[s - a] * facts[s - b] * facts[s - c])
-            if s % 2:
-                th = -th
+        for (a, b, c) in _vertex_triples(t):
+            th = tab.theta(a, b, c)
             if th < 0:
                 quad += 1
             prefmag /= mp.sqrt(abs(th))
@@ -354,9 +411,9 @@ def _vertex_triples(t):
     return ((n1, n2, n3), (n1, n5, n6), (n2, n4, n6), (n3, n4, n5))
 
 
-def _mp_precision(lv):
-    envbits = int(os.environ.get("SKEIN_PRECISION_BITS", "0") or 0)
-    return max(lv.r + 64, envbits)
+def mp_precision(floor: int) -> int:
+    """Bits for high-precision work: floor, or SKEIN_PRECISION_BITS if larger."""
+    return max(floor, int(os.environ.get("SKEIN_PRECISION_BITS", "0") or 0))
 
 
 def sixj_info(n1, n2, n3, n4, n5, n6, level) -> dict:
@@ -384,7 +441,7 @@ def sixj_info(n1, n2, n3, n4, n5, n6, level) -> dict:
         return {"value": hit[0], **hit[1]}
     sl, cancel, nterms = _sixj_double(key, lv)
     if sl is None:
-        prec = _mp_precision(lv)
+        prec = mp_precision(lv.r + 64)
         value = _sixj_mp(key, lv, prec)
         info = {
             "admissible": True,

@@ -9,8 +9,13 @@ log-domain 6j evaluator:
   symmetry restriction, screens them with a cancellation-free upper
   bound, and re-evaluates only the near-maximal ones exactly;
 * the wheel-graph fast paths evaluate the closed forms for the square
-  and pentagonal pyramids (one- and two-index sums of 6j products), so
-  the published experiments reproduce in seconds at r = 321;
+  and pentagonal pyramids (one- and two-index sums of 6j products).
+  The zero-angled colorings cancel hundreds of bits, so they run on the
+  high-precision twin, whose z-sums are integer products over the
+  fixed-point tables of qnum.MpFactorials.  On a 2-core box with
+  pure-Python mpmath, pent-zero at r = 321 takes about 3 s (10 s with
+  the earlier mpf-division sums) and the whole pent-zero grid of
+  reproduce-appendix about 13 s (44 s);
 * the family fast path uses Y(prism, all-max) = sixj(max,...)^4 (one
   6j per level), checked against the graph engine at small levels in
   the test suite.
@@ -23,7 +28,6 @@ records are bit-equal for any worker count.
 from __future__ import annotations
 
 import math
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional, Sequence
@@ -34,7 +38,7 @@ import mpmath as mp
 
 from .errors import BudgetExceeded
 from .hypvol import V8, ScanRecord, named_volumes
-from .qnum import MP_LOCK, Level, is_admissible_triple, sixj_info
+from .qnum import MP_LOCK, Level, is_admissible_triple, mp_precision, sixj_info
 from .yokota import maximizing_color
 
 __all__ = [
@@ -477,38 +481,17 @@ def wheel_log_invariant(r: int, n_spokes: int, s: int, b: int):
     return log_y, (1.0 if acc > 0 else -1.0), worst_cancel
 
 
-def _mp_zsum(t, facts, r):
-    """Signed z-sum of the 6j (no vertex normalization), in mp floats."""
-    tvals, qvals = _sixj_indices(*(np.int64(x) for x in t))
-    zlo = int(max(tvals))
-    zhi = int(min(min(qvals), r - 2))
-    total = mp.mpf(0)
-    for z in range(zlo, zhi + 1):
-        term = facts[z + 1]
-        for ti in tvals:
-            term /= facts[z - int(ti)]
-        for qj in qvals:
-            term /= facts[int(qj) - z]
-        total += -term if z % 2 else term
-    return total
-
-
-def _mp_theta(a, b, c, facts):
-    """Signed Theta(a,b,c) in mp floats."""
-    s = (a + b + c) // 2
-    th = facts[s + 1] / (facts[s - a] * facts[s - b] * facts[s - c])
-    return -th if s % 2 else th
-
-
 def wheel_log_invariant_mp(r: int, n_spokes: int, s: int, b: int,
                            prec: Optional[int] = None):
     """High-precision wheel closed form; same contract as the float twin.
 
     The vertex normalizations enter only as Theta^(-2) (fourth powers)
     or Theta^(-1) (squares), so no square-root branches appear and the
-    whole sum is carried in signed mp floats.  Precision starts at
-    2r + 256 bits (or SKEIN_PRECISION_BITS if larger) and doubles until
-    the observed cancellation leaves at least 50 trusted bits.
+    whole sum is carried in signed mp floats.  The z-sums and thetas
+    come from the level's fixed-point factorial tables
+    (qnum.MpFactorials).  Precision starts at 2r + 256 bits (or
+    SKEIN_PRECISION_BITS if larger) and doubles until the observed
+    cancellation leaves at least 50 trusted bits.
     """
     lv = Level.of(r)
     if not is_admissible_triple(s, b, b, r):
@@ -518,47 +501,37 @@ def wheel_log_invariant_mp(r: int, n_spokes: int, s: int, b: int,
     if not ilist:
         raise ValueError(f"no admissible fan colors for wheel at r={r}")
     if prec is None:
-        prec = max(2 * r + 256, int(os.environ.get("SKEIN_PRECISION_BITS", "0") or 0))
+        prec = mp_precision(2 * r + 256)
     for _ in range(5):
+        tab = lv.mp_factorials(prec)
         with MP_LOCK, mp.workprec(prec):
-            facts = lv._mp_facts(prec)
             s0 = mp.sin(2 * mp.pi / r)
-            deltas = {i: mp.sin(2 * mp.pi * (i + 1) / r) / s0 for i in ilist}
-            upart = {}
-            for i in ilist:
-                zs = _mp_zsum((s, s, i, b, b, b), facts, r)
-                th = (
-                    _mp_theta(s, s, i, facts)
-                    * _mp_theta(s, b, b, facts) ** 2
-                    * _mp_theta(i, b, b, facts)
-                )
-                upart[i] = (zs, th)
+            th_sbb = tab.theta(s, b, b)
             total = mp.mpf(0)
             abstot = mp.mpf(0)
             if n_spokes == 4:
                 for i in ilist:
-                    zs, th = upart[i]
-                    term = deltas[i] * zs ** 4 / th ** 2
+                    delta = mp.sin(2 * mp.pi * (i + 1) / r) / s0
+                    th = tab.theta(s, s, i) * th_sbb ** 2 * tab.theta(i, b, b)
+                    term = delta * tab.zsum((s, s, i, b, b, b)) ** 4 / th ** 2
                     total += term
                     abstot += abs(term)
             else:
+                # half[i] = Delta_i u_i^2 / Theta(i,b,b) is all of a pair
+                # term that depends on i alone, so a pair only adds w_ij
+                # and Theta(s,i,j)
+                half = {}
+                for i in ilist:
+                    delta = mp.sin(2 * mp.pi * (i + 1) / r) / s0
+                    th_ibb = tab.theta(i, b, b)
+                    th = tab.theta(s, s, i) * th_sbb ** 2 * th_ibb
+                    half[i] = delta * tab.zsum((s, s, i, b, b, b)) ** 2 / (th * th_ibb)
                 for ix, i in enumerate(ilist):
-                    zi, thi = upart[i]
                     for j in ilist[ix:]:
                         if not is_admissible_triple(s, i, j, lv):
                             continue
-                        zj, thj = upart[j]
-                        zw = _mp_zsum((s, i, j, b, b, b), facts, r)
-                        thw = (
-                            _mp_theta(s, i, j, facts)
-                            * _mp_theta(s, b, b, facts)
-                            * _mp_theta(i, b, b, facts)
-                            * _mp_theta(j, b, b, facts)
-                        )
-                        term = (
-                            deltas[i] * deltas[j]
-                            * (zi * zj * zw) ** 2 / (thi * thj * thw)
-                        )
+                        zw = tab.zsum((s, i, j, b, b, b))
+                        term = half[i] * half[j] * zw ** 2 / (tab.theta(s, i, j) * th_sbb)
                         if j != i:
                             term *= 2
                         total += term
@@ -611,8 +584,8 @@ def tv_tet_record(r: int, *, budget: Optional[int] = None) -> ScanRecord:
     mx = -math.inf
     worst_cancel = 0.0
     shifted = 0.0
-    # two passes over the enumeration keep memory flat: first the max,
-    # then the stable accumulation
+    # every chunk's logs are kept until the overall max is known, so
+    # memory grows with the tuple count (8 bytes per admissible tuple)
     logs = []
     for tup in sixtuple_chunks(tab, restrict=False, chunk=500_000, budget=budget):
         res = batch_sixj(tab, *tup)

@@ -368,13 +368,16 @@ def fourier_dual(
     lv = Level.of(level)
     if table is None:
         table = yokota_table(graph, lv, budget=budget, memo=memo)
+    # H(c, dual_coloring[e]) for every color c, one table per edge e
+    hopf = [{c: SignLogReal.from_float(hopf_pairing(c, cstar, lv)) for c in lv.colors}
+            for cstar in dual_coloring]
     total = ExtScalar()
     for col, y in table.items():
         if y.is_zero():
             continue
         h = SignLogReal.from_float(1.0)
-        for c, cstar in zip(col, dual_coloring):
-            h = h * SignLogReal.from_float(hopf_pairing(c, cstar, lv))
+        for c, he in zip(col, hopf):
+            h = h * he[c]
         if h.sign == 0:
             continue
         total = total + h.to_ext() * y

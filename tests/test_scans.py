@@ -3,13 +3,14 @@
 import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from skeinvol.errors import BudgetExceeded
 from skeinvol.hypvol import V8
 from skeinvol.planar import tetrahedron, wheel
-from skeinvol.qnum import Level, is_admissible_sixtuple, sixj
+from skeinvol.qnum import Level, MpFactorials, is_admissible_sixtuple, is_admissible_triple, sixj
 from skeinvol.scans import (
     LevelTables,
     ScanRecord,
@@ -26,7 +27,7 @@ from skeinvol.scans import (
     wheel_log_invariant,
     wheel_log_invariant_mp,
 )
-from skeinvol.yokota import tv_graph, yokota
+from skeinvol.yokota import maximizing_color, tv_graph, yokota
 
 COLUMN_PAIRS = ((0, 3), (1, 4), (2, 5))
 
@@ -145,6 +146,101 @@ def test_wheel_float_vs_highprec():
         lm, sm, _ = wheel_log_invariant_mp(r, n, s, b)
         assert sf == sm
         assert abs(lf - lm) < 1e-9 * max(1.0, abs(lm))
+
+
+def test_zero_angled_highprec_against_engine():
+    # the mp closed form at the cancelling maximizer coloring, every edge c
+    for r in (7, 9):
+        c = maximizing_color(r)
+        for n in (4, 5):
+            logv, sign, _ = wheel_log_invariant_mp(r, n, c, c)
+            got = yokota(wheel(n), [c] * (2 * n), r)
+            want = sign * math.exp(logv)
+            assert abs(got - want) < 1e-9 * max(1.0, abs(want))
+
+
+# The divide-based mpf kernel that MpFactorials replaced, kept as the
+# reference: [k]! accumulated in mpf, seven divisions per z-sum term.
+
+
+def reference_facts(r, prec):
+    with mp.workprec(prec):
+        two_pi = 2 * mp.pi
+        s0 = mp.sin(two_pi / r)
+        facts = [mp.mpf(1)]
+        for k in range(1, r):
+            facts.append(facts[-1] * mp.sin(two_pi * k / r) / s0)
+    return facts
+
+
+def reference_zsum(t, facts, r):
+    n1, n2, n3, n4, n5, n6 = t
+    tvals = ((n1 + n2 + n3) // 2, (n1 + n5 + n6) // 2, (n2 + n4 + n6) // 2, (n3 + n4 + n5) // 2)
+    qvals = ((n1 + n2 + n4 + n5) // 2, (n1 + n3 + n4 + n6) // 2, (n2 + n3 + n5 + n6) // 2)
+    total = mp.mpf(0)
+    for z in range(max(tvals), min(min(qvals), r - 2) + 1):
+        term = facts[z + 1]
+        for ti in tvals:
+            term /= facts[z - ti]
+        for qj in qvals:
+            term /= facts[qj - z]
+        total += -term if z % 2 else term
+    return total
+
+
+def reference_theta(a, b, c, facts):
+    s = (a + b + c) // 2
+    th = facts[s + 1] / (facts[s - a] * facts[s - b] * facts[s - c])
+    return -th if s % 2 else th
+
+
+def wheel_symbols(r, n_spokes, s, b):
+    """The 6-tuples and theta triples the wheel closed form evaluates."""
+    lv = Level.of(r)
+    ilist = [i for i in lv.colors
+             if is_admissible_triple(s, s, i, lv) and is_admissible_triple(i, b, b, lv)]
+    sixes = [(s, s, i, b, b, b) for i in ilist]
+    triples = [(s, b, b)] + [(s, s, i) for i in ilist] + [(i, b, b) for i in ilist]
+    if n_spokes == 5:
+        pairs = [(i, j) for ix, i in enumerate(ilist) for j in ilist[ix:]
+                 if is_admissible_triple(s, i, j, lv)]
+        sixes += [(s, i, j, b, b, b) for i, j in pairs]
+        triples += [(s, i, j) for i, j in pairs]
+    return sixes, triples
+
+
+def test_fixed_point_kernel_matches_divide_reference():
+    for kind, r, n_spokes in (("pent-zero", 101, 5), ("sq-zero", 141, 4)):
+        s, b = appendix_colors(kind, r)
+        prec = 2 * r + 256
+        tab = Level.of(r).mp_factorials(prec)
+        facts = reference_facts(r, prec)
+        sixes, triples = wheel_symbols(r, n_spokes, s, b)
+        with mp.workprec(prec):
+            tol = mp.mpf(2) ** -(prec - 16)
+            pairs = [(tab.zsum(t), reference_zsum(t, facts, r)) for t in sixes]
+            pairs += [(tab.theta(*t), reference_theta(*t, facts)) for t in triples]
+            for got, want in pairs:
+                assert want != 0
+                assert abs(got - want) <= tol * abs(want)
+
+
+def test_wheel_mp_matches_reference_kernel(monkeypatch):
+    r = 101
+    s, b = appendix_colors("pent-zero", r)
+    fast = wheel_log_invariant_mp(r, 5, s, b)
+    facts = {}
+
+    def ref_facts(tab):
+        if tab.prec not in facts:
+            facts[tab.prec] = reference_facts(tab.r, tab.prec)
+        return facts[tab.prec]
+
+    monkeypatch.setattr(MpFactorials, "zsum",
+                        lambda tab, t: reference_zsum(t, ref_facts(tab), tab.r))
+    monkeypatch.setattr(MpFactorials, "theta",
+                        lambda tab, a, b, c: reference_theta(a, b, c, ref_facts(tab)))
+    assert wheel_log_invariant_mp(r, 5, s, b) == fast
 
 
 def test_tv_record_matches_engine():
