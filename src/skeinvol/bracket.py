@@ -46,9 +46,10 @@ _MEMO_MAX = 1 << 20
 
 
 def cache_clear():
-    """Empty the value memo and the per-shape labeling cache."""
+    """Empty the value memo and the per-shape labeling and genus caches."""
     _MEMO.clear()
     canonical_labelings.cache_clear()
+    genus.cache_clear()
 
 
 def _budget_default():

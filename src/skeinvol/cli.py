@@ -363,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=_env_int("SKEIN_BUDGET"),
-        help="evaluation budget for engine-backed policies (default: SKEIN_BUDGET)",
+        help="evaluation budget for engine-backed policies; on full-TV-sweep of "
+        "the tetrahedron, the enumerated cover 6-tuples (default: SKEIN_BUDGET)",
     )
     p.add_argument(
         "--extrapolate",

@@ -159,8 +159,10 @@ def betti(g: PlanarGraph) -> int:
     return g.ne - g.nv + len(_vertex_components(g))
 
 
+@lru_cache(maxsize=1024)
 def genus(g: PlanarGraph) -> int:
-    """Genus of the embedding surface (per component, summed)."""
+    """Genus of the embedding surface (per component, summed), cached per
+    embedded shape."""
     comps = len(_vertex_components(g))
     chi = g.nv - g.ne + len(g.faces())
     # each sphere component contributes 2 to chi

@@ -22,7 +22,9 @@ sources that use it.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import os
 import threading
 
@@ -302,24 +304,20 @@ def vertex_weight(a: int, b: int, c: int, level) -> ExtScalar:
 # The 6j symbol is invariant under the symmetries of the tetrahedron it
 # labels: the color pairs (n1,n4), (n2,n5), (n3,n6) sit on opposite edge
 # pairs, and the group (order 24) permutes the three pairs arbitrarily
-# and swaps the two members of exactly two pairs at a time.
-_COL_PERMS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
-_COL_FLIPS = ((0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1))
+# and swaps the two members of exactly two pairs at a time.  Each entry
+# is one symmetry as an index permutation: the image of t is
+# tuple(t[i] for i in g).  The identity comes first.
+SIXJ_SYMMETRIES = tuple(
+    tuple(p[k] + 3 * f[k] for k in range(3)) + tuple(p[k] + 3 - 3 * f[k] for k in range(3))
+    for p in itertools.permutations(range(3))
+    for f in ((0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1))
+)
+_SYMMETRY_GETTERS = tuple(operator.itemgetter(*g) for g in SIXJ_SYMMETRIES)
 
 
-def _canonical_sixtuple(t):
-    cols = ((t[0], t[3]), (t[1], t[4]), (t[2], t[5]))
-    best = None
-    for p in _COL_PERMS:
-        pc = (cols[p[0]], cols[p[1]], cols[p[2]])
-        for f in _COL_FLIPS:
-            img = (
-                pc[0][f[0]], pc[1][f[1]], pc[2][f[2]],
-                pc[0][1 - f[0]], pc[1][1 - f[1]], pc[2][1 - f[2]],
-            )
-            if best is None or img < best:
-                best = img
-    return best
+def _canonical_sixtuple(t, _getters=_SYMMETRY_GETTERS):
+    """The lexicographically smallest of the 24 images of t."""
+    return min([g(t) for g in _getters])
 
 
 def _sum_ranges(t):

@@ -38,7 +38,14 @@ import mpmath as mp
 
 from .errors import BudgetExceeded
 from .hypvol import V8, ScanRecord, named_volumes
-from .qnum import MP_LOCK, Level, is_admissible_triple, mp_precision, sixj_info
+from .qnum import (
+    MP_LOCK,
+    SIXJ_SYMMETRIES,
+    Level,
+    is_admissible_triple,
+    mp_precision,
+    sixj_info,
+)
 from .yokota import maximizing_color
 
 __all__ = [
@@ -49,6 +56,7 @@ __all__ = [
     "bound_record",
     "family_record",
     "maximizer_record",
+    "orbit_representatives",
     "round_even_color",
     "run_levels",
     "sixtuple_chunks",
@@ -298,6 +306,41 @@ def sixtuple_chunks(tab: LevelTables, *, restrict: bool = True,
     out = _flush()
     if out is not None:
         yield out
+
+
+def orbit_representatives(tab: LevelTables, tup):
+    """Which tuples of a chunk are canonical, and their orbit sizes.
+
+    A tuple is canonical when it is the lexicographic minimum of its 24
+    tetrahedral images (qnum.SIXJ_SYMMETRIES); its orbit then has 24 //
+    |stabilizer| members, the stabilizer being the symmetries that fix
+    it.  Returns (keep, weight): a boolean mask over the chunk and the
+    orbit size of each kept tuple.  Every canonical tuple has a minimal
+    and (b,c) <= (c,b), (e,f), (f,e), so the restricted cover of
+    sixtuple_chunks contains each class's representative exactly once.
+
+    Tuples are compared as base-m integers of their color indices, one
+    pass per symmetry.
+    """
+    idx = [np.asarray(x, dtype=np.int64) >> 1 for x in tup]
+    m = tab.m
+
+    def key(order):
+        k = idx[order[0]] * m
+        for i in order[1:-1]:
+            k += idx[i]
+            k *= m
+        k += idx[order[-1]]
+        return k
+
+    own = key(SIXJ_SYMMETRIES[0])
+    keep = np.ones(own.size, dtype=bool)
+    stab = np.ones(own.size, dtype=np.int64)
+    for g in SIXJ_SYMMETRIES[1:]:
+        img = key(g)
+        keep &= own <= img
+        stab += own == img
+    return keep, 24 // stab[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -578,26 +621,37 @@ def appendix_record(kind: str, r: int) -> ScanRecord:
     )
 
 
-def tv_tet_record(r: int, *, budget: Optional[int] = None) -> ScanRecord:
-    """Full state sum sum_col |Y(tet,col)| = sum |6j|^2 at one level."""
+def tv_tet_record(r: int, *, budget: Optional[int] = None,
+                  chunk: int = 500_000) -> ScanRecord:
+    """Full state sum sum_col |Y(tet,col)| = sum |6j|^2 at one level.
+
+    Only one tuple per tetrahedral class is evaluated (its canonical
+    representative, see orbit_representatives), weighted by its orbit
+    size.  The weighted terms are summed as a stream: a running maximum
+    of the logs, with the partial sum rescaled whenever it rises, so
+    memory is bounded by the chunk, not by the level.  cancel_digits is
+    the worst over the representatives; budget caps the enumerated
+    cover tuples (sixtuple_chunks with restrict=True).
+    """
     tab = LevelTables(r)
-    mx = -math.inf
+    mx = -math.inf  # running max of log |6j|^2
+    shifted = 0.0   # sum of weight * |6j|^2 / exp(mx)
     worst_cancel = 0.0
-    shifted = 0.0
-    # every chunk's logs are kept until the overall max is known, so
-    # memory grows with the tuple count (8 bytes per admissible tuple)
-    logs = []
-    for tup in sixtuple_chunks(tab, restrict=False, chunk=500_000, budget=budget):
+    for tup in sixtuple_chunks(tab, restrict=True, chunk=chunk, budget=budget):
+        keep, weight = orbit_representatives(tab, tup)
+        tup = tuple(x[keep] for x in tup)  # frees the rest of the chunk
         res = batch_sixj(tab, *tup)
-        lg = res["log"][np.isfinite(res["log"])]
-        if lg.size:
-            logs.append(2.0 * lg)
-            mx = max(mx, float(lg.max()) * 2.0)
+        fin = np.isfinite(res["log"])
+        if fin.any():
+            lg = 2.0 * res["log"][fin]
+            top = float(lg.max())
+            if top > mx:
+                shifted *= math.exp(mx - top)
+                mx = top
+            shifted += float(np.sum(weight[fin] * np.exp(lg - mx)))
         fin = res["cancel"][np.isfinite(res["cancel"])]
         if fin.size:
             worst_cancel = max(worst_cancel, float(fin.max()))
-    for lg in logs:
-        shifted += float(np.sum(np.exp(lg - mx)))
     log_tv = mx + math.log(shifted)
     slope = (math.pi / r) * log_tv
     return ScanRecord(

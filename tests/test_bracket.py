@@ -5,13 +5,14 @@ import math
 import pytest
 
 from skeinvol.bracket import bracket, bracket_distribution, cache_clear
-from skeinvol.errors import NotTrivalent
+from skeinvol.errors import NotPlanar, NotTrivalent
 from skeinvol.planar import (
     PlanarGraph,
     canonical_labelings,
     canonical_signature,
     circle,
     cube,
+    genus,
     square_pyramid,
     tetrahedron,
     theta,
@@ -149,3 +150,16 @@ def test_shape_cache_cleared_and_invisible():
     evicted = values()
     assert cold == warm == evicted
     cache_clear()
+
+
+def test_genus_cached_and_nonplanar_still_rejected():
+    # the theta graph with one rotation reversed embeds in the torus
+    torus = PlanarGraph(2, theta().edges, ((0, 2, 4), (1, 3, 5)))
+    cache_clear()
+    for _ in range(2):
+        with pytest.raises(NotPlanar):
+            bracket(torus, (2, 2, 2), 7, memo={})
+    assert genus.cache_info().hits > 0
+    assert genus(torus) == 1 and genus(theta()) == 0
+    cache_clear()
+    assert genus.cache_info().currsize == 0

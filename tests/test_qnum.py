@@ -1,11 +1,14 @@
 """Quantum integers, factorials, theta/vertex weights, and the 6j-symbol."""
 
+import itertools
 import math
 
 import pytest
 
 from skeinvol.qnum import (
+    SIXJ_SYMMETRIES,
     Level,
+    _canonical_sixtuple,
     admissible_triples,
     circle_weight,
     fusion_colors,
@@ -145,6 +148,25 @@ def test_sixj_symmetries_sample():
         (4, 2, 2, 0, 2, 2),   # flip columns 1 and 2
     ]:
         assert abs(sixj(*img, 9).to_complex() - base) < 1e-14
+
+
+def test_symmetry_table_is_the_tetrahedral_group():
+    group = set(SIXJ_SYMMETRIES)
+    assert len(SIXJ_SYMMETRIES) == len(group) == 24
+    assert SIXJ_SYMMETRIES[0] == tuple(range(6))
+    for g, h in itertools.product(SIXJ_SYMMETRIES, repeat=2):
+        assert tuple(g[i] for i in h) in group
+    # opposite edges stay opposite: slots k and k+3 map to one column pair
+    for g in SIXJ_SYMMETRIES:
+        assert all(abs(g[k] - g[k + 3]) == 3 for k in range(3))
+
+
+def test_canonical_sixtuple_is_orbit_minimum():
+    t = (0, 2, 4, 6, 8, 10)
+    orbit = {tuple(t[i] for i in g) for g in SIXJ_SYMMETRIES}
+    assert len(orbit) == 24
+    assert all(_canonical_sixtuple(img) == min(orbit) for img in orbit)
+    assert _canonical_sixtuple((4, 2, 2, 0, 2, 2)) == (0, 2, 2, 4, 2, 2)
 
 
 def test_sixj_admissible_iff_nonzero_prefactor():

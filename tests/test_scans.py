@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -20,6 +21,7 @@ from skeinvol.scans import (
     bound_record,
     family_record,
     maximizer_record,
+    orbit_representatives,
     round_even_color,
     run_levels,
     sixtuple_chunks,
@@ -249,6 +251,64 @@ def test_tv_record_matches_engine():
     assert rec.log_value == pytest.approx(math.log(want), rel=1e-12)
     assert rec.slope == pytest.approx((math.pi / 7) * rec.log_value, rel=1e-12)
     assert rec.kind == "tv-tet"
+
+
+def reference_tv_tet_log(r):
+    """log sum |6j|^2 over every admissible 6-tuple, unrestricted, with
+    every log kept until the overall maximum is known."""
+    tab = LevelTables(r)
+    logs = []
+    for tup in sixtuple_chunks(tab, restrict=False, chunk=500_000):
+        lg = batch_sixj(tab, *tup)["log"]
+        logs.append(2.0 * lg[np.isfinite(lg)])
+    mx = max(float(lg.max()) for lg in logs if lg.size)
+    return mx + math.log(sum(float(np.sum(np.exp(lg - mx))) for lg in logs))
+
+
+def test_orbit_representatives_one_per_class():
+    for r in range(5, 17, 2):
+        full = all_admissible_sixtuples(r)
+        tab = LevelTables(r)
+        kept = []
+        for tup in sixtuple_chunks(tab, restrict=True, chunk=50):
+            keep, weight = orbit_representatives(tab, tup)
+            rows = zip(*[x[keep].tolist() for x in tup])
+            kept += [(row, int(w)) for row, w in zip(rows, weight)]
+        reps = [row for row, _ in kept]
+        assert len(reps) == len(set(reps))
+        assert set(reps) == {min(symbol_images(t)) for t in full}
+        assert all(w == len(symbol_images(row)) for row, w in kept)
+        assert sum(w for _, w in kept) == len(full)
+        if r == 9:
+            assert len(full) == 414
+
+
+def test_tv_record_matches_unrestricted_sum():
+    for r in range(5, 33, 2):
+        assert tv_tet_record(r).log_value == pytest.approx(reference_tv_tet_log(r), rel=1e-12)
+
+
+def test_tv_record_independent_of_chunk():
+    # small chunks move the running maximum many times
+    small = tv_tet_record(25, chunk=1_000)
+    assert small.log_value == pytest.approx(tv_tet_record(25).log_value, rel=1e-12)
+
+
+def test_tv_record_budget_counts_cover_tuples():
+    cover = sum(tup[0].size for tup in sixtuple_chunks(LevelTables(11), restrict=True))
+    assert tv_tet_record(11, budget=cover).log_value == pytest.approx(reference_tv_tet_log(11))
+    with pytest.raises(BudgetExceeded):
+        tv_tet_record(11, budget=cover - 1)
+
+
+def test_tv_record_memory_bounded_by_chunk():
+    tracemalloc.start()
+    try:
+        tv_tet_record(41, chunk=20_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_family_record_prism_identity():
