@@ -38,7 +38,7 @@ from .hypvol import (
 )
 from .planar import PlanarGraph, graph_from_json
 from .qnum import sixj_info
-from .scans import appendix_record, family_record, run_levels, tv_tet_record
+from .scans import appendix_record, bound_record, family_record, run_levels, tv_tet_record
 from .verify import FIXTURES, run_suite, suite_names
 from .yokota import maximizing_color, tv_graph, yokota_ext
 
@@ -49,6 +49,7 @@ POLICIES = (
     "ideal-pentagonal-pyramid",
     "zero-angled",
     "full-TV-sweep",
+    "exhaustive-bound",
 )
 
 # coloring policy -> (required wheel fixture, appendix experiment kind)
@@ -244,6 +245,11 @@ def cmd_scan(args) -> int:
             _fail(f"policy zero-angled applies to a pyramid fixture, not {name}")
         exp_kind = _ZERO_KIND[name]
         build, kind, policy = (lambda r: appendix_record(exp_kind, r)), exp_kind, "zero-angled"
+    elif args.policy == "exhaustive-bound":
+        if name != "tetrahedron":
+            _fail(f"policy exhaustive-bound applies to the tetrahedron fixture, not {name}")
+        build, kind = (lambda r: bound_record(r, budget=budget)[0]), "sixj-bound"
+        policy = "exhaustive"
     else:  # full-TV-sweep
         build, kind = _tv_builder(graph, name, budget), "tv"
         policy = "full-TV-sweep"
@@ -354,7 +360,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="sweep odd levels with a coloring policy")
     p.add_argument("--graph", required=True, help="fixture name or JSON graph file")
-    p.add_argument("--policy", required=True, choices=POLICIES)
+    p.add_argument(
+        "--policy",
+        required=True,
+        choices=POLICIES,
+        help="coloring policy; exhaustive-bound is the level maximum of log|6j| "
+        "over all admissible colorings, with v8 as its target (tetrahedron only)",
+    )
     p.add_argument("--rmin", type=int, default=5)
     p.add_argument("--rmax", type=int, required=True)
     p.add_argument("--rstep", type=int, default=2, help="even step so levels stay odd")
@@ -364,7 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=_env_int("SKEIN_BUDGET"),
         help="evaluation budget for engine-backed policies; on full-TV-sweep of "
-        "the tetrahedron, the enumerated cover 6-tuples (default: SKEIN_BUDGET)",
+        "the tetrahedron and on exhaustive-bound, the enumerated cover 6-tuples "
+        "(default: SKEIN_BUDGET)",
     )
     p.add_argument(
         "--extrapolate",

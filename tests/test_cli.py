@@ -8,7 +8,9 @@ import math
 import pytest
 
 from skeinvol.cli import main
+from skeinvol.hypvol import records_to_csv
 from skeinvol.planar import graph_to_json, theta
+from skeinvol.scans import bound_record
 from skeinvol.yokota import yokota
 
 
@@ -88,6 +90,27 @@ def test_scan_tv_slope_increases(capsys):
     slopes = [float(r["slope"]) for r in csv.DictReader(io.StringIO(out))]
     assert slopes == sorted(slopes)
     assert len(slopes) == 5
+
+
+def test_scan_exhaustive_bound(capsys):
+    rc, out, _ = run_cli(
+        ["scan", "--graph", "tetrahedron", "--policy", "exhaustive-bound", "--rmin", "5", "--rmax", "15"],
+        capsys,
+    )
+    assert rc == 0
+    assert out == records_to_csv([bound_record(r)[0] for r in range(5, 16, 2)])
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [int(row["r"]) for row in rows] == [5, 7, 9, 11, 13, 15]
+    assert {(row["kind"], row["color_policy"]) for row in rows} == {("sixj-bound", "exhaustive")}
+
+    rc, out, _ = run_cli(
+        ["scan", "--graph", "tetrahedron", "--policy", "exhaustive-bound", "--rmin", "15",
+         "--rmax", "15", "--budget", "1"],
+        capsys,
+    )
+    assert rc == 0
+    assert next(csv.DictReader(io.StringIO(out)))["color_policy"] == "exhaustive!budget"
+    expect_exit2(["scan", "--graph", "theta", "--policy", "exhaustive-bound", "--rmax", "9"])
 
 
 def test_scan_json_output(capsys):

@@ -8,6 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import skeinvol.scans as scans
 from skeinvol.errors import BudgetExceeded
 from skeinvol.hypvol import V8
 from skeinvol.planar import tetrahedron, wheel
@@ -65,6 +66,148 @@ def test_batch_matches_scalar_engine():
     assert worst < 1e-10
 
 
+# The two-pass kernel that the sorted one replaced, kept as the reference:
+# every chunk padded to its longest z-range, each term's log computed once
+# for the maximum and again for the sum, signs as int64 products.
+
+
+def _sixj_indices_reference(a, b, c, d, e, f):
+    t = (
+        (a + b + c) >> 1,
+        (a + e + f) >> 1,
+        (b + d + f) >> 1,
+        (c + d + e) >> 1,
+    )
+    q = (
+        (a + b + d + e) >> 1,
+        (a + c + d + f) >> 1,
+        (b + c + e + f) >> 1,
+    )
+    return t, q
+
+
+def _theta_logsign_reference(tab, a, b, c):
+    s = (a + b + c) >> 1
+    lg = tab.lf[s + 1] - tab.lf[s - a] - tab.lf[s - b] - tab.lf[s - c]
+    sg = tab.sf[s + 1] * tab.sf[s - a] * tab.sf[s - b] * tab.sf[s - c]
+    sg = np.where(s % 2 == 0, sg, -sg)
+    return lg, sg
+
+
+def _batch_sixj_reference(tab, a, b, c, d, e, f):
+    a, b, c, d, e, f = (np.asarray(x, dtype=np.int64) for x in (a, b, c, d, e, f))
+    n = a.shape[0]
+    if n == 0:
+        z = np.zeros(0)
+        return {"log": z, "sign": z.copy(), "quad": z.astype(np.int64),
+                "cancel": z.copy(), "log_ub": z.copy()}
+    t, q = _sixj_indices_reference(a, b, c, d, e, f)
+    zlo = np.maximum.reduce(t)
+    zhi = np.minimum(np.minimum.reduce(q), tab.r - 2)
+    nz = zhi - zlo  # >= 0 on admissible tuples
+    lf, sf = tab.lf, tab.sf
+
+    def term_log(z):
+        out = lf[z + 1].copy()
+        for ti in t:
+            out -= lf[z - ti]
+        for qj in q:
+            out -= lf[qj - z]
+        return out
+
+    kmax = int(nz.max())
+    mlog = np.full(n, -np.inf)
+    for k in range(kmax + 1):
+        z = np.minimum(zlo + k, zhi)
+        tl = term_log(z)
+        np.maximum(mlog, np.where(k <= nz, tl, -np.inf), out=mlog)
+
+    acc = np.zeros(n)
+    absacc = np.zeros(n)
+    for k in range(kmax + 1):
+        z = np.minimum(zlo + k, zhi)
+        tl = term_log(z)
+        sg = sf[z + 1] * np.where(z % 2 == 0, 1, -1)
+        for ti in t:
+            sg = sg * sf[z - ti]
+        for qj in q:
+            sg = sg * sf[qj - z]
+        mag = np.where(k <= nz, np.exp(tl - mlog), 0.0)
+        acc += sg * mag
+        absacc += mag
+
+    preflog = np.zeros(n)
+    quad = np.zeros(n, dtype=np.int64)
+    for tri in ((a, b, c), (a, e, f), (b, d, f), (c, d, e)):
+        lg, sg = _theta_logsign_reference(tab, *tri)
+        preflog -= 0.5 * lg
+        quad += sg < 0
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log = np.where(acc == 0.0, -np.inf, preflog + mlog + np.log(np.abs(acc)))
+        log_ub = preflog + mlog + np.log(absacc)
+        cancel = np.where(
+            acc != 0.0,
+            np.log10(np.maximum(absacc / np.abs(np.where(acc == 0.0, 1.0, acc)), 1.0)),
+            np.inf,
+        )
+    return {"log": log, "sign": np.sign(acc), "quad": quad, "cancel": cancel,
+            "log_ub": log_ub}
+
+
+def assert_same_bits(got, want):
+    assert got.keys() == want.keys() == {"log", "sign", "quad", "cancel", "log_ub"}
+    for key in want:
+        assert got[key].dtype == want[key].dtype, key
+        assert got[key].shape == want[key].shape, key
+        assert np.array_equal(got[key], want[key]), key
+        assert got[key].tobytes() == want[key].tobytes(), key
+
+
+def test_batch_bit_identical_to_reference_on_chunks():
+    for r in range(5, 33, 2):
+        tab = LevelTables(r)
+        for restrict in (True, False):
+            for tup in sixtuple_chunks(tab, restrict=restrict):
+                assert_same_bits(batch_sixj(tab, *tup), _batch_sixj_reference(tab, *tup))
+
+
+def test_batch_bit_identical_to_reference_shuffled_and_degenerate():
+    tab = LevelTables(31)
+    tup = next(sixtuple_chunks(tab, restrict=False))
+    perm = np.random.default_rng(20261018).permutation(tup[0].size)
+    shuffled = tuple(x[perm] for x in tup)
+    assert_same_bits(batch_sixj(tab, *shuffled), _batch_sixj_reference(tab, *shuffled))
+    # every z-sum a single term
+    t, q = _sixj_indices_reference(*tup)
+    single = np.maximum.reduce(t) == np.minimum(np.minimum.reduce(q), tab.r - 2)
+    assert 0 < single.sum() < single.size
+    ones = tuple(x[single] for x in tup)
+    assert_same_bits(batch_sixj(tab, *ones), _batch_sixj_reference(tab, *ones))
+    empty = (np.zeros(0, dtype=np.int64),) * 6
+    assert_same_bits(batch_sixj(tab, *empty), _batch_sixj_reference(tab, *empty))
+
+
+def test_batch_bit_identical_to_reference_on_wheel_calls(monkeypatch):
+    calls = []
+
+    def recording(tab, *cols):
+        calls.append((tab, cols))
+        return batch_sixj(tab, *cols)
+
+    monkeypatch.setattr(scans, "batch_sixj", recording)
+    r = 101
+    for kind in ("sq-ideal", "sq-zero", "pent-ideal", "pent-zero"):
+        s, b = appendix_colors(kind, r)
+        try:
+            scans.wheel_log_invariant(r, 5 if kind.startswith("pent") else 4, s, b)
+        except ValueError:
+            pass  # a float sum that vanishes still made its calls
+    assert len(calls) == 6  # u for each kind, w for the two pentagonal ones
+    for tab, cols in calls:
+        assert_same_bits(batch_sixj(tab, *cols), _batch_sixj_reference(tab, *cols))
+
+
 def test_chunks_enumerate_all_tuples():
     r = 9
     tab = LevelTables(r)
@@ -97,6 +240,43 @@ def test_bound_record():
     assert diag["tuples"] > 0
     assert rec.slope == pytest.approx((2 * math.pi / 25) * rec.log_value)
     assert rec.target == pytest.approx(V8)
+
+
+def test_bound_record_independent_of_chunk():
+    for r in (25, 41):
+        rec, diag = bound_record(r)
+        small, small_diag = bound_record(r, chunk=1_000)
+        assert small.log_value == rec.log_value
+        assert small_diag["tuples"] == diag["tuples"]
+        assert small_diag["rechecked"] == diag["rechecked"]
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_batch_memory_bounded():
+    # The largest restricted chunk at r = 65: 214,386 tuples of at most 8
+    # terms.  The peak measures 14.0 MB, 8.6 MB of it the five output
+    # arrays; the padded two-pass kernel peaked at 41.1 MB.
+    tab = LevelTables(65)
+    tup = max(sixtuple_chunks(tab, restrict=True), key=lambda block: block[0].size)
+    assert traced_peak(batch_sixj, tab, *tup) < 1.25 * 14.0 * 2**20
+    # The w_ij call of the pent-zero wheel at r = 321: 12,880 tuples of up
+    # to 80 terms, 351,000 in all.  The peak measures 2.78 MB (the padded
+    # kernel 2.47 MB); keeping all 351,000 terms at once took 6.5 MB.
+    tab = LevelTables(321)
+    s, b = appendix_colors("pent-zero", 321)
+    i = tab.colors[tab.admissible3(s, s, tab.colors) & tab.admissible3(tab.colors, b, b)]
+    ii, jj = np.nonzero(tab.admissible3(s, i[:, None], i[None, :]))
+    cs, cb = np.full(ii.size, s), np.full(ii.size, b)
+    assert ii.size == 12_880
+    assert traced_peak(batch_sixj, tab, cs, i[ii], i[jj], cb, cb, cb) < 1.25 * 2.78 * 2**20
 
 
 def test_maximizer_record():
