@@ -11,6 +11,13 @@ log-domain 6j evaluator:
   bit-identical to the earlier padded two-pass kernel; on a 2-core box
   it runs about 3.2 M tuples/s on the bound sweep at r = 41..65, against
   0.78 M tuples/s before;
+* the 6-tuple enumeration (sixtuple_chunks) reads every admissibility
+  and cover condition as an interval bound, so each slot's colors are
+  one range given the earlier slots; the ranges are expanded with
+  repeat/cumsum in pieces of at most _BLOCK tuples and copied into
+  fixed-size chunks.  On a 2-core box it lists the 34.7 M-tuple cover
+  at r = 101 in about 0.75 s, against 8 s for the earlier boolean
+  K x K masks;
 * the exhaustive 6j bound sweep enumerates admissible 6-tuples up to a
   symmetry restriction, screens them with a cancellation-free upper
   bound, and re-evaluates only the near-maximal ones exactly;
@@ -121,7 +128,7 @@ def _sixj_indices(a, b, c, d, e, f):
     return t, q
 
 
-_BLOCK = 32_768  # tuples sorted together: a block's arrays stay in the L2 cache
+_BLOCK = 32_768  # tuples per kernel block and per enumeration piece: they stay in the L2 cache
 _TERMS = 32_768  # z-terms kept at once (9 bytes each), whatever the level
 
 
@@ -260,12 +267,81 @@ def _zsum_sorted(tables, zlo, lo, hi, nz, mlog, acc, absacc) -> None:
 # admissible 6-tuple enumeration
 
 
-def _adm_stack(tab: LevelTables):
-    """adm[ta, tb, tc] over color indices (color = 2 * index)."""
-    idx = np.arange(tab.m)
-    return tab.admissible3(
-        2 * idx[:, None, None], 2 * idx[None, :, None], 2 * idx[None, None, :]
-    )
+def _ranges(lo, cnt):
+    """The integer ranges [lo[i], lo[i] + cnt[i]) laid end to end, in item
+    order, as (item, value): value[k] is the k-th integer and item[k] the
+    range it came from.  One repeat per array, no mask."""
+    end = np.cumsum(cnt)
+    n = int(end[-1]) if end.size else 0
+    item = np.repeat(np.arange(cnt.size), cnt)
+    value = np.arange(n, dtype=np.int64)
+    value += np.repeat(lo - end + cnt, cnt)
+    return item, value
+
+
+def _pieces(cnt, cap):
+    """Cut items into consecutive runs [i, j) whose counts sum to at most
+    cap; a run of one item may exceed it."""
+    end = np.cumsum(cnt)
+    i, base = 0, 0
+    while i < cnt.size:
+        j = max(i + 1, int(np.searchsorted(end, base + cap, side="right")))
+        yield i, j
+        base = int(end[j - 1])
+        i = j
+
+
+def _cover_pieces(m: int, restrict: bool):
+    """Admissible 6-tuples of color indices, lexicographic in
+    (a, d, b, c, e, f), as pieces (a, (d, b, c, e), item, f): tuple k of a
+    piece is (a, d[item[k]], b[item[k]], c[item[k]], e[item[k]], f[k]).
+
+    Each level is the expansion of per-item ranges.  Per color a, the
+    (b, c) pairs are crossed with runs of d of at most _BLOCK // 8 4-tuples;
+    each run's e ranges are expanded in pieces of at most _BLOCK // 8
+    5-tuples, and each of those is cut into pieces of at most _BLOCK
+    6-tuples before its f ranges are expanded.  Only one a's (b, c) pairs,
+    fewer than m * m, can outgrow these caps.
+    """
+    top = 2 * m - 1  # i + j + k <= r - 2
+    cap = _BLOCK // 8
+    for a in range(m):
+        lo = a if restrict else 0
+        b = np.arange(lo, m, dtype=np.int64)
+        clo = np.abs(a - b)
+        if restrict:
+            np.maximum(clo, b, out=clo)
+        item, pc = _ranges(clo, np.maximum(np.minimum(a + b, top - a - b) - clo + 1, 0))
+        pb = b[item]
+        if pb.size == 0:
+            continue
+        step = max(1, cap // pb.size)
+        for d0 in range(lo, m, step):
+            dd = np.arange(d0, min(d0 + step, m), dtype=np.int64)
+            d4 = np.repeat(dd, pb.size)
+            b4 = np.tile(pb, dd.size)
+            c4 = np.tile(pc, dd.size)
+            cd = c4 + d4
+            elo = np.abs(c4 - d4)
+            if restrict:
+                np.maximum(elo, b4, out=elo)
+            ecnt = np.minimum(cd, top - cd) - elo + 1
+            np.maximum(ecnt, 0, out=ecnt)
+            for i, j in _pieces(ecnt, cap):
+                item, e = _ranges(elo[i:j], ecnt[i:j])
+                d5, b5, c5 = d4[i:j][item], b4[i:j][item], c4[i:j][item]
+                bd = b5 + d5
+                ae = a + e
+                flo = np.maximum(np.abs(b5 - d5), np.abs(a - e))
+                if restrict:
+                    np.maximum(flo, b5 + (e < c5), out=flo)
+                    np.maximum(flo, np.where(e == b5, c5, 0), out=flo)
+                fcnt = np.minimum(np.minimum(bd, top - bd), np.minimum(ae, top - ae))
+                fcnt -= flo - 1
+                np.maximum(fcnt, 0, out=fcnt)
+                for i2, j2 in _pieces(fcnt, _BLOCK):
+                    item, f = _ranges(flo[i2:j2], fcnt[i2:j2])
+                    yield a, (d5[i2:j2], b5[i2:j2], c5[i2:j2], e[i2:j2]), item, f
 
 
 def sixtuple_chunks(tab: LevelTables, *, restrict: bool = True,
@@ -280,80 +356,52 @@ def sixtuple_chunks(tab: LevelTables, *, restrict: bool = True,
     least one representative (ties may keep several), which is all the
     max-scan needs, at roughly 1/24 of the full enumeration cost.
 
-    budget caps the number of tuples yielded (BudgetExceeded beyond).
+    Every condition is an interval bound.  In color indices (color =
+    2 * index, m = (r-1)/2) a triple (i,j,k) is admissible exactly when
+    |i-j| <= k <= i+j and i+j+k <= r-2, so once a, d, b, c are fixed, e
+    runs over one interval set by (c,d,e), and for each e, f runs over
+    one interval set by (b,d,f) and (a,e,f).  The cover adds a <= every
+    slot, b <= c, e >= b, f >= b + [e < c], and f >= c when e == b.
+
+    The tuples come in lexicographic (a, d, b, c, e, f) order, as six
+    int64 arrays; every chunk holds exactly chunk tuples except the
+    last, which holds the rest.  Each chunk is six fresh arrays of
+    length chunk, filled from pieces of at most _BLOCK tuples, so memory
+    is bounded by the chunk, not by the level.
+
+    budget caps the number of tuples enumerated: BudgetExceeded is
+    raised before any tuple past it is yielded.
     """
-    adm = _adm_stack(tab)
-    m = tab.m
+    if chunk < 1:
+        raise ValueError(f"chunk must be at least 1, got {chunk}")
     total = 0
-    buf = []
-    buffered = 0
-
-    def _flush():
-        nonlocal buf, buffered
-        if not buf:
-            return None
-        out = tuple(
-            np.concatenate([blk[k] for blk in buf]) for k in range(6)
-        )
-        buf = []
-        buffered = 0
-        return out
-
-    for ta in range(m):
-        lo = ta if restrict else 0
-        tb_i, tc_i = np.nonzero(adm[ta, lo:, lo:])
-        if tb_i.size == 0:
-            continue
-        tb_i = tb_i + lo
-        tc_i = tc_i + lo
-        kpairs = tb_i.size
-        # row blocks keep the K x K boolean mask under ~8M entries
-        rows = max(1, 8_000_000 // max(kpairs, 1))
-        for td in range(lo, m):
-            admd = adm[td]
-            for r0 in range(0, kpairs, rows):
-                r1 = min(r0 + rows, kpairs)
-                tb_r = tb_i[r0:r1]
-                tc_r = tc_i[r0:r1]
-                mask = admd[tb_r[:, None], tc_i[None, :]]
-                mask &= admd[tc_r[:, None], tb_i[None, :]]
-                # rows are (b,c) pairs, columns are (e,f) pairs drawn
-                # from the same admissible list: (b,d,f) needs
-                # admd[b, f] and (c,d,e) needs admd[c, e]; f is the
-                # second pair member (tc_i), e the first (tb_i)
-                i1, i2 = np.nonzero(mask)
-                if i1.size == 0:
-                    continue
-                tb = tb_r[i1]
-                tc = tc_r[i1]
-                te = tb_i[i2]
-                tf = tc_i[i2]
-                if restrict:
-                    keep = tb <= tc
-                    keep &= (tb < te) | ((tb == te) & (tc <= tf))
-                    keep &= (tb < tf) | ((tb == tf) & (tc <= te))
-                    tb, tc, te, tf = tb[keep], tc[keep], te[keep], tf[keep]
-                    if tb.size == 0:
-                        continue
-                cnt = tb.size
-                total += cnt
-                if budget is not None and total > budget:
-                    raise BudgetExceeded(
-                        f"6-tuple enumeration passed {budget} tuples at r={tab.r}"
-                    )
-                blk = (
-                    np.full(cnt, 2 * ta, dtype=np.int64),
-                    2 * tb, 2 * tc,
-                    np.full(cnt, 2 * td, dtype=np.int64),
-                    2 * te, 2 * tf,
-                )
-                buf.append(blk)
-                buffered += cnt
-                if buffered >= chunk:
-                    yield _flush()
-    out = _flush()
-    if out is not None:
-        yield out
+    fill = 0
+    out = None
+    for a, cols, item, f in _cover_pieces(tab.m, restrict):
+        n = f.size
+        total += n
+        if budget is not None and total > budget:
+            raise BudgetExceeded(
+                f"6-tuple enumeration passed {budget} tuples at r={tab.r}"
+            )
+        s = 0
+        while s < n:
+            if out is None:
+                out = tuple(np.empty(chunk, dtype=np.int64) for _ in range(6))
+            t = min(n, s + chunk - fill)
+            dst = slice(fill, fill + t - s)
+            out[0][dst] = 2 * a
+            sel = item[s:t]
+            for k, col in zip((3, 1, 2, 4), cols):
+                np.multiply(col[sel], 2, out=out[k][dst])
+            np.multiply(f[s:t], 2, out=out[5][dst])
+            fill += t - s
+            s = t
+            if fill == chunk:
+                yield out
+                out, fill = None, 0
+    if fill:
+        yield tuple(x[:fill] for x in out)
 
 
 def orbit_representatives(tab: LevelTables, tup):

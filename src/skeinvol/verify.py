@@ -20,7 +20,7 @@ fusion         termwise fusion-rule consistency and order independence
 kirby          Kirby-colored invariant equals N^betti
 nidentity      sum of squared circle weights equals r/(4 sin^2(2pi/r))
 fourier        the dual-graph Fourier identity, both sides computed
-sixj-symmetry  tetrahedral symmetries of the 6j-symbol
+sixj-symmetry  tetrahedral symmetries of the 6j-symbol; enumeration vs brute force
 hopf           Hopf pairing forms, symmetry, and the constant-sign row
 volumes        hyperbolic volume constants and the Lobachevsky oracle
 """
@@ -516,33 +516,38 @@ def suite_fourier(*, r: Optional[int] = None, graph: Optional[str] = None, **_) 
 
 
 def suite_sixj_symmetry(*, r: int = 9, **_) -> List[CheckResult]:
-    """All 24 tetrahedral relabelings leave the 6j-symbol unchanged."""
+    """All 24 tetrahedral relabelings leave the 6j-symbol unchanged, and
+    the vectorized enumeration matches the brute-force tuple set."""
     import numpy as np
 
-    from .scans import LevelTables, batch_sixj
+    from .scans import LevelTables, batch_sixj, sixtuple_chunks
 
     tuples = list(_admissible_sixtuples(r))
     arr = np.array(tuples, dtype=np.int64)
     ref = np.array([sixj(*t, r).to_complex() for t in tuples])
     tab = LevelTables(r)
-    worst = 0.0
     # Columns pair opposite slots; the symmetry group permutes the three
-    # columns and flips the entries of an even number of them.
+    # columns and flips the entries of an even number of them.  Each
+    # relabeling is the tuple of source slots it reads.
     columns = ((0, 3), (1, 4), (2, 5))
     flips = ((0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1))
+    relabelings = []
     for perm in itertools.permutations(range(3)):
         for flip in flips:
-            slots = [None] * 6
+            src = [0] * 6
             for j, (srci, fl) in enumerate(zip(perm, flip)):
                 top, bot = columns[srci]
                 if fl:
                     top, bot = bot, top
-                slots[columns[j][0]] = arr[:, top]
-                slots[columns[j][1]] = arr[:, bot]
-            res = batch_sixj(tab, *slots)
-            vals = res["sign"] * np.exp(res["log"]) * (-1j) ** res["quad"]
-            worst = max(worst, float(np.max(np.abs(vals - ref) / np.abs(ref))))
-    return [
+                src[columns[j][0]] = top
+                src[columns[j][1]] = bot
+            relabelings.append(tuple(src))
+    worst = 0.0
+    for src in relabelings:
+        res = batch_sixj(tab, *(arr[:, k] for k in src))
+        vals = res["sign"] * np.exp(res["log"]) * (-1j) ** res["quad"]
+        worst = max(worst, float(np.max(np.abs(vals - ref) / np.abs(ref))))
+    out = [
         CheckResult(
             "sixj-symmetry",
             f"24 relabelings agree on all {len(tuples)} admissible sixtuples, r={r}",
@@ -550,6 +555,37 @@ def suite_sixj_symmetry(*, r: int = 9, **_) -> List[CheckResult]:
             f"worst rel {worst:.2e}",
         )
     ]
+
+    def rows(restrict):
+        found = []
+        for tup in sixtuple_chunks(tab, restrict=restrict):
+            found.extend(zip(*(x.tolist() for x in tup)))
+        return found
+
+    full = rows(False)
+    out.append(
+        CheckResult(
+            "sixj-symmetry",
+            f"sixtuple_chunks enumerates exactly the brute-force sixtuples, r={r}",
+            len(full) == len(set(full)) and set(full) == set(tuples),
+            f"{len(full)} enumerated, {len(set(full))} distinct, {len(tuples)} brute force",
+        )
+    )
+
+    def tet_class(t):
+        return min(tuple(t[k] for k in src) for src in relabelings)
+
+    classes = {tet_class(t) for t in tuples}
+    met = {tet_class(t) for t in rows(True)}
+    out.append(
+        CheckResult(
+            "sixj-symmetry",
+            f"the restricted cover meets every tetrahedral class, r={r}",
+            met == classes,
+            f"{len(met & classes)} of {len(classes)} classes",
+        )
+    )
+    return out
 
 
 def suite_hopf(*, r: int = 31, **_) -> List[CheckResult]:

@@ -213,6 +213,14 @@ def test_verify_suite_passes(capsys):
     assert "checks passed" in out
 
 
+def test_verify_sixj_symmetry_checks_enumeration(capsys):
+    rc, out, _ = run_cli(["verify", "sixj-symmetry", "--r", "11"], capsys)
+    assert rc == 0
+    assert "sixtuple_chunks enumerates exactly the brute-force sixtuples, r=11" in out
+    assert "the restricted cover meets every tetrahedral class, r=11" in out
+    assert "3/3 checks passed" in out
+
+
 def test_verify_unknown_suite():
     expect_exit2(["verify", "no-such-suite"])
 

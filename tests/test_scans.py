@@ -233,6 +233,158 @@ def test_restricted_chunks_cover_all_classes():
     assert {canon(t) for t in restricted} == {canon(t) for t in full}
 
 
+# The mask enumerator that the interval one replaced, kept verbatim as the
+# reference: a K x K boolean mask per (a, d, row block) of admissible
+# (b, c) pairs against (e, f) pairs, read out with np.nonzero.
+
+
+def _adm_stack_reference(tab):
+    """adm[ta, tb, tc] over color indices (color = 2 * index)."""
+    idx = np.arange(tab.m)
+    return tab.admissible3(
+        2 * idx[:, None, None], 2 * idx[None, :, None], 2 * idx[None, None, :]
+    )
+
+
+def _sixtuple_chunks_reference(tab, *, restrict=True, chunk=200_000, budget=None):
+    adm = _adm_stack_reference(tab)
+    m = tab.m
+    total = 0
+    buf = []
+    buffered = 0
+
+    def _flush():
+        nonlocal buf, buffered
+        if not buf:
+            return None
+        out = tuple(
+            np.concatenate([blk[k] for blk in buf]) for k in range(6)
+        )
+        buf = []
+        buffered = 0
+        return out
+
+    for ta in range(m):
+        lo = ta if restrict else 0
+        tb_i, tc_i = np.nonzero(adm[ta, lo:, lo:])
+        if tb_i.size == 0:
+            continue
+        tb_i = tb_i + lo
+        tc_i = tc_i + lo
+        kpairs = tb_i.size
+        # row blocks keep the K x K boolean mask under ~8M entries
+        rows = max(1, 8_000_000 // max(kpairs, 1))
+        for td in range(lo, m):
+            admd = adm[td]
+            for r0 in range(0, kpairs, rows):
+                r1 = min(r0 + rows, kpairs)
+                tb_r = tb_i[r0:r1]
+                tc_r = tc_i[r0:r1]
+                mask = admd[tb_r[:, None], tc_i[None, :]]
+                mask &= admd[tc_r[:, None], tb_i[None, :]]
+                # rows are (b,c) pairs, columns are (e,f) pairs drawn
+                # from the same admissible list: (b,d,f) needs
+                # admd[b, f] and (c,d,e) needs admd[c, e]; f is the
+                # second pair member (tc_i), e the first (tb_i)
+                i1, i2 = np.nonzero(mask)
+                if i1.size == 0:
+                    continue
+                tb = tb_r[i1]
+                tc = tc_r[i1]
+                te = tb_i[i2]
+                tf = tc_i[i2]
+                if restrict:
+                    keep = tb <= tc
+                    keep &= (tb < te) | ((tb == te) & (tc <= tf))
+                    keep &= (tb < tf) | ((tb == tf) & (tc <= te))
+                    tb, tc, te, tf = tb[keep], tc[keep], te[keep], tf[keep]
+                    if tb.size == 0:
+                        continue
+                cnt = tb.size
+                total += cnt
+                if budget is not None and total > budget:
+                    raise BudgetExceeded(
+                        f"6-tuple enumeration passed {budget} tuples at r={tab.r}"
+                    )
+                blk = (
+                    np.full(cnt, 2 * ta, dtype=np.int64),
+                    2 * tb, 2 * tc,
+                    np.full(cnt, 2 * td, dtype=np.int64),
+                    2 * te, 2 * tf,
+                )
+                buf.append(blk)
+                buffered += cnt
+                if buffered >= chunk:
+                    yield _flush()
+    out = _flush()
+    if out is not None:
+        yield out
+
+
+def concatenated(chunks):
+    """The six columns of a chunk stream laid end to end, and the chunk sizes."""
+    chunks = list(chunks)
+    cols = tuple(np.concatenate([tup[k] for tup in chunks]) for k in range(6))
+    return cols, [tup[0].size for tup in chunks]
+
+
+def test_chunks_match_reference_in_order():
+    # Chunks of 1 and 7 cost a generator step per few tuples, so they run
+    # on the small levels only.
+    for restrict, rmax in ((True, 49), (False, 35)):
+        for r in range(5, rmax + 1, 2):
+            tab = LevelTables(r)
+            want, _ = concatenated(_sixtuple_chunks_reference(tab, restrict=restrict))
+            for chunk in ((1, 7, 1_000, None) if r <= 21 else (1_000, None)):
+                kw = {} if chunk is None else {"chunk": chunk}
+                chunks = list(sixtuple_chunks(tab, restrict=restrict, **kw))
+                got, sizes = concatenated(chunks)
+                for x, y in zip(got, want):
+                    assert x.dtype == np.int64
+                    assert np.array_equal(x, y), (r, restrict, chunk)
+                full = chunk or 200_000
+                assert all(n == full for n in sizes[:-1])
+                assert 0 < sizes[-1] <= full
+                assert all(x.dtype == np.int64 for tup in chunks for x in tup)
+
+
+def test_chunks_reject_empty_chunk():
+    for chunk in (0, -1):
+        with pytest.raises(ValueError):
+            next(sixtuple_chunks(LevelTables(7), chunk=chunk))
+
+
+def test_chunks_budget_edges():
+    tab = LevelTables(21)
+    cover = sum(tup[0].size for tup in sixtuple_chunks(tab))
+    for chunk in (7, 1_000, None):
+        kw = {} if chunk is None else {"chunk": chunk}
+        assert sum(tup[0].size for tup in sixtuple_chunks(tab, budget=cover, **kw)) == cover
+        yielded = 0
+        with pytest.raises(BudgetExceeded):
+            for tup in sixtuple_chunks(tab, budget=cover - 1, **kw):
+                yielded += tup[0].size
+        assert yielded <= cover - 1
+
+
+def drain_peak(r, chunk):
+    tab = LevelTables(r)
+    tracemalloc.start()
+    try:
+        for _ in sixtuple_chunks(tab, chunk=chunk):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_chunks_memory_bounded_by_chunk_not_level():
+    # Draining the restricted cover in chunks of 20,000 peaks at 3.8 MB at
+    # r = 61 and 3.9 MB at r = 101 (34.7 M tuples); the mask enumerator
+    # peaked at 5.6 and 33.4 MB.
+    assert drain_peak(101, 20_000) <= 1.25 * drain_peak(61, 20_000)
+
+
 def test_bound_record():
     rec, diag = bound_record(25)
     assert rec.kind == "sixj-bound"
@@ -261,9 +413,11 @@ def traced_peak(fn, *args):
 
 
 def test_batch_memory_bounded():
-    # The largest restricted chunk at r = 65: 214,386 tuples of at most 8
-    # terms.  The peak measures 14.0 MB, 8.6 MB of it the five output
-    # arrays; the padded two-pass kernel peaked at 41.1 MB.
+    # The largest restricted chunk at r = 65: exactly 200,000 tuples of at
+    # most 8 terms (the mask enumerator's largest chunk held 214,386).  The
+    # peak measures 13.4 MB, 8.0 MB of it the five output arrays; on the
+    # 214,386-tuple chunk it read 14.0 MB, and the padded two-pass kernel
+    # peaked at 41.1 MB there.
     tab = LevelTables(65)
     tup = max(sixtuple_chunks(tab, restrict=True), key=lambda block: block[0].size)
     assert traced_peak(batch_sixj, tab, *tup) < 1.25 * 14.0 * 2**20
