@@ -126,18 +126,40 @@ class MpFactorials:
     bits keep every term good past prec bits.  The terms of one sum are
     added exactly in one integer at their lowest exponent and rounded to
     an mpf once, at the caller's working precision.
+
+    The quantum integers [k] = sin(k theta) / sin(theta), theta = 2 pi/r,
+    come from one rotation recurrence instead of r mpmath sines.  cos
+    theta and sin theta are taken once at G = P + 40 bits, and (cos k
+    theta, sin k theta) is stepped by integer complex multiplies at G
+    fractional bits for k <= (r-1)/2; sin((r-k) theta) = -sin(k theta)
+    gives the rest.  Each step adds under five units of 2**-G, so sin(k
+    theta) is off by under 2.5 r units, and as it is at least sin(pi/r)
+    > 2/r there, [k] is off by under 1.5 r**2 units relative.  The 40
+    guard bits keep that under 2**-(P+7) for every r below 2**16, so
+    [k]!, 1/[k]! and qint(k) stay good to P bits, as with mpmath sines.
+
+    fan(s, b) gives the tables of the wheel symbols sixj(s, x, y, b, b,
+    b), whose z-terms cost two multiplies each (see MpFan).
     """
 
     def __init__(self, r: int, prec: int):
         self.r = r
         self.prec = prec
         self.bits = prec + 32
+        g = self.bits + 40
+        with MP_LOCK, mp.workprec(g):
+            theta = 2 * mp.pi / r
+            cos1 = int(mp.ldexp(mp.cos(theta), g))
+            sin1 = int(mp.ldexp(mp.sin(theta), g))
+        sines = [0] * r
+        c, s = cos1, sin1
+        for k in range(1, (r + 1) // 2):
+            sines[k], sines[r - k] = s, -s
+            c, s = (c * cos1 - s * sin1) >> g, (s * cos1 + c * sin1) >> g
         with MP_LOCK, mp.workprec(self.bits):
-            two_pi = 2 * mp.pi
-            s0 = mp.sin(two_pi / r)
             facts = [mp.mpf(1)]
             for k in range(1, r):
-                facts.append(facts[-1] * mp.sin(two_pi * k / r) / s0)
+                facts.append(facts[-1] * mp.mpf(((sines[k] << g) // sin1, -g)))
             inverses = [1 / f for f in facts]
         self._fm, self._fe = _fixed_point(facts, self.bits)
         self._im, self._ie = _fixed_point(inverses, self.bits)
@@ -178,6 +200,91 @@ class MpFactorials:
         m = m * im[s - c] >> p
         e = fe[s + 1] + ie[s - a] + ie[s - b] + ie[s - c]
         return mp.mpf((-m if s & 1 else m, e + 3 * p))
+
+    def qint(self, k: int):
+        """The quantum integer [k] = [k]! / [k-1]! for 1 <= k <= r-1, as an mpf."""
+        p = self.bits
+        return mp.mpf((self._fm[k] * self._im[k - 1] >> p, self._fe[k] + self._ie[k - 1] + p))
+
+    def fan(self, s: int, b: int) -> "MpFan":
+        """Fan tables of the wheel symbols sixj(s, x, y, b, b, b)."""
+        return MpFan(self, s, b)
+
+
+class MpFan:
+    """Z-sums of the wheel symbols sixj(s, x, y, b, b, b) from fan tables.
+
+    With spoke color s and rim color b the z-term of that symbol factors
+    as A(z) B_x(z) B_y(z) C_{x+y}(z), where
+
+        A(z)   = (-1)^z [z+1]! / [z - (s+2b)/2]!,
+        B_x(z) = 1 / ([z - (x+2b)/2]! [(s+x+2b)/2 - z]!),
+        C_y(z) = 1 / ([z - (s+y)/2]! [(y+2b)/2 - z]!),
+
+    and the sum runs over the z where all four are defined (A stops at
+    z = r-2).  The wheel closed forms need u_i = zsum(s, i) and w_ij =
+    zsum(i, j).  Every B_x is one table B(w) = 1/([w]! [s/2-w]!) read
+    at w = z - (x+2b)/2, and every C_y one table C(w) = 1/([w]!
+    [b-s/2-w]!) read at w = z - (s+y)/2.  A, B and C are lists of
+    fixed-point entries in the convention of MpFactorials: an entry is
+    man * 2**exp with a signed P-bit mantissa, and a product of two is
+    (m1 * m2 >> P) * 2**(e1 + e2 + P).  D_x = A B_x is kept for the
+    last x asked for only, so callers should vary y fastest; a term
+    D_x(z) B_y(z) C_{x+y}(z) then costs two multiplies, against
+    seven in MpFactorials.zsum.  Its eight factorial factors still pass
+    through seven truncations, so the 2**-(P-9) bound holds, and the
+    tables hold O(r) entries however many fan colors there are.
+    """
+
+    def __init__(self, tab: MpFactorials, s: int, b: int):
+        self.s, self.b, self.bits = s, b, tab.bits
+        fm, fe, im, ie, p = tab._fm, tab._fe, tab._im, tab._ie, tab.bits
+        t = (s + 2 * b) // 2
+        zs = range(t, tab.r - 1)
+        mans = [fm[z + 1] * im[z - t] >> p for z in zs]
+        self._alo = t
+        self._am = [-m if z & 1 else m for z, m in zip(zs, mans)]
+        self._ae = [fe[z + 1] + ie[z - t] + p for z in zs]
+        self._bm, self._be = _inverse_pairs(im, ie, s // 2, p)
+        self._cm, self._ce = _inverse_pairs(im, ie, b - s // 2, p)
+        self._dx = self._dtab = None
+
+    def _d(self, x: int):
+        """D_x = A B_x as (lo, mantissas, exponents), kept for the last x."""
+        if x != self._dx:
+            alo, blo, p = self._alo, x // 2 + self.b, self.bits
+            lo = max(alo, blo)
+            hi = min(alo + len(self._am), blo + len(self._bm))
+            sa, sb = slice(lo - alo, hi - alo), slice(lo - blo, hi - blo)
+            self._dtab = (lo, [u * v >> p for u, v in zip(self._am[sa], self._bm[sb])],
+                          [u + v + p for u, v in zip(self._ae[sa], self._be[sb])])
+            self._dx = x
+        return self._dtab
+
+    def zsum(self, x: int, y: int):
+        """Signed z-sum of sixj(s, x, y, b, b, b) (no vertex normalization), as an mpf."""
+        dlo, dm, de = self._d(x)
+        blo, clo = y // 2 + self.b, (self.s + x + y) // 2
+        lo = max(dlo, blo, clo)
+        hi = min(dlo + len(dm), blo + len(self._bm), clo + len(self._cm))
+        sd, sb = slice(lo - dlo, hi - dlo), slice(lo - blo, hi - blo)
+        sc = slice(lo - clo, hi - clo)
+        p = self.bits
+        mans = [(u * v >> p) * w >> p
+                for u, v, w in zip(dm[sd], self._bm[sb], self._cm[sc])]
+        exps = [u + v + w for u, v, w in zip(de[sd], self._be[sb], self._ce[sc])]
+        emin = min(exps)
+        acc = 0
+        for m, e in zip(mans, exps):
+            acc += m << (e - emin)
+        # the two truncations of each term scaled its mantissa by 2**-p each
+        return mp.mpf((acc, emin + 2 * p))
+
+
+def _inverse_pairs(im, ie, n: int, p: int):
+    """Fixed-point 1 / ([w]! [n-w]!) for w = 0 .. n, as mantissas and exponents."""
+    return ([im[w] * im[n - w] >> p for w in range(n + 1)],
+            [ie[w] + ie[n - w] + p for w in range(n + 1)])
 
 
 def _lv(level) -> Level:

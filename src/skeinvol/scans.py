@@ -24,11 +24,14 @@ log-domain 6j evaluator:
 * the wheel-graph fast paths evaluate the closed forms for the square
   and pentagonal pyramids (one- and two-index sums of 6j products).
   The zero-angled colorings cancel hundreds of bits, so they run on the
-  high-precision twin, whose z-sums are integer products over the
-  fixed-point tables of qnum.MpFactorials.  On a 2-core box with
-  pure-Python mpmath, pent-zero at r = 321 takes about 3 s (10 s with
-  the earlier mpf-division sums) and the whole pent-zero grid of
-  reproduce-appendix about 13 s (44 s);
+  high-precision twin.  Its z-sums read the fan tables of qnum.MpFan,
+  built per (spoke, rim) pair over the level's fixed-point factorials,
+  so each z-term is two integer multiplies, and the factorials come
+  from a rotation recurrence instead of r mpmath sines.  On a 2-core
+  box with pure-Python mpmath, pent-zero at r = 321 takes about 1.7 s
+  (about 3.5 s with seven multiplies per term, 10 s with the earlier
+  mpf-division sums) and the whole pent-zero grid of reproduce-appendix
+  about 6 s (13 s, 44 s);
 * the family fast path uses Y(prism, all-max) = sixj(max,...)^4 (one
   6j per level), checked against the graph engine at small levels in
   the test suite.
@@ -367,13 +370,16 @@ def sixtuple_chunks(tab: LevelTables, *, restrict: bool = True,
     int64 arrays; every chunk holds exactly chunk tuples except the
     last, which holds the rest.  Each chunk is six fresh arrays of
     length chunk, filled from pieces of at most _BLOCK tuples, so memory
-    is bounded by the chunk, not by the level.
+    is bounded by the chunk, not by the level.  At a level with fewer
+    than chunk 6-tuples of colors (m**6) the arrays have m**6 entries.
 
     budget caps the number of tuples enumerated: BudgetExceeded is
     raised before any tuple past it is yielded.
     """
     if chunk < 1:
         raise ValueError(f"chunk must be at least 1, got {chunk}")
+    # the cover never exceeds m**6 tuples (m colors in each of six slots)
+    cap = min(chunk, tab.m ** 6)
     total = 0
     fill = 0
     out = None
@@ -387,7 +393,7 @@ def sixtuple_chunks(tab: LevelTables, *, restrict: bool = True,
         s = 0
         while s < n:
             if out is None:
-                out = tuple(np.empty(chunk, dtype=np.int64) for _ in range(6))
+                out = tuple(np.empty(cap, dtype=np.int64) for _ in range(6))
             t = min(n, s + chunk - fill)
             dst = slice(fill, fill + t - s)
             out[0][dst] = 2 * a
@@ -626,9 +632,10 @@ def wheel_log_invariant_mp(r: int, n_spokes: int, s: int, b: int,
 
     The vertex normalizations enter only as Theta^(-2) (fourth powers)
     or Theta^(-1) (squares), so no square-root branches appear and the
-    whole sum is carried in signed mp floats.  The z-sums and thetas
-    come from the level's fixed-point factorial tables
-    (qnum.MpFactorials).  Precision starts at 2r + 256 bits (or
+    whole sum is carried in signed mp floats.  The thetas and
+    Delta_i = [i+1] come from the level's fixed-point factorial tables
+    (qnum.MpFactorials), the z-sums from its fan tables for (s, b)
+    (qnum.MpFan).  Precision starts at 2r + 256 bits (or
     SKEIN_PRECISION_BITS if larger) and doubles until the observed
     cancellation leaves at least 50 trusted bits.
     """
@@ -643,16 +650,15 @@ def wheel_log_invariant_mp(r: int, n_spokes: int, s: int, b: int,
         prec = mp_precision(2 * r + 256)
     for _ in range(5):
         tab = lv.mp_factorials(prec)
+        fan = tab.fan(s, b)
         with MP_LOCK, mp.workprec(prec):
-            s0 = mp.sin(2 * mp.pi / r)
             th_sbb = tab.theta(s, b, b)
             total = mp.mpf(0)
             abstot = mp.mpf(0)
             if n_spokes == 4:
                 for i in ilist:
-                    delta = mp.sin(2 * mp.pi * (i + 1) / r) / s0
                     th = tab.theta(s, s, i) * th_sbb ** 2 * tab.theta(i, b, b)
-                    term = delta * tab.zsum((s, s, i, b, b, b)) ** 4 / th ** 2
+                    term = tab.qint(i + 1) * fan.zsum(s, i) ** 4 / th ** 2
                     total += term
                     abstot += abs(term)
             else:
@@ -661,16 +667,15 @@ def wheel_log_invariant_mp(r: int, n_spokes: int, s: int, b: int,
                 # and Theta(s,i,j)
                 half = {}
                 for i in ilist:
-                    delta = mp.sin(2 * mp.pi * (i + 1) / r) / s0
                     th_ibb = tab.theta(i, b, b)
                     th = tab.theta(s, s, i) * th_sbb ** 2 * th_ibb
-                    half[i] = delta * tab.zsum((s, s, i, b, b, b)) ** 2 / (th * th_ibb)
+                    half[i] = tab.qint(i + 1) * fan.zsum(s, i) ** 2 / (th * th_ibb)
                 for ix, i in enumerate(ilist):
                     for j in ilist[ix:]:
                         if not is_admissible_triple(s, i, j, lv):
                             continue
-                        zw = tab.zsum((s, i, j, b, b, b))
-                        term = half[i] * half[j] * zw ** 2 / (tab.theta(s, i, j) * th_sbb)
+                        term = (half[i] * half[j] * fan.zsum(i, j) ** 2
+                                / (tab.theta(s, i, j) * th_sbb))
                         if j != i:
                             term *= 2
                         total += term

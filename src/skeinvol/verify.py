@@ -9,7 +9,7 @@ test suite can share one implementation.
 
 Suites
 ------
-oracle         6j values against exact cyclotomic-field arithmetic
+oracle         6j values and the wheel fan z-sums against exact cyclotomic-field arithmetic
 bigon          circle/theta pinning and bigon collapse via full reduction
 axiom3         tetrahedron bracket equals the 6j-symbol, exhaustively
 axiom7         zero-colored edge removal with its square-root branch
@@ -62,6 +62,7 @@ from .qnum import (
     kirby_norm,
     sixj,
 )
+from .scans import appendix_colors
 from .yokota import (
     admissible_colorings,
     fourier_dual,
@@ -146,7 +147,8 @@ def _tet_slot_args(col):
 
 
 def suite_oracle(*, rmax: int = 13, **_) -> List[CheckResult]:
-    """Float 6j engine against exact arithmetic in the cyclotomic field."""
+    """Float 6j engine, and the high-precision wheel z-sums at r = 11 and
+    13, against exact arithmetic in the cyclotomic field."""
     from .cyclo import sixj_exact_square
 
     out = []
@@ -169,7 +171,42 @@ def suite_oracle(*, rmax: int = 13, **_) -> List[CheckResult]:
             )
         except BudgetExceeded as exc:
             out.append(CheckResult("oracle", f"6j^2 vs cyclotomic field, r={r}", False, str(exc)))
+    for r in (11, 13):
+        if r <= rmax:
+            out.append(_fan_oracle_check(r))
     return out
+
+
+def _fan_oracle_check(r: int) -> CheckResult:
+    """The high-precision wheel z-sums (qnum.MpFan) at the zero-angled
+    colors, as 6j^2 = zsum^2 / prod Theta, against the exact field."""
+    from .cyclo import sixj_exact_square
+
+    s, b = appendix_colors("pent-zero", r)
+    lv = Level.of(r)
+    ilist = [i for i in lv.colors
+             if is_admissible_triple(s, s, i, r) and is_admissible_triple(i, b, b, r)]
+    sixes = [(s, s, i, b, b, b) for i in ilist]
+    sixes += [(s, i, j, b, b, b) for i in ilist for j in ilist
+              if i <= j and is_admissible_triple(s, i, j, r)]
+    prec = 2 * r + 256
+    tab = lv.mp_factorials(prec)
+    fan = tab.fan(s, b)
+    worst = 0.0
+    with MP_LOCK, mp.workprec(prec):
+        for t in sixes:
+            square = fan.zsum(t[1], t[2]) ** 2
+            for n1, n2, n3 in ((t[0], t[1], t[2]), (t[0], t[4], t[5]),
+                               (t[1], t[3], t[5]), (t[2], t[3], t[4])):
+                square /= tab.theta(n1, n2, n3)
+            exact = sixj_exact_square(*t, r)
+            worst = max(worst, _rel(exact, complex(square), abs(exact)))
+    return CheckResult(
+        "oracle",
+        f"wheel fan z-sums vs cyclotomic field, r={r}",
+        worst <= 1e-10,
+        f"{len(sixes)} symbols at spoke {s}, rim {b}, worst rel {worst:.2e}",
+    )
 
 
 def suite_bigon(*, r: int = 7, **_) -> List[CheckResult]:

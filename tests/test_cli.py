@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import pathlib
 
 import pytest
 
@@ -180,6 +181,23 @@ def test_reproduce_appendix_deterministic(capsys):
     rows = list(csv.DictReader(io.StringIO(out1)))
     assert [int(r["r"]) for r in rows] == [101, 121, 141]
     assert "gap" in err1  # the summary goes to stderr, data to stdout
+
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("kind", ["sq-ideal", "sq-zero", "pent-ideal", "pent-zero"])
+def test_reproduce_appendix_golden_csv(kind, capsys):
+    # The nine-column CSV is byte-stable: these files were written by the
+    # float and mpmath wheel sums before the fan tables and the rotation
+    # recurrence replaced their high-precision arithmetic.
+    golden = (DATA / f"appendix-{kind}-101-141.csv").read_bytes()
+    rc, out, _ = run_cli(
+        ["reproduce-appendix", "--which", kind, "--rmin", "101", "--rmax", "141", "--rstep", "20"],
+        capsys,
+    )
+    assert rc == 0
+    assert out.encode("utf-8") == golden
 
 
 def test_scan_output_file(tmp_path, capsys):

@@ -385,6 +385,19 @@ def test_chunks_memory_bounded_by_chunk_not_level():
     assert drain_peak(101, 20_000) <= 1.25 * drain_peak(61, 20_000)
 
 
+def test_small_cover_allocates_small_buffers():
+    # At r = 7 (m = 3) the arrays hold m**6 = 729 tuples, not the default
+    # chunk of 500,000 (24.0 MB for six full-length buffers).  The peak
+    # reads 0.06 MB.
+    tracemalloc.start()
+    try:
+        tv_tet_record(7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 def test_bound_record():
     rec, diag = bound_record(25)
     assert rec.kind == "sixj-bound"
@@ -561,22 +574,92 @@ def test_fixed_point_kernel_matches_divide_reference():
                 assert abs(got - want) <= tol * abs(want)
 
 
+def reference_qint(k, r):
+    """[k] from mp.sin at the working precision, as the wheel sum once took it."""
+    return mp.sin(2 * mp.pi * k / r) / mp.sin(2 * mp.pi / r)
+
+
+class ReferenceFan:
+    """MpFactorials.fan with every z-sum taken by the divide reference."""
+
+    def __init__(self, tab, s, b, facts, calls):
+        self.s, self.b, self.r, self.facts, self.calls = s, b, tab.r, facts, calls
+
+    def zsum(self, x, y):
+        self.calls["fan"] += 1
+        return reference_zsum((self.s, x, y, self.b, self.b, self.b), self.facts, self.r)
+
+
+# (r, spokes, s, b): the two zero-angled kinds, and the maximizing color
+# at small levels, where the z-ranges are short
+FAN_CASES = (
+    [(101, 5, *appendix_colors("pent-zero", 101)), (141, 4, *appendix_colors("sq-zero", 141))]
+    + [(r, 5, maximizing_color(r), maximizing_color(r)) for r in (5, 7, 9)]
+)
+
+
+def test_fan_kernel_and_rotation_tables_match_divide_reference():
+    # every u_i and w_ij the wheel sum takes, from the fan tables, and the
+    # [k]!, 1/[k]! and [k] of the rotation recurrence, against mp.sin
+    for r, n_spokes, s, b in FAN_CASES:
+        prec = 2 * r + 256
+        tab = MpFactorials(r, prec)
+        fan = tab.fan(s, b)
+        facts = reference_facts(r, prec)
+        sixes, _ = wheel_symbols(r, n_spokes, s, b)
+        assert all(t[0] == s and t[3:] == (b, b, b) for t in sixes)
+        with mp.workprec(prec):
+            tol = mp.mpf(2) ** -(prec - 16)
+            pairs = [(fan.zsum(t[1], t[2]), reference_zsum(t, facts, r)) for t in sixes]
+            pairs += [(mp.mpf((tab._fm[k], tab._fe[k])), facts[k]) for k in range(r)]
+            pairs += [(mp.mpf((tab._im[k], tab._ie[k])), 1 / facts[k]) for k in range(r)]
+            pairs += [(tab.qint(k), reference_qint(k, r)) for k in range(1, r)]
+            for got, want in pairs:
+                assert want != 0
+                assert abs(got - want) <= tol * abs(want)
+
+
+def test_rotation_recurrence_keeps_full_table_precision():
+    # [k] = [k]! / [k-1]! read at the table's own P bits is within 16 units
+    # of 2**-P of the exact value (it reads 4.6 at most); the recurrence's
+    # 40 guard bits are what keep it there: without them it is off by
+    # 650 to 1,060 units at these levels.
+    for r in (101, 141, 321):
+        tab = MpFactorials(r, 2 * r + 256)
+        p = tab.bits
+        for k in range(1, r):
+            with mp.workprec(p):
+                got = tab.qint(k)
+            with mp.workprec(p + 30):
+                want = reference_qint(k, r)
+                assert abs(got - want) <= mp.mpf(2) ** -(p - 4) * abs(want)
+
+
 def test_wheel_mp_matches_reference_kernel(monkeypatch):
-    r = 101
-    s, b = appendix_colors("pent-zero", r)
-    fast = wheel_log_invariant_mp(r, 5, s, b)
+    cases = [(r, n, *appendix_colors(kind, r))
+             for kind, r, n in (("pent-zero", 101, 5), ("sq-zero", 101, 4), ("sq-zero", 141, 4))]
+    fast = [wheel_log_invariant_mp(*case) for case in cases]
     facts = {}
+    calls = {"fan": 0, "qint": 0}
 
     def ref_facts(tab):
-        if tab.prec not in facts:
-            facts[tab.prec] = reference_facts(tab.r, tab.prec)
-        return facts[tab.prec]
+        key = (tab.r, tab.prec)
+        if key not in facts:
+            facts[key] = reference_facts(tab.r, tab.prec)
+        return facts[key]
 
-    monkeypatch.setattr(MpFactorials, "zsum",
-                        lambda tab, t: reference_zsum(t, ref_facts(tab), tab.r))
+    def ref_qint(tab, k):
+        calls["qint"] += 1
+        return reference_qint(k, tab.r)
+
+    monkeypatch.setattr(MpFactorials, "fan",
+                        lambda tab, s, b: ReferenceFan(tab, s, b, ref_facts(tab), calls))
+    monkeypatch.setattr(MpFactorials, "qint", ref_qint)
     monkeypatch.setattr(MpFactorials, "theta",
                         lambda tab, a, b, c: reference_theta(a, b, c, ref_facts(tab)))
-    assert wheel_log_invariant_mp(r, 5, s, b) == fast
+    assert [wheel_log_invariant_mp(*case) for case in cases] == fast
+    # the patch reached both the z-sums and the Delta_i source
+    assert calls["fan"] > 0 and calls["qint"] > 0
 
 
 def test_tv_record_matches_engine():
