@@ -20,7 +20,14 @@ log-domain 6j evaluator:
   K x K masks;
 * the exhaustive 6j bound sweep enumerates admissible 6-tuples up to a
   symmetry restriction, screens them with a cancellation-free upper
-  bound, and re-evaluates only the near-maximal ones exactly;
+  bound, and re-evaluates only the near-maximal ones exactly.  Each
+  level's screen runs on every usable core: the cover is dealt in blocks
+  of _BLOCK tuples to forked processes (see _screen_cover), which send
+  back only counts, maxima and candidates, so the record is
+  bit-identical to one process's.  It stays in-process on one core,
+  without the fork start method, while other threads run (so on the
+  threads of run_levels) and on covers with fewer than one block per
+  core;
 * the wheel-graph fast paths evaluate the closed forms for the square
   and pentagonal pyramids (one- and two-index sums of 6j products).
   The zero-angled colorings cancel hundreds of bits, so they run on the
@@ -36,14 +43,21 @@ log-domain 6j evaluator:
   6j per level), checked against the graph engine at small levels in
   the test suite.
 
-Per-level work is pure and independent, so scans parallelize over r
-with a thread pool and are reassembled in level order; the emitted
-records are bit-equal for any worker count.
+Per-level work is pure and independent, so run_levels can also spread
+the levels of a scan over a thread pool and reassemble them in level
+order; the emitted records are bit-equal for any thread count.  Threads
+pay little here (the numpy kernel releases the GIL only in part, and the
+mp paths share one lock), and a bound sweep beside other threads stays
+in one process, so the forked screen is the way a bound sweep uses the
+cores.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional, Sequence
@@ -463,30 +477,20 @@ def bound_record(r: int, *, margin: float = 4.0, chunk: int = 200_000,
     cancellation-free upper bound comes within 1.0 (in log units) of the
     threshold; those are recomputed with the scalar evaluator, which
     escalates to high precision on its own when doubles cancel away.
+
+    The screen runs on every usable core (see _screen_cover): the cover
+    is dealt in blocks of _BLOCK tuples to forked processes, each of
+    which sends back its tuple count, maxima and candidates.  These
+    merge exactly, so the record and diagnostics are bit-identical for
+    any process count and any chunk, and chunk bounds each process's
+    memory.  The exact recheck runs in the calling process.
     """
     tab = LevelTables(r)
     lv = Level.of(r)
     thr_slope = V8 + margin * math.log(r) / r
     thr_log = thr_slope * r / (2 * math.pi)
-    ntuples = 0
-    safe_max = -math.inf
-    worst_cancel = 0.0
-    cand: list[tuple] = []
-    for tup in sixtuple_chunks(tab, restrict=True, chunk=chunk, budget=budget):
-        res = batch_sixj(tab, *tup)
-        ntuples += tup[0].size
-        hot = res["log_ub"] >= thr_log - 1.0
-        if hot.any():
-            idx = np.nonzero(hot)[0]
-            for i in idx:
-                cand.append(tuple(int(x[i]) for x in tup))
-        cold = ~hot
-        if cold.any():
-            safe_max = max(safe_max, float(res["log"][cold].max()))
-            fin = res["cancel"][cold]
-            fin = fin[np.isfinite(fin)]
-            if fin.size:
-                worst_cancel = max(worst_cancel, float(fin.max()))
+    chunks = sixtuple_chunks(tab, restrict=True, chunk=chunk, budget=budget)
+    ntuples, safe_max, worst_cancel, cand = _screen_cover(tab, chunks, thr_log - 1.0)
     exact_max = -math.inf
     excess = -math.inf
     for tup in sorted(set(cand)):
@@ -510,6 +514,146 @@ def bound_record(r: int, *, margin: float = 4.0, chunk: int = 200_000,
         "threshold_log": thr_log,
     }
     return rec, diag
+
+
+def _cores() -> int:
+    """The cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _screen_cover(tab: LevelTables, chunks, hot_log: float):
+    """bound_record's screen over the cover in chunks, on every usable core.
+
+    Returns (tuples, safe_max, worst_cancel, cand) as _screen_share does
+    for the whole cover.  The cover is dealt round-robin in blocks of
+    _BLOCK tuples: _cores() - 1 forked processes take one share each and
+    this process the first.  Every process enumerates the whole cover
+    and skips the blocks that are not its own; a worker sends back only
+    its four values.  Counts add, maxima of floats are exact and the
+    candidates are rechecked as a sorted set, so the merge is exact.
+
+    It stays in-process when one core is usable, when the fork start
+    method is missing, while any other thread runs (a fork copies only
+    the calling thread, and the locks the others hold; so never inside
+    run_levels with threads > 1) and when the cover holds fewer than
+    _cores() blocks, so that some process would get no full block.  A
+    fork and its result cost about 5 ms on a 2-core box, the kernel time
+    of some 16,000 tuples.  The cover is read that far before deciding,
+    so a process holds at most max(chunk, _cores() * _BLOCK) tuples.  A
+    worker's exception, BudgetExceeded included, is raised here, and no
+    worker outlives the call.
+    """
+    import multiprocessing  # here, so that importing skeinvol stays as fast
+
+    nproc = _cores()
+    if (nproc > 1 and threading.active_count() == 1
+            and "fork" in multiprocessing.get_all_start_methods()):
+        head, seen = [], 0
+        for tup in chunks:
+            head.append(tup)
+            seen += tup[0].size
+            if seen >= nproc * _BLOCK:
+                break
+        else:
+            nproc = 1
+        chunks = _replay(head, chunks)
+    else:
+        nproc = 1
+    if nproc == 1:
+        return _screen_share(tab, chunks, hot_log)
+
+    ctx = multiprocessing.get_context("fork")
+    workers = []
+    done = False
+    try:
+        for share in range(1, nproc):
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_screen_worker, daemon=True,
+                               args=(send, tab, chunks, hot_log, share, nproc))
+            proc.start()
+            send.close()
+            workers.append((proc, recv))
+        shares = [_screen_share(tab, chunks, hot_log, 0, nproc)]
+        for proc, recv in workers:
+            try:
+                ok, out = recv.recv()
+            except EOFError:
+                raise RuntimeError("a bound sweep worker died without a result") from None
+            if not ok:
+                raise out
+            shares.append(out)
+        done = True
+    finally:
+        for proc, recv in workers:
+            recv.close()
+            if not done:
+                proc.terminate()
+            proc.join()
+    return (sum(s[0] for s in shares), max(s[1] for s in shares),
+            max(s[2] for s in shares), [t for s in shares for t in s[3]])
+
+
+def _replay(head: list, rest):
+    """The chunks in head, released as they are taken, then those of rest."""
+    while head:
+        yield head.pop(0)
+    yield from rest
+
+
+def _screen_worker(send, *args) -> None:
+    """A forked process's side of _screen_cover: one share, sent back."""
+    try:
+        out = (True, _screen_share(*args))
+    except Exception as err:  # _screen_cover raises it in the parent
+        out = (False, err)
+    send.send(out)
+    send.close()
+
+
+def _screen_share(tab: LevelTables, chunks, hot_log: float,
+                  share: int = 0, nshares: int = 1):
+    """Screen the tuples of the blocks k of _BLOCK tuples (counted over
+    the whole cover) with k % nshares == share.
+
+    Returns (tuples, safe_max, worst_cancel, cand): how many tuples were
+    screened; the largest log|6j| and the worst finite cancellation
+    among those whose upper bound log_ub stays under hot_log; and the
+    tuples at or above it, for the exact recheck.
+    """
+    ntuples = 0
+    safe_max = -math.inf
+    worst_cancel = 0.0
+    cand: list[tuple] = []
+    start = 0  # index of the chunk's first tuple in the cover
+    for tup in chunks:
+        n = tup[0].size
+        if nshares == 1:
+            parts = [(0, n)]
+        else:
+            k = start // _BLOCK
+            k += (share - k) % nshares
+            parts = [(max(b * _BLOCK - start, 0), min((b + 1) * _BLOCK - start, n))
+                     for b in range(k, -(-(start + n) // _BLOCK), nshares)]
+        start += n
+        for lo, hi in parts:
+            part = tuple(x[lo:hi] for x in tup)
+            res = batch_sixj(tab, *part)
+            ntuples += hi - lo
+            hot = res["log_ub"] >= hot_log
+            if hot.any():
+                idx = np.nonzero(hot)[0]
+                for i in idx:
+                    cand.append(tuple(int(x[i]) for x in part))
+            cold = ~hot
+            if cold.any():
+                safe_max = max(safe_max, float(res["log"][cold].max()))
+                fin = res["cancel"][cold]
+                fin = fin[np.isfinite(fin)]
+                if fin.size:
+                    worst_cancel = max(worst_cancel, float(fin.max()))
+    return ntuples, safe_max, worst_cancel, cand
 
 
 def maximizer_record(r: int) -> ScanRecord:
@@ -670,10 +814,12 @@ def wheel_log_invariant_mp(r: int, n_spokes: int, s: int, b: int,
                     th_ibb = tab.theta(i, b, b)
                     th = tab.theta(s, s, i) * th_sbb ** 2 * th_ibb
                     half[i] = tab.qint(i + 1) * fan.zsum(s, i) ** 2 / (th * th_ibb)
-                for ix, i in enumerate(ilist):
-                    for j in ilist[ix:]:
-                        if not is_admissible_triple(s, i, j, lv):
-                            continue
+                for i in ilist:
+                    # the j >= i of ilist with (s, i, j) admissible are one
+                    # run of it: max(i, |s-i|) <= j <= min(s+i, 2r-4-s-i)
+                    lo = bisect.bisect_left(ilist, max(i, abs(s - i)))
+                    hi = bisect.bisect_right(ilist, min(s + i, 2 * r - 4 - s - i))
+                    for j in ilist[lo:hi]:
                         term = (half[i] * half[j] * fan.zsum(i, j) ** 2
                                 / (tab.theta(s, i, j) * th_sbb))
                         if j != i:

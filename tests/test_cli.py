@@ -200,6 +200,20 @@ def test_reproduce_appendix_golden_csv(kind, capsys):
     assert out.encode("utf-8") == golden
 
 
+def test_scan_exhaustive_bound_golden_csv(capsys):
+    # Written before the bound sweep dealt its blocks to forked processes;
+    # now every level whose cover holds a block per core is screened on
+    # every usable core (from r = 35 on with two cores).
+    golden = (DATA / "exhaustive-bound-5-49.csv").read_bytes()
+    rc, out, _ = run_cli(
+        ["scan", "--graph", "tetrahedron", "--policy", "exhaustive-bound", "--rmin", "5",
+         "--rmax", "49"],
+        capsys,
+    )
+    assert rc == 0
+    assert out.encode("utf-8") == golden
+
+
 def test_scan_output_file(tmp_path, capsys):
     path = tmp_path / "out.csv"
     rc, out, err = run_cli(

@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import multiprocessing
+import os
+import time
 import tracemalloc
 
 import mpmath as mp
@@ -10,7 +13,7 @@ import pytest
 
 import skeinvol.scans as scans
 from skeinvol.errors import BudgetExceeded
-from skeinvol.hypvol import V8
+from skeinvol.hypvol import V8, records_to_csv
 from skeinvol.planar import tetrahedron, wheel
 from skeinvol.qnum import Level, MpFactorials, is_admissible_sixtuple, is_admissible_triple, sixj
 from skeinvol.scans import (
@@ -407,6 +410,15 @@ def test_bound_record():
     assert rec.target == pytest.approx(V8)
 
 
+def bound_bits(rec, diag):
+    """Every field of a bound_record result, floats as their exact bits."""
+    return (
+        rec.log_value.hex(), rec.slope.hex(), rec.rel_gap.hex(),
+        float(rec.cancel_digits).hex(), diag["tuples"], diag["rechecked"],
+        diag["bound_ok"], diag["excess"].hex(), diag["threshold_log"].hex(),
+    )
+
+
 def test_bound_record_independent_of_chunk():
     for r in (25, 41):
         rec, diag = bound_record(r)
@@ -414,6 +426,115 @@ def test_bound_record_independent_of_chunk():
         assert small.log_value == rec.log_value
         assert small_diag["tuples"] == diag["tuples"]
         assert small_diag["rechecked"] == diag["rechecked"]
+        # and the slope, cancel_digits, bound_ok and excess, bit for bit
+        assert bound_bits(small, small_diag) == bound_bits(rec, diag)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Count the os.fork calls made by this process."""
+    calls = []
+    real = os.fork
+
+    def fork():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
+
+
+# (level, margin): at the default margin no tuple is hot, so the merged
+# candidate lists are empty; these margins put the hot tuples in the last
+# two blocks of the cover (539 at r = 41, 239 at r = 49), which belong to
+# different processes.
+WORKER_CASES = [(25, 4.0), (41, 4.0), (49, 4.0), (41, -9.0), (49, -8.0)]
+
+
+@pytest.mark.parametrize("chunk", [1_000, 200_000])
+def test_bound_record_bits_independent_of_worker_count(monkeypatch, forks, chunk):
+    for r, margin in WORKER_CASES:
+        seen = {}
+        for n in (1, 2, 3):
+            monkeypatch.setattr(scans, "_cores", lambda n=n: n)
+            del forks[:]
+            seen[n] = bound_bits(*bound_record(r, margin=margin, chunk=chunk))
+            # r = 25 (11,904 tuples) is under one block per process
+            assert len(forks) == (0 if r == 25 else n - 1)
+            assert multiprocessing.active_children() == []
+        assert seen[2] == seen[1] and seen[3] == seen[1], (r, margin)
+        if margin < 0:
+            assert seen[1][5] > 0
+
+
+def test_bound_record_budget_from_every_share(monkeypatch):
+    cover = bound_record(49)[1]["tuples"]
+    msgs = []
+    for n in (1, 2, 3):
+        monkeypatch.setattr(scans, "_cores", lambda n=n: n)
+        with pytest.raises(BudgetExceeded) as err:
+            bound_record(49, budget=cover - 1)
+        assert type(err.value) is BudgetExceeded
+        msgs.append(str(err.value))
+        assert multiprocessing.active_children() == []
+    assert msgs == [f"6-tuple enumeration passed {cover - 1} tuples at r=49"] * 3
+
+
+def test_worker_error_reaches_caller(monkeypatch):
+    real = scans._screen_share
+
+    def share(tab, chunks, hot_log, share=0, nshares=1):
+        if share == 2:
+            raise BudgetExceeded("over budget in share 2")
+        return real(tab, chunks, hot_log, share, nshares)
+
+    monkeypatch.setattr(scans, "_screen_share", share)
+    monkeypatch.setattr(scans, "_cores", lambda: 3)
+    with pytest.raises(BudgetExceeded, match="over budget in share 2"):
+        bound_record(49)
+    assert multiprocessing.active_children() == []
+
+    def dies(tab, chunks, hot_log, share=0, nshares=1):
+        if share:
+            os._exit(3)
+        return real(tab, chunks, hot_log, share, nshares)
+
+    monkeypatch.setattr(scans, "_screen_share", dies)
+    with pytest.raises(RuntimeError, match="died"):
+        bound_record(49)
+    assert multiprocessing.active_children() == []
+
+
+def test_no_worker_outlives_a_failing_parent_share(monkeypatch):
+    def share(tab, chunks, hot_log, share=0, nshares=1):
+        if share == 0:
+            raise BudgetExceeded("over budget in share 0")
+        time.sleep(120)  # only a worker left running gets this far
+
+    monkeypatch.setattr(scans, "_screen_share", share)
+    monkeypatch.setattr(scans, "_cores", lambda: 3)
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="over budget in share 0"):
+        bound_record(49)
+    assert multiprocessing.active_children() == []
+    assert time.perf_counter() - t0 < 60
+
+
+def test_run_levels_threads_fork_nothing(monkeypatch):
+    monkeypatch.setattr(scans, "_cores", lambda: 3)
+
+    def fn(r):
+        return bound_record(r)[0]
+
+    rs = [41, 49]
+    one = records_to_csv(run_levels(fn, rs, threads=1))
+
+    def fork():
+        raise AssertionError("bound_record forked off the main thread")
+
+    monkeypatch.setattr(os, "fork", fork)
+    two = records_to_csv(run_levels(fn, rs, threads=2))
+    assert two == one
 
 
 def traced_peak(fn, *args):
