@@ -44,12 +44,16 @@ from .qnum import (
 _MEMO: dict = {}
 _MEMO_MAX = 1 << 20
 
+# per-shape lru caches that cache_clear empties; yokota adds its own
+_SHAPE_CACHES = [canonical_labelings, genus]
+
 
 def cache_clear():
-    """Empty the value memo and the per-shape labeling and genus caches."""
+    """Empty the value memo and every per-shape cache (labelings, genus,
+    and the desingularized shapes of `skeinvol.yokota`)."""
     _MEMO.clear()
-    canonical_labelings.cache_clear()
-    genus.cache_clear()
+    for cache in _SHAPE_CACHES:
+        cache.cache_clear()
 
 
 def _budget_default():
@@ -385,8 +389,14 @@ def _whitehead(rg, face, ctx):
     return e_new, terms
 
 
-def _eval_canonical(g: PlanarGraph, coloring, ctx) -> ExtScalar:
-    key = (ctx.lv.r, ctx.base_tet, canonical_signature(g, coloring))
+def _eval_canonical(g: PlanarGraph, coloring, ctx, sig=None) -> ExtScalar:
+    """Value of (g, coloring), memoized under its canonical signature.
+
+    sig can pass canonical_signature(g, coloring) when the caller has it.
+    """
+    if sig is None:
+        sig = canonical_signature(g, coloring)
+    key = (ctx.lv.r, ctx.base_tet, sig)
     hit = ctx.memo.get(key)
     if hit is not None:
         return hit

@@ -19,6 +19,17 @@ a two-valent vertex forces its two edge colors to agree and contributes
 a factor ``1 / circle_weight``, and an isolated vertex contributes a
 factor 1.
 
+None of that surgery depends on the colors, so it is done once per
+shape: `yokota_ext` and every sum over colorings look up the graph's
+desingularized shape (cached per graph and fan anchors; the rules in
+the order they apply, the fanned trivalent graph, its internal edges
+and their vertex triples, one genus check, and the canonical labelings
+as color-vector getters).  Each coloring then costs the rules' color
+checks and factors, the admissible internal colors, and one bracket
+memo lookup per internal coloring under the same canonical signature
+`skeinvol.planar.canonical_signature` gives; only what the memo lacks
+is reduced.  `skeinvol.bracket.cache_clear` empties the shape cache.
+
 The invariant is real but can be negative; the graph analogue of a
 state sum therefore adds absolute values over all colorings
 (`tv_graph`).  `fourier_dual` relates the coloring table of a graph to
@@ -29,15 +40,16 @@ single values on its planar dual through the Hopf-link pairing matrix
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+from operator import itemgetter
 
-from .bracket import _RGraph, _validate_coloring, bracket
-from .errors import LowValence
+from .bracket import _SHAPE_CACHES, _Ctx, _eval_canonical, _RGraph, _validate_coloring
+from .errors import LowValence, NotPlanar
 from .extscalar import ExtScalar, SignLogReal
-from .planar import PlanarGraph, betti
+from .planar import PlanarGraph, betti, canonical_labelings, genus
 from .qnum import (
     Level,
     circle_weight,
-    is_admissible_triple,
     kirby_norm,
     quantum_integer,
 )
@@ -131,16 +143,31 @@ def desingularize(graph: PlanarGraph, coloring, anchors=None):
 
 
 # ---------------------------------------------------------------------------
-# low-valence rules
+# the invariant, per shape
 
 
-def _strip_low_valence(rg, lv):
-    """Apply the pendant/two-valent rules until every valence is >= 3.
+# the kinds of low-valence rule (see _strip_rules)
+_PENDANT, _JOIN, _LOOP = 0, 1, 2
+_ONE = SignLogReal.from_float(1.0)
 
-    Mutates rg and returns the accumulated scalar factor as a
-    SignLogReal, or None when the invariant is forced to vanish.
+
+def _strip_rules(rg):
+    """Remove every vertex of valence < 3 from rg; return the rules applied.
+
+    Which vertex goes next never depends on the colors, so the rules are
+    worked out once per shape, as (kind, e1, e2) on source edge ids in
+    the order they apply:
+
+    * _PENDANT: a pendant edge e1 (= e2), which must be colored 0;
+    * _JOIN: a two-valent vertex between e1 and e2, whose colors must
+      agree; the value is divided by the circle weight, and e1 swallows e2;
+    * _LOOP: a loop e1 (= e2) at its only vertex, a bare circle; the
+      value is multiplied by the circle weight.
+
+    An isolated vertex is dropped with no rule.  Edges keep their source
+    ids through the splices, so every edge still carries its own color.
     """
-    factor = SignLogReal.from_float(1.0)
+    rules = []
     again = True
     while again:
         again = False
@@ -149,115 +176,225 @@ def _strip_low_valence(rg, lv):
             if deg >= 3:
                 continue
             again = True
-            if deg == 0:
-                del rg.rot[v]
-            elif deg == 1:
-                d = rg.rot[v][0]
-                if rg.col[d >> 1] != 0:
-                    return None
-                rg.remove_edge(d >> 1)
-                del rg.rot[v]
-            else:
+            if deg == 1:
+                e = rg.rot[v][0] >> 1
+                rules.append((_PENDANT, e, e))
+                rg.remove_edge(e)
+            elif deg == 2:
                 d1, d2 = rg.rot[v]
                 e1, e2 = d1 >> 1, d2 >> 1
-                c = rg.col[e1]
-                if rg.col[e2] != c:
-                    return None
-                delta = SignLogReal.from_float(circle_weight(c, lv))
                 if e1 == e2:
-                    # a loop at its only vertex: the rule leaves a bare
-                    # circle worth the squared circle weight
-                    factor = factor * delta
+                    rules.append((_LOOP, e1, e1))
                     rg.remove_edge(e1)
-                    del rg.rot[v]
                 else:
-                    factor = factor / delta
+                    rules.append((_JOIN, e1, e2))
                     rg.splice(d1, d2)
-                    del rg.rot[v]
+            del rg.rot[v]
             break
-    return factor
+    return tuple(rules)
+
+
+def _vector_getter(order):
+    """col -> tuple(col[e] for e in order), the color vector that
+    canonical_signature reads in one edge order."""
+    if len(order) == 1:
+        e = order[0]
+        return lambda col: (col[e],)  # itemgetter(e) would give a bare color
+    return itemgetter(*order)
+
+
+class _Shape:
+    """The coloring-independent part of the invariant of (graph, anchors).
+
+    rules are the low-valence rules (see _strip_rules).  g2 is the
+    fanned, frozen trivalent graph left after them (None when none of
+    the graph is left), and src[i] the source edge of g2's edge i (None
+    on the internal fan edges, whose g2 ids are slots).  touching[k]
+    lists the vertex triples of g2 whose last internal edge is slots[k].
+    planar says whether g2 embeds in the sphere.  isolated and comps are
+    g2's canonical labelings, each component as (signature, a getter of
+    the color vector per automorphism), so that the memo key of a
+    coloring col of g2 is key(col) == canonical_signature(g2, col).
+    """
+
+    __slots__ = ("rules", "g2", "src", "slots", "touching", "planar", "isolated", "comps")
+
+    def __init__(self, graph, anchors):
+        rg = _RGraph.from_graph(graph, range(graph.ne))  # colored by edge ids
+        self.rules = _strip_rules(rg)
+        self.g2 = None
+        self.src = self.slots = self.touching = ()
+        if not rg.rot:
+            return
+        internal = _fan_all(rg, dict(anchors))
+        self.g2, self.src, emap = rg.freeze()
+        self.slots = tuple(sorted(emap[e] for e in internal))
+        pos = {e: k for k, e in enumerate(self.slots)}
+        touching = [[] for _ in self.slots]
+        for rot in self.g2.rot:
+            es = tuple(d >> 1 for d in rot)
+            if len(es) != 3:
+                continue
+            ks = [pos[e] for e in es if e in pos]
+            if ks:
+                touching[max(ks)].append(es)
+        self.touching = tuple(map(tuple, touching))
+        self.planar = genus(self.g2) == 0
+        self.isolated, comps = canonical_labelings(self.g2)
+        self.comps = tuple(
+            (sig, tuple(_vector_getter(order) for order in orders)) for sig, orders in comps
+        )
+
+    def key(self, col):
+        """canonical_signature(self.g2, col), read through the getters."""
+        return (
+            self.isolated,
+            tuple(sorted((sig, min([get(col) for get in gets])) for sig, gets in self.comps)),
+        )
+
+
+@lru_cache(maxsize=256)
+def _shape(graph: PlanarGraph, anchors: tuple) -> _Shape:
+    """The _Shape of graph, anchors being sorted (vertex, offset) pairs."""
+    return _Shape(graph, anchors)
+
+
+_SHAPE_CACHES.append(_shape)
+
+
+@lru_cache(maxsize=16)
+def _circle_weights(r):
+    """Color -> circle weight as a SignLogReal, at level r."""
+    lv = Level.of(r)
+    return {c: SignLogReal.from_float(circle_weight(c, lv)) for c in lv.colors}
+
+
+@lru_cache(maxsize=4)
+def _admissible_triples(r):
+    """Every admissible triple of colors at level r, as a set.
+
+    It holds O(r**3) triples, so it serves only the coloring
+    enumeration, whose cost grows much faster with r anyway.
+    """
+    colors = Level.of(r).colors
+    top = 2 * r - 4
+    return frozenset(
+        (a, b, c)
+        for a in colors
+        for b in colors
+        for c in range(abs(a - b), min(a + b, top - a - b) + 1, 2)
+    )
 
 
 # ---------------------------------------------------------------------------
-# the invariant
+# the invariant, per coloring
 
 
-def _internal_assignments(graph, template, internal, lv):
-    """Yield admissible color tuples for the None slots of template.
+def _assignments(col, slots, touching, lv):
+    """Fill the internal slots of col in every admissible way.
 
-    Prunes through the trivalent vertices: a partial assignment is
-    dropped as soon as some vertex has all three colors known and they
-    are inadmissible.
+    Slots are filled in order, smallest colors first, and a color is
+    dropped as soon as a vertex whose last slot it fills has an
+    inadmissible triple.  col is filled in place; each complete filling
+    yields its slot colors as a tuple.  Every color in col is a valid
+    one, so a triple is admissible when it passes the triangle
+    inequalities and sums to at most 2r - 4.
     """
-    order = list(internal)
-    touching = [[] for _ in order]
-    pos = {e: k for k, e in enumerate(order)}
-    for v, rot in enumerate(graph.rot):
-        es = [d >> 1 for d in rot]
-        if len(es) != 3:
-            continue
-        ks = [pos[e] for e in es if e in pos]
-        if ks:
-            touching[max(ks)].append(es)
-    colors = [None] * len(order)
+    n = len(slots)
+    if n == 0:
+        yield ()
+        return
+    colors = lv.colors
+    top = 2 * lv.r - 4
 
     def fill(k):
-        if k == len(order):
-            yield tuple(colors)
-            return
-        e = order[k]
-        known = dict(zip(order[:k], colors[:k]))
-
-        def col_of(x):
-            if x == e:
-                return colors[k]
-            if x in known:
-                return known[x]
-            return template[x]
-
-        for c in lv.colors:
-            colors[k] = c
-            ok = True
-            for es in touching[k]:
-                trip = [col_of(x) for x in es]
-                if None in trip:
-                    continue
-                if not is_admissible_triple(*trip, lv):
-                    ok = False
+        e = slots[k]
+        for c in colors:
+            col[e] = c
+            for x, y, z in touching[k]:
+                a, b, d = col[x], col[y], col[z]
+                if a + b + d > top or not abs(a - b) <= d <= a + b:
                     break
-            if ok:
-                yield from fill(k + 1)
-        colors[k] = None
+            else:
+                if k + 1 == n:
+                    yield tuple(col[s] for s in slots)
+                else:
+                    yield from fill(k + 1)
+        col[e] = None
 
     yield from fill(0)
+
+
+def _evaluator(graph, lv, anchors=None, budget=None, memo=None):
+    """The function coloring -> invariant (ExtScalar) of graph at level lv.
+
+    The shape is looked up once (see _Shape).  Each call then checks the
+    strip rules, maps the colors onto g2, and sums over the admissible
+    internal colors the circle weights times the squared bracket, whose
+    value is a memo lookup under its canonical signature; a miss is
+    reduced by the bracket engine with a step count starting at 0.
+    Colorings are not validated here.
+    """
+    shape = _shape(graph, tuple(sorted(anchors.items())) if anchors else ())
+    ctx = _Ctx(lv, True, None, budget, memo)
+    weights = _circle_weights(lv.r)
+    rules, g2, src, slots, touching = shape.rules, shape.g2, shape.src, shape.slots, shape.touching
+    memo_get = ctx.memo.get
+    slot_weights = {}  # internal colors -> product of their circle weights
+
+    def value(coloring):
+        factor = _ONE
+        for kind, e1, e2 in rules:
+            c = coloring[e1]
+            if kind == _PENDANT:
+                if c != 0:
+                    return ExtScalar()
+            elif coloring[e2] != c:
+                return ExtScalar()
+            elif kind == _LOOP:
+                factor = factor * weights[c]
+            else:
+                factor = factor / weights[c]
+        if g2 is None:
+            return factor.to_ext()
+        col = [None if e is None else coloring[e] for e in src]
+        total = ExtScalar()
+        for assign in _assignments(col, slots, touching, lv):
+            weight = slot_weights.get(assign)
+            if weight is None:
+                w = _ONE
+                for c in assign:
+                    w = w * weights[c]
+                weight = slot_weights[assign] = w.to_ext()
+            if not shape.planar:
+                raise NotPlanar("the rotation system does not embed in the sphere")
+            sig = shape.key(col)
+            b = memo_get((lv.r, ctx.base_tet, sig))
+            if b is None:
+                ctx.steps = 0
+                b = _eval_canonical(g2, tuple(col), ctx, sig)
+            total = total + weight * (b * b)
+        return factor.to_ext() * total
+
+    return value
 
 
 def yokota_ext(
     graph: PlanarGraph, coloring, level, *, anchors=None, budget=None, memo=None
 ) -> ExtScalar:
-    """The invariant as an ExtScalar (real; its sign can be negative)."""
+    """The invariant as an ExtScalar (real; its sign can be negative).
+
+    The work splits in two.  Per shape, cached per (graph, anchors): the
+    low-valence rules, the fanned trivalent graph, its internal edges
+    and their vertex triples, one genus check, and the canonical
+    labelings.  Per coloring: the rules' color conditions and factors,
+    the admissible internal colors, and one memo lookup per squared
+    bracket, reducing only what the memo lacks.  Every call validates
+    its coloring.
+    """
     lv = Level.of(level)
     _validate_coloring(graph, coloring, lv)
-    rg = _RGraph.from_graph(graph, coloring)
-    factor = _strip_low_valence(rg, lv)
-    if factor is None:
-        return ExtScalar()
-    if not rg.rot:
-        return factor.to_ext()
-    internal = _fan_all(rg, anchors)
-    g2, col2, emap = rg.freeze()
-    template = list(col2)
-    slots = sorted(emap[e] for e in internal)
-    total = ExtScalar()
-    for assign in _internal_assignments(g2, template, slots, lv):
-        col = list(template)
-        weight = SignLogReal.from_float(1.0)
-        for e, c in zip(slots, assign):
-            col[e] = c
-            weight = weight * SignLogReal.from_float(circle_weight(c, lv))
-        b = bracket(g2, tuple(col), lv, budget=budget, memo=memo)
-        total = total + weight.to_ext() * (b * b)
-    return factor.to_ext() * total
+    return _evaluator(graph, lv, anchors, budget, memo)(coloring)
 
 
 def yokota(graph: PlanarGraph, coloring, level, **kwargs) -> float:
@@ -276,45 +413,54 @@ def admissible_colorings(graph: PlanarGraph, level):
     enumeration order is deterministic.  Trivalent vertices require an
     admissible triple, two-valent ones equal colors, pendant ones the
     color 0; vertices of higher valence only require an even color sum,
-    so some yielded colorings may still have invariant 0.
+    so some yielded colorings may still have invariant 0.  Each vertex
+    is checked when its last edge gets a color.
     """
     lv = Level.of(level)
-    by_edge = [[] for _ in range(graph.ne)]
-    for v, rot in enumerate(graph.rot):
-        es = [d >> 1 for d in rot]
+    triples = _admissible_triples(lv.r)
+    # per edge: the trivalent vertices and the other ones it closes
+    closes = [([], []) for _ in range(graph.ne)]
+    for rot in graph.rot:
+        es = tuple(d >> 1 for d in rot)
         if es:
-            by_edge[max(es)].append((len(rot), es))
+            closes[max(es)][len(es) != 3].append(es)
     colors = [None] * graph.ne
 
-    def ok(v_deg, es):
-        cs = [colors[e] for e in es]
-        if v_deg == 1:
-            return cs[0] == 0
-        if v_deg == 2:
-            return cs[0] == cs[1]
-        if v_deg == 3:
-            return is_admissible_triple(*cs, lv)
-        return sum(cs) % 2 == 0
+    def ok(es):
+        if len(es) == 1:
+            return colors[es[0]] == 0
+        if len(es) == 2:
+            return colors[es[0]] == colors[es[1]]
+        return sum(colors[e] for e in es) % 2 == 0
 
     def fill(e):
         if e == graph.ne:
             yield tuple(colors)
             return
+        trivalent, other = closes[e]
         for c in lv.colors:
             colors[e] = c
-            if all(ok(deg, es) for deg, es in by_edge[e]):
-                yield from fill(e + 1)
+            for x, y, z in trivalent:
+                if (colors[x], colors[y], colors[z]) not in triples:
+                    break
+            else:
+                if all(ok(es) for es in other):
+                    yield from fill(e + 1)
         colors[e] = None
 
     yield from fill(0)
 
 
 def yokota_table(graph: PlanarGraph, level, *, budget=None, memo=None):
-    """Map each admissible coloring to its invariant (ExtScalar)."""
-    table = {}
-    for col in admissible_colorings(graph, level):
-        table[col] = yokota_ext(graph, col, level, budget=budget, memo=memo)
-    return table
+    """Map each admissible coloring to its invariant (ExtScalar).
+
+    The graph's shape is worked out once (see yokota_ext), so each
+    coloring costs its rule checks and memo lookups, plus a reduction
+    only for brackets the memo has not seen.
+    """
+    lv = Level.of(level)
+    value = _evaluator(graph, lv, budget=budget, memo=memo)
+    return {col: value(col) for col in admissible_colorings(graph, lv)}
 
 
 def tv_graph(graph: PlanarGraph, level, *, budget=None, memo=None) -> ExtScalar:
@@ -334,9 +480,10 @@ def yokota_kirby(graph: PlanarGraph, level, *, budget=None, memo=None) -> ExtSca
     number of independent cycles of the graph.
     """
     lv = Level.of(level)
+    value = _evaluator(graph, lv, budget=budget, memo=memo)
     total = ExtScalar()
     for col in admissible_colorings(graph, lv):
-        y = yokota_ext(graph, col, lv, budget=budget, memo=memo)
+        y = value(col)
         if y.is_zero():
             continue
         w = SignLogReal.from_float(1.0)

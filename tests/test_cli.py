@@ -214,6 +214,20 @@ def test_scan_exhaustive_bound_golden_csv(capsys):
     assert out.encode("utf-8") == golden
 
 
+@pytest.mark.parametrize("graph,rmax,name", [("triangular-prism", "9", "tv-prism-5-9.csv"),
+                                             ("cube", "7", "tv-cube-5-7.csv")])
+def test_scan_full_tv_sweep_golden_csv(graph, rmax, name, capsys):
+    # Written before each coloring sum worked out its graph's shape once
+    # and read every bracket from the memo through canonical color getters.
+    golden = (DATA / name).read_bytes()
+    rc, out, _ = run_cli(
+        ["scan", "--graph", graph, "--policy", "full-TV-sweep", "--rmin", "5", "--rmax", rmax],
+        capsys,
+    )
+    assert rc == 0
+    assert out.encode("utf-8") == golden
+
+
 def test_scan_output_file(tmp_path, capsys):
     path = tmp_path / "out.csv"
     rc, out, err = run_cli(

@@ -1,12 +1,21 @@
 """Invariants of colored planar graphs: values, doubling, duality."""
 
+import itertools
 import math
+import random
 
 import pytest
 
+from skeinvol.bracket import _RGraph, _validate_coloring, bracket, cache_clear
+from skeinvol.errors import BudgetExceeded, NotPlanar
+from skeinvol.extscalar import ExtScalar, SignLogReal
 from skeinvol.planar import (
     PlanarGraph,
+    canonical_signature,
+    cube,
     double_at,
+    genus,
+    octahedron,
     square_pyramid,
     tetrahedron,
     theta,
@@ -14,8 +23,22 @@ from skeinvol.planar import (
     triangular_prism,
     wheel,
 )
-from skeinvol.qnum import circle_weight, kirby_norm, quantum_integer, sixj
+from skeinvol.qnum import (
+    Level,
+    circle_weight,
+    is_admissible_triple,
+    kirby_norm,
+    quantum_integer,
+    sixj,
+)
 from skeinvol.yokota import (
+    _JOIN,
+    _LOOP,
+    _PENDANT,
+    _fan_all,
+    _shape,
+    _vector_getter,
+    admissible_colorings,
     desingularize,
     fourier_dual,
     hopf_pairing,
@@ -144,3 +167,335 @@ def test_fourier_consistent_with_table():
 
 def test_maximizing_color_pins():
     assert [maximizing_color(r) for r in (5, 7, 9, 11, 13)] == [2, 2, 4, 4, 6]
+
+
+# ---------------------------------------------------------------------------
+# The per-coloring procedure that the per-shape split replaced, kept as the
+# reference: every call rebuilds the graph, strips its low-valence vertices,
+# fans and freezes it, and evaluates one bracket per internal coloring.
+
+
+def _strip_low_valence_reference(rg, lv):
+    factor = SignLogReal.from_float(1.0)
+    again = True
+    while again:
+        again = False
+        for v in sorted(rg.rot):
+            deg = len(rg.rot[v])
+            if deg >= 3:
+                continue
+            again = True
+            if deg == 0:
+                del rg.rot[v]
+            elif deg == 1:
+                d = rg.rot[v][0]
+                if rg.col[d >> 1] != 0:
+                    return None
+                rg.remove_edge(d >> 1)
+                del rg.rot[v]
+            else:
+                d1, d2 = rg.rot[v]
+                e1, e2 = d1 >> 1, d2 >> 1
+                c = rg.col[e1]
+                if rg.col[e2] != c:
+                    return None
+                delta = SignLogReal.from_float(circle_weight(c, lv))
+                if e1 == e2:
+                    factor = factor * delta
+                    rg.remove_edge(e1)
+                    del rg.rot[v]
+                else:
+                    factor = factor / delta
+                    rg.splice(d1, d2)
+                    del rg.rot[v]
+            break
+    return factor
+
+
+def _internal_assignments_reference(graph, template, internal, lv):
+    order = list(internal)
+    touching = [[] for _ in order]
+    pos = {e: k for k, e in enumerate(order)}
+    for v, rot in enumerate(graph.rot):
+        es = [d >> 1 for d in rot]
+        if len(es) != 3:
+            continue
+        ks = [pos[e] for e in es if e in pos]
+        if ks:
+            touching[max(ks)].append(es)
+    colors = [None] * len(order)
+
+    def fill(k):
+        if k == len(order):
+            yield tuple(colors)
+            return
+        e = order[k]
+        known = dict(zip(order[:k], colors[:k]))
+
+        def col_of(x):
+            if x == e:
+                return colors[k]
+            if x in known:
+                return known[x]
+            return template[x]
+
+        for c in lv.colors:
+            colors[k] = c
+            ok = True
+            for es in touching[k]:
+                trip = [col_of(x) for x in es]
+                if None in trip:
+                    continue
+                if not is_admissible_triple(*trip, lv):
+                    ok = False
+                    break
+            if ok:
+                yield from fill(k + 1)
+        colors[k] = None
+
+    yield from fill(0)
+
+
+def yokota_ext_reference(graph, coloring, level, *, anchors=None, budget=None, memo=None):
+    lv = Level.of(level)
+    _validate_coloring(graph, coloring, lv)
+    rg = _RGraph.from_graph(graph, coloring)
+    factor = _strip_low_valence_reference(rg, lv)
+    if factor is None:
+        return ExtScalar()
+    if not rg.rot:
+        return factor.to_ext()
+    internal = _fan_all(rg, anchors)
+    g2, col2, emap = rg.freeze()
+    template = list(col2)
+    slots = sorted(emap[e] for e in internal)
+    total = ExtScalar()
+    for assign in _internal_assignments_reference(g2, template, slots, lv):
+        col = list(template)
+        weight = SignLogReal.from_float(1.0)
+        for e, c in zip(slots, assign):
+            col[e] = c
+            weight = weight * SignLogReal.from_float(circle_weight(c, lv))
+        b = bracket(g2, tuple(col), lv, budget=budget, memo=memo)
+        total = total + weight.to_ext() * (b * b)
+    return factor.to_ext() * total
+
+
+def brute_colorings(graph, level):
+    """Every coloring passing the local vertex rules, from a plain product."""
+    lv = Level.of(level)
+    verts = [[d >> 1 for d in rot] for rot in graph.rot if rot]
+    for col in itertools.product(lv.colors, repeat=graph.ne):
+        ok = True
+        for es in verts:
+            cs = [col[e] for e in es]
+            if len(cs) == 1:
+                ok = cs[0] == 0
+            elif len(cs) == 2:
+                ok = cs[0] == cs[1]
+            elif len(cs) == 3:
+                ok = is_admissible_triple(*cs, lv)
+            else:
+                ok = sum(cs) % 2 == 0
+            if not ok:
+                break
+        if ok:
+            yield col
+
+
+def table_reference(graph, level, memo):
+    return {col: yokota_ext_reference(graph, col, level, memo=memo)
+            for col in brute_colorings(graph, level)}
+
+
+def tv_reference(table):
+    total = ExtScalar()
+    for y in table.values():
+        if not y.is_zero():
+            total = total + ExtScalar.from_log(y.log_abs())
+    return total
+
+
+def kirby_reference(graph, level, memo):
+    lv = Level.of(level)
+    total = ExtScalar()
+    for col in brute_colorings(graph, lv):
+        y = yokota_ext_reference(graph, col, lv, memo=memo)
+        if y.is_zero():
+            continue
+        w = SignLogReal.from_float(1.0)
+        for c in col:
+            w = w * SignLogReal.from_float(circle_weight(c, lv))
+        total = total + w.to_ext() * y
+    return total
+
+
+def low_valence():
+    """Four parallel edges between vertices 0 and 1, one of them split by
+    the two-valent vertex 3, a pendant edge from 0 to 2, a circle at the
+    two-valent vertex 4, and a loop at 5 whose pendant edge to 6 leaves it
+    two-valent once stripped.  0 and 1 are four-valent after stripping."""
+    edges = [(0, 1), (0, 1), (0, 1), (0, 3), (3, 1), (0, 2), (4, 4), (5, 5), (5, 6)]
+    rot = [[0, 2, 4, 6, 10], [1, 9, 5, 3], [11], [7, 8], [12, 13], [14, 15, 16], [17]]
+    return PlanarGraph(7, edges, rot)
+
+
+def bits(x):
+    return (x.m, x.e)
+
+
+TABLE_CASES = [
+    ("prism", triangular_prism, 9),
+    ("cube", cube, 5),
+    ("octahedron", octahedron, 5),
+    ("pyramid", square_pyramid, 7),
+    ("low-valence", low_valence, 7),
+]
+
+
+@pytest.mark.parametrize("name,make,r", TABLE_CASES, ids=[c[0] for c in TABLE_CASES])
+def test_coloring_sums_bit_identical_to_reference(name, make, r):
+    g = make()
+    assert genus(g) == 0
+    ref_memo, memo = {}, {}
+    want = table_reference(g, r, ref_memo)
+    got = yokota_table(g, r, memo=memo)
+    assert list(got) == list(want)
+    assert [bits(v) for v in got.values()] == [bits(v) for v in want.values()]
+    assert any(not v.is_zero() for v in got.values())
+    # the memo holds the same brackets under the same keys
+    assert memo.keys() == ref_memo.keys()
+    assert all(bits(memo[k]) == bits(ref_memo[k]) for k in memo)
+
+    assert bits(tv_graph(g, r, memo={})) == bits(tv_reference(want))
+    assert bits(yokota_kirby(g, r, memo={})) == bits(kirby_reference(g, r, {}))
+    for dual in [(2,) * g.ne, tuple(c % 4 for c in range(0, 2 * g.ne, 2))]:
+        want_dual = fourier_dual(g, r, dual, table=want)
+        assert bits(fourier_dual(g, r, dual, memo={})) == bits(want_dual)
+
+
+def test_low_valence_fixture_applies_every_rule():
+    shape = _shape(low_valence(), ())
+    kinds = [kind for kind, _, _ in shape.rules]
+    assert kinds == [_PENDANT, _JOIN, _LOOP, _PENDANT, _LOOP]
+    assert len(shape.slots) == 2
+    # colorings the enumeration never yields: a pendant edge colored 2, and
+    # the two edges at the two-valent vertex 3 colored apart, each vanish
+    base = next(col for col, y in yokota_table(low_valence(), 7).items() if not y.is_zero())
+    for edge, color in [(5, 2), (8, 2), (4, (base[3] + 2) % 6)]:
+        col = list(base)
+        col[edge] = color
+        assert yokota_ext(low_valence(), col, 7).is_zero()
+        assert yokota_ext_reference(low_valence(), col, 7).is_zero()
+
+
+def test_shape_key_is_the_canonical_signature():
+    rng = random.Random(5)
+    for make, r in [(octahedron, 7), (cube, 5), (low_valence, 7), (triangular_prism, 9)]:
+        shape = _shape(make(), ())
+        for _ in range(50):
+            col = [rng.choice(Level.of(r).colors) for _ in range(shape.g2.ne)]
+            assert shape.key(col) == canonical_signature(shape.g2, col)
+    # after stripping every component has at least three edges, but a
+    # one-edge order still reads a 1-tuple, as canonical_signature does
+    assert _vector_getter((2,))([0, 2, 4]) == (4,)
+    assert _vector_getter((2, 0))([0, 2, 4]) == (4, 0)
+
+
+ANCHOR_CASES = [
+    ("octahedron", octahedron, 5, [{v: 1 for v in range(6)}], None),
+    ("pyramid", square_pyramid, 7, [{0: k} for k in range(4)], None),
+]
+
+
+@pytest.mark.parametrize("name,make,r,anchor_sets,limit", ANCHOR_CASES,
+                         ids=[c[0] for c in ANCHOR_CASES])
+def test_anchored_values_bit_identical_to_reference(name, make, r, anchor_sets, limit):
+    g = make()
+    cols = list(itertools.islice(admissible_colorings(g, r), limit))
+    for anchors in anchor_sets:
+        ref_memo, memo = {}, {}
+        for col in cols:
+            want = yokota_ext_reference(g, col, r, anchors=anchors, memo=ref_memo)
+            got = yokota_ext(g, col, r, anchors=anchors, memo=memo)
+            assert bits(got) == bits(want), (anchors, col)
+        assert memo.keys() == ref_memo.keys()
+
+
+ENUM_GRAPHS = [theta, tetrahedron, triangular_prism, octahedron, low_valence]
+
+
+@pytest.mark.parametrize("r", [5, 7, 9])
+@pytest.mark.parametrize("make", ENUM_GRAPHS, ids=[m.__name__ for m in ENUM_GRAPHS])
+def test_admissible_colorings_match_brute_force(make, r):
+    g = make()
+    # every color is even, so the octahedron's four-valent vertices pass
+    # every coloring: 3**12 and 4**12 at r = 7 and 9, compared on a prefix
+    limit = 50_000 if make is octahedron else None
+    got = list(itertools.islice(admissible_colorings(g, r), limit))
+    want = list(itertools.islice(brute_colorings(g, r), limit))
+    assert got == want
+    assert len(got) > 0
+
+
+def torus_theta():
+    """The theta graph with one rotation reversed: it embeds in the torus."""
+    return PlanarGraph(2, theta().edges, ((0, 2, 4), (1, 3, 5)))
+
+
+def test_yokota_ext_errors():
+    with pytest.raises(ValueError):
+        yokota_ext(tetrahedron(), (2, 2, 2), 7)
+    with pytest.raises(ValueError):
+        yokota_ext(tetrahedron(), (2, 2, 2, 2, 2, 3), 7)
+    with pytest.raises(ValueError):
+        yokota_ext(square_pyramid(), (2,) * 7 + (8,), 7)
+    for _ in range(2):  # the second call finds the shape cached
+        with pytest.raises(NotPlanar):
+            yokota_ext(torus_theta(), (2, 2, 2), 7, memo={})
+        with pytest.raises(NotPlanar):
+            yokota_table(torus_theta(), 7, memo={})
+
+
+def test_budget_on_a_miss_and_free_on_a_hit():
+    g, col = square_pyramid(), (2,) * 8
+    with pytest.raises(BudgetExceeded) as want:
+        yokota_ext_reference(g, col, 7, budget=1, memo={})
+    with pytest.raises(BudgetExceeded) as got:
+        yokota_ext(g, col, 7, budget=1, memo={})
+    assert str(got.value) == str(want.value) == "evaluation exceeded 1 steps"
+    with pytest.raises(BudgetExceeded):
+        yokota_table(triangular_prism(), 5, budget=1, memo={})
+    # once every bracket is in the memo, evaluating costs no steps
+    memo = {}
+    full = yokota_ext(g, col, 7, memo=memo)
+    again = yokota_ext(g, col, 7, budget=1, memo=memo)
+    assert bits(again) == bits(full)
+    # each top-level bracket starts its count at 0: the prism's table at
+    # r = 7 reduces 602 steps in all, but at most 10 in one evaluation
+    table = yokota_table(triangular_prism(), 7, budget=10, memo={})
+    assert [bits(v) for v in table.values()] == [
+        bits(v) for v in yokota_table(triangular_prism(), 7, memo={}).values()
+    ]
+    with pytest.raises(BudgetExceeded):
+        yokota_table(triangular_prism(), 7, budget=9, memo={})
+
+
+def test_shape_cache_bounded_and_cleared():
+    cache_clear()
+    shape = _shape
+    assert shape.cache_info().currsize == 0
+    g, col = square_pyramid(), (2,) * 8
+    cold = bits(yokota_ext(g, col, 7, memo={}))
+    yokota_ext(g, col, 7, memo={})
+    assert shape.cache_info().hits > 0
+    # distinct graphs (a theta plus k isolated vertices) beyond maxsize
+    maxsize = shape.cache_info().maxsize
+    for k in range(maxsize + 1):
+        tk = PlanarGraph(2 + k, theta().edges, theta().rot + ((),) * k)
+        assert bits(yokota_ext(tk, (2, 2, 2), 5, memo={})) == bits(
+            yokota_ext_reference(tk, (2, 2, 2), 5, memo={}))
+    assert shape.cache_info().currsize == maxsize
+    assert bits(yokota_ext(g, col, 7, memo={})) == cold
+    cache_clear()
+    assert shape.cache_info().currsize == 0
