@@ -106,7 +106,6 @@ from .hypvol import (
     write_csv,
 )
 from .scans import (
-    LevelTables,
     appendix_colors,
     appendix_record,
     batch_sixj,
@@ -206,7 +205,6 @@ __all__ = [
     "named_volumes",
     "records_to_csv",
     "write_csv",
-    "LevelTables",
     "appendix_colors",
     "appendix_record",
     "batch_sixj",

@@ -9,13 +9,14 @@ verify              run a named identity suite, exit 1 on any failure
 
 Scan output follows the fixed CSV schema
 ``r,kind,color_policy,log_value,slope,target,rel_gap,cancel_digits,wall_ms``
-and is byte-identical for a given invocation regardless of the thread count
-(timings are opt-in because they would break that). Human-readable
-summaries go to stderr so stdout stays machine-readable.
+and is byte-identical for a given invocation whatever the number of cores
+the bound sweep's forked screen uses (timings are opt-in because they would
+break that). Human-readable summaries go to stderr so stdout stays
+machine-readable.
 
-Environment overrides: SKEIN_THREADS (worker threads), SKEIN_BUDGET
-(evaluation budget for engine-backed policies), SKEIN_PRECISION_BITS
-(floor for high-precision arithmetic). Flags take precedence.
+Environment: SKEIN_BUDGET is the default of --budget (evaluation budget for
+engine-backed policies), and SKEIN_PRECISION_BITS raises the floor for
+high-precision arithmetic; it has no flag.
 
 Exit codes: 0 success, 1 failed verification, 2 invalid input.
 """
@@ -254,9 +255,7 @@ def cmd_scan(args) -> int:
         build, kind = _tv_builder(graph, name, budget), "tv"
         policy = "full-TV-sweep"
 
-    records = run_levels(
-        build, levels, threads=args.threads, timings=args.timings, mark=(kind, policy)
-    )
+    records = run_levels(build, levels, timings=args.timings, mark=(kind, policy))
     _emit(records, args)
     if args.extrapolate:
         _extrapolation_note(records)
@@ -271,7 +270,6 @@ def cmd_reproduce_appendix(args) -> int:
     records = run_levels(
         lambda r: appendix_record(args.which, r),
         levels,
-        threads=args.threads,
         timings=args.timings,
         mark=(args.which, args.which),
     )
@@ -328,21 +326,9 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", "-o", help="write records to this file instead of stdout")
     p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
     p.add_argument(
-        "--threads",
-        type=int,
-        default=_env_int("SKEIN_THREADS") or 1,
-        help="worker threads for the level sweep (default: SKEIN_THREADS or 1)",
-    )
-    p.add_argument(
         "--timings",
         action="store_true",
         help="fill the wall_ms column (off by default: timings vary run to run)",
-    )
-    p.add_argument(
-        "--precision-bits",
-        type=int,
-        default=None,
-        help="floor for high-precision arithmetic (default: SKEIN_PRECISION_BITS)",
     )
 
 
@@ -409,10 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "precision_bits", None):
-        os.environ["SKEIN_PRECISION_BITS"] = str(args.precision_bits)
-    if getattr(args, "threads", 1) < 1:
-        _fail("--threads must be at least 1")
     try:
         return args.fn(args)
     except SkeinError as exc:

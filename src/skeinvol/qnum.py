@@ -29,6 +29,7 @@ import os
 import threading
 
 import mpmath as mp
+import numpy as np
 
 from .errors import DegenerateTheta, Inadmissible
 from .extscalar import ExtScalar, SignLogReal
@@ -36,8 +37,8 @@ from .extscalar import ExtScalar, SignLogReal
 _SIXJ_CACHE_MAX = 1 << 21
 
 # mpmath's working precision is process-global state; every high-precision
-# evaluation in the package serializes on this lock so parallel level scans
-# stay deterministic.
+# evaluation in the package serializes on this lock, so a caller that runs
+# evaluations on threads of its own gets the same bits as a serial run.
 MP_LOCK = threading.RLock()
 
 
@@ -48,6 +49,12 @@ class Level:
         r: the level (odd, >= 3).
         m: number of colors, (r-1)/2.
         colors: the even integers 0, 2, ..., r-3.
+        lf: numpy array, lf[k] = log |[k]!| for 0 <= k <= r-1.
+        fneg: numpy bool array, fneg[k] = [k]! < 0.  [k] is negative
+            exactly for r/2 < k < r, so the sign of [k]! alternates with
+            max(0, k - (r-1)/2).
+
+    lf and fneg are the tables of the vectorized scans (scans.batch_sixj).
     """
 
     _instances: dict[int, "Level"] = {}
@@ -67,6 +74,12 @@ class Level:
         for k in range(1, r):
             facts.append(facts[-1] * SignLogReal.from_float(self._qint[k]))
         self._qfact = facts
+        k = np.arange(r, dtype=np.int64)
+        mag = np.abs(np.sin(2 * np.pi * k / r)) / s0
+        lg = np.zeros(r)
+        lg[1:] = np.log(mag[1:])
+        self.lf = np.concatenate([[0.0], np.cumsum(lg[1:])])
+        self.fneg = np.maximum(0, k - (r - 1) // 2) % 2 == 1
         self._sixj_cache: dict[tuple, tuple[ExtScalar, dict]] = {}
         self._mp_tables: dict[int, MpFactorials] = {}
 

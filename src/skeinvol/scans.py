@@ -25,9 +25,8 @@ log-domain 6j evaluator:
   of _BLOCK tuples to forked processes (see _screen_cover), which send
   back only counts, maxima and candidates, so the record is
   bit-identical to one process's.  It stays in-process on one core,
-  without the fork start method, while other threads run (so on the
-  threads of run_levels) and on covers with fewer than one block per
-  core;
+  without the fork start method, while other threads of the caller run,
+  and on covers with fewer than one block per core;
 * the wheel-graph fast paths evaluate the closed forms for the square
   and pentagonal pyramids (one- and two-index sums of 6j products).
   The zero-angled colorings cancel hundreds of bits, so they run on the
@@ -43,13 +42,10 @@ log-domain 6j evaluator:
   6j per level), checked against the graph engine at small levels in
   the test suite.
 
-Per-level work is pure and independent, so run_levels can also spread
-the levels of a scan over a thread pool and reassemble them in level
-order; the emitted records are bit-equal for any thread count.  Threads
-pay little here (the numpy kernel releases the GIL only in part, and the
-mp paths share one lock), and a bound sweep beside other threads stays
-in one process, so the forked screen is the way a bound sweep uses the
-cores.
+run_levels evaluates the levels of a scan one after another, in level
+order.  The forked screen of the bound sweep is the only work spread
+over processes; the records are bit-identical for any core count.
+The numpy tables every kernel here reads (lf, fneg) live on qnum.Level.
 """
 
 from __future__ import annotations
@@ -59,7 +55,6 @@ import math
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -79,7 +74,6 @@ from .qnum import (
 from .yokota import maximizing_color
 
 __all__ = [
-    "LevelTables",
     "appendix_colors",
     "appendix_record",
     "batch_sixj",
@@ -96,46 +90,6 @@ __all__ = [
 ]
 
 
-class LevelTables:
-    """Per-level lookup tables for vectorized quantum arithmetic.
-
-    lf[k] = log |[k]!|, sf[k] = sign([k]!) and fneg[k] = [k]! < 0 for
-    0 <= k <= r-1; dlog and dsign give the circle weights Delta_i over
-    the color set.  [k] is negative exactly for r/2 < k < r, so the sign
-    of [k]! alternates with max(0, k - (r-1)/2).
-    """
-
-    def __init__(self, r: int):
-        if r < 5 or r % 2 == 0:
-            raise ValueError("level must be odd and >= 5")
-        self.r = r
-        self.colors = np.arange(0, r - 2, 2, dtype=np.int64)
-        self.m = len(self.colors)
-        k = np.arange(r, dtype=np.int64)
-        mag = np.abs(np.sin(2 * np.pi * k / r)) / math.sin(2 * math.pi / r)
-        lg = np.zeros(r)
-        lg[1:] = np.log(mag[1:])
-        self.lf = np.concatenate([[0.0], np.cumsum(lg[1:])])
-        neg = np.maximum(0, k - (r - 1) // 2)
-        self.sf = np.where(neg % 2 == 0, 1, -1).astype(np.int64)
-        self.fneg = self.sf < 0
-        i = self.colors
-        self.dlog = np.log(np.abs(np.sin(2 * np.pi * (i + 1) / r))) - math.log(
-            math.sin(2 * math.pi / r)
-        )
-        # Delta_i = (-1)^i [i+1]; colors are even, and [i+1] < 0 once
-        # i+1 passes r/2
-        self.dsign = np.where(i + 1 <= (r - 1) // 2, 1, -1).astype(np.int64)
-
-    def admissible3(self, a, b, c):
-        """Vectorized admissibility of (even) color triples."""
-        return (
-            (c >= np.abs(a - b))
-            & (c <= a + b)
-            & (a + b + c <= 2 * (self.r - 2))
-        )
-
-
 def _sixj_indices(a, b, c, d, e, f):
     # vertex triples (a,b,c), (a,e,f), (b,d,f), (c,d,e) -- the same
     # convention as the scalar evaluator
@@ -149,7 +103,7 @@ _BLOCK = 32_768  # tuples per kernel block and per enumeration piece: they stay 
 _TERMS = 32_768  # z-terms kept at once (9 bytes each), whatever the level
 
 
-def batch_sixj(tab: LevelTables, a, b, c, d, e, f) -> dict:
+def batch_sixj(lv: Level, a, b, c, d, e, f) -> dict:
     """Batched 6j evaluation in the log domain.
 
     The six inputs are equal-length integer arrays of even colors that
@@ -187,14 +141,14 @@ def batch_sixj(tab: LevelTables, a, b, c, d, e, f) -> dict:
            "cancel": np.empty(n), "log_ub": np.empty(n)}
     for i in range(0, n, _BLOCK):
         part = slice(i, i + _BLOCK)
-        _sixj_block(tab, *(x[part] for x in cols), out={k: v[part] for k, v in out.items()})
+        _sixj_block(lv, *(x[part] for x in cols), out={k: v[part] for k, v in out.items()})
     return out
 
 
-def _sixj_block(tab: LevelTables, a, b, c, d, e, f, *, out: dict) -> None:
+def _sixj_block(lv: Level, a, b, c, d, e, f, *, out: dict) -> None:
     """batch_sixj on one non-empty block, written into the views in out."""
     n = a.shape[0]
-    r, lf, fneg = tab.r, tab.lf, tab.fneg
+    r, lf, fneg = lv.r, lv.lf, lv.fneg
     # zneg[z] = [z+1]! < 0 xor z odd: the sign of (-1)^z [z+1]!
     zneg = fneg[1:] ^ (np.arange(r - 1) % 2 == 1)
     t, q = _sixj_indices(a, b, c, d, e, f)
@@ -361,7 +315,7 @@ def _cover_pieces(m: int, restrict: bool):
                     yield a, (d5[i2:j2], b5[i2:j2], c5[i2:j2], e[i2:j2]), item, f
 
 
-def sixtuple_chunks(tab: LevelTables, *, restrict: bool = True,
+def sixtuple_chunks(lv: Level, *, restrict: bool = True,
                     chunk: int = 200_000, budget: Optional[int] = None):
     """Yield admissible 6-tuples (a,b,c,d,e,f) as arrays of colors.
 
@@ -393,16 +347,16 @@ def sixtuple_chunks(tab: LevelTables, *, restrict: bool = True,
     if chunk < 1:
         raise ValueError(f"chunk must be at least 1, got {chunk}")
     # the cover never exceeds m**6 tuples (m colors in each of six slots)
-    cap = min(chunk, tab.m ** 6)
+    cap = min(chunk, lv.m ** 6)
     total = 0
     fill = 0
     out = None
-    for a, cols, item, f in _cover_pieces(tab.m, restrict):
+    for a, cols, item, f in _cover_pieces(lv.m, restrict):
         n = f.size
         total += n
         if budget is not None and total > budget:
             raise BudgetExceeded(
-                f"6-tuple enumeration passed {budget} tuples at r={tab.r}"
+                f"6-tuple enumeration passed {budget} tuples at r={lv.r}"
             )
         s = 0
         while s < n:
@@ -424,7 +378,7 @@ def sixtuple_chunks(tab: LevelTables, *, restrict: bool = True,
         yield tuple(x[:fill] for x in out)
 
 
-def orbit_representatives(tab: LevelTables, tup):
+def orbit_representatives(lv: Level, tup):
     """Which tuples of a chunk are canonical, and their orbit sizes.
 
     A tuple is canonical when it is the lexicographic minimum of its 24
@@ -439,7 +393,7 @@ def orbit_representatives(tab: LevelTables, tup):
     pass per symmetry.
     """
     idx = [np.asarray(x, dtype=np.int64) >> 1 for x in tup]
-    m = tab.m
+    m = lv.m
 
     def key(order):
         k = idx[order[0]] * m
@@ -485,12 +439,11 @@ def bound_record(r: int, *, margin: float = 4.0, chunk: int = 200_000,
     any process count and any chunk, and chunk bounds each process's
     memory.  The exact recheck runs in the calling process.
     """
-    tab = LevelTables(r)
     lv = Level.of(r)
     thr_slope = V8 + margin * math.log(r) / r
     thr_log = thr_slope * r / (2 * math.pi)
-    chunks = sixtuple_chunks(tab, restrict=True, chunk=chunk, budget=budget)
-    ntuples, safe_max, worst_cancel, cand = _screen_cover(tab, chunks, thr_log - 1.0)
+    chunks = sixtuple_chunks(lv, restrict=True, chunk=chunk, budget=budget)
+    ntuples, safe_max, worst_cancel, cand = _screen_cover(lv, chunks, thr_log - 1.0)
     exact_max = -math.inf
     excess = -math.inf
     for tup in sorted(set(cand)):
@@ -523,7 +476,7 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
-def _screen_cover(tab: LevelTables, chunks, hot_log: float):
+def _screen_cover(lv: Level, chunks, hot_log: float):
     """bound_record's screen over the cover in chunks, on every usable core.
 
     Returns (tuples, safe_max, worst_cancel, cand) as _screen_share does
@@ -535,15 +488,14 @@ def _screen_cover(tab: LevelTables, chunks, hot_log: float):
     candidates are rechecked as a sorted set, so the merge is exact.
 
     It stays in-process when one core is usable, when the fork start
-    method is missing, while any other thread runs (a fork copies only
-    the calling thread, and the locks the others hold; so never inside
-    run_levels with threads > 1) and when the cover holds fewer than
-    _cores() blocks, so that some process would get no full block.  A
-    fork and its result cost about 5 ms on a 2-core box, the kernel time
-    of some 16,000 tuples.  The cover is read that far before deciding,
-    so a process holds at most max(chunk, _cores() * _BLOCK) tuples.  A
-    worker's exception, BudgetExceeded included, is raised here, and no
-    worker outlives the call.
+    method is missing, while any other thread of the caller runs (a fork
+    copies only the calling thread, and the locks the others hold) and
+    when the cover holds fewer than _cores() blocks, so that some process
+    would get no full block.  A fork and its result cost about 5 ms on a
+    2-core box, the kernel time of some 16,000 tuples.  The cover is read
+    that far before deciding, so a process holds at most max(chunk,
+    _cores() * _BLOCK) tuples.  A worker's exception, BudgetExceeded
+    included, is raised here, and no worker outlives the call.
     """
     import multiprocessing  # here, so that importing skeinvol stays as fast
 
@@ -562,7 +514,7 @@ def _screen_cover(tab: LevelTables, chunks, hot_log: float):
     else:
         nproc = 1
     if nproc == 1:
-        return _screen_share(tab, chunks, hot_log)
+        return _screen_share(lv, chunks, hot_log)
 
     ctx = multiprocessing.get_context("fork")
     workers = []
@@ -571,11 +523,11 @@ def _screen_cover(tab: LevelTables, chunks, hot_log: float):
         for share in range(1, nproc):
             recv, send = ctx.Pipe(duplex=False)
             proc = ctx.Process(target=_screen_worker, daemon=True,
-                               args=(send, tab, chunks, hot_log, share, nproc))
+                               args=(send, lv, chunks, hot_log, share, nproc))
             proc.start()
             send.close()
             workers.append((proc, recv))
-        shares = [_screen_share(tab, chunks, hot_log, 0, nproc)]
+        shares = [_screen_share(lv, chunks, hot_log, 0, nproc)]
         for proc, recv in workers:
             try:
                 ok, out = recv.recv()
@@ -612,7 +564,7 @@ def _screen_worker(send, *args) -> None:
     send.close()
 
 
-def _screen_share(tab: LevelTables, chunks, hot_log: float,
+def _screen_share(lv: Level, chunks, hot_log: float,
                   share: int = 0, nshares: int = 1):
     """Screen the tuples of the blocks k of _BLOCK tuples (counted over
     the whole cover) with k % nshares == share.
@@ -639,7 +591,7 @@ def _screen_share(tab: LevelTables, chunks, hot_log: float,
         start += n
         for lo, hi in parts:
             part = tuple(x[lo:hi] for x in tup)
-            res = batch_sixj(tab, *part)
+            res = batch_sixj(lv, *part)
             ntuples += hi - lo
             hot = res["log_ub"] >= hot_log
             if hot.any():
@@ -720,18 +672,25 @@ def wheel_log_invariant(r: int, n_spokes: int, s: int, b: int):
     """
     if n_spokes not in (4, 5):
         raise ValueError("closed forms cover 4- and 5-spoke wheels")
-    tab = LevelTables(r)
+    lv = Level.of(r)
     if not is_admissible_triple(s, b, b, r):
         raise ValueError(f"rim triple ({s},{b},{b}) inadmissible at r={r}")
-    i = tab.colors
-    i = i[np.asarray(tab.admissible3(s, s, i) & tab.admissible3(i, b, b))]
+
+    def admissible(x, y, z):  # color triples, vectorized
+        return (z >= np.abs(x - y)) & (z <= x + y) & (x + y + z <= 2 * (r - 2))
+
+    colors = np.arange(0, r - 2, 2, dtype=np.int64)
+    i = colors[admissible(s, s, colors) & admissible(colors, b, b)]
     if i.size == 0:
         raise ValueError(f"no admissible fan colors for wheel at r={r}")
     const = np.full(i.size, s, dtype=np.int64)
     rimc = np.full(i.size, b, dtype=np.int64)
-    u = batch_sixj(tab, const, const, i, rimc, rimc, rimc)
-    dlog = tab.dlog[i >> 1]
-    dsign = tab.dsign[i >> 1]
+    u = batch_sixj(lv, const, const, i, rimc, rimc, rimc)
+    # Delta_i = (-1)^i [i+1]; colors are even, and [i+1] < 0 once i+1
+    # passes r/2
+    dlog = (np.log(np.abs(np.sin(2 * np.pi * (colors + 1) / r)))
+            - math.log(math.sin(2 * math.pi / r)))[i >> 1]
+    dsign = np.where(i + 1 <= (r - 1) // 2, 1, -1)
     fin = u["cancel"][np.isfinite(u["cancel"])]
     worst_cancel = float(fin.max()) if fin.size else 0.0
 
@@ -741,11 +700,11 @@ def wheel_log_invariant(r: int, n_spokes: int, s: int, b: int):
     else:
         ii, jj = np.meshgrid(np.arange(i.size), np.arange(i.size), indexing="ij")
         ii, jj = ii.ravel(), jj.ravel()
-        wmask = np.asarray(tab.admissible3(s, i[ii], i[jj]))
+        wmask = admissible(s, i[ii], i[jj])
         ii, jj = ii[wmask], jj[wmask]
         cs = np.full(ii.size, s, dtype=np.int64)
         cb = np.full(ii.size, b, dtype=np.int64)
-        w = batch_sixj(tab, cs, i[ii], i[jj], cb, cb, cb)
+        w = batch_sixj(lv, cs, i[ii], i[jj], cb, cb, cb)
         fin = w["cancel"][np.isfinite(w["cancel"])]
         if fin.size:
             worst_cancel = max(worst_cancel, float(fin.max()))
@@ -880,14 +839,14 @@ def tv_tet_record(r: int, *, budget: Optional[int] = None,
     the worst over the representatives; budget caps the enumerated
     cover tuples (sixtuple_chunks with restrict=True).
     """
-    tab = LevelTables(r)
+    lv = Level.of(r)
     mx = -math.inf  # running max of log |6j|^2
     shifted = 0.0   # sum of weight * |6j|^2 / exp(mx)
     worst_cancel = 0.0
-    for tup in sixtuple_chunks(tab, restrict=True, chunk=chunk, budget=budget):
-        keep, weight = orbit_representatives(tab, tup)
+    for tup in sixtuple_chunks(lv, restrict=True, chunk=chunk, budget=budget):
+        keep, weight = orbit_representatives(lv, tup)
         tup = tuple(x[keep] for x in tup)  # frees the rest of the chunk
-        res = batch_sixj(tab, *tup)
+        res = batch_sixj(lv, *tup)
         fin = np.isfinite(res["log"])
         if fin.any():
             lg = 2.0 * res["log"][fin]
@@ -936,20 +895,17 @@ def family_record(r: int, m: int = 1) -> ScanRecord:
 
 
 def run_levels(fn: Callable[[int], ScanRecord], rs: Sequence[int], *,
-               threads: int = 1, timings: bool = False,
+               timings: bool = False,
                mark: Optional[tuple[str, str]] = None) -> list[ScanRecord]:
-    """Evaluate fn(r) over levels, in parallel, assembled in r order.
+    """Evaluate fn(r) over the distinct levels rs, in increasing r.
 
-    Each level is computed independently, so the result list (and any
-    CSV built from it) is identical for every thread count.  With
-    timings=True the per-level wall time is stored on the records --
+    With timings=True the per-level wall time is stored on the records --
     leave it off when byte-stable output matters.  mark=(kind, policy)
     converts a BudgetExceeded at one level into a placeholder record
     (policy suffixed with "!budget") instead of aborting the scan.
     """
-    rs = sorted(set(int(r) for r in rs))
-
-    def one(r: int) -> ScanRecord:
+    records = []
+    for r in sorted(set(int(r) for r in rs)):
         t0 = time.perf_counter()
         try:
             rec = fn(r)
@@ -964,10 +920,5 @@ def run_levels(fn: Callable[[int], ScanRecord], rs: Sequence[int], *,
             )
         if timings:
             rec.wall_ms = (time.perf_counter() - t0) * 1e3
-        return rec
-
-    if threads <= 1:
-        return [one(r) for r in rs]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        futs = {r: ex.submit(one, r) for r in rs}
-        return [futs[r].result() for r in rs]
+        records.append(rec)
+    return records

@@ -557,12 +557,12 @@ def suite_sixj_symmetry(*, r: int = 9, **_) -> List[CheckResult]:
     the vectorized enumeration matches the brute-force tuple set."""
     import numpy as np
 
-    from .scans import LevelTables, batch_sixj, sixtuple_chunks
+    from .scans import batch_sixj, sixtuple_chunks
 
     tuples = list(_admissible_sixtuples(r))
     arr = np.array(tuples, dtype=np.int64)
     ref = np.array([sixj(*t, r).to_complex() for t in tuples])
-    tab = LevelTables(r)
+    lv = Level.of(r)
     # Columns pair opposite slots; the symmetry group permutes the three
     # columns and flips the entries of an even number of them.  Each
     # relabeling is the tuple of source slots it reads.
@@ -581,7 +581,7 @@ def suite_sixj_symmetry(*, r: int = 9, **_) -> List[CheckResult]:
             relabelings.append(tuple(src))
     worst = 0.0
     for src in relabelings:
-        res = batch_sixj(tab, *(arr[:, k] for k in src))
+        res = batch_sixj(lv, *(arr[:, k] for k in src))
         vals = res["sign"] * np.exp(res["log"]) * (-1j) ** res["quad"]
         worst = max(worst, float(np.max(np.abs(vals - ref) / np.abs(ref))))
     out = [
@@ -595,7 +595,7 @@ def suite_sixj_symmetry(*, r: int = 9, **_) -> List[CheckResult]:
 
     def rows(restrict):
         found = []
-        for tup in sixtuple_chunks(tab, restrict=restrict):
+        for tup in sixtuple_chunks(lv, restrict=restrict):
             found.extend(zip(*(x.tolist() for x in tup)))
         return found
 

@@ -6,14 +6,16 @@ unit tests; the whole file finishes in a few minutes on one core.
 """
 
 import math
+import os
 
-from skeinvol.hypvol import V8, extrapolate_limit, records_to_csv
+import skeinvol.scans as scans
+from skeinvol.cli import main
+from skeinvol.hypvol import V8, extrapolate_limit
 from skeinvol.scans import (
     appendix_record,
     bound_record,
     family_record,
     maximizer_record,
-    run_levels,
 )
 from skeinvol.verify import run_suite
 from skeinvol.yokota import hopf_pairing, maximizing_color
@@ -123,11 +125,29 @@ def test_criterion_8_hopf_sign_and_family_limit():
     _report(8, "Hopf-row sign control + first family member volume within 5%", ok, detail)
 
 
-def test_criterion_9_thread_determinism():
-    outputs = []
-    for threads in (1, 4, 8):
-        recs = run_levels(lambda r: appendix_record("sq-ideal", r), APPENDIX_GRID, threads=threads)
-        recs += run_levels(lambda r: appendix_record("pent-zero", r), APPENDIX_GRID, threads=threads)
-        outputs.append(records_to_csv(recs))
-    ok = outputs[0] == outputs[1] == outputs[2]
-    _report(9, "scan output is byte-identical across 1/4/8 worker threads", ok)
+def test_criterion_9_worker_determinism(monkeypatch, capsys):
+    # the bound sweep's screen is the one mechanism that spreads work over
+    # processes: with n cores each of the five levels forks n - 1 workers
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    argv = ["scan", "--graph", "tetrahedron", "--policy", "exhaustive-bound",
+            "--rmin", "41", "--rmax", "49"]
+    outputs, forked = [], []
+    for n in (1, 2, 3):
+        monkeypatch.setattr(scans, "_cores", lambda n=n: n)
+        del forks[:]
+        rc = main(argv)
+        outputs.append((rc, capsys.readouterr().out))
+        forked.append(len(forks))
+    rows = outputs[0][1].splitlines()[1:]
+    ok = (outputs[0] == outputs[1] == outputs[2] and outputs[0][0] == 0
+          and [row.split(",")[0] for row in rows] == ["41", "43", "45", "47", "49"]
+          and forked == [0, 5, 10])
+    _report(9, "scan output is byte-identical across 1/2/3 screen processes", ok,
+            f"forks per run {forked}")

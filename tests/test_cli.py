@@ -145,6 +145,11 @@ def test_scan_validation():
     )
     expect_exit2(["scan", "--graph", "tetrahedron", "--policy", "maximizer", "--rmin", "6", "--rmax", "9"])
     expect_exit2(["scan", "--graph", "tetrahedron", "--policy", "maximizer", "--rmax", "9", "--rstep", "3"])
+    # the removed thread pool and precision flag are not options
+    expect_exit2(["scan", "--graph", "tetrahedron", "--policy", "maximizer", "--rmax", "9",
+                  "--threads", "2"])
+    expect_exit2(["scan", "--graph", "tetrahedron", "--policy", "maximizer", "--rmax", "9",
+                  "--precision-bits", "512"])
 
 
 def test_scan_file_graph(tmp_path, capsys):
@@ -173,11 +178,11 @@ def test_scan_file_graph(tmp_path, capsys):
 
 def test_reproduce_appendix_deterministic(capsys):
     args = ["reproduce-appendix", "--which", "sq-ideal", "--rmin", "101", "--rmax", "141", "--rstep", "20"]
-    rc, out1, err1 = run_cli(args + ["--threads", "1"], capsys)
+    rc, out1, err1 = run_cli(args, capsys)
     assert rc == 0
-    rc, out4, _ = run_cli(args + ["--threads", "4"], capsys)
+    rc, out2, _ = run_cli(args, capsys)  # with every cache warm
     assert rc == 0
-    assert out1 == out4
+    assert out1 == out2
     rows = list(csv.DictReader(io.StringIO(out1)))
     assert [int(r["r"]) for r in rows] == [101, 121, 141]
     assert "gap" in err1  # the summary goes to stderr, data to stdout

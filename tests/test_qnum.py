@@ -69,6 +69,17 @@ def test_quantum_factorial_signs_and_logs():
         assert abs(f.log - direct) < 1e-12
 
 
+@pytest.mark.parametrize("r", [3, 5, 9, 31, 101])
+def test_level_numpy_tables_match_factorials(r):
+    # lf and fneg, the tables of the batched 6j, against [k]! in sign-log form
+    lv = Level.of(r)
+    assert lv.lf.shape == lv.fneg.shape == (r,)
+    for k in range(r):
+        f = quantum_factorial(k, r)
+        assert lv.fneg[k] == (f.sign < 0)
+        assert abs(lv.lf[k] - f.log) < 1e-12 * max(1.0, abs(f.log))
+
+
 def test_circle_and_loop_weights():
     r = 7
     for n in (0, 2, 4):
@@ -136,6 +147,22 @@ def test_sixj_info_diagnostics():
     bad = sixj_info(2, 0, 0, 0, 0, 0, 7)
     assert not bad["admissible"]
     assert bad["value"].is_zero()
+
+
+def test_sixj_precision_floor_from_environment(monkeypatch):
+    # this tuple loses 8.9 digits in doubles, so it escalates, by default
+    # at r + 64 = 165 bits
+    t, r = (14, 30, 30, 66, 84, 84), 101
+    lv = Level.of(r)
+    monkeypatch.setattr(lv, "_sixj_cache", {})
+    base = sixj_info(*t, lv)
+    assert base["used_mp"] and base["prec_bits"] == 165
+    monkeypatch.setattr(lv, "_sixj_cache", {})
+    monkeypatch.setenv("SKEIN_PRECISION_BITS", "512")
+    info = sixj_info(*t, lv)
+    assert info["used_mp"] and info["prec_bits"] == 512
+    assert info["value"].log_abs() == pytest.approx(base["value"].log_abs(), rel=1e-12)
+    assert info["value"].to_complex() == pytest.approx(base["value"].to_complex(), rel=1e-12)
 
 
 def test_sixj_symmetries_sample():

@@ -4,6 +4,7 @@ import itertools
 import math
 import multiprocessing
 import os
+import threading
 import time
 import tracemalloc
 
@@ -17,7 +18,6 @@ from skeinvol.hypvol import V8, records_to_csv
 from skeinvol.planar import tetrahedron, wheel
 from skeinvol.qnum import Level, MpFactorials, is_admissible_sixtuple, is_admissible_triple, sixj
 from skeinvol.scans import (
-    LevelTables,
     ScanRecord,
     appendix_colors,
     appendix_record,
@@ -58,7 +58,7 @@ def symbol_images(t):
 def test_batch_matches_scalar_engine():
     r = 9
     tuples = all_admissible_sixtuples(r)
-    tab = LevelTables(r)
+    tab = Level.of(r)
     cols = [np.array([t[k] for t in tuples]) for k in range(6)]
     d = batch_sixj(tab, *cols)
     worst = 0.0
@@ -92,7 +92,8 @@ def _sixj_indices_reference(a, b, c, d, e, f):
 def _theta_logsign_reference(tab, a, b, c):
     s = (a + b + c) >> 1
     lg = tab.lf[s + 1] - tab.lf[s - a] - tab.lf[s - b] - tab.lf[s - c]
-    sg = tab.sf[s + 1] * tab.sf[s - a] * tab.sf[s - b] * tab.sf[s - c]
+    sf = np.where(tab.fneg, -1, 1)  # sign of [k]!
+    sg = sf[s + 1] * sf[s - a] * sf[s - b] * sf[s - c]
     sg = np.where(s % 2 == 0, sg, -sg)
     return lg, sg
 
@@ -108,7 +109,7 @@ def _batch_sixj_reference(tab, a, b, c, d, e, f):
     zlo = np.maximum.reduce(t)
     zhi = np.minimum(np.minimum.reduce(q), tab.r - 2)
     nz = zhi - zlo  # >= 0 on admissible tuples
-    lf, sf = tab.lf, tab.sf
+    lf, sf = tab.lf, np.where(tab.fneg, -1, 1)
 
     def term_log(z):
         out = lf[z + 1].copy()
@@ -169,14 +170,14 @@ def assert_same_bits(got, want):
 
 def test_batch_bit_identical_to_reference_on_chunks():
     for r in range(5, 33, 2):
-        tab = LevelTables(r)
+        tab = Level.of(r)
         for restrict in (True, False):
             for tup in sixtuple_chunks(tab, restrict=restrict):
                 assert_same_bits(batch_sixj(tab, *tup), _batch_sixj_reference(tab, *tup))
 
 
 def test_batch_bit_identical_to_reference_shuffled_and_degenerate():
-    tab = LevelTables(31)
+    tab = Level.of(31)
     tup = next(sixtuple_chunks(tab, restrict=False))
     perm = np.random.default_rng(20261018).permutation(tup[0].size)
     shuffled = tuple(x[perm] for x in tup)
@@ -213,7 +214,7 @@ def test_batch_bit_identical_to_reference_on_wheel_calls(monkeypatch):
 
 def test_chunks_enumerate_all_tuples():
     r = 9
-    tab = LevelTables(r)
+    tab = Level.of(r)
     seen = set()
     for block in sixtuple_chunks(tab, restrict=False):
         for row in zip(*[np.asarray(x).tolist() for x in block]):
@@ -224,7 +225,7 @@ def test_chunks_enumerate_all_tuples():
 
 def test_restricted_chunks_cover_all_classes():
     r = 9
-    tab = LevelTables(r)
+    tab = Level.of(r)
     restricted = set()
     for block in sixtuple_chunks(tab, restrict=True):
         for row in zip(*[np.asarray(x).tolist() for x in block]):
@@ -241,11 +242,16 @@ def test_restricted_chunks_cover_all_classes():
 # (b, c) pairs against (e, f) pairs, read out with np.nonzero.
 
 
+def admissible3(r, a, b, c):
+    """Vectorized admissibility of (even) color triples at level r."""
+    return (c >= np.abs(a - b)) & (c <= a + b) & (a + b + c <= 2 * (r - 2))
+
+
 def _adm_stack_reference(tab):
     """adm[ta, tb, tc] over color indices (color = 2 * index)."""
     idx = np.arange(tab.m)
-    return tab.admissible3(
-        2 * idx[:, None, None], 2 * idx[None, :, None], 2 * idx[None, None, :]
+    return admissible3(
+        tab.r, 2 * idx[:, None, None], 2 * idx[None, :, None], 2 * idx[None, None, :]
     )
 
 
@@ -336,7 +342,7 @@ def test_chunks_match_reference_in_order():
     # on the small levels only.
     for restrict, rmax in ((True, 49), (False, 35)):
         for r in range(5, rmax + 1, 2):
-            tab = LevelTables(r)
+            tab = Level.of(r)
             want, _ = concatenated(_sixtuple_chunks_reference(tab, restrict=restrict))
             for chunk in ((1, 7, 1_000, None) if r <= 21 else (1_000, None)):
                 kw = {} if chunk is None else {"chunk": chunk}
@@ -354,11 +360,11 @@ def test_chunks_match_reference_in_order():
 def test_chunks_reject_empty_chunk():
     for chunk in (0, -1):
         with pytest.raises(ValueError):
-            next(sixtuple_chunks(LevelTables(7), chunk=chunk))
+            next(sixtuple_chunks(Level.of(7), chunk=chunk))
 
 
 def test_chunks_budget_edges():
-    tab = LevelTables(21)
+    tab = Level.of(21)
     cover = sum(tup[0].size for tup in sixtuple_chunks(tab))
     for chunk in (7, 1_000, None):
         kw = {} if chunk is None else {"chunk": chunk}
@@ -371,7 +377,7 @@ def test_chunks_budget_edges():
 
 
 def drain_peak(r, chunk):
-    tab = LevelTables(r)
+    tab = Level.of(r)
     tracemalloc.start()
     try:
         for _ in sixtuple_chunks(tab, chunk=chunk):
@@ -520,21 +526,30 @@ def test_no_worker_outlives_a_failing_parent_share(monkeypatch):
     assert time.perf_counter() - t0 < 60
 
 
-def test_run_levels_threads_fork_nothing(monkeypatch):
+def test_bound_record_on_caller_thread_forks_nothing(monkeypatch):
+    # a fork would copy only the calling thread, so while a caller's own
+    # thread runs the screen stays in one process, with the same bits
     monkeypatch.setattr(scans, "_cores", lambda: 3)
-
-    def fn(r):
-        return bound_record(r)[0]
-
-    rs = [41, 49]
-    one = records_to_csv(run_levels(fn, rs, threads=1))
+    want = {r: bound_bits(*bound_record(r)) for r in (41, 49)}
 
     def fork():
-        raise AssertionError("bound_record forked off the main thread")
+        raise AssertionError("bound_record forked beside another thread")
 
     monkeypatch.setattr(os, "fork", fork)
-    two = records_to_csv(run_levels(fn, rs, threads=2))
-    assert two == one
+    got, errors = {}, []
+
+    def run():
+        try:
+            for r in (41, 49):
+                got[r] = bound_bits(*bound_record(r))
+        except BaseException as err:
+            errors.append(err)
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    worker.join()
+    assert errors == []
+    assert got == want
 
 
 def traced_peak(fn, *args):
@@ -552,16 +567,17 @@ def test_batch_memory_bounded():
     # peak measures 13.4 MB, 8.0 MB of it the five output arrays; on the
     # 214,386-tuple chunk it read 14.0 MB, and the padded two-pass kernel
     # peaked at 41.1 MB there.
-    tab = LevelTables(65)
+    tab = Level.of(65)
     tup = max(sixtuple_chunks(tab, restrict=True), key=lambda block: block[0].size)
     assert traced_peak(batch_sixj, tab, *tup) < 1.25 * 14.0 * 2**20
     # The w_ij call of the pent-zero wheel at r = 321: 12,880 tuples of up
     # to 80 terms, 351,000 in all.  The peak measures 2.78 MB (the padded
     # kernel 2.47 MB); keeping all 351,000 terms at once took 6.5 MB.
-    tab = LevelTables(321)
+    tab = Level.of(321)
     s, b = appendix_colors("pent-zero", 321)
-    i = tab.colors[tab.admissible3(s, s, tab.colors) & tab.admissible3(tab.colors, b, b)]
-    ii, jj = np.nonzero(tab.admissible3(s, i[:, None], i[None, :]))
+    colors = np.array(tab.colors)
+    i = colors[admissible3(321, s, s, colors) & admissible3(321, colors, b, b)]
+    ii, jj = np.nonzero(admissible3(321, s, i[:, None], i[None, :]))
     cs, cb = np.full(ii.size, s), np.full(ii.size, b)
     assert ii.size == 12_880
     assert traced_peak(batch_sixj, tab, cs, i[ii], i[jj], cb, cb, cb) < 1.25 * 2.78 * 2**20
@@ -616,6 +632,22 @@ def test_wheel_float_vs_highprec():
         lm, sm, _ = wheel_log_invariant_mp(r, n, s, b)
         assert sf == sm
         assert abs(lf - lm) < 1e-9 * max(1.0, abs(lm))
+
+
+def test_wheel_mp_precision_floor_from_environment(monkeypatch):
+    # SKEIN_PRECISION_BITS above the 2r + 256 = 458-bit floor changes the
+    # working precision, not the value
+    s, b = appendix_colors("pent-zero", 101)
+    want, sign, _ = wheel_log_invariant_mp(101, 5, s, b)
+    used = []
+    real = Level.mp_factorials
+    monkeypatch.setattr(Level, "mp_factorials",
+                        lambda lv, prec: used.append(prec) or real(lv, prec))
+    monkeypatch.setenv("SKEIN_PRECISION_BITS", "1024")
+    got, got_sign, _ = wheel_log_invariant_mp(101, 5, s, b)
+    assert used == [1024]
+    assert got_sign == sign
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_zero_angled_highprec_against_engine():
@@ -794,7 +826,7 @@ def test_tv_record_matches_engine():
 def reference_tv_tet_log(r):
     """log sum |6j|^2 over every admissible 6-tuple, unrestricted, with
     every log kept until the overall maximum is known."""
-    tab = LevelTables(r)
+    tab = Level.of(r)
     logs = []
     for tup in sixtuple_chunks(tab, restrict=False, chunk=500_000):
         lg = batch_sixj(tab, *tup)["log"]
@@ -806,7 +838,7 @@ def reference_tv_tet_log(r):
 def test_orbit_representatives_one_per_class():
     for r in range(5, 17, 2):
         full = all_admissible_sixtuples(r)
-        tab = LevelTables(r)
+        tab = Level.of(r)
         kept = []
         for tup in sixtuple_chunks(tab, restrict=True, chunk=50):
             keep, weight = orbit_representatives(tab, tup)
@@ -821,6 +853,18 @@ def test_orbit_representatives_one_per_class():
             assert len(full) == 414
 
 
+def test_numpy_paths_at_the_smallest_level():
+    # r = 3 has the one color 0, and every invariant there is 1: the
+    # vectorized records agree with the graph engine and the scalar 6j
+    assert tv_tet_record(3).log_value == tv_graph(tetrahedron(), 3).log_abs() == 0.0
+    rec, diag = bound_record(3)
+    assert rec.log_value == sixj(0, 0, 0, 0, 0, 0, 3).log_abs() == 0.0
+    assert diag["tuples"] == 1 and diag["bound_ok"]
+    for n in (4, 5):
+        assert wheel_log_invariant(3, n, 0, 0) == (0.0, 1.0, 0.0)
+        assert yokota(wheel(n), [0] * (2 * n), 3) == 1.0
+
+
 def test_tv_record_matches_unrestricted_sum():
     for r in range(5, 33, 2):
         assert tv_tet_record(r).log_value == pytest.approx(reference_tv_tet_log(r), rel=1e-12)
@@ -833,7 +877,7 @@ def test_tv_record_independent_of_chunk():
 
 
 def test_tv_record_budget_counts_cover_tuples():
-    cover = sum(tup[0].size for tup in sixtuple_chunks(LevelTables(11), restrict=True))
+    cover = sum(tup[0].size for tup in sixtuple_chunks(Level.of(11), restrict=True))
     assert tv_tet_record(11, budget=cover).log_value == pytest.approx(reference_tv_tet_log(11))
     with pytest.raises(BudgetExceeded):
         tv_tet_record(11, budget=cover - 1)
@@ -858,12 +902,10 @@ def test_family_record_prism_identity():
 
 
 def test_run_levels_deterministic_and_marks_budget():
-    rs = [5, 7, 9, 11]
-    one = run_levels(tv_tet_record, rs, threads=1)
-    four = run_levels(tv_tet_record, rs, threads=4)
+    recs = run_levels(tv_tet_record, [11, 5, 9, 7, 5])  # distinct levels, in order
     assert [
-        (a.r, a.log_value, a.slope) for a in one
-    ] == [(b.r, b.log_value, b.slope) for b in four]
+        (a.r, a.log_value, a.slope) for a in recs
+    ] == [(r, tv_tet_record(r).log_value, tv_tet_record(r).slope) for r in (5, 7, 9, 11)]
 
     def boom(r):
         raise BudgetExceeded("over budget")
