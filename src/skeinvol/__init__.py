@@ -17,206 +17,30 @@ Layered design, each layer usable on its own:
 - ``scans``      — vectorized level sweeps and experiment records
 - ``verify``     — self-check suites wired into the ``skeinvol verify`` CLI
 
+The package namespace holds the few names the README uses; everything
+else is imported from its module (``from skeinvol.yokota import yokota``).
 The ``skeinvol`` console script exposes the scans and checks; see the
 README for the CSV schema and JSON graph format.
 """
 
-from .errors import (
-    BudgetExceeded,
-    DegenerateTheta,
-    IllConditioned,
-    Inadmissible,
-    LowValence,
-    NotPlanar,
-    NotTriangle,
-    NotTrivalent,
-    SkeinError,
-)
-from .extscalar import ExtScalar, SignLogReal
-from .qnum import (
-    Level,
-    admissible_triples,
-    circle_weight,
-    fusion_colors,
-    is_admissible_sixtuple,
-    is_admissible_triple,
-    kirby_norm,
-    loop_weight,
-    quantum_factorial,
-    quantum_integer,
-    sixj,
-    sixj_info,
-    theta_weight,
-    vertex_weight,
-)
-from .cyclo import CycloExact, CycloField, CycloOracle, cyclotomic_poly, sixj_exact_square
-from .planar import (
-    PlanarGraph,
-    ValidationReport,
-    betti,
-    blow_up,
-    canonical_signature,
-    circle,
-    cube,
-    double_at,
-    dual,
-    family_enumerate,
-    genus,
-    graph_from_json,
-    graph_to_json,
-    is_connected,
-    mirror,
-    octahedron,
-    pentagonal_pyramid,
-    same_embedding,
-    split_components,
-    square_pyramid,
-    tetrahedron,
-    theta,
-    triangle,
-    triangular_prism,
-    triangulate,
-    validate,
-    vertex_sum,
-    wheel,
-)
-from .bracket import KirbyDistribution, bracket, bracket_distribution, fusion_at
-from .yokota import (
-    admissible_colorings,
-    desingularize,
-    fourier_dual,
-    hopf_pairing,
-    maximizing_color,
-    tv_graph,
-    yokota,
-    yokota_ext,
-    yokota_kirby,
-    yokota_table,
-)
-from .hypvol import (
-    CSV_FIELDS,
-    ScanRecord,
-    V8,
-    antiprism_volume,
-    extrapolate_limit,
-    family_max_volume,
-    lobachevsky,
-    named_volumes,
-    records_to_csv,
-    write_csv,
-)
-from .scans import (
-    appendix_colors,
-    appendix_record,
-    batch_sixj,
-    bound_record,
-    family_record,
-    maximizer_record,
-    round_even_color,
-    run_levels,
-    sixtuple_chunks,
-    tv_tet_record,
-    wheel_log_invariant,
-)
-from .verify import CheckResult, run_suite, suite_names
+from .extscalar import ExtScalar
+from .hypvol import V8
+from .planar import blow_up, graph_from_json, graph_to_json, tetrahedron, validate
+from .qnum import loop_weight, sixj
+from .scans import tv_tet_record
 
 __version__ = "0.1.0"
 
+# the names the README uses; everything else is reached through its module
 __all__ = [
-    "BudgetExceeded",
-    "DegenerateTheta",
-    "IllConditioned",
-    "Inadmissible",
-    "LowValence",
-    "NotPlanar",
-    "NotTriangle",
-    "NotTrivalent",
-    "SkeinError",
     "ExtScalar",
-    "SignLogReal",
-    "Level",
-    "admissible_triples",
-    "circle_weight",
-    "fusion_colors",
-    "is_admissible_sixtuple",
-    "is_admissible_triple",
-    "kirby_norm",
-    "loop_weight",
-    "quantum_factorial",
-    "quantum_integer",
-    "sixj",
-    "sixj_info",
-    "theta_weight",
-    "vertex_weight",
-    "CycloExact",
-    "CycloField",
-    "CycloOracle",
-    "cyclotomic_poly",
-    "sixj_exact_square",
-    "PlanarGraph",
-    "ValidationReport",
-    "betti",
+    "V8",
     "blow_up",
-    "canonical_signature",
-    "circle",
-    "cube",
-    "double_at",
-    "dual",
-    "family_enumerate",
-    "genus",
     "graph_from_json",
     "graph_to_json",
-    "is_connected",
-    "mirror",
-    "octahedron",
-    "pentagonal_pyramid",
-    "same_embedding",
-    "split_components",
-    "square_pyramid",
+    "loop_weight",
+    "sixj",
     "tetrahedron",
-    "theta",
-    "triangle",
-    "triangular_prism",
-    "triangulate",
-    "validate",
-    "vertex_sum",
-    "wheel",
-    "KirbyDistribution",
-    "bracket",
-    "bracket_distribution",
-    "fusion_at",
-    "admissible_colorings",
-    "desingularize",
-    "fourier_dual",
-    "hopf_pairing",
-    "maximizing_color",
-    "tv_graph",
-    "yokota",
-    "yokota_ext",
-    "yokota_kirby",
-    "yokota_table",
-    "CSV_FIELDS",
-    "ScanRecord",
-    "V8",
-    "antiprism_volume",
-    "extrapolate_limit",
-    "family_max_volume",
-    "lobachevsky",
-    "named_volumes",
-    "records_to_csv",
-    "write_csv",
-    "appendix_colors",
-    "appendix_record",
-    "batch_sixj",
-    "bound_record",
-    "family_record",
-    "maximizer_record",
-    "round_even_color",
-    "run_levels",
-    "sixtuple_chunks",
     "tv_tet_record",
-    "wheel_log_invariant",
-    "CheckResult",
-    "run_suite",
-    "suite_names",
+    "validate",
 ]

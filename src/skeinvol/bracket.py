@@ -20,13 +20,13 @@ smallest face has degree four or more — the H-to-I rewiring that expands
 one edge into a weighted sum over recolorings.  Values of reduced forms
 are memoized under the canonical colored signature: the uncolored
 labeling is worked out once per embedded shape (and cached), and the
-colorings of one shape are told apart by their color vectors.  So
-different reduction strategies share work and (testably) agree.
+colorings of one shape are told apart by their color vectors.  The memo
+belongs to one call, or to the caller who passes it, so a value and a
+budget verdict depend only on a call's arguments.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 
@@ -41,23 +41,18 @@ from .qnum import (
     vertex_weight,
 )
 
-_MEMO: dict = {}
-_MEMO_MAX = 1 << 20
+_MEMO_MAX = 1 << 20  # entries one memo may hold before it is emptied
+_BUDGET = 1e8  # reduction steps per top-level evaluation by default
 
 # per-shape lru caches that cache_clear empties; yokota adds its own
 _SHAPE_CACHES = [canonical_labelings, genus]
 
 
 def cache_clear():
-    """Empty the value memo and every per-shape cache (labelings, genus,
-    and the desingularized shapes of `skeinvol.yokota`)."""
-    _MEMO.clear()
+    """Empty every per-shape cache (labelings, genus, and the
+    desingularized shapes of `skeinvol.yokota`)."""
     for cache in _SHAPE_CACHES:
         cache.cache_clear()
-
-
-def _budget_default():
-    return float(os.environ.get("SKEIN_BUDGET", "1e8"))
 
 
 class _Ctx:
@@ -68,8 +63,8 @@ class _Ctx:
         self.base_tet = base_tet
         self.rng = random.Random(seed) if seed is not None else None
         self.steps = 0
-        self.budget = budget if budget is not None else _budget_default()
-        self.memo = memo if memo is not None else _MEMO
+        self.budget = budget if budget is not None else _BUDGET
+        self.memo = memo if memo is not None else {}
 
     def tick(self, n=1):
         self.steps += n
@@ -500,9 +495,14 @@ def bracket(
 
     coloring is a tuple of colors indexed by edge id.  All vertices must
     have valence 0, 2 or 3.  The value does not depend on the reduction
-    strategy: base_tet toggles the tetrahedron shortcut, seed randomizes
-    tie-breaking, and memo can inject a private cache — all only affect
-    speed (a fact the test-suite checks rather than assumes).
+    strategy: base_tet toggles the tetrahedron shortcut and seed
+    randomizes tie-breaking, which only affect speed (a fact the
+    test-suite checks rather than assumes).
+
+    budget caps the reduction steps (default 1e8); past it BudgetExceeded
+    is raised.  memo is a dict of reduced values that the caller owns and
+    may share between calls; a hit in it costs no steps.  Without one the
+    call uses a fresh dict, so nothing is kept between calls.
     """
     lv = Level.of(level)
     _validate_coloring(graph, coloring, lv)

@@ -15,7 +15,8 @@ break that). Human-readable summaries go to stderr so stdout stays
 machine-readable.
 
 Environment: SKEIN_BUDGET is the default of --budget (evaluation budget for
-engine-backed policies), and SKEIN_PRECISION_BITS raises the floor for
+engine-backed policies); this module is its only reader, and library calls
+take budget= instead.  SKEIN_PRECISION_BITS raises the floor for
 high-precision arithmetic; it has no flag.
 
 Exit codes: 0 success, 1 failed verification, 2 invalid input.

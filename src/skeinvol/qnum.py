@@ -369,19 +369,18 @@ def is_admissible_sixtuple(colors, level) -> bool:
 def admissible_triples(level):
     """All admissible triples (a, b, c) at the level, lexicographic."""
     lv = _lv(level)
-    out = []
-    for a in lv.colors:
-        for b in lv.colors:
-            for c in lv.colors:
-                if is_admissible_triple(a, b, c, lv):
-                    out.append((a, b, c))
-    return out
+    return [(a, b, c) for a in lv.colors for b in lv.colors
+            for c in fusion_colors(a, b, lv)]
 
 
 def fusion_colors(a: int, b: int, level):
-    """Colors i with (a, b, i) admissible, ascending."""
+    """Colors i with (a, b, i) admissible, ascending: the even i from
+    |a - b| to min(a + b, 2r - 4 - a - b); none when a or b is not a
+    color."""
     lv = _lv(level)
-    return tuple(i for i in lv.colors if is_admissible_triple(a, b, i, lv))
+    if not all(isinstance(x, int) and 0 <= x <= lv.r - 2 and x % 2 == 0 for x in (a, b)):
+        return ()
+    return tuple(range(abs(a - b), min(a + b, 2 * lv.r - 4 - a - b) + 1, 2))
 
 
 def theta_signlog(a: int, b: int, c: int, level) -> SignLogReal:

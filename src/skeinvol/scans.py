@@ -79,7 +79,6 @@ __all__ = [
     "batch_sixj",
     "bound_record",
     "family_record",
-    "maximizer_record",
     "orbit_representatives",
     "round_even_color",
     "run_levels",
@@ -606,19 +605,6 @@ def _screen_share(lv: Level, chunks, hot_log: float,
                 if fin.size:
                     worst_cancel = max(worst_cancel, float(fin.max()))
     return ntuples, safe_max, worst_cancel, cand
-
-
-def maximizer_record(r: int) -> ScanRecord:
-    """The all-maximizing-color 6j at one level ((2 pi / r) log scale)."""
-    c = maximizing_color(r)
-    info = sixj_info(c, c, c, c, c, c, Level.of(r))
-    lg = info["value"].log_abs()
-    slope = (2 * math.pi / r) * lg
-    return ScanRecord(
-        r=r, kind="sixj-max", color_policy=f"maximizer[c={c}]",
-        log_value=lg, slope=slope, target=V8, rel_gap=(slope - V8) / V8,
-        cancel_digits=float(info["cancel_digits"]),
-    )
 
 
 def round_even_color(x: float, r: int) -> int:

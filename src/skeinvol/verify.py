@@ -56,6 +56,7 @@ from .planar import (
 from .qnum import (
     MP_LOCK,
     Level,
+    admissible_triples,
     circle_weight,
     fusion_colors,
     is_admissible_triple,
@@ -116,13 +117,6 @@ class CheckResult:
 
 def _rel(want: complex, got: complex, scale: float = 0.0) -> float:
     return abs(want - got) / max(1e-300, scale, abs(want))
-
-
-def _admissible_triples(r: int):
-    cols = range(0, r - 2, 2)
-    for a, b, c in itertools.product(cols, repeat=3):
-        if is_admissible_triple(a, b, c, r):
-            yield (a, b, c)
 
 
 def _admissible_sixtuples(r: int):
@@ -228,7 +222,7 @@ def suite_bigon(*, r: int = 7, **_) -> List[CheckResult]:
 
     worst = 0.0
     cnt = 0
-    for abc in _admissible_triples(r):
+    for abc in admissible_triples(r):
         got = bracket(theta(), list(abc), r).to_complex()
         worst = max(worst, abs(got - 1.0))
         cnt += 1
@@ -301,7 +295,7 @@ def suite_axiom7(*, r: int = 7, **_) -> List[CheckResult]:
         iu = [e for e in inc[u] if e != e0]
         iv = [e for e in inc[v] if e != e0]
         (k,) = [e for e in range(g.ne) if e != e0 and e not in iu and e not in iv]
-        for a, b, c in _admissible_triples(r):
+        for a, b, c in admissible_triples(r):
             col = [0] * 6
             col[e0] = 0
             col[iu[0]] = col[iu[1]] = a
@@ -324,17 +318,24 @@ def suite_axiom7(*, r: int = 7, **_) -> List[CheckResult]:
 
 
 def suite_desing(*, r: int = 7, **_) -> List[CheckResult]:
-    """The invariant does not depend on the fan-tree anchor choice."""
+    """The invariant does not depend on the fan-tree anchor choice.
+
+    Each anchor setting has a memo of its own: the values it compares
+    are reduced from their own fanned graphs, not looked up in another
+    setting's memo.
+    """
     out = []
 
     g = square_pyramid()
     cols = list(admissible_colorings(g, r))
-    base = {col: yokota_ext(g, col, r).to_complex() for col in cols}
+    memo: dict = {}
+    base = {col: yokota_ext(g, col, r, memo=memo).to_complex() for col in cols}
     scale = max(abs(v) for v in base.values())
     worst = 0.0
     for k in (1, 2, 3):
+        memo = {}
         for col in cols:
-            got = yokota_ext(g, col, r, anchors={0: k}).to_complex()
+            got = yokota_ext(g, col, r, anchors={0: k}, memo=memo).to_complex()
             worst = max(worst, _rel(base[col], got, scale))
     out.append(
         CheckResult(
@@ -351,13 +352,15 @@ def suite_desing(*, r: int = 7, **_) -> List[CheckResult]:
         const = tuple([c] * g.ne)
         if const not in sample:
             sample.append(const)
-    base_vals = [yokota_ext(g, col, r).to_complex() for col in sample]
+    memo = {}
+    base_vals = [yokota_ext(g, col, r, memo=memo).to_complex() for col in sample]
     scale = max(max(abs(v) for v in base_vals), 1e-300)
     worst = 0.0
     for k in (1, 2, 3):
         anchors = {v: k for v in range(g.nv)}
+        memo = {}
         for col, want in zip(sample, base_vals):
-            got = yokota_ext(g, col, r, anchors=anchors).to_complex()
+            got = yokota_ext(g, col, r, anchors=anchors, memo=memo).to_complex()
             worst = max(worst, _rel(want, got, scale))
     out.append(
         CheckResult(
@@ -392,7 +395,11 @@ def suite_doubling(*, r: int = 5, **_) -> List[CheckResult]:
 
 
 def suite_vertexsum(*, r: int = 7, **_) -> List[CheckResult]:
-    """The invariant is multiplicative under vertex sums."""
+    """The invariant is multiplicative under vertex sums.
+
+    The summands and the vertex sums have a memo each, so a vertex sum is
+    reduced on its own instead of from the summands' stored values.
+    """
     g1 = tetrahedron()
     g2 = tetrahedron()
     gsum, m1, m2 = vertex_sum_with_maps(g1, 0, g2, 0)
@@ -401,7 +408,9 @@ def suite_vertexsum(*, r: int = 7, **_) -> List[CheckResult]:
     by_key: Dict[tuple, list] = {}
     for col2 in admissible_colorings(g2, r):
         by_key.setdefault(tuple(col2[e2] for _, e2 in spliced), []).append(col2)
-    vals1 = {col: yokota_ext(g1, col, r).to_complex() for col in cols1}
+    parts: dict = {}
+    summed: dict = {}
+    vals1 = {col: yokota_ext(g1, col, r, memo=parts).to_complex() for col in cols1}
     scale = max(abs(v) for v in vals1.values()) ** 2
     worst = 0.0
     cnt = 0
@@ -413,8 +422,8 @@ def suite_vertexsum(*, r: int = 7, **_) -> List[CheckResult]:
                 colnew[enew] = col1[e]
             for e, enew in m2.items():
                 colnew[enew] = col2[e]
-            want = vals1[col1] * yokota_ext(g2, col2, r).to_complex()
-            got = yokota_ext(gsum, colnew, r).to_complex()
+            want = vals1[col1] * yokota_ext(g2, col2, r, memo=parts).to_complex()
+            got = yokota_ext(gsum, colnew, r, memo=summed).to_complex()
             worst = max(worst, _rel(want, got, scale))
             cnt += 1
     return [
@@ -428,9 +437,16 @@ def suite_vertexsum(*, r: int = 7, **_) -> List[CheckResult]:
 
 
 def suite_fusion(*, r: Optional[int] = None, **_) -> List[CheckResult]:
-    """Termwise fusion-rule expansion and reduction-order independence."""
+    """Termwise fusion-rule expansion and reduction-order independence.
+
+    Each reduction order (no seed, or one seed) has a memo of its own, so
+    a seeded evaluation runs its own reduction instead of looking up the
+    value the unseeded one stored.
+    """
     out = []
     levels = (r,) if r else (5, 7, 9)
+    seeds = (1, 2, 3)
+    memos = {seed: {} for seed in (None,) + seeds}
 
     for lvl in levels:
         g = theta()
@@ -438,12 +454,13 @@ def suite_fusion(*, r: Optional[int] = None, **_) -> List[CheckResult]:
         p, q = face
         worst = 0.0
         cnt = 0
-        for abc in _admissible_triples(lvl):
+        for abc in admissible_triples(lvl):
             col = list(abc)
             total = 0j
             for i in fusion_colors(col[p >> 1], col[q >> 1], lvl):
                 tg, tc = fusion_at(g, col, p, q, i)
-                total += circle_weight(i, lvl) * bracket(tg, tc, lvl).to_complex()
+                val = bracket(tg, tc, lvl, memo=memos[None])
+                total += circle_weight(i, lvl) * val.to_complex()
             worst = max(worst, abs(total - 1.0))
             cnt += 1
         out.append(
@@ -459,9 +476,10 @@ def suite_fusion(*, r: Optional[int] = None, **_) -> List[CheckResult]:
         worst = 0.0
         for g in (triangular_prism(), cube()):
             col = [2] * g.ne
-            want = bracket(g, col, lvl, base_tet=False).to_complex()
-            for seed in (1, 2, 3):
-                got = bracket(g, col, lvl, base_tet=False, seed=seed).to_complex()
+            want = bracket(g, col, lvl, base_tet=False, memo=memos[None]).to_complex()
+            for seed in seeds:
+                got = bracket(g, col, lvl, base_tet=False, seed=seed, memo=memos[seed])
+                got = got.to_complex()
                 worst = max(worst, _rel(want, got, abs(want)))
         out.append(
             CheckResult(

@@ -28,7 +28,10 @@ as color-vector getters).  Each coloring then costs the rules' color
 checks and factors, the admissible internal colors, and one bracket
 memo lookup per internal coloring under the same canonical signature
 `skeinvol.planar.canonical_signature` gives; only what the memo lacks
-is reduced.  `skeinvol.bracket.cache_clear` empties the shape cache.
+is reduced.  The memo is the caller's when passed as ``memo=`` (a hit
+in it costs no budget steps) and otherwise lives for one call, so the
+value and the budget verdict depend only on the arguments.
+`skeinvol.bracket.cache_clear` empties the shape cache.
 
 The invariant is real but can be negative; the graph analogue of a
 state sum therefore adds absolute values over all colorings
@@ -49,6 +52,7 @@ from .extscalar import ExtScalar, SignLogReal
 from .planar import PlanarGraph, betti, canonical_labelings, genus
 from .qnum import (
     Level,
+    admissible_triples,
     circle_weight,
     kirby_norm,
     quantum_integer,
@@ -276,14 +280,7 @@ def _admissible_triples(r):
     It holds O(r**3) triples, so it serves only the coloring
     enumeration, whose cost grows much faster with r anyway.
     """
-    colors = Level.of(r).colors
-    top = 2 * r - 4
-    return frozenset(
-        (a, b, c)
-        for a in colors
-        for b in colors
-        for c in range(abs(a - b), min(a + b, top - a - b) + 1, 2)
-    )
+    return frozenset(admissible_triples(r))
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +388,11 @@ def yokota_ext(
     the admissible internal colors, and one memo lookup per squared
     bracket, reducing only what the memo lacks.  Every call validates
     its coloring.
+
+    budget caps the reduction steps of each bracket the memo lacks
+    (default 1e8).  memo is a dict the caller owns and may share between
+    calls; a hit in it costs no steps.  Without one the call uses a
+    fresh dict.
     """
     lv = Level.of(level)
     _validate_coloring(graph, coloring, lv)
@@ -456,7 +458,8 @@ def yokota_table(graph: PlanarGraph, level, *, budget=None, memo=None):
 
     The graph's shape is worked out once (see yokota_ext), so each
     coloring costs its rule checks and memo lookups, plus a reduction
-    only for brackets the memo has not seen.
+    only for brackets the memo has not seen.  All colorings share one
+    memo: the caller's memo, or a fresh dict for this call.
     """
     lv = Level.of(level)
     value = _evaluator(graph, lv, budget=budget, memo=memo)

@@ -15,7 +15,6 @@ from skeinvol.scans import (
     appendix_record,
     bound_record,
     family_record,
-    maximizer_record,
 )
 from skeinvol.verify import run_suite
 from skeinvol.yokota import hopf_pairing, maximizing_color
@@ -71,7 +70,7 @@ def test_criterion_5_growth_bound_and_maximizer_limit():
         if not diag["bound_ok"]:
             bound_fail = (r, diag["excess"])
             break
-    pairs = [(r, maximizer_record(r).slope) for r in range(51, 302, 2)]
+    pairs = [(r, family_record(r, 0).slope) for r in range(51, 302, 2)]
     limit = extrapolate_limit(pairs)
     gap = abs(limit - V8) / V8
     ok = bound_fail is None and gap < 0.02

@@ -4,6 +4,8 @@ import math
 
 import pytest
 
+import skeinvol.bracket as bracket_module
+import skeinvol.verify as verify
 from skeinvol.bracket import bracket, bracket_distribution, cache_clear
 from skeinvol.errors import NotPlanar, NotTrivalent
 from skeinvol.planar import (
@@ -101,6 +103,52 @@ def test_seed_independence():
     for seed in (1, 7, 123):
         got = bracket(triangular_prism(), (2,) * 9, 7, base_tet=False, seed=seed).to_complex()
         assert abs(got - base) < 1e-10 * max(1.0, abs(base))
+
+
+def test_library_ignores_skein_budget(monkeypatch):
+    def values():
+        b = bracket(cube(), (2,) * 12, 7)
+        y = yokota_ext(square_pyramid(), (2,) * 8, 7)
+        return (b.m, b.e, y.m, y.e)
+
+    cache_clear()
+    monkeypatch.setenv("SKEIN_BUDGET", "1")  # a default of --budget, for the CLI only
+    got = values()
+    monkeypatch.delenv("SKEIN_BUDGET")
+    assert got == values()
+
+
+def test_fusion_order_check_runs_seeded_reductions(monkeypatch):
+    seeded = []  # per seeded cube evaluation: [reductions, random picks]
+    current = [None]
+    real_bracket, real_reduce, real_pick = verify.bracket, bracket_module._reduce, bracket_module._Ctx.pick
+
+    def counted_bracket(g, col, level, **kw):
+        if kw.get("seed") is None or (g.nv, g.ne) != (8, 12):  # only the cube
+            return real_bracket(g, col, level, **kw)
+        current[0] = [0, 0]
+        seeded.append(current[0])
+        try:
+            return real_bracket(g, col, level, **kw)
+        finally:
+            current[0] = None
+
+    def counted_reduce(rg, ctx):
+        if current[0] is not None:
+            current[0][0] += 1
+        return real_reduce(rg, ctx)
+
+    def counted_pick(ctx, seq):
+        if current[0] is not None and ctx.rng is not None:
+            current[0][1] += 1
+        return real_pick(ctx, seq)
+
+    monkeypatch.setattr(verify, "bracket", counted_bracket)
+    monkeypatch.setattr(bracket_module, "_reduce", counted_reduce)
+    monkeypatch.setattr(bracket_module._Ctx, "pick", counted_pick)
+    assert all(res.passed for res in verify.suite_fusion(r=7))
+    assert len(seeded) == 3
+    assert all(reductions >= 1 and picks >= 1 for reductions, picks in seeded)
 
 
 def test_input_validation():

@@ -114,6 +114,15 @@ def test_scan_exhaustive_bound(capsys):
     expect_exit2(["scan", "--graph", "theta", "--policy", "exhaustive-bound", "--rmax", "9"])
 
 
+def test_scan_budget_default_from_environment(monkeypatch, capsys):
+    # the CLI reads SKEIN_BUDGET as the default of --budget
+    monkeypatch.setenv("SKEIN_BUDGET", "1")
+    rc, out, _ = run_cli(["scan", "--graph", "cube", "--policy", "maximizer", "--rmax", "7"], capsys)
+    assert rc == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [row["color_policy"] for row in rows] == ["maximizer!budget"] * 2
+
+
 def test_scan_json_output(capsys):
     rc, out, _ = run_cli(
         [

@@ -103,6 +103,20 @@ def test_admissibility_rules():
     assert fusion_colors(4, 4, 7) == (0, 2)  # (4,4,4) breaks the level bound at r=7
 
 
+def test_admissibility_interval_matches_brute_force():
+    from skeinvol.yokota import _admissible_triples
+
+    for r in range(3, 62, 2):
+        colors = Level.of(r).colors
+        brute = [t for t in itertools.product(colors, repeat=3) if is_admissible_triple(*t, r)]
+        assert admissible_triples(r) == brute  # same triples, same order
+        assert _admissible_triples(r) == frozenset(brute)
+        # odd, negative and too-large inputs give no colors
+        for a, b in itertools.product(range(-2, r + 1), repeat=2):
+            want = tuple(c for c in colors if is_admissible_triple(a, b, c, r))
+            assert fusion_colors(a, b, r) == want
+
+
 def test_theta_weight_values():
     # Theta(a,b,c) = (-1)^S [S+1]! / ([S-a]! [S-b]! [S-c]!), S = (a+b+c)/2
     assert abs(theta_weight(0, 0, 0, 5) - 1.0) < 1e-15

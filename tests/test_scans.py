@@ -24,7 +24,6 @@ from skeinvol.scans import (
     batch_sixj,
     bound_record,
     family_record,
-    maximizer_record,
     orbit_representatives,
     round_even_color,
     run_levels,
@@ -583,11 +582,12 @@ def test_batch_memory_bounded():
     assert traced_peak(batch_sixj, tab, cs, i[ii], i[jj], cb, cb, cb) < 1.25 * 2.78 * 2**20
 
 
-def test_maximizer_record():
-    rec = maximizer_record(7)
+def test_family_record_tetrahedron_is_the_maximizer_6j():
+    # m = 0: the tetrahedron at the maximizing color, Y = 6j^2
+    rec = family_record(7, 0)
     c = 2
     want_log = math.log(abs(sixj(c, c, c, c, c, c, 7).to_complex()))
-    assert rec.log_value == pytest.approx(want_log, rel=1e-12)
+    assert rec.log_value == pytest.approx(2 * want_log, rel=1e-12)
     assert rec.slope == pytest.approx((2 * math.pi / 7) * want_log, rel=1e-12)
     assert rec.color_policy == "maximizer[c=2]"
     assert rec.target == pytest.approx(V8)
@@ -896,7 +896,7 @@ def test_tv_record_memory_bounded_by_chunk():
 def test_family_record_prism_identity():
     # the first family member past the base realizes four copies of the symbol
     rec = family_record(7, 1)
-    assert rec.log_value == pytest.approx(4 * maximizer_record(7).log_value, rel=1e-10)
+    assert rec.log_value == pytest.approx(2 * family_record(7, 0).log_value, rel=1e-10)
     assert rec.target == pytest.approx(2 * V8)
     assert rec.kind == "family-m1"
 

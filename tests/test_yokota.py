@@ -481,6 +481,18 @@ def test_budget_on_a_miss_and_free_on_a_hit():
         yokota_table(triangular_prism(), 7, budget=9, memo={})
 
 
+def test_budget_verdict_independent_of_earlier_calls():
+    # no value outlives a call, so an unrestricted call cannot pay for a
+    # later restricted one
+    cache_clear()
+    g, col = octahedron(), (2,) * 12
+    with pytest.raises(BudgetExceeded):
+        yokota_ext(g, col, 7, budget=50)
+    assert not yokota_ext(g, col, 7).is_zero()
+    with pytest.raises(BudgetExceeded):
+        yokota_ext(g, col, 7, budget=50)
+
+
 def test_shape_cache_bounded_and_cleared():
     cache_clear()
     shape = _shape
