@@ -66,8 +66,8 @@ class _Ctx:
         self.budget = budget if budget is not None else _BUDGET
         self.memo = memo if memo is not None else {}
 
-    def tick(self, n=1):
-        self.steps += n
+    def tick(self):
+        self.steps += 1
         if self.steps > self.budget:
             raise BudgetExceeded(f"evaluation exceeded {self.budget:g} steps")
 

@@ -14,10 +14,11 @@ the bound sweep's forked screen uses (timings are opt-in because they would
 break that). Human-readable summaries go to stderr so stdout stays
 machine-readable.
 
-Environment: SKEIN_BUDGET is the default of --budget (evaluation budget for
-engine-backed policies); this module is its only reader, and library calls
-take budget= instead.  SKEIN_PRECISION_BITS raises the floor for
-high-precision arithmetic; it has no flag.
+Environment: SKEIN_BUDGET is the default of scan's --budget (evaluation
+budget for engine-backed policies); this module is its only reader, and
+library calls take budget= instead.  SKEIN_PRECISION_BITS raises the floor
+for high-precision arithmetic; it has no flag.  A value of either that is
+not an integer is invalid input.
 
 Exit codes: 0 success, 1 failed verification, 2 invalid input.
 """
@@ -71,7 +72,12 @@ def _fail(msg: str) -> "SystemExit":
 
 def _env_int(name: str) -> Optional[int]:
     raw = os.environ.get(name, "").strip()
-    return int(raw) if raw else None
+    if not raw:
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        _fail(f"{name} must be an integer, got {raw!r}")
 
 
 def _odd_levels(rmin: int, rmax: int, rstep: int) -> List[int]:
@@ -219,7 +225,7 @@ def _tv_builder(graph, name, budget):
 def cmd_scan(args) -> int:
     levels = _odd_levels(args.rmin, args.rmax, args.rstep)
     graph, name, file_colors = _resolve_graph(args.graph)
-    budget = args.budget
+    budget = args.budget if args.budget is not None else _env_int("SKEIN_BUDGET")
 
     if args.policy == "fixed":
         colors = (
@@ -361,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--budget",
         type=int,
-        default=_env_int("SKEIN_BUDGET"),
         help="evaluation budget for engine-backed policies; on full-TV-sweep of "
         "the tetrahedron and on exhaustive-bound, the enumerated cover 6-tuples "
         "(default: SKEIN_BUDGET)",
@@ -396,6 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _env_int("SKEIN_PRECISION_BITS")  # read by the library mid-run: refuse a bad value first
     try:
         return args.fn(args)
     except SkeinError as exc:

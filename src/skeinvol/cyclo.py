@@ -233,21 +233,25 @@ def _pmul(a, b):
     return out
 
 
+# the exact oracle refuses levels past this, where the Fraction arithmetic
+# stops being worth the wait
+_MAX_LEVEL = 31
+
+
 class CycloOracle:
     """Exact evaluation of quantum-number expressions at one level.
 
     Independent of the floating-point path: quantum integers are built
     from the Laurent expansion [n] = sum_j zeta^(n-1-2j), factorials and
     their inverses are exact field elements, and the 6j square is a ratio
-    of those.  The default budget refuses levels past 31, where the
-    Fraction arithmetic stops being worth the wait.
+    of those.  Levels past _MAX_LEVEL raise BudgetExceeded.
     """
 
     _instances: dict[int, "CycloOracle"] = {}
 
-    def __init__(self, r: int, budget: int = 31):
-        if r > budget:
-            raise BudgetExceeded(f"exact oracle capped at r <= {budget}, got r={r}")
+    def __init__(self, r: int):
+        if r > _MAX_LEVEL:
+            raise BudgetExceeded(f"exact oracle capped at r <= {_MAX_LEVEL}, got r={r}")
         if r < 3 or r % 2 == 0:
             raise ValueError(f"level must be an odd integer >= 3, got {r}")
         self.r = r
@@ -274,10 +278,10 @@ class CycloOracle:
         self._theta_inverse: dict[tuple, CycloExact] = {}
 
     @classmethod
-    def of(cls, r, budget: int = 31) -> "CycloOracle":
+    def of(cls, r) -> "CycloOracle":
         o = cls._instances.get(r)
         if o is None:
-            o = cls(r, budget=budget)
+            o = cls(r)
             cls._instances[r] = o
         return o
 
@@ -332,13 +336,13 @@ class CycloOracle:
         return out
 
 
-def sixj_exact_square(n1, n2, n3, n4, n5, n6, level, budget: int = 31) -> complex:
+def sixj_exact_square(n1, n2, n3, n4, n5, n6, level) -> complex:
     """Numeric value of the exact 6j square at the level.
 
     The computation runs entirely in Q(zeta_r) and is embedded at the
     end; use it to validate the floating-point engine.  Raises
-    BudgetExceeded for levels past the budget.
+    BudgetExceeded for levels past _MAX_LEVEL.
     """
     r = level.r if hasattr(level, "r") else int(level)
-    oracle = CycloOracle.of(r, budget=budget)
+    oracle = CycloOracle.of(r)
     return oracle.sixj_square((n1, n2, n3, n4, n5, n6)).embed()

@@ -90,9 +90,6 @@ class ExtScalar:
             return -math.inf
         return math.log(abs(self.m)) + self.e * _LN2
 
-    def log10_abs(self):
-        return self.log_abs() / math.log(10.0)
-
     def real_ratio(self):
         """|im| / max(|re|,|im|) of the mantissa (0 for exactly real)."""
         a = max(abs(self.m.real), abs(self.m.imag))

@@ -623,10 +623,7 @@ def canonical_signature(g: PlanarGraph, coloring=None):
 
     Two graphs (with colorings) get the same signature exactly when some
     isomorphism of embedded colored graphs, possibly orientation-
-    reversing, relates them.  The colors used to be folded into the BFS
-    rows, at the price of one full search per coloring.  The colored
-    value now has another form, but it tells apart exactly the same
-    graphs.  The uncolored value is unchanged.
+    reversing, relates them.
     """
     isolated, comps = canonical_labelings(g)
     if coloring is None:

@@ -7,22 +7,20 @@ log-domain 6j evaluator:
 
 * the batched 6j (batch_sixj) sorts each block of 6-tuples by the
   length of its z-range, so every term of every alternating z-sum is
-  computed exactly once and no lane is padded.  Its output is
-  bit-identical to the earlier padded two-pass kernel; on a 2-core box
-  it runs about 3.2 M tuples/s on the bound sweep at r = 41..65, against
-  0.78 M tuples/s before;
+  computed exactly once and no lane is padded.  On a 2-core box it runs
+  about 3.2 M tuples/s on the bound sweep at r = 41..65;
 * the 6-tuple enumeration (sixtuple_chunks) reads every admissibility
   and cover condition as an interval bound, so each slot's colors are
   one range given the earlier slots; the ranges are expanded with
-  repeat/cumsum in pieces of at most _BLOCK tuples and copied into
-  fixed-size chunks.  On a 2-core box it lists the 34.7 M-tuple cover
-  at r = 101 in about 0.75 s, against 8 s for the earlier boolean
-  K x K masks;
+  repeat/cumsum and yielded in blocks of _BLOCK tuples.  The block is
+  the one unit of the 6-tuple stream: the enumeration, the kernel and
+  the forked screen all work on it.  On a 2-core box the enumeration
+  lists the 34.7 M-tuple cover at r = 101 in about 0.8 s;
 * the exhaustive 6j bound sweep enumerates admissible 6-tuples up to a
   symmetry restriction, screens them with a cancellation-free upper
   bound, and re-evaluates only the near-maximal ones exactly.  Each
-  level's screen runs on every usable core: the cover is dealt in blocks
-  of _BLOCK tuples to forked processes (see _screen_cover), which send
+  level's screen runs on every usable core: the blocks of the cover are
+  dealt round-robin to forked processes (see _screen_cover), which send
   back only counts, maxima and candidates, so the record is
   bit-identical to one process's.  It stays in-process on one core,
   without the fork start method, while other threads of the caller run,
@@ -35,9 +33,7 @@ log-domain 6j evaluator:
   so each z-term is two integer multiplies, and the factorials come
   from a rotation recurrence instead of r mpmath sines.  On a 2-core
   box with pure-Python mpmath, pent-zero at r = 321 takes about 1.7 s
-  (about 3.5 s with seven multiplies per term, 10 s with the earlier
-  mpf-division sums) and the whole pent-zero grid of reproduce-appendix
-  about 6 s (13 s, 44 s);
+  and the whole pent-zero grid of reproduce-appendix about 6 s;
 * the family fast path uses Y(prism, all-max) = sixj(max,...)^4 (one
   6j per level), checked against the graph engine at small levels in
   the test suite.
@@ -51,6 +47,7 @@ The numpy tables every kernel here reads (lf, fneg) live on qnum.Level.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import os
 import threading
@@ -98,7 +95,7 @@ def _sixj_indices(a, b, c, d, e, f):
     return t, q
 
 
-_BLOCK = 32_768  # tuples per kernel block and per enumeration piece: they stay in the L2 cache
+_BLOCK = 32_768  # tuples per block of the 6-tuple stream and of the kernel: they stay in the L2 cache
 _TERMS = 32_768  # z-terms kept at once (9 bytes each), whatever the level
 
 
@@ -314,8 +311,7 @@ def _cover_pieces(m: int, restrict: bool):
                     yield a, (d5[i2:j2], b5[i2:j2], c5[i2:j2], e[i2:j2]), item, f
 
 
-def sixtuple_chunks(lv: Level, *, restrict: bool = True,
-                    chunk: int = 200_000, budget: Optional[int] = None):
+def sixtuple_chunks(lv: Level, *, restrict: bool = True, budget: Optional[int] = None):
     """Yield admissible 6-tuples (a,b,c,d,e,f) as arrays of colors.
 
     All four vertex triples (a,b,c), (a,e,f), (b,d,f), (c,d,e) are
@@ -334,19 +330,14 @@ def sixtuple_chunks(lv: Level, *, restrict: bool = True,
     slot, b <= c, e >= b, f >= b + [e < c], and f >= c when e == b.
 
     The tuples come in lexicographic (a, d, b, c, e, f) order, as six
-    int64 arrays; every chunk holds exactly chunk tuples except the
-    last, which holds the rest.  Each chunk is six fresh arrays of
-    length chunk, filled from pieces of at most _BLOCK tuples, so memory
-    is bounded by the chunk, not by the level.  At a level with fewer
-    than chunk 6-tuples of colors (m**6) the arrays have m**6 entries.
+    int64 arrays, in blocks of exactly _BLOCK tuples except the last,
+    which holds the rest.  Each block is six fresh arrays filled from
+    the pieces of _cover_pieces, so memory is bounded by the block, not
+    by the level.
 
     budget caps the number of tuples enumerated: BudgetExceeded is
     raised before any tuple past it is yielded.
     """
-    if chunk < 1:
-        raise ValueError(f"chunk must be at least 1, got {chunk}")
-    # the cover never exceeds m**6 tuples (m colors in each of six slots)
-    cap = min(chunk, lv.m ** 6)
     total = 0
     fill = 0
     out = None
@@ -360,8 +351,8 @@ def sixtuple_chunks(lv: Level, *, restrict: bool = True,
         s = 0
         while s < n:
             if out is None:
-                out = tuple(np.empty(cap, dtype=np.int64) for _ in range(6))
-            t = min(n, s + chunk - fill)
+                out = tuple(np.empty(_BLOCK, dtype=np.int64) for _ in range(6))
+            t = min(n, s + _BLOCK - fill)
             dst = slice(fill, fill + t - s)
             out[0][dst] = 2 * a
             sel = item[s:t]
@@ -370,7 +361,7 @@ def sixtuple_chunks(lv: Level, *, restrict: bool = True,
             np.multiply(f[s:t], 2, out=out[5][dst])
             fill += t - s
             s = t
-            if fill == chunk:
+            if fill == _BLOCK:
                 yield out
                 out, fill = None, 0
     if fill:
@@ -378,12 +369,12 @@ def sixtuple_chunks(lv: Level, *, restrict: bool = True,
 
 
 def orbit_representatives(lv: Level, tup):
-    """Which tuples of a chunk are canonical, and their orbit sizes.
+    """Which tuples of a block are canonical, and their orbit sizes.
 
     A tuple is canonical when it is the lexicographic minimum of its 24
     tetrahedral images (qnum.SIXJ_SYMMETRIES); its orbit then has 24 //
     |stabilizer| members, the stabilizer being the symmetries that fix
-    it.  Returns (keep, weight): a boolean mask over the chunk and the
+    it.  Returns (keep, weight): a boolean mask over the block and the
     orbit size of each kept tuple.  Every canonical tuple has a minimal
     and (b,c) <= (c,b), (e,f), (f,e), so the restricted cover of
     sixtuple_chunks contains each class's representative exactly once.
@@ -416,8 +407,7 @@ def orbit_representatives(lv: Level, tup):
 # per-level scan records
 
 
-def bound_record(r: int, *, margin: float = 4.0, chunk: int = 200_000,
-                 budget: Optional[int] = None):
+def bound_record(r: int, *, margin: float = 4.0, budget: Optional[int] = None):
     """Exhaustive 6j max at one level, with the growth-bound check.
 
     Returns (record, diagnostics).  The record's log_value is the level
@@ -431,18 +421,17 @@ def bound_record(r: int, *, margin: float = 4.0, chunk: int = 200_000,
     threshold; those are recomputed with the scalar evaluator, which
     escalates to high precision on its own when doubles cancel away.
 
-    The screen runs on every usable core (see _screen_cover): the cover
-    is dealt in blocks of _BLOCK tuples to forked processes, each of
-    which sends back its tuple count, maxima and candidates.  These
-    merge exactly, so the record and diagnostics are bit-identical for
-    any process count and any chunk, and chunk bounds each process's
-    memory.  The exact recheck runs in the calling process.
+    The screen runs on every usable core (see _screen_cover): the
+    blocks of the cover are dealt to forked processes, each of which
+    sends back its tuple count, maxima and candidates.  These merge
+    exactly, so the record and diagnostics are bit-identical for any
+    process count.  The exact recheck runs in the calling process.
     """
     lv = Level.of(r)
     thr_slope = V8 + margin * math.log(r) / r
     thr_log = thr_slope * r / (2 * math.pi)
-    chunks = sixtuple_chunks(lv, restrict=True, chunk=chunk, budget=budget)
-    ntuples, safe_max, worst_cancel, cand = _screen_cover(lv, chunks, thr_log - 1.0)
+    blocks = sixtuple_chunks(lv, restrict=True, budget=budget)
+    ntuples, safe_max, worst_cancel, cand = _screen_cover(lv, blocks, thr_log - 1.0)
     exact_max = -math.inf
     excess = -math.inf
     for tup in sorted(set(cand)):
@@ -475,25 +464,25 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
-def _screen_cover(lv: Level, chunks, hot_log: float):
-    """bound_record's screen over the cover in chunks, on every usable core.
+def _screen_cover(lv: Level, blocks, hot_log: float):
+    """bound_record's screen over the cover's blocks, on every usable core.
 
     Returns (tuples, safe_max, worst_cancel, cand) as _screen_share does
-    for the whole cover.  The cover is dealt round-robin in blocks of
-    _BLOCK tuples: _cores() - 1 forked processes take one share each and
-    this process the first.  Every process enumerates the whole cover
-    and skips the blocks that are not its own; a worker sends back only
-    its four values.  Counts add, maxima of floats are exact and the
-    candidates are rechecked as a sorted set, so the merge is exact.
+    for the whole cover.  The blocks are dealt round-robin: _cores() - 1
+    forked processes take one share each and this process the first.
+    Every process enumerates the whole cover and skips the blocks that
+    are not its own; a worker sends back only its four values.  Counts
+    add, maxima of floats are exact and the candidates are rechecked as
+    a sorted set, so the merge is exact.
 
     It stays in-process when one core is usable, when the fork start
     method is missing, while any other thread of the caller runs (a fork
     copies only the calling thread, and the locks the others hold) and
-    when the cover holds fewer than _cores() blocks, so that some process
-    would get no full block.  A fork and its result cost about 5 ms on a
-    2-core box, the kernel time of some 16,000 tuples.  The cover is read
-    that far before deciding, so a process holds at most max(chunk,
-    _cores() * _BLOCK) tuples.  A worker's exception, BudgetExceeded
+    when the cover holds fewer than _cores() full blocks, so that some
+    process would get no full block.  A fork and its result cost about
+    5 ms on a 2-core box, the kernel time of some 16,000 tuples.  The
+    first _cores() blocks are read before deciding, so a process holds
+    at most _cores() + 1 blocks.  A worker's exception, BudgetExceeded
     included, is raised here, and no worker outlives the call.
     """
     import multiprocessing  # here, so that importing skeinvol stays as fast
@@ -501,19 +490,16 @@ def _screen_cover(lv: Level, chunks, hot_log: float):
     nproc = _cores()
     if (nproc > 1 and threading.active_count() == 1
             and "fork" in multiprocessing.get_all_start_methods()):
-        head, seen = [], 0
-        for tup in chunks:
-            head.append(tup)
-            seen += tup[0].size
-            if seen >= nproc * _BLOCK:
-                break
-        else:
+        head = list(itertools.islice(blocks, nproc))
+        # only the last block of the cover can be short
+        if len(head) < nproc or head[-1][0].size < _BLOCK:
             nproc = 1
-        chunks = _replay(head, chunks)
+        blocks = itertools.chain(head, blocks)
+        del head  # the chain then frees the head blocks once it has passed them
     else:
         nproc = 1
     if nproc == 1:
-        return _screen_share(lv, chunks, hot_log)
+        return _screen_share(lv, blocks, hot_log)
 
     ctx = multiprocessing.get_context("fork")
     workers = []
@@ -522,11 +508,11 @@ def _screen_cover(lv: Level, chunks, hot_log: float):
         for share in range(1, nproc):
             recv, send = ctx.Pipe(duplex=False)
             proc = ctx.Process(target=_screen_worker, daemon=True,
-                               args=(send, lv, chunks, hot_log, share, nproc))
+                               args=(send, lv, blocks, hot_log, share, nproc))
             proc.start()
             send.close()
             workers.append((proc, recv))
-        shares = [_screen_share(lv, chunks, hot_log, 0, nproc)]
+        shares = [_screen_share(lv, blocks, hot_log, 0, nproc)]
         for proc, recv in workers:
             try:
                 ok, out = recv.recv()
@@ -546,13 +532,6 @@ def _screen_cover(lv: Level, chunks, hot_log: float):
             max(s[2] for s in shares), [t for s in shares for t in s[3]])
 
 
-def _replay(head: list, rest):
-    """The chunks in head, released as they are taken, then those of rest."""
-    while head:
-        yield head.pop(0)
-    yield from rest
-
-
 def _screen_worker(send, *args) -> None:
     """A forked process's side of _screen_cover: one share, sent back."""
     try:
@@ -563,47 +542,36 @@ def _screen_worker(send, *args) -> None:
     send.close()
 
 
-def _screen_share(lv: Level, chunks, hot_log: float,
+def _screen_share(lv: Level, blocks, hot_log: float,
                   share: int = 0, nshares: int = 1):
-    """Screen the tuples of the blocks k of _BLOCK tuples (counted over
-    the whole cover) with k % nshares == share.
+    """Screen the blocks k of the cover with k % nshares == share.
 
     Returns (tuples, safe_max, worst_cancel, cand): how many tuples were
     screened; the largest log|6j| and the worst finite cancellation
     among those whose upper bound log_ub stays under hot_log; and the
-    tuples at or above it, for the exact recheck.
+    tuples at or above it, for the exact recheck.  The blocks of the
+    other shares are enumerated too, so a budget is checked alike in
+    every share.
     """
     ntuples = 0
     safe_max = -math.inf
     worst_cancel = 0.0
     cand: list[tuple] = []
-    start = 0  # index of the chunk's first tuple in the cover
-    for tup in chunks:
-        n = tup[0].size
-        if nshares == 1:
-            parts = [(0, n)]
-        else:
-            k = start // _BLOCK
-            k += (share - k) % nshares
-            parts = [(max(b * _BLOCK - start, 0), min((b + 1) * _BLOCK - start, n))
-                     for b in range(k, -(-(start + n) // _BLOCK), nshares)]
-        start += n
-        for lo, hi in parts:
-            part = tuple(x[lo:hi] for x in tup)
-            res = batch_sixj(lv, *part)
-            ntuples += hi - lo
-            hot = res["log_ub"] >= hot_log
-            if hot.any():
-                idx = np.nonzero(hot)[0]
-                for i in idx:
-                    cand.append(tuple(int(x[i]) for x in part))
-            cold = ~hot
-            if cold.any():
-                safe_max = max(safe_max, float(res["log"][cold].max()))
-                fin = res["cancel"][cold]
-                fin = fin[np.isfinite(fin)]
-                if fin.size:
-                    worst_cancel = max(worst_cancel, float(fin.max()))
+    for tup in itertools.islice(blocks, share, None, nshares):
+        res = batch_sixj(lv, *tup)
+        ntuples += tup[0].size
+        hot = res["log_ub"] >= hot_log
+        if hot.any():
+            idx = np.nonzero(hot)[0]
+            for i in idx:
+                cand.append(tuple(int(x[i]) for x in tup))
+        cold = ~hot
+        if cold.any():
+            safe_max = max(safe_max, float(res["log"][cold].max()))
+            fin = res["cancel"][cold]
+            fin = fin[np.isfinite(fin)]
+            if fin.size:
+                worst_cancel = max(worst_cancel, float(fin.max()))
     return ntuples, safe_max, worst_cancel, cand
 
 
@@ -715,8 +683,7 @@ def wheel_log_invariant(r: int, n_spokes: int, s: int, b: int):
     return log_y, (1.0 if acc > 0 else -1.0), worst_cancel
 
 
-def wheel_log_invariant_mp(r: int, n_spokes: int, s: int, b: int,
-                           prec: Optional[int] = None):
+def wheel_log_invariant_mp(r: int, n_spokes: int, s: int, b: int):
     """High-precision wheel closed form; same contract as the float twin.
 
     The vertex normalizations enter only as Theta^(-2) (fourth powers)
@@ -735,8 +702,7 @@ def wheel_log_invariant_mp(r: int, n_spokes: int, s: int, b: int,
              if is_admissible_triple(s, s, i, lv) and is_admissible_triple(i, b, b, lv)]
     if not ilist:
         raise ValueError(f"no admissible fan colors for wheel at r={r}")
-    if prec is None:
-        prec = mp_precision(2 * r + 256)
+    prec = mp_precision(2 * r + 256)
     for _ in range(5):
         tab = lv.mp_factorials(prec)
         fan = tab.fan(s, b)
@@ -813,15 +779,14 @@ def appendix_record(kind: str, r: int) -> ScanRecord:
     )
 
 
-def tv_tet_record(r: int, *, budget: Optional[int] = None,
-                  chunk: int = 500_000) -> ScanRecord:
+def tv_tet_record(r: int, *, budget: Optional[int] = None) -> ScanRecord:
     """Full state sum sum_col |Y(tet,col)| = sum |6j|^2 at one level.
 
     Only one tuple per tetrahedral class is evaluated (its canonical
     representative, see orbit_representatives), weighted by its orbit
-    size.  The weighted terms are summed as a stream: a running maximum
-    of the logs, with the partial sum rescaled whenever it rises, so
-    memory is bounded by the chunk, not by the level.  cancel_digits is
+    size.  The weighted terms are summed as a stream, block by block: a
+    running maximum of the logs, with the partial sum rescaled whenever
+    it rises, so memory is bounded by the block, not by the level.  cancel_digits is
     the worst over the representatives; budget caps the enumerated
     cover tuples (sixtuple_chunks with restrict=True).
     """
@@ -829,9 +794,9 @@ def tv_tet_record(r: int, *, budget: Optional[int] = None,
     mx = -math.inf  # running max of log |6j|^2
     shifted = 0.0   # sum of weight * |6j|^2 / exp(mx)
     worst_cancel = 0.0
-    for tup in sixtuple_chunks(lv, restrict=True, chunk=chunk, budget=budget):
+    for tup in sixtuple_chunks(lv, restrict=True, budget=budget):
         keep, weight = orbit_representatives(lv, tup)
-        tup = tuple(x[keep] for x in tup)  # frees the rest of the chunk
+        tup = tuple(x[keep] for x in tup)  # frees the rest of the block
         res = batch_sixj(lv, *tup)
         fin = np.isfinite(res["log"])
         if fin.any():

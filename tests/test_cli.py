@@ -123,6 +123,31 @@ def test_scan_budget_default_from_environment(monkeypatch, capsys):
     assert [row["color_policy"] for row in rows] == ["maximizer!budget"] * 2
 
 
+def test_scan_refuses_malformed_budget_environment(monkeypatch, capsys):
+    # SKEIN_BUDGET is only scan's default of --budget: a value that is no
+    # integer is invalid input there, and no other subcommand reads it
+    monkeypatch.setenv("SKEIN_BUDGET", "abc")
+    expect_exit2(["scan", "--graph", "tetrahedron", "--policy", "maximizer", "--rmax", "7"])
+    assert "error: SKEIN_BUDGET must be an integer, got 'abc'" in capsys.readouterr().err
+    rc, out, _ = run_cli(["scan", "--graph", "tetrahedron", "--policy", "maximizer",
+                          "--rmax", "7", "--budget", "1000"], capsys)
+    assert rc == 0
+    assert out.startswith("r,kind,")
+    rc, out, _ = run_cli(["sixj", "--r", "7", "--colors", "2,2,2,2,2,2"], capsys)
+    assert rc == 0
+    assert "admissible: yes" in out
+
+
+@pytest.mark.parametrize("argv", [["sixj", "--r", "7", "--colors", "2,2,2,2,2,2"],
+                                  ["verify", "sixj-symmetry", "--r", "7"]])
+def test_malformed_precision_environment_is_invalid_input(monkeypatch, capsys, argv):
+    monkeypatch.setenv("SKEIN_PRECISION_BITS", "12x")
+    expect_exit2(argv)
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "error: SKEIN_PRECISION_BITS must be an integer, got '12x'" in out.err
+
+
 def test_scan_json_output(capsys):
     rc, out, _ = run_cli(
         [
@@ -229,10 +254,15 @@ def test_scan_exhaustive_bound_golden_csv(capsys):
 
 
 @pytest.mark.parametrize("graph,rmax,name", [("triangular-prism", "9", "tv-prism-5-9.csv"),
-                                             ("cube", "7", "tv-cube-5-7.csv")])
+                                             ("cube", "7", "tv-cube-5-7.csv"),
+                                             ("tetrahedron", "41", "tv-tetrahedron-5-41.csv")])
 def test_scan_full_tv_sweep_golden_csv(graph, rmax, name, capsys):
-    # Written before each coloring sum worked out its graph's shape once
-    # and read every bracket from the memo through canonical color getters.
+    # The prism and cube files were written before each coloring sum worked
+    # out its graph's shape once and read every bracket from the memo
+    # through canonical color getters.  The tetrahedron file was written
+    # before the 6-tuple stream came in blocks of _BLOCK tuples, which
+    # regrouped the orbit-weighted sum of tv_tet_record: at r = 37 its
+    # log_value moved one ulp, which the 12-digit CSV does not show.
     golden = (DATA / name).read_bytes()
     rc, out, _ = run_cli(
         ["scan", "--graph", graph, "--policy", "full-TV-sweep", "--rmin", "5", "--rmax", rmax],

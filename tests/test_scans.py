@@ -329,57 +329,46 @@ def _sixtuple_chunks_reference(tab, *, restrict=True, chunk=200_000, budget=None
         yield out
 
 
-def concatenated(chunks):
-    """The six columns of a chunk stream laid end to end, and the chunk sizes."""
-    chunks = list(chunks)
-    cols = tuple(np.concatenate([tup[k] for tup in chunks]) for k in range(6))
-    return cols, [tup[0].size for tup in chunks]
+def concatenated(blocks):
+    """The six columns of a block stream laid end to end, and the block sizes."""
+    blocks = list(blocks)
+    cols = tuple(np.concatenate([tup[k] for tup in blocks]) for k in range(6))
+    return cols, [tup[0].size for tup in blocks]
 
 
 def test_chunks_match_reference_in_order():
-    # Chunks of 1 and 7 cost a generator step per few tuples, so they run
-    # on the small levels only.
     for restrict, rmax in ((True, 49), (False, 35)):
         for r in range(5, rmax + 1, 2):
             tab = Level.of(r)
             want, _ = concatenated(_sixtuple_chunks_reference(tab, restrict=restrict))
-            for chunk in ((1, 7, 1_000, None) if r <= 21 else (1_000, None)):
-                kw = {} if chunk is None else {"chunk": chunk}
-                chunks = list(sixtuple_chunks(tab, restrict=restrict, **kw))
-                got, sizes = concatenated(chunks)
-                for x, y in zip(got, want):
-                    assert x.dtype == np.int64
-                    assert np.array_equal(x, y), (r, restrict, chunk)
-                full = chunk or 200_000
-                assert all(n == full for n in sizes[:-1])
-                assert 0 < sizes[-1] <= full
-                assert all(x.dtype == np.int64 for tup in chunks for x in tup)
-
-
-def test_chunks_reject_empty_chunk():
-    for chunk in (0, -1):
-        with pytest.raises(ValueError):
-            next(sixtuple_chunks(Level.of(7), chunk=chunk))
+            blocks = list(sixtuple_chunks(tab, restrict=restrict))
+            got, sizes = concatenated(blocks)
+            for x, y in zip(got, want):
+                assert x.dtype == np.int64
+                assert np.array_equal(x, y), (r, restrict)
+            assert all(n == scans._BLOCK for n in sizes[:-1])
+            assert 0 < sizes[-1] <= scans._BLOCK
+            assert all(x.dtype == np.int64 for tup in blocks for x in tup)
 
 
 def test_chunks_budget_edges():
-    tab = Level.of(21)
-    cover = sum(tup[0].size for tup in sixtuple_chunks(tab))
-    for chunk in (7, 1_000, None):
-        kw = {} if chunk is None else {"chunk": chunk}
-        assert sum(tup[0].size for tup in sixtuple_chunks(tab, budget=cover, **kw)) == cover
+    # r = 21: 4,641 cover tuples in one block; r = 37: 104,948 in four
+    for r in (21, 37):
+        tab = Level.of(r)
+        cover = sum(tup[0].size for tup in sixtuple_chunks(tab))
+        assert sum(tup[0].size for tup in sixtuple_chunks(tab, budget=cover)) == cover
         yielded = 0
         with pytest.raises(BudgetExceeded):
-            for tup in sixtuple_chunks(tab, budget=cover - 1, **kw):
+            for tup in sixtuple_chunks(tab, budget=cover - 1):
                 yielded += tup[0].size
         assert yielded <= cover - 1
 
 
-def drain_peak(r, chunk):
+def drain_peak(r):
     tab = Level.of(r)
     tracemalloc.start()
     try:
-        for _ in sixtuple_chunks(tab, chunk=chunk):
+        for _ in sixtuple_chunks(tab):
             pass
         return tracemalloc.get_traced_memory()[1]
     finally:
@@ -387,16 +376,15 @@ def drain_peak(r, chunk):
 
 
 def test_chunks_memory_bounded_by_chunk_not_level():
-    # Draining the restricted cover in chunks of 20,000 peaks at 3.8 MB at
-    # r = 61 and 3.9 MB at r = 101 (34.7 M tuples); the mask enumerator
-    # peaked at 5.6 and 33.4 MB.
-    assert drain_peak(101, 20_000) <= 1.25 * drain_peak(61, 20_000)
+    # Draining the restricted cover in blocks peaks at 4.9 MB at r = 61
+    # and 5.0 MB at r = 101 (34.7 M tuples); the mask enumerator peaked
+    # at 5.6 and 33.4 MB.
+    assert drain_peak(101) <= 1.25 * drain_peak(61)
 
 
 def test_small_cover_allocates_small_buffers():
-    # At r = 7 (m = 3) the arrays hold m**6 = 729 tuples, not the default
-    # chunk of 500,000 (24.0 MB for six full-length buffers).  The peak
-    # reads 0.06 MB.
+    # At r = 7 the cover holds 23 tuples, in one block whose six buffers
+    # of _BLOCK tuples take 1.5 MB.  The peak reads 1.5 MB.
     tracemalloc.start()
     try:
         tv_tet_record(7)
@@ -424,17 +412,6 @@ def bound_bits(rec, diag):
     )
 
 
-def test_bound_record_independent_of_chunk():
-    for r in (25, 41):
-        rec, diag = bound_record(r)
-        small, small_diag = bound_record(r, chunk=1_000)
-        assert small.log_value == rec.log_value
-        assert small_diag["tuples"] == diag["tuples"]
-        assert small_diag["rechecked"] == diag["rechecked"]
-        # and the slope, cancel_digits, bound_ok and excess, bit for bit
-        assert bound_bits(small, small_diag) == bound_bits(rec, diag)
-
-
 @pytest.fixture
 def forks(monkeypatch):
     """Count the os.fork calls made by this process."""
@@ -453,19 +430,23 @@ def forks(monkeypatch):
 # candidate lists are empty; these margins put the hot tuples in the last
 # two blocks of the cover (539 at r = 41, 239 at r = 49), which belong to
 # different processes.
-WORKER_CASES = [(25, 4.0), (41, 4.0), (49, 4.0), (41, -9.0), (49, -8.0)]
+WORKER_CASES = [(25, 4.0), (35, 4.0), (41, 4.0), (49, 4.0), (41, -9.0), (49, -8.0)]
+
+# full blocks in the cover where that is fewer than three: a screen forks
+# only when every process gets one
+FULL_BLOCKS = {25: 0, 35: 2}
 
 
-@pytest.mark.parametrize("chunk", [1_000, 200_000])
-def test_bound_record_bits_independent_of_worker_count(monkeypatch, forks, chunk):
+def test_bound_record_bits_independent_of_worker_count(monkeypatch, forks):
     for r, margin in WORKER_CASES:
         seen = {}
         for n in (1, 2, 3):
             monkeypatch.setattr(scans, "_cores", lambda n=n: n)
             del forks[:]
-            seen[n] = bound_bits(*bound_record(r, margin=margin, chunk=chunk))
-            # r = 25 (11,904 tuples) is under one block per process
-            assert len(forks) == (0 if r == 25 else n - 1)
+            seen[n] = bound_bits(*bound_record(r, margin=margin))
+            # r = 25 (11,904 tuples) is under one block per process, and
+            # r = 35 (76,768 tuples) under one for each of three
+            assert len(forks) == (n - 1 if n <= FULL_BLOCKS.get(r, 3) else 0)
             assert multiprocessing.active_children() == []
         assert seen[2] == seen[1] and seen[3] == seen[1], (r, margin)
         if margin < 0:
@@ -561,13 +542,15 @@ def traced_peak(fn, *args):
 
 
 def test_batch_memory_bounded():
-    # The largest restricted chunk at r = 65: exactly 200,000 tuples of at
-    # most 8 terms (the mask enumerator's largest chunk held 214,386).  The
-    # peak measures 13.4 MB, 8.0 MB of it the five output arrays; on the
-    # 214,386-tuple chunk it read 14.0 MB, and the padded two-pass kernel
-    # peaked at 41.1 MB there.
+    # The first 200,000 tuples of the restricted cover at r = 65, of at
+    # most 8 terms, laid end to end from seven blocks.  The peak measures
+    # 13.4 MB, 8.0 MB of it the five output arrays; on the mask
+    # enumerator's 214,386-tuple chunk it read 14.0 MB, and the padded
+    # two-pass kernel peaked at 41.1 MB there.
     tab = Level.of(65)
-    tup = max(sixtuple_chunks(tab, restrict=True), key=lambda block: block[0].size)
+    blocks = sixtuple_chunks(tab, restrict=True)
+    tup = tuple(x[:200_000] for x in concatenated(itertools.islice(blocks, 7))[0])
+    assert tup[0].size == 200_000
     assert traced_peak(batch_sixj, tab, *tup) < 1.25 * 14.0 * 2**20
     # The w_ij call of the pent-zero wheel at r = 321: 12,880 tuples of up
     # to 80 terms, 351,000 in all.  The peak measures 2.78 MB (the padded
@@ -828,7 +811,7 @@ def reference_tv_tet_log(r):
     every log kept until the overall maximum is known."""
     tab = Level.of(r)
     logs = []
-    for tup in sixtuple_chunks(tab, restrict=False, chunk=500_000):
+    for tup in sixtuple_chunks(tab, restrict=False):
         lg = batch_sixj(tab, *tup)["log"]
         logs.append(2.0 * lg[np.isfinite(lg)])
     mx = max(float(lg.max()) for lg in logs if lg.size)
@@ -840,7 +823,7 @@ def test_orbit_representatives_one_per_class():
         full = all_admissible_sixtuples(r)
         tab = Level.of(r)
         kept = []
-        for tup in sixtuple_chunks(tab, restrict=True, chunk=50):
+        for tup in sixtuple_chunks(tab, restrict=True):
             keep, weight = orbit_representatives(tab, tup)
             rows = zip(*[x[keep].tolist() for x in tup])
             kept += [(row, int(w)) for row, w in zip(rows, weight)]
@@ -868,12 +851,15 @@ def test_numpy_paths_at_the_smallest_level():
 def test_tv_record_matches_unrestricted_sum():
     for r in range(5, 33, 2):
         assert tv_tet_record(r).log_value == pytest.approx(reference_tv_tet_log(r), rel=1e-12)
-
-
-def test_tv_record_independent_of_chunk():
-    # small chunks move the running maximum many times
-    small = tv_tet_record(25, chunk=1_000)
-    assert small.log_value == pytest.approx(tv_tet_record(25).log_value, rel=1e-12)
+    # r = 31 has two blocks, and the second holds a larger term than the
+    # first, so the running maximum rises and the partial sum is rescaled
+    tab = Level.of(31)
+    tops = []
+    for tup in sixtuple_chunks(tab, restrict=True):
+        keep, _ = orbit_representatives(tab, tup)
+        lg = batch_sixj(tab, *(x[keep] for x in tup))["log"]
+        tops.append(float(lg[np.isfinite(lg)].max()))
+    assert len(tops) == 2 and tops[1] > tops[0]
 
 
 def test_tv_record_budget_counts_cover_tuples():
@@ -886,7 +872,7 @@ def test_tv_record_budget_counts_cover_tuples():
 def test_tv_record_memory_bounded_by_chunk():
     tracemalloc.start()
     try:
-        tv_tet_record(41, chunk=20_000)
+        tv_tet_record(41)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
