@@ -432,21 +432,26 @@ def forks(monkeypatch):
 # different processes.
 WORKER_CASES = [(25, 4.0), (35, 4.0), (41, 4.0), (49, 4.0), (41, -9.0), (49, -8.0)]
 
-# full blocks in the cover where that is fewer than three: a screen forks
-# only when every process gets one
+# full blocks of the shipped size in the cover, where that is fewer than
+# three: r = 25 (11,904 tuples) has none and r = 35 (76,768 tuples) two
 FULL_BLOCKS = {25: 0, 35: 2}
 
 
-def test_bound_record_bits_independent_of_worker_count(monkeypatch, forks):
+@pytest.mark.parametrize("block", [1_000, scans._BLOCK, 200_000])
+def test_bound_record_bits_independent_of_worker_count(monkeypatch, forks, block):
+    monkeypatch.setattr(scans, "_BLOCK", block)
     for r, margin in WORKER_CASES:
         seen = {}
         for n in (1, 2, 3):
             monkeypatch.setattr(scans, "_cores", lambda n=n: n)
             del forks[:]
-            seen[n] = bound_bits(*bound_record(r, margin=margin))
-            # r = 25 (11,904 tuples) is under one block per process, and
-            # r = 35 (76,768 tuples) under one for each of three
-            assert len(forks) == (n - 1 if n <= FULL_BLOCKS.get(r, 3) else 0)
+            rec, diag = bound_record(r, margin=margin)
+            seen[n] = bound_bits(rec, diag)
+            # a screen forks only when each of the n processes gets a full block
+            full = diag["tuples"] // block
+            if block == 32_768:
+                assert min(full, 3) == FULL_BLOCKS.get(r, 3)
+            assert len(forks) == (n - 1 if n <= full else 0)
             assert multiprocessing.active_children() == []
         assert seen[2] == seen[1] and seen[3] == seen[1], (r, margin)
         if margin < 0:
