@@ -17,40 +17,48 @@ that, with circle_weight for a free loop:
 Evaluation is by local moves: after the cheap rules above the graph is
 reduced with bigon collapses, triangle contractions, and — when the
 smallest face has degree four or more — the H-to-I rewiring that expands
-one edge into a weighted sum over recolorings.  Values of reduced forms
-are memoized under the canonical colored signature: the uncolored
-labeling is worked out once per embedded shape (and cached), and the
-colorings of one shape are told apart by their color vectors.  The memo
-belongs to one call, or to the caller who passes it, so a value and a
-budget verdict depend only on a call's arguments.
+one edge into a weighted sum over recolorings.  Which move comes next
+depends only on the labeled graph and on which of its edges are colored
+0, never on the other colors.  So the moves run once per (labeled graph,
+zero-edge pattern, base_tet) over color slots, recording a straight-line
+program: color checks that can make the value 0, circle-weight,
+vertex-weight and 6j factors, and a last product over components or
+H-to-I sum over the new color, each term a sub-evaluation.  Every later
+coloring with those zero edges replays the program with the same scalar
+operations in the same order, so its value, step count and budget
+verdict are those of the moves themselves.  A seeded context records
+each reduction afresh, with its own random picks, and caches nothing.
+
+Values of reduced forms are memoized under the canonical colored
+signature: the uncolored labeling is worked out once per embedded shape
+(and cached), and the colorings of one shape are told apart by their
+color vectors.  The memo belongs to one call, or to the caller who
+passes it, so a value and a budget verdict depend only on a call's
+arguments.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import itemgetter
 
 from .errors import BudgetExceeded, LowValence, NotPlanar, NotTrivalent
 from .extscalar import ExtScalar
 from .planar import PlanarGraph, canonical_labelings, canonical_signature, genus
-from .qnum import (
-    Level,
-    circle_weight,
-    is_admissible_triple,
-    sixj,
-    vertex_weight,
-)
+from .qnum import Level, circle_weight, sixj, vertex_weight
 
 _MEMO_MAX = 1 << 20  # entries one memo may hold before it is emptied
 _BUDGET = 1e8  # reduction steps per top-level evaluation by default
 
-# per-shape lru caches that cache_clear empties; yokota adds its own
+# per-shape lru caches that cache_clear empties; _program and yokota add theirs
 _SHAPE_CACHES = [canonical_labelings, genus]
 
 
 def cache_clear():
-    """Empty every per-shape cache (labelings, genus, and the
-    desingularized shapes of `skeinvol.yokota`)."""
+    """Empty every per-shape cache (labelings, genus, the compiled
+    reductions, and the desingularized shapes of `skeinvol.yokota`)."""
     for cache in _SHAPE_CACHES:
         cache.cache_clear()
 
@@ -66,8 +74,8 @@ class _Ctx:
         self.budget = budget if budget is not None else _BUDGET
         self.memo = memo if memo is not None else {}
 
-    def tick(self):
-        self.steps += 1
+    def tick(self, n=1):
+        self.steps += n
         if self.steps > self.budget:
             raise BudgetExceeded(f"evaluation exceeded {self.budget:g} steps")
 
@@ -206,53 +214,334 @@ class _RGraph:
         return PlanarGraph(len(vert_ids), edges, rot), coloring, emap
 
 
-def _vertex_colors(rg, v):
-    return tuple(rg.col[d >> 1] for d in rg.rot[v])
+# ---------------------------------------------------------------------------
+# memo keys
 
 
-def _check_and_clean(rg, ctx):
-    """Valence/admissibility pass; returns 'zero', 'changed' or 'clean'.
+def _vector_getter(order):
+    """col -> tuple(col[e] for e in order), the color vector that
+    canonical_signature reads in one edge order."""
+    if len(order) == 1:
+        e = order[0]
+        return lambda col: (col[e],)  # itemgetter(e) would give a bare color
+    return itemgetter(*order)
 
-    Removes 0-valent vertices, suppresses 2-valent ones (a 2-valent loop
-    becomes a free circle factor, returned as a scalar via ctx hook), and
-    reports inadmissible configurations as hard zeros.
+
+class _Keyed:
+    """A frozen graph with the getters of its canonical signature.
+
+    comps holds each component as (signature, a getter of the color
+    vector per automorphism), read off canonical_labelings once, so that
+    key(col) == canonical_signature(g, col) without a labeling search.
     """
-    for v in list(rg.rot):
-        deg = len(rg.rot[v])
-        if deg == 0:
-            del rg.rot[v]
-            return "changed", None
-        if deg == 1:
-            raise LowValence(f"vertex {v} has a free end")
-        if deg == 2:
-            d1, d2 = rg.rot[v]
-            e1, e2 = d1 >> 1, d2 >> 1
-            if e1 == e2:
-                # a loop on a 2-valent vertex: a free circle
-                w = circle_weight(rg.col[e1], ctx.lv)
-                rg.remove_edge(e1)
+
+    __slots__ = ("g", "isolated", "comps")
+
+    def __init__(self, g: PlanarGraph):
+        self.g = g
+        self.isolated, comps = canonical_labelings(g)
+        self.comps = tuple(
+            (sig, tuple(_vector_getter(order) for order in orders)) for sig, orders in comps
+        )
+
+    def key(self, col):
+        """canonical_signature(self.g, col), read through the getters."""
+        return (
+            self.isolated,
+            tuple(sorted((sig, min([get(col) for get in gets])) for sig, gets in self.comps)),
+        )
+
+
+def _zero_mask(coloring):
+    """The zero-edge pattern of a coloring: bit k set when edge k is colored 0."""
+    mask = 0
+    for k, c in enumerate(coloring):
+        if c == 0:
+            mask |= 1 << k
+    return mask
+
+
+# ---------------------------------------------------------------------------
+# the reduction, compiled over color slots (indices into the coloring)
+
+# program steps, each a tuple (kind, ...), run in order
+_WEIGHT = 0  # (_WEIGHT, table, x): acc *= table[col[x]]
+_SIXJ = 1  # (_SIXJ, getter): acc *= sixj(*getter(col))
+_TRIPLE = 2  # (_TRIPLE, ticks, x, y, z): the value is 0 unless admissible
+_EQUAL = 3  # (_EQUAL, ticks, x, y): the value is 0 unless col[x] == col[y]
+
+# the weight tables of _weights
+_CIRCLE, _INV_CIRCLE, _THETA0 = 0, 1, 2
+
+# how a program ends, as a tuple (kind, ...)
+_RETURN = 0  # (_RETURN,): acc
+_ZERO = 1  # (_ZERO,): 0
+_RAISE = 2  # (_RAISE, error class, message)
+_PRODUCT = 3  # (_PRODUCT, subs): acc times each component's value
+_SUM = 4  # (_SUM, getter of (s, a, t1, t2, b), (sub, sub when the new color is 0))
+
+
+class _Sub:
+    """A sub-evaluation: the keyed graph, the getter of its coloring from
+    the parent's, and its zero-edge pattern."""
+
+    __slots__ = ("keyed", "read", "mask")
+
+    def __init__(self, keyed, read, mask):
+        self.keyed = keyed
+        self.read = read
+        self.mask = mask
+
+
+class _Program:
+    """One recorded reduction: steps, the reduction steps counted before
+    the end (a check that returns 0 carries its own count), and the end.
+    It holds no level and no values."""
+
+    __slots__ = ("steps", "ticks", "end")
+
+    def __init__(self, steps, ticks, end):
+        self.steps = steps
+        self.ticks = ticks
+        self.end = end
+
+
+class _Compiler:
+    """Record the reduction of rg as a _Program.
+
+    rg is colored by slots, and bit k of mask says whether slot k is
+    colored 0.  Candidate moves are chosen with ctx.pick and the
+    tetrahedron shortcut follows ctx.base_tet.  When colors (the
+    coloring itself) is given, as for a seeded context, the color checks
+    are decided here: the recording stops where the reduction returns 0,
+    so it draws picks only where the reduction would.  Otherwise each
+    check becomes a step, recorded once per program.
+    """
+
+    def __init__(self, rg, mask, ctx, colors=None):
+        self.rg = rg
+        self.mask = mask
+        self.ctx = ctx
+        self.colors = colors
+        self.nslots = len(rg.col)
+        self.steps = []
+        self.ticks = 0
+        self.checked = set()
+
+    def _zero(self, x):
+        return self.mask >> x & 1
+
+    def _equal(self, x, y):
+        """False when col[x] != col[y] is known here, so the value is 0;
+        otherwise True, the check being left to the replay if needed."""
+        if x == y or self._zero(x) and self._zero(y):
+            return True
+        if self._zero(x) or self._zero(y):
+            return False
+        if self.colors is not None:
+            return self.colors[x] == self.colors[y]
+        if (x, y) not in self.checked and (y, x) not in self.checked:
+            self.checked.add((x, y))
+            self.steps.append((_EQUAL, self.ticks, x, y))
+        return True
+
+    def _triple(self, x, y, z):
+        """_equal for the admissibility of (col[x], col[y], col[z]); with
+        a 0 among them, that is the other two being equal."""
+        for zx, p, q in ((x, y, z), (y, x, z), (z, x, y)):
+            if self._zero(zx):
+                return self._equal(p, q)
+        if self.colors is not None:
+            a, b, c = (self.colors[s] for s in (x, y, z))
+            return a + b + c <= 2 * self.ctx.lv.r - 4 and abs(a - b) <= c <= a + b
+        key = tuple(sorted((x, y, z)))
+        if key not in self.checked:
+            self.checked.add(key)
+            self.steps.append((_TRIPLE, self.ticks, x, y, z))
+        return True
+
+    def _sub(self, darts=None):
+        """The sub-evaluation of (a component of) rg as it stands."""
+        g, slots, _ = self.rg.freeze(darts)
+        mask = 0
+        for k, x in enumerate(slots):
+            if self._zero(x):
+                mask |= 1 << k
+        return _Sub(_Keyed(g), _vector_getter(slots), mask)
+
+    def _end(self, *end):
+        return _Program(tuple(self.steps), self.ticks, end)
+
+    def compile(self) -> _Program:
+        rg = self.rg
+        while True:
+            self.ticks += 1
+            state = self._clean()
+            if isinstance(state, _Program):
+                return state
+            if state == "zero":
+                return self._end(_ZERO)
+            if state == "changed":
+                continue
+
+            if not rg.col:
+                return self._end(_RETURN)  # possibly after dropping isolated vertices
+
+            zs = sorted(e for e, x in rg.col.items()
+                        if self._zero(x) and rg.vof[2 * e] != rg.vof[2 * e + 1])
+            if zs:
+                e = zs[0]
+                u, w = rg.vof[2 * e], rg.vof[2 * e + 1]
+                for v in (u, w):
+                    others = [d >> 1 for d in rg.rot[v] if (d >> 1) != e]
+                    self.steps.append((_WEIGHT, _THETA0, rg.col[others[0]]))
+                rg.remove_edge(e)
+                continue
+
+            comps = rg.dart_components()
+            if len(comps) > 1:
+                return self._end(_PRODUCT, tuple(self._sub(comp) for comp in comps))
+
+            if _bridges(rg):
+                return self._end(_ZERO)  # a bridge with nonzero color
+
+            if _is_theta(rg):
+                return self._end(_RETURN)
+
+            if self.ctx.base_tet:
+                t6 = _tet_sixtuple(rg)
+                if t6 is not None:
+                    self.steps.append((_SIXJ, itemgetter(*t6)))
+                    return self._end(_RETURN)
+
+            faces = sorted(rg.faces(), key=len)
+            fmin = faces[0]
+            if len(fmin) == 2:
+                if not self._collapse_bigon(fmin):
+                    return self._end(_ZERO)
+                continue
+            if len(fmin) == 3:
+                self._contract_triangle(fmin)
+                continue
+
+            # smallest face has degree >= 4: spend one H-to-I move on it
+            degmin = len(fmin)
+            candidates = [f for f in faces if len(f) == degmin]
+            return self._whitehead(self.ctx.pick(candidates))
+
+    def _clean(self):
+        """Valence/admissibility pass: 'zero', 'changed', 'clean', or a
+        _Program raising a valence error.
+
+        Removes 0-valent vertices, suppresses 2-valent ones (a 2-valent
+        loop becomes a free circle factor), and reports inadmissible
+        configurations as zeros.
+        """
+        rg = self.rg
+        for v in list(rg.rot):
+            deg = len(rg.rot[v])
+            if deg == 0:
                 del rg.rot[v]
-                return "changed", ExtScalar.from_complex(w)
-            if rg.col[e1] != rg.col[e2]:
-                return "zero", None
-            rg.splice(d1, d2)  # edge e1 swallows e2
-            del rg.rot[v]
-            return "changed", None
-        if deg > 3:
-            raise NotTrivalent(f"vertex {v} has degree {deg}")
-        a, b, c = _vertex_colors(rg, v)
-        if not is_admissible_triple(a, b, c, ctx.lv):
-            return "zero", None
-    return "clean", None
+                return "changed"
+            if deg == 1:
+                return self._end(_RAISE, LowValence, f"vertex {v} has a free end")
+            if deg == 2:
+                d1, d2 = rg.rot[v]
+                e1, e2 = d1 >> 1, d2 >> 1
+                if e1 == e2:
+                    # a loop on a 2-valent vertex: a free circle
+                    self.steps.append((_WEIGHT, _CIRCLE, rg.col[e1]))
+                    rg.remove_edge(e1)
+                    del rg.rot[v]
+                    return "changed"
+                if not self._equal(rg.col[e1], rg.col[e2]):
+                    return "zero"
+                rg.splice(d1, d2)  # edge e1 swallows e2
+                del rg.rot[v]
+                return "changed"
+            if deg > 3:
+                return self._end(_RAISE, NotTrivalent, f"vertex {v} has degree {deg}")
+            if not self._triple(*(rg.col[d >> 1] for d in rg.rot[v])):
+                return "zero"
+        return "clean"
 
+    def _collapse_bigon(self, face):
+        """Degree-2 face: delta on the outer colors, factor 1/circle_weight.
+        False when the outer colors always differ."""
+        rg = self.rg
+        p, q = face
+        u, w = rg.vof[p], rg.vof[q]
+        ep, eq = p >> 1, q >> 1
+        tU = next(d for d in rg.rot[u] if d not in (p, q ^ 1))
+        tW = next(d for d in rg.rot[w] if d not in (q, p ^ 1))
+        etU, etW = tU >> 1, tW >> 1
+        if not self._equal(rg.col[etU], rg.col[etW]):
+            return False
+        self.steps.append((_WEIGHT, _INV_CIRCLE, rg.col[etU]))
+        rg.splice(tU, tW)  # the outer strands become one edge (keep etU)
+        rg.remove_edge(ep)
+        rg.remove_edge(eq)
+        del rg.rot[u]
+        del rg.rot[w]
+        return True
 
-def _zero_edges(rg):
-    """Non-loop 0-colored edges (there is always one if any 0-edge exists)."""
-    out = []
-    for e, c in rg.col.items():
-        if c == 0 and rg.vof[2 * e] != rg.vof[2 * e + 1]:
-            out.append(e)
-    return sorted(out)
+    def _contract_triangle(self, face):
+        """Degree-3 face: contract to a vertex, multiply by a 6j symbol."""
+        rg = self.rg
+        q1, q2, q3 = face
+        p1, p2, p3 = rg.vof[q1], rg.vof[q2], rg.vof[q3]
+        c1 = next(d for d in rg.rot[p1] if d not in (q1, q3 ^ 1))
+        c2 = next(d for d in rg.rot[p2] if d not in (q2, q1 ^ 1))
+        c3 = next(d for d in rg.rot[p3] if d not in (q3, q2 ^ 1))
+        col = rg.col
+        self.steps.append((_SIXJ, itemgetter(
+            col[c1 >> 1], col[c2 >> 1], col[c3 >> 1], col[q2 >> 1], col[q3 >> 1], col[q1 >> 1])))
+        rg.remove_edge(q1 >> 1)
+        rg.remove_edge(q2 >> 1)
+        rg.remove_edge(q3 >> 1)
+        del rg.rot[p1]
+        del rg.rot[p2]
+        del rg.rot[p3]
+        merged = p1
+        rg.rot[merged] = [c1, c3, c2]
+        for d in (c1, c2, c3):
+            rg.vof[d] = merged
+
+    def _whitehead(self, face):
+        """Rewire one edge of the face and end in the H-to-I sum.
+
+        The edge s (chosen canonically or by the seeded rng) is removed
+        and replaced by a transverse edge whose color i is summed over;
+        the value is sum_i circle_weight(i) * 6j(s, a, t1, i, t2, b) *
+        <rewired graph>.  The new edge reads slot nslots, the color i
+        appended to the coloring.
+        """
+        rg = self.rg
+        darts = sorted(face, key=lambda d: (d >> 1, d & 1))
+        d = self.ctx.pick(darts)
+        sigma = rg.sigma()
+        u1 = rg.vof[d]
+        u2 = rg.vof[d ^ 1]
+        t1D = sigma[d]
+        aD = sigma[t1D]
+        bD = sigma[d ^ 1]
+        t2D = sigma[bD]
+        col = rg.col
+        arms = itemgetter(col[d >> 1], col[aD >> 1], col[t1D >> 1], col[t2D >> 1], col[bD >> 1])
+        rg.remove_edge(d >> 1)
+        e_new = rg.new_edge(self.nslots)
+        nA, nB = 2 * e_new, 2 * e_new + 1
+        rg.rot[u1] = [nA, aD, bD]
+        rg.rot[u2] = [t1D, nB, t2D]
+        rg.vof[nA] = u1
+        rg.vof[nB] = u2
+        rg.vof[bD] = u1
+        rg.vof[t1D] = u2
+        # one sub-evaluation per zero pattern: the new color nonzero, then 0
+        subs = [self._sub()]
+        self.mask |= 1 << self.nslots
+        subs.append(self._sub())
+        return self._end(_SUM, arms, tuple(subs))
 
 
 def _bridges(rg):
@@ -297,97 +586,113 @@ def _tet_sixtuple(rg):
     return (n1, n2, n3, n4, n5, n6)
 
 
-def _collapse_bigon(rg, face, ctx):
-    """Degree-2 face: delta on the outer colors, factor 1/circle_weight."""
-    p, q = face
-    u, w = rg.vof[p], rg.vof[q]
-    ep, eq = p >> 1, q >> 1
-    tU = next(d for d in rg.rot[u] if d not in (p, q ^ 1))
-    tW = next(d for d in rg.rot[w] if d not in (q, p ^ 1))
-    etU, etW = tU >> 1, tW >> 1
-    if rg.col[etU] != rg.col[etW]:
-        return None  # hard zero
-    weight = ExtScalar.from_complex(1.0 / circle_weight(rg.col[etU], ctx.lv))
-    rg.splice(tU, tW)  # the outer strands become one edge (keep etU)
-    rg.remove_edge(ep)
-    rg.remove_edge(eq)
-    del rg.rot[u]
-    del rg.rot[w]
-    return weight
+@lru_cache(maxsize=1024)
+def _program(g: PlanarGraph, mask: int, base_tet: bool) -> _Program:
+    """The reduction of g with zero-edge pattern mask, picks unseeded."""
+    rg = _RGraph.from_graph(g, range(g.ne))  # colored by slots
+    return _Compiler(rg, mask, _Ctx(None, base_tet, None, None, None)).compile()
 
 
-def _contract_triangle(rg, face, ctx):
-    """Degree-3 face: contract to a vertex, multiply by a 6j symbol."""
-    q1, q2, q3 = face
-    p1, p2, p3 = rg.vof[q1], rg.vof[q2], rg.vof[q3]
-    c1 = next(d for d in rg.rot[p1] if d not in (q1, q3 ^ 1))
-    c2 = next(d for d in rg.rot[p2] if d not in (q2, q1 ^ 1))
-    c3 = next(d for d in rg.rot[p3] if d not in (q3, q2 ^ 1))
-    x1, x2, x3 = rg.col[q2 >> 1], rg.col[q3 >> 1], rg.col[q1 >> 1]
-    coeff = sixj(
-        rg.col[c1 >> 1], rg.col[c2 >> 1], rg.col[c3 >> 1], x1, x2, x3, ctx.lv
-    )
-    rg.remove_edge(q1 >> 1)
-    rg.remove_edge(q2 >> 1)
-    rg.remove_edge(q3 >> 1)
-    del rg.rot[p1]
-    del rg.rot[p2]
-    del rg.rot[p3]
-    merged = p1
-    rg.rot[merged] = [c1, c3, c2]
-    for d in (c1, c2, c3):
-        rg.vof[d] = merged
-    return coeff
+_SHAPE_CACHES.append(_program)
 
 
-def _whitehead(rg, face, ctx):
-    """Rewire one edge of the face; returns (surgery graph info, terms).
+# ---------------------------------------------------------------------------
+# replay
 
-    The edge s (chosen canonically or by the seeded rng) is removed and
-    replaced by a transverse edge whose color is summed over; the value is
-    sum_i circle_weight(i) * 6j(s, a, t1, i, t2, b) * <rewired graph>.
+
+@lru_cache(maxsize=16)
+def _weights(r):
+    """Per color, at level r: circle weight, its inverse, and the vertex
+    weight of (c, c, 0), each as the ExtScalar the moves multiply in."""
+    lv = Level.of(r)
+    tables = ([None] * r, [None] * r, [None] * r)
+    for c in lv.colors:
+        w = circle_weight(c, lv)
+        tables[_CIRCLE][c] = ExtScalar.from_complex(w)
+        tables[_INV_CIRCLE][c] = ExtScalar.from_complex(1.0 / w)
+        tables[_THETA0][c] = vertex_weight(c, c, 0, lv)
+    return tables
+
+
+_ONE = ExtScalar.from_complex(1.0)
+_NIL = ExtScalar()
+
+
+def _run(prog: _Program, col, ctx) -> ExtScalar:
+    """The value of the coloring col (a tuple) by replaying prog.
+
+    The ExtScalar operations are those of the moves, in their order, so
+    the value is the same to the bit.  Steps are counted as the moves
+    count them and checked against the budget before anything a caller
+    can see (a sub-evaluation, a memo entry, the returned value).
     """
-    darts = sorted(face, key=lambda d: (d >> 1, d & 1))
-    d = ctx.pick(darts)
-    sigma = rg.sigma()
-    u1 = rg.vof[d]
-    u2 = rg.vof[d ^ 1]
-    t1D = sigma[d]
-    aD = sigma[t1D]
-    bD = sigma[d ^ 1]
-    t2D = sigma[bD]
-    s_col = rg.col[d >> 1]
-    a_col = rg.col[aD >> 1]
-    b_col = rg.col[bD >> 1]
-    t1_col = rg.col[t1D >> 1]
-    t2_col = rg.col[t2D >> 1]
-    rg.remove_edge(d >> 1)
-    e_new = rg.new_edge(None)
-    nA, nB = 2 * e_new, 2 * e_new + 1
-    rg.rot[u1] = [nA, aD, bD]
-    rg.rot[u2] = [t1D, nB, t2D]
-    rg.vof[nA] = u1
-    rg.vof[nB] = u2
-    rg.vof[bD] = u1
-    rg.vof[t1D] = u2
-    terms = []
-    for i in ctx.lv.colors:
-        if not (
-            is_admissible_triple(a_col, i, b_col, ctx.lv)
-            and is_admissible_triple(t1_col, i, t2_col, ctx.lv)
-        ):
-            continue
-        coeff = ExtScalar.from_complex(circle_weight(i, ctx.lv)) * sixj(
-            s_col, a_col, t1_col, i, t2_col, b_col, ctx.lv
-        )
-        terms.append((i, coeff))
-    return e_new, terms
+    lv = ctx.lv
+    tables = _weights(lv.r)
+    top = 2 * lv.r - 4
+    acc = _ONE
+    for step in prog.steps:
+        kind = step[0]
+        if kind == _WEIGHT:
+            acc = acc * tables[step[1]][col[step[2]]]
+        elif kind == _SIXJ:
+            acc = acc * sixj(*step[1](col), lv)
+        elif kind == _TRIPLE:
+            a, b, c = col[step[2]], col[step[3]], col[step[4]]
+            if a + b + c > top or not abs(a - b) <= c <= a + b:
+                ctx.tick(step[1])
+                return _NIL
+        elif col[step[2]] != col[step[3]]:  # _EQUAL
+            ctx.tick(step[1])
+            return _NIL
+    ctx.tick(prog.ticks)
+    end = prog.end
+    kind = end[0]
+    if kind == _SUM:
+        s, a, t1, t2, b = end[1](col)
+        subs = end[2]
+        circle = tables[_CIRCLE]
+        # the colors i with (a, i, b) and (t1, i, t2) admissible
+        lo = max(abs(a - b), abs(t1 - t2))
+        hi = min(a + b, t1 + t2, top - a - b, top - t1 - t2)
+        total = _NIL
+        for i in range(lo, hi + 1, 2):
+            ctx.tick()
+            coeff = circle[i] * sixj(s, a, t1, i, t2, b, lv)
+            sub = subs[i == 0]
+            subcol = sub.read(col + (i,))
+            val = _eval_canonical(sub.keyed.g, subcol, ctx, sub.keyed.key(subcol), sub.mask)
+            total = total + coeff * val
+        return acc * total
+    if kind == _RETURN:
+        return acc
+    if kind == _PRODUCT:
+        for sub in end[1]:
+            subcol = sub.read(col)
+            acc = acc * _eval_canonical(sub.keyed.g, subcol, ctx, sub.keyed.key(subcol), sub.mask)
+        return acc
+    if kind == _ZERO:
+        return _NIL
+    raise end[1](end[2])
 
 
-def _eval_canonical(g: PlanarGraph, coloring, ctx, sig=None) -> ExtScalar:
+def _reduce(rg: _RGraph, ctx) -> ExtScalar:
+    """The value of the colored rotation system rg under a seeded ctx.
+
+    Nothing is cached: the reduction is recorded against rg's own colors
+    with ctx's picks, in the reference order, and run once.
+    """
+    edges = sorted(rg.col)
+    colors = tuple(rg.col[e] for e in edges)
+    rg.col = {e: k for k, e in enumerate(edges)}
+    return _run(_Compiler(rg, _zero_mask(colors), ctx, colors).compile(), colors, ctx)
+
+
+def _eval_canonical(g: PlanarGraph, coloring, ctx, sig=None, mask=None) -> ExtScalar:
     """Value of (g, coloring), memoized under its canonical signature.
 
-    sig can pass canonical_signature(g, coloring) when the caller has it.
+    coloring is a tuple.  sig can pass canonical_signature(g, coloring)
+    and mask its _zero_mask when the caller has them.  A miss replays
+    the program of (g, mask, base_tet), or runs a seeded reduction.
     """
     if sig is None:
         sig = canonical_signature(g, coloring)
@@ -395,82 +700,16 @@ def _eval_canonical(g: PlanarGraph, coloring, ctx, sig=None) -> ExtScalar:
     hit = ctx.memo.get(key)
     if hit is not None:
         return hit
-    val = _reduce(_RGraph.from_graph(g, coloring), ctx)
+    if ctx.rng is None:
+        if mask is None:
+            mask = _zero_mask(coloring)
+        val = _run(_program(g, mask, ctx.base_tet), coloring, ctx)
+    else:
+        val = _reduce(_RGraph.from_graph(g, coloring), ctx)
     if len(ctx.memo) >= _MEMO_MAX:
         ctx.memo.clear()
     ctx.memo[key] = val
     return val
-
-
-def _reduce(rg: _RGraph, ctx) -> ExtScalar:
-    acc = ExtScalar.from_complex(1.0)
-    while True:
-        ctx.tick()
-        state, factor = _check_and_clean(rg, ctx)
-        if state == "zero":
-            return ExtScalar()
-        if state == "changed":
-            if factor is not None:
-                acc = acc * factor
-            continue
-
-        if not rg.col:
-            return acc  # possibly after dropping isolated vertices
-
-        zs = _zero_edges(rg)
-        if zs:
-            e = zs[0]
-            u, w = rg.vof[2 * e], rg.vof[2 * e + 1]
-            for v in (u, w):
-                others = [d >> 1 for d in rg.rot[v] if (d >> 1) != e]
-                a = rg.col[others[0]]
-                acc = acc * vertex_weight(a, a, 0, ctx.lv)
-            rg.remove_edge(e)
-            continue
-
-        comps = rg.dart_components()
-        if len(comps) > 1:
-            out = acc
-            for comp in comps:
-                sub, subcol, _ = rg.freeze(comp)
-                out = out * _eval_canonical(sub, subcol, ctx)
-            return out
-
-        if _bridges(rg):
-            return ExtScalar()  # a bridge with nonzero color
-
-        if _is_theta(rg):
-            return acc
-
-        if ctx.base_tet:
-            t6 = _tet_sixtuple(rg)
-            if t6 is not None:
-                return acc * sixj(*t6, ctx.lv)
-
-        faces = sorted(rg.faces(), key=len)
-        fmin = faces[0]
-        if len(fmin) == 2:
-            w = _collapse_bigon(rg, fmin, ctx)
-            if w is None:
-                return ExtScalar()
-            acc = acc * w
-            continue
-        if len(fmin) == 3:
-            acc = acc * _contract_triangle(rg, fmin, ctx)
-            continue
-
-        # smallest face has degree >= 4: spend one H-to-I move on it
-        degmin = len(fmin)
-        candidates = [f for f in faces if len(f) == degmin]
-        face = ctx.pick(candidates)
-        e_new, terms = _whitehead(rg, face, ctx)
-        total = ExtScalar()
-        for i, coeff in terms:
-            ctx.tick()
-            rg.col[e_new] = i
-            sub, subcol, _ = rg.freeze()
-            total = total + coeff * _eval_canonical(sub, subcol, ctx)
-        return acc * total
 
 
 def _validate_coloring(g, coloring, lv):

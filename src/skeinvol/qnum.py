@@ -530,7 +530,14 @@ def _vertex_triples(t):
 
 def mp_precision(floor: int) -> int:
     """Bits for high-precision work: floor, or SKEIN_PRECISION_BITS if larger."""
-    return max(floor, int(os.environ.get("SKEIN_PRECISION_BITS", "0") or 0))
+    raw = os.environ.get("SKEIN_PRECISION_BITS", "").strip()
+    if not raw:
+        return floor
+    try:
+        bits = int(raw)
+    except ValueError:
+        raise ValueError(f"SKEIN_PRECISION_BITS must be an integer, got {raw!r}") from None
+    return max(floor, bits)
 
 
 def sixj_info(n1, n2, n3, n4, n5, n6, level) -> dict:
@@ -607,9 +614,19 @@ def sixj(n1, n2, n3, n4, n5, n6, level) -> ExtScalar:
     compensated positive/negative accumulation; when the cancellation
     estimate says doubles cannot deliver ~8 significant digits the symbol
     is recomputed with mpmath (precision max(r+64, SKEIN_PRECISION_BITS)).
-    Values are memoized per level under the 24 tetrahedral symmetries.
+    Values are memoized per level under the 24 tetrahedral symmetries,
+    and under the tuple as given, so a repeated call is one lookup.
     """
-    return sixj_info(n1, n2, n3, n4, n5, n6, level)["value"]
+    lv = _lv(level)
+    t = (n1, n2, n3, n4, n5, n6)
+    hit = lv._sixj_cache.get(t)
+    if hit is None:
+        info = sixj_info(*t, lv)
+        hit = (info.pop("value"), info)
+        if len(lv._sixj_cache) >= _SIXJ_CACHE_MAX:
+            lv._sixj_cache.clear()
+        lv._sixj_cache[t] = hit
+    return hit[0]
 
 
 def kirby_norm(level) -> float:

@@ -23,14 +23,16 @@ None of that surgery depends on the colors, so it is done once per
 shape: `yokota_ext` and every sum over colorings look up the graph's
 desingularized shape (cached per graph and fan anchors; the rules in
 the order they apply, the fanned trivalent graph, its internal edges
-and their vertex triples, one genus check, and the canonical labelings
-as color-vector getters).  Each coloring then costs the rules' color
-checks and factors, the admissible internal colors, and one bracket
-memo lookup per internal coloring under the same canonical signature
-`skeinvol.planar.canonical_signature` gives; only what the memo lacks
-is reduced.  The memo is the caller's when passed as ``memo=`` (a hit
-in it costs no budget steps) and otherwise lives for one call, so the
-value and the budget verdict depend only on the arguments.
+and their vertex triples, one genus check, and the getters that read
+its canonical signature off a coloring).  Each coloring then costs the
+rules' color checks and factors, the admissible internal colors, and
+one bracket memo lookup per internal coloring under the same canonical
+signature `skeinvol.planar.canonical_signature` gives.  A memo miss
+replays the bracket engine's compiled reduction of the fanned graph for
+that coloring's zero edges (see `skeinvol.bracket`), so no coloring
+repeats the moves.  The memo is the caller's when passed as ``memo=``
+(a hit in it costs no budget steps) and otherwise lives for one call,
+so the value and the budget verdict depend only on the arguments.
 `skeinvol.bracket.cache_clear` empties the shape cache.
 
 The invariant is real but can be negative; the graph analogue of a
@@ -44,12 +46,19 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from operator import itemgetter
 
-from .bracket import _SHAPE_CACHES, _Ctx, _eval_canonical, _RGraph, _validate_coloring
+from .bracket import (
+    _SHAPE_CACHES,
+    _Ctx,
+    _eval_canonical,
+    _Keyed,
+    _RGraph,
+    _validate_coloring,
+    _vector_getter,  # noqa: F401  (re-exported: the getters behind _Shape.key)
+)
 from .errors import LowValence, NotPlanar
 from .extscalar import ExtScalar, SignLogReal
-from .planar import PlanarGraph, betti, canonical_labelings, genus
+from .planar import PlanarGraph, betti, genus
 from .qnum import (
     Level,
     admissible_triples,
@@ -198,15 +207,6 @@ def _strip_rules(rg):
     return tuple(rules)
 
 
-def _vector_getter(order):
-    """col -> tuple(col[e] for e in order), the color vector that
-    canonical_signature reads in one edge order."""
-    if len(order) == 1:
-        e = order[0]
-        return lambda col: (col[e],)  # itemgetter(e) would give a bare color
-    return itemgetter(*order)
-
-
 class _Shape:
     """The coloring-independent part of the invariant of (graph, anchors).
 
@@ -215,13 +215,13 @@ class _Shape:
     the graph is left), and src[i] the source edge of g2's edge i (None
     on the internal fan edges, whose g2 ids are slots).  touching[k]
     lists the vertex triples of g2 whose last internal edge is slots[k].
-    planar says whether g2 embeds in the sphere.  isolated and comps are
-    g2's canonical labelings, each component as (signature, a getter of
-    the color vector per automorphism), so that the memo key of a
-    coloring col of g2 is key(col) == canonical_signature(g2, col).
+    planar says whether g2 embeds in the sphere.  keyed reads g2's
+    canonical signature off a coloring (see bracket._Keyed), so that the
+    memo key of a coloring col of g2 is key(col) ==
+    canonical_signature(g2, col).
     """
 
-    __slots__ = ("rules", "g2", "src", "slots", "touching", "planar", "isolated", "comps")
+    __slots__ = ("rules", "g2", "src", "slots", "touching", "planar", "keyed")
 
     def __init__(self, graph, anchors):
         rg = _RGraph.from_graph(graph, range(graph.ne))  # colored by edge ids
@@ -244,17 +244,11 @@ class _Shape:
                 touching[max(ks)].append(es)
         self.touching = tuple(map(tuple, touching))
         self.planar = genus(self.g2) == 0
-        self.isolated, comps = canonical_labelings(self.g2)
-        self.comps = tuple(
-            (sig, tuple(_vector_getter(order) for order in orders)) for sig, orders in comps
-        )
+        self.keyed = _Keyed(self.g2)
 
     def key(self, col):
         """canonical_signature(self.g2, col), read through the getters."""
-        return (
-            self.isolated,
-            tuple(sorted((sig, min([get(col) for get in gets])) for sig, gets in self.comps)),
-        )
+        return self.keyed.key(col)
 
 
 @lru_cache(maxsize=256)
@@ -328,8 +322,9 @@ def _evaluator(graph, lv, anchors=None, budget=None, memo=None):
     The shape is looked up once (see _Shape).  Each call then checks the
     strip rules, maps the colors onto g2, and sums over the admissible
     internal colors the circle weights times the squared bracket, whose
-    value is a memo lookup under its canonical signature; a miss is
-    reduced by the bracket engine with a step count starting at 0.
+    value is a memo lookup under its canonical signature; a miss
+    replays the bracket engine's compiled reduction with a step count
+    starting at 0.
     Colorings are not validated here.
     """
     shape = _shape(graph, tuple(sorted(anchors.items())) if anchors else ())
@@ -386,8 +381,8 @@ def yokota_ext(
     and their vertex triples, one genus check, and the canonical
     labelings.  Per coloring: the rules' color conditions and factors,
     the admissible internal colors, and one memo lookup per squared
-    bracket, reducing only what the memo lacks.  Every call validates
-    its coloring.
+    bracket; a bracket the memo lacks replays the reduction compiled
+    for its zero edges.  Every call validates its coloring.
 
     budget caps the reduction steps of each bracket the memo lacks
     (default 1e8).  memo is a dict the caller owns and may share between
@@ -457,9 +452,9 @@ def yokota_table(graph: PlanarGraph, level, *, budget=None, memo=None):
     """Map each admissible coloring to its invariant (ExtScalar).
 
     The graph's shape is worked out once (see yokota_ext), so each
-    coloring costs its rule checks and memo lookups, plus a reduction
-    only for brackets the memo has not seen.  All colorings share one
-    memo: the caller's memo, or a fresh dict for this call.
+    coloring costs its rule checks and memo lookups, plus a replayed
+    reduction for each bracket the memo has not seen.  All colorings
+    share one memo: the caller's memo, or a fresh dict for this call.
     """
     lv = Level.of(level)
     value = _evaluator(graph, lv, budget=budget, memo=memo)

@@ -179,6 +179,40 @@ def test_sixj_precision_floor_from_environment(monkeypatch):
     assert info["value"].to_complex() == pytest.approx(base["value"].to_complex(), rel=1e-12)
 
 
+def test_sixj_agrees_with_sixj_info_cold_and_warm(monkeypatch):
+    # sixj answers a repeated tuple from one lookup; its value stays the
+    # one sixj_info gives, for every image of a symbol and for
+    # inadmissible tuples, whichever of the two fills the cache first
+    lv = Level.of(11)
+    base = [(2, 4, 4, 6, 4, 4), (0, 4, 4, 6, 6, 2), (8, 8, 8, 8, 8, 8), (2, 4, 8, 2, 2, 2)]
+    tuples = [tuple(t[i] for i in g) for t in base for g in SIXJ_SYMMETRIES[::5]]
+    assert not is_admissible_sixtuple(base[3], lv)
+    for first in (sixj, sixj_info):
+        monkeypatch.setattr(lv, "_sixj_cache", {})
+        for t in tuples:
+            for _ in range(2):  # cold, then warm
+                if first is sixj:
+                    a = sixj(*t, lv)
+                    b = sixj_info(*t, lv)["value"]
+                else:
+                    b = sixj_info(*t, lv)["value"]
+                    a = sixj(*t, lv)
+                assert (a.m, a.e) == (b.m, b.e), t
+    assert sixj(*base[3], lv).is_zero()
+    assert not sixj_info(*base[3], lv)["admissible"]
+
+
+def test_sixj_cache_stays_bounded(monkeypatch):
+    import skeinvol.qnum as qnum
+
+    lv = Level.of(9)
+    monkeypatch.setattr(lv, "_sixj_cache", {})
+    monkeypatch.setattr(qnum, "_SIXJ_CACHE_MAX", 4)
+    for t in itertools.permutations((2, 2, 4, 4, 2, 2)):
+        sixj(*t, lv)
+        assert len(lv._sixj_cache) <= 4
+
+
 def test_sixj_symmetries_sample():
     # column permutations and double flips must hit the same cached value
     base = sixj(0, 2, 2, 4, 2, 2, 9).to_complex()

@@ -638,6 +638,17 @@ def test_wheel_mp_precision_floor_from_environment(monkeypatch):
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
+def test_wheel_mp_refuses_malformed_precision_environment(monkeypatch):
+    # the library gives the CLI's message, not int()'s, from inside the sum
+    monkeypatch.setenv("SKEIN_PRECISION_BITS", "abc")
+    with pytest.raises(ValueError) as err:
+        wheel_log_invariant_mp(21, 4, 10, 10)
+    assert str(err.value) == "SKEIN_PRECISION_BITS must be an integer, got 'abc'"
+    monkeypatch.setenv("SKEIN_PRECISION_BITS", " ")
+    assert wheel_log_invariant_mp(21, 4, 10, 10)[0] == pytest.approx(
+        wheel_log_invariant_mp(21, 4, 10, 10)[0])
+
+
 def test_zero_angled_highprec_against_engine():
     # the mp closed form at the cancelling maximizer coloring, every edge c
     for r in (7, 9):
