@@ -29,10 +29,13 @@ operations in the same order, so its value, step count and budget
 verdict are those of the moves themselves.  A seeded context records
 each reduction afresh, with its own random picks, and caches nothing.
 
-Values of reduced forms are memoized under the canonical colored
-signature: the uncolored labeling is worked out once per embedded shape
-(and cached), and the colorings of one shape are told apart by their
-color vectors.  The memo belongs to one call, or to the caller who
+This module owns the memo.  Values of reduced forms are memoized under
+(r, base_tet, canonical colored signature), a key that only
+_eval_canonical builds and looks up; `skeinvol.yokota` calls it for
+every squared bracket.  The signature belongs to `skeinvol.planar`: a
+sub-evaluation keeps its graph's canonical labelings, worked out once
+per embedded shape (and cached), and reads each key off them with
+read_signature.  The memo belongs to one call, or to the caller who
 passes it, so a value and a budget verdict depend only on a call's
 arguments.
 """
@@ -42,11 +45,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
+from operator import index, itemgetter
 
 from .errors import BudgetExceeded, LowValence, NotPlanar, NotTrivalent
 from .extscalar import ExtScalar
-from .planar import PlanarGraph, canonical_labelings, canonical_signature, genus
+from .planar import (
+    PlanarGraph,
+    _vector_getter,
+    canonical_labelings,
+    canonical_signature,
+    genus,
+    read_signature,
+)
 from .qnum import Level, circle_weight, sixj, vertex_weight
 
 _MEMO_MAX = 1 << 20  # entries one memo may hold before it is emptied
@@ -215,41 +225,7 @@ class _RGraph:
 
 
 # ---------------------------------------------------------------------------
-# memo keys
-
-
-def _vector_getter(order):
-    """col -> tuple(col[e] for e in order), the color vector that
-    canonical_signature reads in one edge order."""
-    if len(order) == 1:
-        e = order[0]
-        return lambda col: (col[e],)  # itemgetter(e) would give a bare color
-    return itemgetter(*order)
-
-
-class _Keyed:
-    """A frozen graph with the getters of its canonical signature.
-
-    comps holds each component as (signature, a getter of the color
-    vector per automorphism), read off canonical_labelings once, so that
-    key(col) == canonical_signature(g, col) without a labeling search.
-    """
-
-    __slots__ = ("g", "isolated", "comps")
-
-    def __init__(self, g: PlanarGraph):
-        self.g = g
-        self.isolated, comps = canonical_labelings(g)
-        self.comps = tuple(
-            (sig, tuple(_vector_getter(order) for order in orders)) for sig, orders in comps
-        )
-
-    def key(self, col):
-        """canonical_signature(self.g, col), read through the getters."""
-        return (
-            self.isolated,
-            tuple(sorted((sig, min([get(col) for get in gets])) for sig, gets in self.comps)),
-        )
+# zero-edge patterns
 
 
 def _zero_mask(coloring):
@@ -282,13 +258,15 @@ _SUM = 4  # (_SUM, getter of (s, a, t1, t2, b), (sub, sub when the new color is 
 
 
 class _Sub:
-    """A sub-evaluation: the keyed graph, the getter of its coloring from
-    the parent's, and its zero-edge pattern."""
+    """A sub-evaluation: the graph, its canonical labelings (which its
+    memo keys are read off), the getter of its coloring from the
+    parent's, and its zero-edge pattern."""
 
-    __slots__ = ("keyed", "read", "mask")
+    __slots__ = ("g", "labelings", "read", "mask")
 
-    def __init__(self, keyed, read, mask):
-        self.keyed = keyed
+    def __init__(self, g, read, mask):
+        self.g = g
+        self.labelings = canonical_labelings(g)
         self.read = read
         self.mask = mask
 
@@ -367,7 +345,7 @@ class _Compiler:
         for k, x in enumerate(slots):
             if self._zero(x):
                 mask |= 1 << k
-        return _Sub(_Keyed(g), _vector_getter(slots), mask)
+        return _Sub(g, _vector_getter(slots), mask)
 
     def _end(self, *end):
         return _Program(tuple(self.steps), self.ticks, end)
@@ -660,15 +638,16 @@ def _run(prog: _Program, col, ctx) -> ExtScalar:
             coeff = circle[i] * sixj(s, a, t1, i, t2, b, lv)
             sub = subs[i == 0]
             subcol = sub.read(col + (i,))
-            val = _eval_canonical(sub.keyed.g, subcol, ctx, sub.keyed.key(subcol), sub.mask)
-            total = total + coeff * val
+            sig = read_signature(sub.labelings, subcol)
+            total = total + coeff * _eval_canonical(sub.g, subcol, ctx, sig, sub.mask)
         return acc * total
     if kind == _RETURN:
         return acc
     if kind == _PRODUCT:
         for sub in end[1]:
             subcol = sub.read(col)
-            acc = acc * _eval_canonical(sub.keyed.g, subcol, ctx, sub.keyed.key(subcol), sub.mask)
+            sig = read_signature(sub.labelings, subcol)
+            acc = acc * _eval_canonical(sub.g, subcol, ctx, sig, sub.mask)
         return acc
     if kind == _ZERO:
         return _NIL
@@ -690,9 +669,11 @@ def _reduce(rg: _RGraph, ctx) -> ExtScalar:
 def _eval_canonical(g: PlanarGraph, coloring, ctx, sig=None, mask=None) -> ExtScalar:
     """Value of (g, coloring), memoized under its canonical signature.
 
-    coloring is a tuple.  sig can pass canonical_signature(g, coloring)
-    and mask its _zero_mask when the caller has them.  A miss replays
-    the program of (g, mask, base_tet), or runs a seeded reduction.
+    This is the one place a memo key (r, base_tet, signature) is built
+    and looked up; a hit costs no steps.  coloring is a tuple.  sig can
+    pass canonical_signature(g, coloring) and mask its _zero_mask when
+    the caller has them.  A miss replays the program of (g, mask,
+    base_tet), or runs a seeded reduction.
     """
     if sig is None:
         sig = canonical_signature(g, coloring)
@@ -713,11 +694,21 @@ def _eval_canonical(g: PlanarGraph, coloring, ctx, sig=None, mask=None) -> ExtSc
 
 
 def _validate_coloring(g, coloring, lv):
+    """coloring as a tuple of Python ints, or ValueError unless it colors
+    g at lv.  A color may be of any integral type (a numpy integer, say)
+    but not a float."""
     if len(coloring) != g.ne:
         raise ValueError(f"coloring has {len(coloring)} entries for {g.ne} edges")
+    out = []
     for c in coloring:
-        if not isinstance(c, int) or c < 0 or c % 2 or c > lv.r - 3:
+        try:
+            i = index(c)
+        except TypeError:
+            i = -1
+        if i < 0 or i % 2 or i > lv.r - 3:
             raise ValueError(f"{c} is not a color at level {lv.r}")
+        out.append(i)
+    return tuple(out)
 
 
 def bracket(
@@ -744,11 +735,11 @@ def bracket(
     call uses a fresh dict, so nothing is kept between calls.
     """
     lv = Level.of(level)
-    _validate_coloring(graph, coloring, lv)
+    coloring = _validate_coloring(graph, coloring, lv)
     if genus(graph) != 0:
         raise NotPlanar("the rotation system does not embed in the sphere")
     ctx = _Ctx(lv, base_tet, seed, budget, memo)
-    return _eval_canonical(graph, tuple(coloring), ctx)
+    return _eval_canonical(graph, coloring, ctx)
 
 
 @dataclass

@@ -97,9 +97,15 @@ def _parse_colors(text: str, expected: Optional[int] = None) -> List[int]:
         _fail(f"--colors must be a comma-separated integer list, got {text!r}")
     if expected is not None and len(colors) != expected:
         _fail(f"expected {expected} colors, got {len(colors)}")
-    if any(c < 0 or c % 2 for c in colors):
-        _fail(f"colors must be even and non-negative, got {colors}")
-    return colors
+    return _check_colors(colors)
+
+
+def _check_colors(colors) -> List[int]:
+    """colors as a list, or exit 2 unless each is an even non-negative int
+    (the colors of a graph file are checked here as well as --colors)."""
+    if any(type(c) is not int or c < 0 or c % 2 for c in colors):
+        _fail(f"colors must be even non-negative integers, got {list(colors)}")
+    return list(colors)
 
 
 def _resolve_graph(ref: str) -> tuple[PlanarGraph, str, Optional[tuple]]:
@@ -111,7 +117,7 @@ def _resolve_graph(ref: str) -> tuple[PlanarGraph, str, Optional[tuple]]:
         try:
             with open(ref, "r", encoding="utf-8") as fh:
                 g, col = graph_from_json(fh.read())
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
+        except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
             _fail(f"could not parse graph file {ref}: {exc}")
         return g, os.path.basename(ref), col
     _fail(f"unknown graph {ref!r}: not a fixture ({', '.join(sorted(FIXTURES))}) or a file")
@@ -231,7 +237,7 @@ def cmd_scan(args) -> int:
         colors = (
             _parse_colors(args.colors, expected=graph.ne)
             if args.colors
-            else list(file_colors or ())
+            else _check_colors(file_colors or ())
         )
         if len(colors) != graph.ne:
             _fail("fixed policy needs --colors (or a graph file with a colors array)")

@@ -11,6 +11,13 @@ the local moves, the skein evaluation — is phrased in these terms.
 The dual graph reuses the very same darts with rotation sigma* = sigma o
 alpha, which makes the double dual literally the identity and gives the
 edge correspondence e <-> e* for free.
+
+This module owns the colored canonical signature, the memo key of the
+graph engine: canonical_labelings works out the uncolored half once per
+embedded shape, with a getter per automorphism, and read_signature reads
+a coloring's signature off them.  `skeinvol.bracket` and
+`skeinvol.yokota` keep the labelings of the graphs they evaluate and read
+every key through read_signature.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .errors import NotPlanar, NotTriangle, NotTrivalent
 
@@ -560,18 +568,27 @@ def _bfs_labeling(g: PlanarGraph, sig, start: int, bound):
     return tuple(rows), tuple(order), tied
 
 
+def _vector_getter(order):
+    """col -> tuple(col[e] for e in order): the color vector of one edge order."""
+    if len(order) == 1:
+        e = order[0]
+        return lambda col: (col[e],)  # itemgetter(e) would give a bare color
+    return itemgetter(*order)
+
+
 @lru_cache(maxsize=1024)
 def canonical_labelings(g: PlanarGraph):
     """The uncolored half of the canonical form, cached per embedded shape.
 
     Returns (isolated vertex count, components).  Each component is
-    (signature, edge orders): the minimum BFS signature over every
-    starting dart and both orientations, and the edge order (edge ids
-    by BFS label) of every start that attains it.  Those starts are the
-    component's automorphisms, reflections included.  Only starts whose
-    first row is minimal are searched, and a search stops at its first
-    row above the best so far.  canonical_labelings.cache_info() reports
-    how often the shape was already known.
+    (signature, getters): the minimum BFS signature over every starting
+    dart and both orientations, and for every start that attains it the
+    getter of a coloring's color vector in that start's edge order (edge
+    ids by BFS label).  Those starts are the component's automorphisms,
+    reflections included.  Only starts whose first row is minimal are
+    searched, and a search stops at its first row above the best so far.
+    canonical_labelings.cache_info() reports how often the shape was
+    already known.
     """
     sigma = g._sigma
     inv = [0] * len(sigma)
@@ -603,9 +620,25 @@ def canonical_labelings(g: PlanarGraph):
             else:
                 best = rows
                 orders = [order]
-        out.append((best, tuple(orders)))
+        out.append((best, tuple(_vector_getter(order) for order in orders)))
     isolated = g.nv - len({vof[d] for comp in comps for d in comp})
     return isolated, tuple(out)
+
+
+def read_signature(labelings, coloring=None):
+    """The canonical signature of a coloring, read off canonical_labelings.
+
+    labelings is canonical_labelings(g) of the graph g that coloring
+    colors, so a caller holding them reads a signature with no labeling
+    search and no hashing of g.  With a coloring, a component becomes
+    (signature, the smallest of its color vectors).
+    """
+    isolated, comps = labelings
+    if coloring is None:
+        sigs = sorted(sig for sig, _ in comps)
+    else:
+        sigs = sorted((sig, min([get(coloring) for get in gets])) for sig, gets in comps)
+    return (isolated, tuple(sigs))
 
 
 def canonical_signature(g: PlanarGraph, coloring=None):
@@ -619,21 +652,14 @@ def canonical_signature(g: PlanarGraph, coloring=None):
     (reflections included).  Each start fixes an edge order.  With a
     coloring, a component becomes (signature, the smallest of its color
     vectors read in those orders).  Components are sorted, and isolated
-    vertices contribute a count.
+    vertices contribute a count.  This is read_signature applied to
+    canonical_labelings(g).
 
     Two graphs (with colorings) get the same signature exactly when some
     isomorphism of embedded colored graphs, possibly orientation-
     reversing, relates them.
     """
-    isolated, comps = canonical_labelings(g)
-    if coloring is None:
-        sigs = sorted(sig for sig, _ in comps)
-    else:
-        sigs = sorted(
-            (sig, min(tuple(coloring[e] for e in order) for order in orders))
-            for sig, orders in comps
-        )
-    return (isolated, tuple(sigs))
+    return read_signature(canonical_labelings(g), coloring)
 
 
 # ---------------------------------------------------------------------------

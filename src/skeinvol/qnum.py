@@ -336,6 +336,15 @@ def loop_weight(n: int, level) -> float:
     return -circle_weight(n, level)
 
 
+def _ints(*xs):
+    """xs as a tuple of Python ints, or None when one of them is not of
+    an integral type (a float such as 2.0 is not; a numpy integer is)."""
+    try:
+        return tuple(map(operator.index, xs))
+    except TypeError:
+        return None
+
+
 def is_admissible_triple(a: int, b: int, c: int, level) -> bool:
     """Admissibility of a color triple at level r.
 
@@ -343,8 +352,12 @@ def is_admissible_triple(a: int, b: int, c: int, level) -> bool:
     inequalities with a + b + c <= 2r - 4.
     """
     lv = _lv(level)
-    for x in (a, b, c):
-        if not isinstance(x, int) or x < 0 or x > lv.r - 2 or x % 2:
+    t = _ints(a, b, c)
+    if t is None:
+        return False
+    a, b, c = t
+    for x in t:
+        if x < 0 or x > lv.r - 2 or x % 2:
             return False
     if a + b + c > 2 * lv.r - 4:
         return False
@@ -378,8 +391,10 @@ def fusion_colors(a: int, b: int, level):
     |a - b| to min(a + b, 2r - 4 - a - b); none when a or b is not a
     color."""
     lv = _lv(level)
-    if not all(isinstance(x, int) and 0 <= x <= lv.r - 2 and x % 2 == 0 for x in (a, b)):
+    t = _ints(a, b)
+    if t is None or not all(0 <= x <= lv.r - 2 and x % 2 == 0 for x in t):
         return ()
+    a, b = t
     return tuple(range(abs(a - b), min(a + b, 2 * lv.r - 4 - a - b) + 1, 2))
 
 
@@ -559,7 +574,7 @@ def sixj_info(n1, n2, n3, n4, n5, n6, level) -> dict:
             "used_mp": False,
             "prec_bits": None,
         }
-    key = _canonical_sixtuple(t)
+    key = _canonical_sixtuple(_ints(*t))  # admissible, so integral
     hit = lv._sixj_cache.get(key)
     if hit is not None:
         return {"value": hit[0], **hit[1]}
@@ -623,9 +638,11 @@ def sixj(n1, n2, n3, n4, n5, n6, level) -> ExtScalar:
     if hit is None:
         info = sixj_info(*t, lv)
         hit = (info.pop("value"), info)
-        if len(lv._sixj_cache) >= _SIXJ_CACHE_MAX:
-            lv._sixj_cache.clear()
-        lv._sixj_cache[t] = hit
+        key = _ints(*t)
+        if key is not None:  # 2.0 is not a color, but as a key it would shadow 2
+            if len(lv._sixj_cache) >= _SIXJ_CACHE_MAX:
+                lv._sixj_cache.clear()
+            lv._sixj_cache[key] = hit
     return hit[0]
 
 

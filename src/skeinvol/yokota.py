@@ -20,20 +20,25 @@ a factor ``1 / circle_weight``, and an isolated vertex contributes a
 factor 1.
 
 None of that surgery depends on the colors, so it is done once per
-shape: `yokota_ext` and every sum over colorings look up the graph's
-desingularized shape (cached per graph and fan anchors; the rules in
-the order they apply, the fanned trivalent graph, its internal edges
-and their vertex triples, one genus check, and the getters that read
-its canonical signature off a coloring).  Each coloring then costs the
-rules' color checks and factors, the admissible internal colors, and
-one bracket memo lookup per internal coloring under the same canonical
-signature `skeinvol.planar.canonical_signature` gives.  A memo miss
-replays the bracket engine's compiled reduction of the fanned graph for
-that coloring's zero edges (see `skeinvol.bracket`), so no coloring
-repeats the moves.  The memo is the caller's when passed as ``memo=``
-(a hit in it costs no budget steps) and otherwise lives for one call,
-so the value and the budget verdict depend only on the arguments.
+shape: `yokota_ext`, `desingularize` and every sum over colorings look
+up the graph's desingularized shape (cached per graph and fan anchors;
+the rules in the order they apply, the fanned trivalent graph, its
+internal edges and the vertices each of them closes, one genus check,
+and the canonical labelings of `skeinvol.planar`).  Each coloring then
+costs the rules' color checks and factors, the admissible internal
+colors, and one call of `skeinvol.bracket`'s memoized evaluation per
+internal coloring, with the signature `skeinvol.planar.read_signature`
+reads off the labelings.  The bracket engine owns the memo: it looks
+the signature up and, on a miss, replays its compiled reduction of the
+fanned graph for that coloring's zero edges, so no coloring repeats the
+moves.  The memo is the caller's when passed as ``memo=`` (a hit in it
+costs no budget steps) and otherwise lives for one call, so the value
+and the budget verdict depend only on the arguments.
 `skeinvol.bracket.cache_clear` empties the shape cache.
+
+This module has one coloring filler, `_fill`: `admissible_colorings`
+fills every edge of a graph with it, and the invariant the internal
+edges of a shape.
 
 The invariant is real but can be negative; the graph analogue of a
 state sum therefore adds absolute values over all colorings
@@ -47,25 +52,11 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .bracket import (
-    _SHAPE_CACHES,
-    _Ctx,
-    _eval_canonical,
-    _Keyed,
-    _RGraph,
-    _validate_coloring,
-    _vector_getter,  # noqa: F401  (re-exported: the getters behind _Shape.key)
-)
+from .bracket import _SHAPE_CACHES, _Ctx, _eval_canonical, _RGraph, _validate_coloring
 from .errors import LowValence, NotPlanar
 from .extscalar import ExtScalar, SignLogReal
-from .planar import PlanarGraph, betti, genus
-from .qnum import (
-    Level,
-    admissible_triples,
-    circle_weight,
-    kirby_norm,
-    quantum_integer,
-)
+from .planar import PlanarGraph, betti, canonical_labelings, genus, read_signature
+from .qnum import Level, circle_weight, kirby_norm, quantum_integer
 
 __all__ = [
     "admissible_colorings",
@@ -149,10 +140,8 @@ def desingularize(graph: PlanarGraph, coloring, anchors=None):
     """
     if any(len(r) < 3 for r in graph.rot):
         raise LowValence("remove 1- and 2-valent vertices before splitting")
-    rg = _RGraph.from_graph(graph, coloring)
-    internal = _fan_all(rg, anchors)
-    g2, col2, emap = rg.freeze()
-    return g2, list(col2), sorted(emap[e] for e in internal)
+    shape = _shape(graph, _anchor_key(anchors))
+    return shape.g2, [None if e is None else coloring[e] for e in shape.src], list(shape.slots)
 
 
 # ---------------------------------------------------------------------------
@@ -213,42 +202,33 @@ class _Shape:
     rules are the low-valence rules (see _strip_rules).  g2 is the
     fanned, frozen trivalent graph left after them (None when none of
     the graph is left), and src[i] the source edge of g2's edge i (None
-    on the internal fan edges, whose g2 ids are slots).  touching[k]
-    lists the vertex triples of g2 whose last internal edge is slots[k].
-    planar says whether g2 embeds in the sphere.  keyed reads g2's
-    canonical signature off a coloring (see bracket._Keyed), so that the
-    memo key of a coloring col of g2 is key(col) ==
+    on the internal fan edges, whose g2 ids are slots).  closing is the
+    _closing table of the slots.  planar says whether g2 embeds in the
+    sphere.  labelings are g2's canonical labelings, so that the memo
+    key of a coloring col of g2 is read_signature(labelings, col) ==
     canonical_signature(g2, col).
     """
 
-    __slots__ = ("rules", "g2", "src", "slots", "touching", "planar", "keyed")
+    __slots__ = ("rules", "g2", "src", "slots", "closing", "planar", "labelings")
 
     def __init__(self, graph, anchors):
         rg = _RGraph.from_graph(graph, range(graph.ne))  # colored by edge ids
         self.rules = _strip_rules(rg)
         self.g2 = None
-        self.src = self.slots = self.touching = ()
+        self.src = self.slots = self.closing = ()
         if not rg.rot:
             return
         internal = _fan_all(rg, dict(anchors))
         self.g2, self.src, emap = rg.freeze()
         self.slots = tuple(sorted(emap[e] for e in internal))
-        pos = {e: k for k, e in enumerate(self.slots)}
-        touching = [[] for _ in self.slots]
-        for rot in self.g2.rot:
-            es = tuple(d >> 1 for d in rot)
-            if len(es) != 3:
-                continue
-            ks = [pos[e] for e in es if e in pos]
-            if ks:
-                touching[max(ks)].append(es)
-        self.touching = tuple(map(tuple, touching))
+        self.closing = _closing(self.g2, self.slots)
         self.planar = genus(self.g2) == 0
-        self.keyed = _Keyed(self.g2)
+        self.labelings = canonical_labelings(self.g2)
 
-    def key(self, col):
-        """canonical_signature(self.g2, col), read through the getters."""
-        return self.keyed.key(col)
+
+def _anchor_key(anchors):
+    """The anchors dict (or None) as the sorted pairs _shape takes."""
+    return tuple(sorted(anchors.items())) if anchors else ()
 
 
 @lru_cache(maxsize=256)
@@ -267,29 +247,35 @@ def _circle_weights(r):
     return {c: SignLogReal.from_float(circle_weight(c, lv)) for c in lv.colors}
 
 
-@lru_cache(maxsize=4)
-def _admissible_triples(r):
-    """Every admissible triple of colors at level r, as a set.
-
-    It holds O(r**3) triples, so it serves only the coloring
-    enumeration, whose cost grows much faster with r anyway.
-    """
-    return frozenset(admissible_triples(r))
-
-
 # ---------------------------------------------------------------------------
-# the invariant, per coloring
+# filling colorings
 
 
-def _assignments(col, slots, touching, lv):
-    """Fill the internal slots of col in every admissible way.
+def _closing(graph, slots):
+    """Per slot k, the vertices of graph that slots[k] is the last slot
+    of, as (trivalent, other): the edge triples of the trivalent ones
+    and the edge tuples of the rest, each in vertex order."""
+    pos = {e: k for k, e in enumerate(slots)}
+    closing = [([], []) for _ in slots]
+    for rot in graph.rot:
+        es = tuple(d >> 1 for d in rot)
+        ks = [pos[e] for e in es if e in pos]
+        if ks:
+            closing[max(ks)][len(es) != 3].append(es)
+    return tuple((tuple(tri), tuple(other)) for tri, other in closing)
+
+
+def _fill(col, slots, closing, lv):
+    """Fill the slots of col in every way its vertices allow.
 
     Slots are filled in order, smallest colors first, and a color is
-    dropped as soon as a vertex whose last slot it fills has an
-    inadmissible triple.  col is filled in place; each complete filling
-    yields its slot colors as a tuple.  Every color in col is a valid
-    one, so a triple is admissible when it passes the triangle
-    inequalities and sums to at most 2r - 4.
+    dropped as soon as a vertex whose last slot it fills fails its
+    check: a trivalent vertex needs an admissible triple, a two-valent
+    one equal colors, a pendant one the color 0, and one of higher
+    valence an even color sum.  Every color in col is a valid one, so a
+    triple is admissible when it passes the triangle inequalities and
+    sums to at most 2r - 4.  col is filled in place; each complete
+    filling yields its slot colors as a tuple.
     """
     n = len(slots)
     if n == 0:
@@ -298,15 +284,25 @@ def _assignments(col, slots, touching, lv):
     colors = lv.colors
     top = 2 * lv.r - 4
 
+    def fits(es):
+        if len(es) == 1:
+            return col[es[0]] == 0
+        if len(es) == 2:
+            return col[es[0]] == col[es[1]]
+        return sum(col[e] for e in es) % 2 == 0
+
     def fill(k):
         e = slots[k]
+        trivalent, other = closing[k]
         for c in colors:
             col[e] = c
-            for x, y, z in touching[k]:
+            for x, y, z in trivalent:
                 a, b, d = col[x], col[y], col[z]
                 if a + b + d > top or not abs(a - b) <= d <= a + b:
                     break
             else:
+                if other and not all(map(fits, other)):
+                    continue
                 if k + 1 == n:
                     yield tuple(col[s] for s in slots)
                 else:
@@ -316,22 +312,25 @@ def _assignments(col, slots, touching, lv):
     yield from fill(0)
 
 
+# ---------------------------------------------------------------------------
+# the invariant, per coloring
+
+
 def _evaluator(graph, lv, anchors=None, budget=None, memo=None):
     """The function coloring -> invariant (ExtScalar) of graph at level lv.
 
     The shape is looked up once (see _Shape).  Each call then checks the
     strip rules, maps the colors onto g2, and sums over the admissible
-    internal colors the circle weights times the squared bracket, whose
-    value is a memo lookup under its canonical signature; a miss
-    replays the bracket engine's compiled reduction with a step count
-    starting at 0.
+    internal colors the circle weights times the squared bracket, which
+    the bracket engine's memoized evaluation gives under its canonical
+    signature with a step count starting at 0; a memo hit costs no
+    steps.
     Colorings are not validated here.
     """
-    shape = _shape(graph, tuple(sorted(anchors.items())) if anchors else ())
+    shape = _shape(graph, _anchor_key(anchors))
     ctx = _Ctx(lv, True, None, budget, memo)
     weights = _circle_weights(lv.r)
-    rules, g2, src, slots, touching = shape.rules, shape.g2, shape.src, shape.slots, shape.touching
-    memo_get = ctx.memo.get
+    rules, g2, src, slots, closing = shape.rules, shape.g2, shape.src, shape.slots, shape.closing
     slot_weights = {}  # internal colors -> product of their circle weights
 
     def value(coloring):
@@ -351,7 +350,7 @@ def _evaluator(graph, lv, anchors=None, budget=None, memo=None):
             return factor.to_ext()
         col = [None if e is None else coloring[e] for e in src]
         total = ExtScalar()
-        for assign in _assignments(col, slots, touching, lv):
+        for assign in _fill(col, slots, closing, lv):
             weight = slot_weights.get(assign)
             if weight is None:
                 w = _ONE
@@ -360,11 +359,8 @@ def _evaluator(graph, lv, anchors=None, budget=None, memo=None):
                 weight = slot_weights[assign] = w.to_ext()
             if not shape.planar:
                 raise NotPlanar("the rotation system does not embed in the sphere")
-            sig = shape.key(col)
-            b = memo_get((lv.r, ctx.base_tet, sig))
-            if b is None:
-                ctx.steps = 0
-                b = _eval_canonical(g2, tuple(col), ctx, sig)
+            ctx.steps = 0
+            b = _eval_canonical(g2, tuple(col), ctx, read_signature(shape.labelings, col))
             total = total + weight * (b * b)
         return factor.to_ext() * total
 
@@ -390,7 +386,7 @@ def yokota_ext(
     fresh dict.
     """
     lv = Level.of(level)
-    _validate_coloring(graph, coloring, lv)
+    coloring = _validate_coloring(graph, coloring, lv)
     return _evaluator(graph, lv, anchors, budget, memo)(coloring)
 
 
@@ -414,38 +410,8 @@ def admissible_colorings(graph: PlanarGraph, level):
     is checked when its last edge gets a color.
     """
     lv = Level.of(level)
-    triples = _admissible_triples(lv.r)
-    # per edge: the trivalent vertices and the other ones it closes
-    closes = [([], []) for _ in range(graph.ne)]
-    for rot in graph.rot:
-        es = tuple(d >> 1 for d in rot)
-        if es:
-            closes[max(es)][len(es) != 3].append(es)
-    colors = [None] * graph.ne
-
-    def ok(es):
-        if len(es) == 1:
-            return colors[es[0]] == 0
-        if len(es) == 2:
-            return colors[es[0]] == colors[es[1]]
-        return sum(colors[e] for e in es) % 2 == 0
-
-    def fill(e):
-        if e == graph.ne:
-            yield tuple(colors)
-            return
-        trivalent, other = closes[e]
-        for c in lv.colors:
-            colors[e] = c
-            for x, y, z in trivalent:
-                if (colors[x], colors[y], colors[z]) not in triples:
-                    break
-            else:
-                if all(ok(es) for es in other):
-                    yield from fill(e + 1)
-        colors[e] = None
-
-    yield from fill(0)
+    slots = tuple(range(graph.ne))
+    yield from _fill([None] * graph.ne, slots, _closing(graph, slots), lv)
 
 
 def yokota_table(graph: PlanarGraph, level, *, budget=None, memo=None):
@@ -479,14 +445,15 @@ def yokota_kirby(graph: PlanarGraph, level, *, budget=None, memo=None) -> ExtSca
     """
     lv = Level.of(level)
     value = _evaluator(graph, lv, budget=budget, memo=memo)
+    weights = _circle_weights(lv.r)
     total = ExtScalar()
     for col in admissible_colorings(graph, lv):
         y = value(col)
         if y.is_zero():
             continue
-        w = SignLogReal.from_float(1.0)
+        w = _ONE
         for c in col:
-            w = w * SignLogReal.from_float(circle_weight(c, lv))
+            w = w * weights[c]
         total = total + w.to_ext() * y
     return total
 

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 import skeinvol.bracket as bracket_module
@@ -211,3 +212,25 @@ def test_genus_cached_and_nonplanar_still_rejected():
     assert genus(torus) == 1 and genus(theta()) == 0
     cache_clear()
     assert genus.cache_info().currsize == 0
+
+
+def test_numpy_integer_coloring_is_accepted():
+    from skeinvol.yokota import yokota_ext
+
+    memo = {}
+    got = bracket(tetrahedron(), np.full(6, 2), 5, memo=memo)
+    want = bracket(tetrahedron(), (2,) * 6, 5, memo={})
+    assert (got.m, got.e) == (want.m, want.e)
+    y = yokota_ext(square_pyramid(), np.full(8, 2), 7, memo=memo)
+    y_want = yokota_ext(square_pyramid(), (2,) * 8, 7, memo={})
+    assert (y.m, y.e) == (y_want.m, y_want.e)
+
+    def ints(x):
+        if isinstance(x, tuple):
+            return all(ints(v) for v in x)
+        return type(x) in (int, bool)
+
+    assert memo and all(ints(key) for key in memo)  # memo keys hold Python ints
+    for bad in [(2.0,) * 6, (2,) * 5 + (3,), (2,) * 5 + (-2,)]:
+        with pytest.raises(ValueError, match="is not a color at level 5"):
+            bracket(tetrahedron(), bad, 5)

@@ -10,7 +10,7 @@ import pytest
 
 from skeinvol.cli import main
 from skeinvol.hypvol import records_to_csv
-from skeinvol.planar import graph_to_json, theta
+from skeinvol.planar import graph_to_json, tetrahedron, theta
 from skeinvol.scans import bound_record
 from skeinvol.yokota import yokota
 
@@ -208,6 +208,19 @@ def test_scan_file_graph(tmp_path, capsys):
     assert rc == 0
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 2
+
+
+@pytest.mark.parametrize("bad", [3, -2, "x", 2.0, None])
+def test_scan_file_colors_are_validated(bad, tmp_path, capsys):
+    path = tmp_path / "tet.json"
+    path.write_text(json.dumps(graph_to_json(tetrahedron(), (2, 2, 2, 2, 2, bad))))
+    argv = ["scan", "--graph", str(path), "--policy", "fixed", "--rmin", "7", "--rmax", "7"]
+    expect_exit2(argv)
+    assert capsys.readouterr().err.startswith("error: colors must be even non-negative integers")
+    # the same file with valid colors scans
+    path.write_text(json.dumps(graph_to_json(tetrahedron(), (2,) * 6)))
+    rc, out, _ = run_cli(argv, capsys)
+    assert rc == 0 and len(list(csv.DictReader(io.StringIO(out)))) == 1
 
 
 def test_reproduce_appendix_deterministic(capsys):

@@ -4,12 +4,15 @@ import json
 import random
 
 import pytest
+from test_yokota import low_valence
 
 from skeinvol.errors import NotTriangle, NotTrivalent
+from skeinvol.yokota import _shape
 from skeinvol.planar import (
     PlanarGraph,
     betti,
     blow_up,
+    canonical_labelings,
     canonical_signature,
     circle,
     cube,
@@ -23,6 +26,7 @@ from skeinvol.planar import (
     mirror,
     octahedron,
     pentagonal_pyramid,
+    read_signature,
     same_embedding,
     split_components,
     square_pyramid,
@@ -342,3 +346,43 @@ def test_canonical_signature_matches_reference_partition():
             assert sig == want  # the uncolored value is the reference's
     fam = family_enumerate(2)
     assert [reference_signature(g) for g in fam] == sorted(reference_signature(g) for g in fam)
+
+
+def signature_by_orders(g, coloring=None):
+    """The colored signature as it was computed from bare edge orders,
+    kept as the reference for read_signature.  The orders are read back
+    from the getters of canonical_labelings by applying each to the
+    edge ids themselves."""
+    isolated, labelings = canonical_labelings(g)
+    comps = [(sig, [get(range(g.ne)) for get in gets]) for sig, gets in labelings]
+    if coloring is None:
+        sigs = sorted(sig for sig, _ in comps)
+    else:
+        sigs = sorted(
+            (sig, min(tuple(coloring[e] for e in order) for order in orders))
+            for sig, orders in comps
+        )
+    return (isolated, tuple(sigs))
+
+
+def test_read_signature_matches_edge_order_formula():
+    rng = random.Random(7)
+    fanned = [_shape(make(), ()).g2 for make in (octahedron, square_pyramid, low_valence)]
+    graphs = [build() for build in FIXTURE_BUILDERS] + fanned + [circle()]
+    for g in graphs:
+        labelings = canonical_labelings(g)
+        # every getter reads a tuple, a 1-tuple on a one-edge component
+        for _, gets in labelings[1]:
+            for get in gets:
+                order = get(range(g.ne))
+                assert type(order) is tuple and sorted(order) == sorted(set(order))
+        colorings = [None, [2] * g.ne]
+        colorings += [[rng.choice((0, 2, 4)) for _ in range(g.ne)] for _ in range(10)]
+        colorings += [tuple(rng.choice((0, 2, 4, 6)) for _ in range(g.ne)) for _ in range(10)]
+        for col in colorings:
+            want = signature_by_orders(g, col)
+            assert canonical_signature(g, col) == want
+            assert read_signature(labelings, col) == want
+    # a circle is one component with one edge: its vector is a 1-tuple
+    (_, vector), = read_signature(canonical_labelings(circle()), [4])[1]
+    assert vector == (4,)

@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from skeinvol.qnum import (
@@ -104,13 +105,10 @@ def test_admissibility_rules():
 
 
 def test_admissibility_interval_matches_brute_force():
-    from skeinvol.yokota import _admissible_triples
-
     for r in range(3, 62, 2):
         colors = Level.of(r).colors
         brute = [t for t in itertools.product(colors, repeat=3) if is_admissible_triple(*t, r)]
         assert admissible_triples(r) == brute  # same triples, same order
-        assert _admissible_triples(r) == frozenset(brute)
         # odd, negative and too-large inputs give no colors
         for a, b in itertools.product(range(-2, r + 1), repeat=2):
             want = tuple(c for c in colors if is_admissible_triple(a, b, c, r))
@@ -255,3 +253,27 @@ def test_kirby_norm_identity():
         want = r / (4.0 * math.sin(2.0 * math.pi / r) ** 2)
         assert abs(kirby_norm(r) - want) < 1e-12 * want
         assert abs(total - want) < 1e-12 * want
+
+
+def test_numpy_integer_colors_are_colors():
+    lv = Level.of(5)
+    lv._sixj_cache.clear()
+    got = sixj(*np.full(6, 2), lv)
+    want = sixj(2, 2, 2, 2, 2, 2, lv)
+    assert (got.m, got.e) == (want.m, want.e)
+    assert abs(got.to_float() + 2.618033988749895) < 1e-12
+    assert sixj_info(*np.full(6, 2, dtype=np.int32), lv)["admissible"]
+    assert is_admissible_triple(np.int64(2), 2, 2, 5)
+    assert fusion_colors(np.int64(2), np.int16(2), 7) == (0, 2, 4)
+    assert all(type(c) is int for c in fusion_colors(np.int64(2), 2, 7))
+    # the caches hold Python ints whatever the caller passed
+    assert all(type(c) is int for key in lv._sixj_cache for c in key)
+    # a float is not a color, even an integral one
+    assert not is_admissible_triple(2.0, 2, 2, 5)
+    assert fusion_colors(2.0, 2, 7) == ()
+    assert not sixj_info(2, 2, 2, 2, 2, 2.0, 5)["admissible"]
+    # on a cold cache a float tuple gives 0 and leaves no entry that a
+    # later call with the equal ints would hit
+    lv._sixj_cache.clear()
+    assert sixj(2.0, 2, 2, 2, 2, 2, lv).is_zero()
+    assert sixj(2, 2, 2, 2, 2, 2, lv).to_float() == want.to_float()

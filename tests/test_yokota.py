@@ -11,11 +11,13 @@ from skeinvol.errors import BudgetExceeded, NotPlanar
 from skeinvol.extscalar import ExtScalar, SignLogReal
 from skeinvol.planar import (
     PlanarGraph,
+    _vector_getter,
     canonical_signature,
     cube,
     double_at,
     genus,
     octahedron,
+    read_signature,
     square_pyramid,
     tetrahedron,
     theta,
@@ -37,7 +39,6 @@ from skeinvol.yokota import (
     _PENDANT,
     _fan_all,
     _shape,
-    _vector_getter,
     admissible_colorings,
     desingularize,
     fourier_dual,
@@ -395,7 +396,7 @@ def test_shape_key_is_the_canonical_signature():
         shape = _shape(make(), ())
         for _ in range(50):
             col = [rng.choice(Level.of(r).colors) for _ in range(shape.g2.ne)]
-            assert shape.key(col) == canonical_signature(shape.g2, col)
+            assert read_signature(shape.labelings, col) == canonical_signature(shape.g2, col)
     # after stripping every component has at least three edges, but a
     # one-edge order still reads a 1-tuple, as canonical_signature does
     assert _vector_getter((2,))([0, 2, 4]) == (4,)
