@@ -43,7 +43,6 @@ arguments.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import index, itemgetter
 
@@ -121,15 +120,6 @@ class _RGraph:
                 vof[d] = v
         col = {e: coloring[e] for e in range(g.ne)}
         return cls(rot, vof, col, g.ne)
-
-    def degree(self, v):
-        return len(self.rot[v])
-
-    def edges_at(self, v):
-        return [d >> 1 for d in self.rot[v]]
-
-    def other_end(self, d):
-        return self.vof[d ^ 1]
 
     def remove_edge(self, e):
         for d in (2 * e, 2 * e + 1):
@@ -740,36 +730,6 @@ def bracket(
         raise NotPlanar("the rotation system does not embed in the sphere")
     ctx = _Ctx(lv, base_tet, seed, budget, memo)
     return _eval_canonical(graph, coloring, ctx)
-
-
-@dataclass
-class KirbyDistribution:
-    """Per-color values of a graph with one edge left free."""
-
-    edge: int
-    colors: tuple
-    values: tuple  # ExtScalar per color
-    r: int
-
-    def kirby_sum(self) -> ExtScalar:
-        """sum_i circle_weight(i) * value_i — the edge carrying the Kirby color."""
-        out = ExtScalar()
-        for i, v in zip(self.colors, self.values):
-            out = out + ExtScalar.from_complex(circle_weight(i, self.r)) * v
-        return out
-
-
-def bracket_distribution(
-    graph: PlanarGraph, coloring, edge: int, level, **kw
-) -> KirbyDistribution:
-    """Bracket values as the color of one edge runs over all colors."""
-    lv = Level.of(level)
-    vals = []
-    for i in lv.colors:
-        col = list(coloring)
-        col[edge] = i
-        vals.append(bracket(graph, tuple(col), lv, **kw))
-    return KirbyDistribution(edge=edge, colors=lv.colors, values=tuple(vals), r=lv.r)
 
 
 def fusion_at(graph: PlanarGraph, coloring, p: int, q: int, i: int):

@@ -14,11 +14,9 @@ the bound sweep's forked screen uses (timings are opt-in because they would
 break that). Human-readable summaries go to stderr so stdout stays
 machine-readable.
 
-Environment: SKEIN_BUDGET is the default of scan's --budget (evaluation
-budget for engine-backed policies); this module is its only reader, and
-library calls take budget= instead.  SKEIN_PRECISION_BITS raises the floor
-for high-precision arithmetic; it has no flag.  A value of either that is
-not an integer is invalid input.
+The CLI reads no environment: scan's evaluation budget comes from
+--budget alone, and the high-precision floors (r + 64 bits for a 6j,
+2r + 256 for a wheel sum) are fixed in the library.
 
 Exit codes: 0 success, 1 failed verification, 2 invalid input.
 """
@@ -68,16 +66,6 @@ APPENDIX_KINDS = ("sq-ideal", "sq-zero", "pent-ideal", "pent-zero")
 def _fail(msg: str) -> "SystemExit":
     print(f"error: {msg}", file=sys.stderr)
     raise SystemExit(2)
-
-
-def _env_int(name: str) -> Optional[int]:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        _fail(f"{name} must be an integer, got {raw!r}")
 
 
 def _odd_levels(rmin: int, rmax: int, rstep: int) -> List[int]:
@@ -231,7 +219,6 @@ def _tv_builder(graph, name, budget):
 def cmd_scan(args) -> int:
     levels = _odd_levels(args.rmin, args.rmax, args.rstep)
     graph, name, file_colors = _resolve_graph(args.graph)
-    budget = args.budget if args.budget is not None else _env_int("SKEIN_BUDGET")
 
     if args.policy == "fixed":
         colors = (
@@ -245,9 +232,9 @@ def cmd_scan(args) -> int:
             _fail(f"colors must lie in 0..{levels[0] - 3} at the smallest level r={levels[0]}")
         # space-separated so the policy label never breaks the 9-column CSV
         policy = "fixed[" + " ".join(str(c) for c in colors) + "]"
-        build, kind = _fixed_builder(graph, colors, policy, budget), "fixed"
+        build, kind = _fixed_builder(graph, colors, policy, args.budget), "fixed"
     elif args.policy == "maximizer":
-        build, kind = _maximizer_builder(graph, name, budget), "maximizer"
+        build, kind = _maximizer_builder(graph, name, args.budget), "maximizer"
         policy = "maximizer"
     elif args.policy in _IDEAL_POLICY:
         wheel, exp_kind = _IDEAL_POLICY[args.policy]
@@ -262,10 +249,10 @@ def cmd_scan(args) -> int:
     elif args.policy == "exhaustive-bound":
         if name != "tetrahedron":
             _fail(f"policy exhaustive-bound applies to the tetrahedron fixture, not {name}")
-        build, kind = (lambda r: bound_record(r, budget=budget)[0]), "sixj-bound"
+        build, kind = (lambda r: bound_record(r, budget=args.budget)[0]), "sixj-bound"
         policy = "exhaustive"
     else:  # full-TV-sweep
-        build, kind = _tv_builder(graph, name, budget), "tv"
+        build, kind = _tv_builder(graph, name, args.budget), "tv"
         policy = "full-TV-sweep"
 
     records = run_levels(build, levels, timings=args.timings, mark=(kind, policy))
@@ -374,8 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         help="evaluation budget for engine-backed policies; on full-TV-sweep of "
-        "the tetrahedron and on exhaustive-bound, the enumerated cover 6-tuples "
-        "(default: SKEIN_BUDGET)",
+        "the tetrahedron and on exhaustive-bound, the enumerated cover 6-tuples",
     )
     p.add_argument(
         "--extrapolate",
@@ -407,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _env_int("SKEIN_PRECISION_BITS")  # read by the library mid-run: refuse a bad value first
     try:
         return args.fn(args)
     except SkeinError as exc:

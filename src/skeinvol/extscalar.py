@@ -90,13 +90,6 @@ class ExtScalar:
             return -math.inf
         return math.log(abs(self.m)) + self.e * _LN2
 
-    def real_ratio(self):
-        """|im| / max(|re|,|im|) of the mantissa (0 for exactly real)."""
-        a = max(abs(self.m.real), abs(self.m.imag))
-        if a == 0:
-            return 0.0
-        return abs(self.m.imag) / a
-
     # ---- arithmetic ---------------------------------------------------
 
     def __mul__(self, other):
@@ -130,24 +123,6 @@ class ExtScalar:
             other = ExtScalar.from_complex(other)
         return self + (-other)
 
-    def abs2(self):
-        """|value|^2, exactly real."""
-        return ExtScalar(self.m.real * self.m.real + self.m.imag * self.m.imag,
-                         2 * self.e)
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise TypeError("ExtScalar only supports nonnegative integer powers")
-        out = ExtScalar(1.0, 0)
-        base = self
-        k = n
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     # ---- formatting ---------------------------------------------------
 
     def _part_str(self, x):
@@ -162,24 +137,6 @@ class ExtScalar:
         if self.is_zero():
             return "ExtScalar(0)"
         return f"ExtScalar({self._part_str(self.m.real)} {self._part_str(self.m.imag)}j)"
-
-
-def rel_diff(a, b):
-    """Relative difference of two ExtScalars (or numbers), scale-free.
-
-    |a - b| / max(|a|, |b|); zero when both are zero.
-    """
-    if not isinstance(a, ExtScalar):
-        a = ExtScalar.from_complex(a)
-    if not isinstance(b, ExtScalar):
-        b = ExtScalar.from_complex(b)
-    diff = a - b
-    if diff.is_zero():
-        return 0.0
-    scale = max(a.log_abs(), b.log_abs())
-    if scale == -math.inf:
-        return 0.0
-    return math.exp(diff.log_abs() - scale)
 
 
 class SignLogReal:

@@ -29,7 +29,6 @@ __all__ = [
     "lobachevsky",
     "named_volumes",
     "records_to_csv",
-    "write_csv",
 ]
 
 
@@ -162,11 +161,6 @@ def records_to_csv(records: Sequence[ScanRecord]) -> str:
     for rec in records:
         lines.append(",".join(_fmt(getattr(rec, f)) for f in CSV_FIELDS))
     return "\n".join(lines) + "\n"
-
-
-def write_csv(records: Sequence[ScanRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(records_to_csv(records))
 
 
 def extrapolate_limit(pairs) -> float:

@@ -18,6 +18,13 @@ sum_i circle_weight(i) = circle_weight(a) * circle_weight(b) over
 admissible i, and the handle-slide identities, come out with the correct
 signs.  ``loop_weight`` returns the second variant for comparison with
 sources that use it.
+
+Each level keeps one table of quantum factorials, Level.lf (log |[k]!|)
+and Level.fneg ([k]! < 0).  The scalar 6j, the thetas, quantum_factorial
+and the batched 6j of scans all read it, so the scalar and batched
+z-sums take the same term logs and signs.  Where doubles lose too many
+digits the 6j is recomputed at the fixed floor of r + 64 bits; nothing
+in the package reads the environment.
 """
 
 from __future__ import annotations
@@ -25,7 +32,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import os
 import threading
 
 import mpmath as mp
@@ -54,7 +60,10 @@ class Level:
             exactly for r/2 < k < r, so the sign of [k]! alternates with
             max(0, k - (r-1)/2).
 
-    lf and fneg are the tables of the vectorized scans (scans.batch_sixj).
+    lf and fneg are the level's one factorial table: the vectorized
+    scans (scans.batch_sixj) read the arrays, and the scalar 6j, the
+    thetas and quantum_factorial read their plain-list copies _lf and
+    _fneg, so both z-sums see the same bits.
     """
 
     _instances: dict[int, "Level"] = {}
@@ -69,17 +78,14 @@ class Level:
         # [k] for k = 0 .. r-1; extended periodically by qint().
         self._qint = [math.sin(2 * math.pi * k / r) / s0 for k in range(r)]
         self._qint[0] = 0.0
-        # [k]! for k = 0 .. r-1 in sign-log form.
-        facts = [SignLogReal(1, 0.0)]
-        for k in range(1, r):
-            facts.append(facts[-1] * SignLogReal.from_float(self._qint[k]))
-        self._qfact = facts
         k = np.arange(r, dtype=np.int64)
         mag = np.abs(np.sin(2 * np.pi * k / r)) / s0
         lg = np.zeros(r)
         lg[1:] = np.log(mag[1:])
         self.lf = np.concatenate([[0.0], np.cumsum(lg[1:])])
         self.fneg = np.maximum(0, k - (r - 1) // 2) % 2 == 1
+        self._lf = self.lf.tolist()
+        self._fneg = self.fneg.tolist()
         self._sixj_cache: dict[tuple, tuple[ExtScalar, dict]] = {}
         self._mp_tables: dict[int, MpFactorials] = {}
 
@@ -102,7 +108,7 @@ class Level:
         if n >= self.r:
             # the product picks up the factor [r] = 0
             return SignLogReal(0)
-        return self._qfact[n]
+        return SignLogReal(-1 if self._fneg[n] else 1, self._lf[n])
 
     def mp_factorials(self, prec: int) -> "MpFactorials":
         """The fixed-point factorial tables for prec-bit work, built once."""
@@ -472,30 +478,32 @@ def _sum_ranges(t):
 
 
 def _sixj_double(t, lv):
-    """Sum-over-z evaluation in doubles, with a cancellation estimate."""
-    T, Q = _sum_ranges(t)
-    zlo = max(T)
-    zhi = min(min(Q), lv.r - 2)
+    """Sum-over-z evaluation in doubles, with a cancellation estimate.
+
+    Returns ((sign, log) of the z-sum, cancel_digits, terms); the first
+    is None when doubles cannot deliver ~8 significant digits.  A term's
+    log is lf[z+1] - lf[z-T_1] - ... - lf[Q_3-z], subtracted in that
+    order, and the term is negative when the fneg entries it reads and
+    the parity of z XOR to 1: the terms and signs of scans.batch_sixj.
+    """
+    (t1, t2, t3, t4), (q1, q2, q3) = _sum_ranges(t)
+    lf, fneg = lv._lf, lv._fneg
     # Admissibility makes the range nonempty (Q_j >= T_i always); terms
     # with z >= r-1 would contain the factor [r] = 0 and are dropped by
     # the clamp.
     pos = neg = 0.0
     cpos = cneg = 0.0
     logs = []
-    signs = []
-    for z in range(zlo, zhi + 1):
-        term = lv.qfact(z + 1)
-        for ti in T:
-            term = term / lv.qfact(z - ti)
-        for qj in Q:
-            term = term / lv.qfact(qj - z)
-        sign = -term.sign if z % 2 else term.sign
-        logs.append(term.log)
-        signs.append(sign)
+    negs = []
+    for z in range(max(t1, t2, t3, t4), min(q1, q2, q3, lv.r - 2) + 1):
+        logs.append(lf[z + 1] - lf[z - t1] - lf[z - t2] - lf[z - t3] - lf[z - t4]
+                    - lf[q1 - z] - lf[q2 - z] - lf[q3 - z])
+        negs.append(fneg[z + 1] ^ fneg[z - t1] ^ fneg[z - t2] ^ fneg[z - t3] ^ fneg[z - t4]
+                    ^ fneg[q1 - z] ^ fneg[q2 - z] ^ fneg[q3 - z] ^ (z & 1))
     lmax = max(logs)
-    for lg, sg in zip(logs, signs):
+    for lg, ng in zip(logs, negs):
         x = math.exp(lg - lmax)
-        if sg > 0:
+        if not ng:
             y = x - cpos
             tt = pos + y
             cpos = (tt - pos) - y
@@ -514,8 +522,7 @@ def _sixj_double(t, lv):
     cancel = math.log10(cond) if cond > 1 else 0.0
     if cond * nterms * 2.0 ** -52 > 1e-8:
         return None, cancel, nterms
-    sl = SignLogReal(1 if s > 0 else -1, lmax + math.log(abs(s)))
-    return sl, cancel, nterms
+    return (1 if s > 0 else -1, lmax + math.log(abs(s))), cancel, nterms
 
 
 def _sixj_mp(t, lv, prec):
@@ -543,18 +550,6 @@ def _vertex_triples(t):
     return ((n1, n2, n3), (n1, n5, n6), (n2, n4, n6), (n3, n4, n5))
 
 
-def mp_precision(floor: int) -> int:
-    """Bits for high-precision work: floor, or SKEIN_PRECISION_BITS if larger."""
-    raw = os.environ.get("SKEIN_PRECISION_BITS", "").strip()
-    if not raw:
-        return floor
-    try:
-        bits = int(raw)
-    except ValueError:
-        raise ValueError(f"SKEIN_PRECISION_BITS must be an integer, got {raw!r}") from None
-    return max(floor, bits)
-
-
 def sixj_info(n1, n2, n3, n4, n5, n6, level) -> dict:
     """The 6j symbol together with evaluation diagnostics.
 
@@ -578,33 +573,30 @@ def sixj_info(n1, n2, n3, n4, n5, n6, level) -> dict:
     hit = lv._sixj_cache.get(key)
     if hit is not None:
         return {"value": hit[0], **hit[1]}
-    sl, cancel, nterms = _sixj_double(key, lv)
-    if sl is None:
-        prec = mp_precision(lv.r + 64)
+    zsum, cancel, nterms = _sixj_double(key, lv)
+    if zsum is None:
+        prec = lv.r + 64
         value = _sixj_mp(key, lv, prec)
-        info = {
-            "admissible": True,
-            "terms": nterms,
-            "cancel_digits": cancel,
-            "used_mp": True,
-            "prec_bits": prec,
-        }
     else:
+        prec = None
+        # Theta(a,b,c) = (-1)^s [s+1]! / ([s-a]! [s-b]! [s-c]!), with its
+        # log associated as theta_signlog's
+        lf, fneg = lv._lf, lv._fneg
         quad = 0
         preflog = 0.0
-        for tri in _vertex_triples(key):
-            th = theta_signlog(*tri, lv)
-            if th.sign < 0:
-                quad += 1
-            preflog -= 0.5 * th.log
-        value = ExtScalar.from_log(preflog + sl.log, sign=sl.sign, quadrant=quad)
-        info = {
-            "admissible": True,
-            "terms": nterms,
-            "cancel_digits": cancel,
-            "used_mp": False,
-            "prec_bits": None,
-        }
+        for a, b, c in _vertex_triples(key):
+            s = (a + b + c) // 2
+            quad += fneg[s + 1] ^ fneg[s - a] ^ fneg[s - b] ^ fneg[s - c] ^ (s & 1)
+            preflog -= 0.5 * (lf[s + 1] - ((lf[s - a] + lf[s - b]) + lf[s - c]))
+        sign, log = zsum
+        value = ExtScalar.from_log(preflog + log, sign=sign, quadrant=quad)
+    info = {
+        "admissible": True,
+        "terms": nterms,
+        "cancel_digits": cancel,
+        "used_mp": prec is not None,
+        "prec_bits": prec,
+    }
     if len(lv._sixj_cache) >= _SIXJ_CACHE_MAX:
         lv._sixj_cache.clear()
     lv._sixj_cache[key] = (value, info)
@@ -628,21 +620,22 @@ def sixj(n1, n2, n3, n4, n5, n6, level) -> ExtScalar:
     The alternating sum is evaluated in log-shifted double precision with
     compensated positive/negative accumulation; when the cancellation
     estimate says doubles cannot deliver ~8 significant digits the symbol
-    is recomputed with mpmath (precision max(r+64, SKEIN_PRECISION_BITS)).
-    Values are memoized per level under the 24 tetrahedral symmetries,
-    and under the tuple as given, so a repeated call is one lookup.
+    is recomputed with mpmath at r + 64 bits.  Values are memoized per
+    level under the 24 tetrahedral symmetries, and under the tuple as
+    given, so a repeated call is one lookup; a tuple with a non-integral
+    entry is not a tuple of colors and gives zero without a lookup.
     """
     lv = _lv(level)
-    t = (n1, n2, n3, n4, n5, n6)
+    t = _ints(n1, n2, n3, n4, n5, n6)
+    if t is None:
+        return ExtScalar()  # 2.0 is not a color, though it hashes like 2
     hit = lv._sixj_cache.get(t)
     if hit is None:
         info = sixj_info(*t, lv)
         hit = (info.pop("value"), info)
-        key = _ints(*t)
-        if key is not None:  # 2.0 is not a color, but as a key it would shadow 2
-            if len(lv._sixj_cache) >= _SIXJ_CACHE_MAX:
-                lv._sixj_cache.clear()
-            lv._sixj_cache[key] = hit
+        if len(lv._sixj_cache) >= _SIXJ_CACHE_MAX:
+            lv._sixj_cache.clear()
+        lv._sixj_cache[t] = hit
     return hit[0]
 
 

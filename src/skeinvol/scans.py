@@ -41,7 +41,10 @@ log-domain 6j evaluator:
 run_levels evaluates the levels of a scan one after another, in level
 order.  The forked screen of the bound sweep is the only work spread
 over processes; the records are bit-identical for any core count.
-The numpy tables every kernel here reads (lf, fneg) live on qnum.Level.
+The numpy tables every kernel here reads (lf, fneg) are the level's one
+factorial table on qnum.Level, which the scalar 6j reads too.  The wheel
+sums start at the fixed floor of 2r + 256 bits; nothing here reads the
+environment.
 """
 
 from __future__ import annotations
@@ -65,7 +68,6 @@ from .qnum import (
     SIXJ_SYMMETRIES,
     Level,
     is_admissible_triple,
-    mp_precision,
     sixj_info,
 )
 from .yokota import maximizing_color
@@ -683,6 +685,11 @@ def wheel_log_invariant(r: int, n_spokes: int, s: int, b: int):
     return log_y, (1.0 if acc > 0 else -1.0), worst_cancel
 
 
+def _wheel_start_bits(r: int) -> int:
+    """The first precision of wheel_log_invariant_mp; a seam for tests."""
+    return 2 * r + 256
+
+
 def wheel_log_invariant_mp(r: int, n_spokes: int, s: int, b: int):
     """High-precision wheel closed form; same contract as the float twin.
 
@@ -691,9 +698,8 @@ def wheel_log_invariant_mp(r: int, n_spokes: int, s: int, b: int):
     whole sum is carried in signed mp floats.  The thetas and
     Delta_i = [i+1] come from the level's fixed-point factorial tables
     (qnum.MpFactorials), the z-sums from its fan tables for (s, b)
-    (qnum.MpFan).  Precision starts at 2r + 256 bits (or
-    SKEIN_PRECISION_BITS if larger) and doubles until the observed
-    cancellation leaves at least 50 trusted bits.
+    (qnum.MpFan).  Precision starts at 2r + 256 bits and doubles until
+    the observed cancellation leaves at least 50 trusted bits.
     """
     lv = Level.of(r)
     if not is_admissible_triple(s, b, b, r):
@@ -702,7 +708,7 @@ def wheel_log_invariant_mp(r: int, n_spokes: int, s: int, b: int):
              if is_admissible_triple(s, s, i, lv) and is_admissible_triple(i, b, b, lv)]
     if not ilist:
         raise ValueError(f"no admissible fan colors for wheel at r={r}")
-    prec = mp_precision(2 * r + 256)
+    prec = _wheel_start_bits(r)
     for _ in range(5):
         tab = lv.mp_factorials(prec)
         fan = tab.fan(s, b)

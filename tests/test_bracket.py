@@ -7,7 +7,7 @@ import pytest
 
 import skeinvol.bracket as bracket_module
 import skeinvol.verify as verify
-from skeinvol.bracket import bracket, bracket_distribution, cache_clear
+from skeinvol.bracket import bracket, cache_clear
 from skeinvol.errors import NotPlanar, NotTrivalent
 from skeinvol.planar import (
     PlanarGraph,
@@ -24,8 +24,6 @@ from skeinvol.planar import (
 from skeinvol.qnum import (
     Level,
     circle_weight,
-    fusion_colors,
-    kirby_norm,
     quantum_integer,
     sixj,
 )
@@ -113,7 +111,7 @@ def test_library_ignores_skein_budget(monkeypatch):
         return (b.m, b.e, y.m, y.e)
 
     cache_clear()
-    monkeypatch.setenv("SKEIN_BUDGET", "1")  # a default of --budget, for the CLI only
+    monkeypatch.setenv("SKEIN_BUDGET", "1")  # the package reads no environment
     got = values()
     monkeypatch.delenv("SKEIN_BUDGET")
     assert got == values()
@@ -159,20 +157,6 @@ def test_input_validation():
         bracket(tetrahedron(), (2, 2, 2), 7)
     with pytest.raises(ValueError):
         bracket(tetrahedron(), (2, 2, 2, 2, 2, 3), 7)
-
-
-def test_unknot_distribution_collapses():
-    dist = bracket_distribution(circle(), (0,), 0, 5)
-    assert dist.colors == (0, 2)
-    got = dist.kirby_sum().to_complex()
-    assert abs(got - kirby_norm(5)) < 1e-12
-
-
-def test_theta_distribution():
-    dist = bracket_distribution(theta(), (0, 2, 2), 0, 7)
-    assert dist.colors == fusion_colors(2, 2, 7)
-    for v in dist.values:
-        assert abs(v.to_complex() - 1.0) < 1e-12
 
 
 def test_shape_cache_cleared_and_invisible():

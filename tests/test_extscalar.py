@@ -2,9 +2,7 @@
 
 import math
 
-import pytest
-
-from skeinvol.extscalar import ExtScalar, SignLogReal, rel_diff
+from skeinvol.extscalar import ExtScalar, SignLogReal
 
 
 def test_normalization_window():
@@ -60,30 +58,6 @@ def test_add_and_sub():
     # a vastly smaller addend is absorbed without error
     tiny = ExtScalar(0.5, -5000)
     assert (a + tiny).to_complex() == 3.0
-
-
-def test_pow_and_abs2():
-    x = ExtScalar.from_complex(1 + 1j)
-    assert abs((x ** 5).to_complex() - (1 + 1j) ** 5) < 1e-12
-    assert abs(x.abs2().to_complex() - 2.0) < 1e-15
-    with pytest.raises(TypeError):
-        x ** -1
-
-
-def test_real_ratio():
-    # |im| / max(|re|, |im|): 0 for exactly real, 1 once imaginary dominates
-    assert ExtScalar.from_complex(5.0).real_ratio() == 0.0
-    assert ExtScalar.from_complex(5j).real_ratio() == 1.0
-    assert ExtScalar.from_complex(4 + 3j).real_ratio() == pytest.approx(0.75)
-    assert ExtScalar.from_complex(3 + 4j).real_ratio() == 1.0
-
-
-def test_rel_diff():
-    a = ExtScalar.from_complex(1.0)
-    b = ExtScalar.from_complex(1.0 + 1e-12)
-    assert rel_diff(a, a) == 0.0
-    assert 0 < rel_diff(a, b) < 1e-11
-    assert rel_diff(ExtScalar(), ExtScalar()) == 0.0
 
 
 def test_signlogreal():

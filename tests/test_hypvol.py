@@ -16,7 +16,6 @@ from skeinvol.hypvol import (
     lobachevsky,
     named_volumes,
     records_to_csv,
-    write_csv,
 )
 
 
@@ -86,7 +85,7 @@ def test_extrapolate_guards():
         extrapolate_limit([(101, 3.6)] * 6)
 
 
-def test_csv_rendering(tmp_path):
+def test_csv_rendering():
     recs = [
         ScanRecord(7, "tet", "fixed", 1.5, 0.673, None, None, 12.25),
         ScanRecord(9, "tet", "maximizer", math.pi, 0.1, 3.663862376708876, 0.05, 3.0, 18.5),
@@ -100,6 +99,3 @@ def test_csv_rendering(tmp_path):
     assert row[5] == "" and row[6] == ""  # absent target and gap stay empty
     row2 = lines[2].split(",")
     assert abs(float(row2[3]) - math.pi) < 1e-10
-    path = tmp_path / "scan.csv"
-    write_csv(recs, path)
-    assert path.read_text() == text

@@ -10,6 +10,7 @@ from skeinvol.qnum import (
     SIXJ_SYMMETRIES,
     Level,
     _canonical_sixtuple,
+    _sixj_mp,
     admissible_triples,
     circle_weight,
     fusion_colors,
@@ -137,7 +138,8 @@ def test_vertex_weight_branch():
     # so the square always lands back on 1/Theta exactly
     for r, triple in [(5, (2, 2, 2)), (7, (2, 2, 2)), (7, (4, 4, 2)), (9, (4, 4, 4))]:
         th = theta_weight(*triple, r)
-        sq = (vertex_weight(*triple, r) ** 2).to_complex()
+        w = vertex_weight(*triple, r)
+        sq = (w * w).to_complex()
         assert abs(sq * th - 1.0) < 1e-12
         if th < 0:
             assert abs(sq.real) < 1e-15 or sq.real < 0  # imaginary or negative branch
@@ -161,20 +163,28 @@ def test_sixj_info_diagnostics():
     assert bad["value"].is_zero()
 
 
-def test_sixj_precision_floor_from_environment(monkeypatch):
-    # this tuple loses 8.9 digits in doubles, so it escalates, by default
-    # at r + 64 = 165 bits
+def test_sixj_escalates_at_r_plus_64_bits(monkeypatch):
+    # this tuple loses 8.9 digits in doubles, so it escalates, at
+    # r + 64 = 165 bits, to the value a 512-bit evaluation gives
     t, r = (14, 30, 30, 66, 84, 84), 101
     lv = Level.of(r)
     monkeypatch.setattr(lv, "_sixj_cache", {})
     base = sixj_info(*t, lv)
     assert base["used_mp"] and base["prec_bits"] == 165
-    monkeypatch.setattr(lv, "_sixj_cache", {})
-    monkeypatch.setenv("SKEIN_PRECISION_BITS", "512")
-    info = sixj_info(*t, lv)
-    assert info["used_mp"] and info["prec_bits"] == 512
-    assert info["value"].log_abs() == pytest.approx(base["value"].log_abs(), rel=1e-12)
-    assert info["value"].to_complex() == pytest.approx(base["value"].to_complex(), rel=1e-12)
+    wide = _sixj_mp(t, lv, 512)
+    assert wide.log_abs() == pytest.approx(base["value"].log_abs(), rel=1e-12)
+    assert wide.to_complex() == pytest.approx(base["value"].to_complex(), rel=1e-12)
+
+
+@pytest.mark.parametrize("r", [5, 191, 871])
+def test_quantum_factorial_reads_the_level_table(r):
+    # one factorial table per level: the scalar [k]! is the numpy table's
+    # entry, also at levels where np.log and math.log round apart
+    lv = Level.of(r)
+    for k in range(r):
+        f = quantum_factorial(k, lv)
+        assert f.sign == (-1 if lv.fneg[k] else 1)
+        assert f.log == lv.lf[k]
 
 
 def test_sixj_agrees_with_sixj_info_cold_and_warm(monkeypatch):
@@ -182,9 +192,12 @@ def test_sixj_agrees_with_sixj_info_cold_and_warm(monkeypatch):
     # one sixj_info gives, for every image of a symbol and for
     # inadmissible tuples, whichever of the two fills the cache first
     lv = Level.of(11)
-    base = [(2, 4, 4, 6, 4, 4), (0, 4, 4, 6, 6, 2), (8, 8, 8, 8, 8, 8), (2, 4, 8, 2, 2, 2)]
+    # a float is no color even where an equal int tuple is cached
+    base = [(2, 4, 4, 6, 4, 4), (0, 4, 4, 6, 6, 2), (8, 8, 8, 8, 8, 8), (2, 4, 8, 2, 2, 2),
+            (2, 2, 2, 2, 2, 2), (2.0, 2, 2, 2, 2, 2)]
     tuples = [tuple(t[i] for i in g) for t in base for g in SIXJ_SYMMETRIES[::5]]
     assert not is_admissible_sixtuple(base[3], lv)
+    assert not is_admissible_sixtuple(base[5], lv)
     for first in (sixj, sixj_info):
         monkeypatch.setattr(lv, "_sixj_cache", {})
         for t in tuples:
@@ -196,8 +209,9 @@ def test_sixj_agrees_with_sixj_info_cold_and_warm(monkeypatch):
                     b = sixj_info(*t, lv)["value"]
                     a = sixj(*t, lv)
                 assert (a.m, a.e) == (b.m, b.e), t
-    assert sixj(*base[3], lv).is_zero()
-    assert not sixj_info(*base[3], lv)["admissible"]
+    for t in base[3], base[5]:
+        assert sixj(*t, lv).is_zero()
+        assert not sixj_info(*t, lv)["admissible"]
 
 
 def test_sixj_cache_stays_bounded(monkeypatch):

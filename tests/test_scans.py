@@ -622,31 +622,20 @@ def test_wheel_float_vs_highprec():
         assert abs(lf - lm) < 1e-9 * max(1.0, abs(lm))
 
 
-def test_wheel_mp_precision_floor_from_environment(monkeypatch):
-    # SKEIN_PRECISION_BITS above the 2r + 256 = 458-bit floor changes the
-    # working precision, not the value
+def test_wheel_mp_value_holds_at_1024_bits(monkeypatch):
+    # starting above the 2r + 256 = 458-bit floor changes the working
+    # precision, not the value
     s, b = appendix_colors("pent-zero", 101)
     want, sign, _ = wheel_log_invariant_mp(101, 5, s, b)
     used = []
     real = Level.mp_factorials
     monkeypatch.setattr(Level, "mp_factorials",
                         lambda lv, prec: used.append(prec) or real(lv, prec))
-    monkeypatch.setenv("SKEIN_PRECISION_BITS", "1024")
+    monkeypatch.setattr(scans, "_wheel_start_bits", lambda r: 1024)
     got, got_sign, _ = wheel_log_invariant_mp(101, 5, s, b)
     assert used == [1024]
     assert got_sign == sign
     assert abs(got - want) <= 1e-12 * abs(want)
-
-
-def test_wheel_mp_refuses_malformed_precision_environment(monkeypatch):
-    # the library gives the CLI's message, not int()'s, from inside the sum
-    monkeypatch.setenv("SKEIN_PRECISION_BITS", "abc")
-    with pytest.raises(ValueError) as err:
-        wheel_log_invariant_mp(21, 4, 10, 10)
-    assert str(err.value) == "SKEIN_PRECISION_BITS must be an integer, got 'abc'"
-    monkeypatch.setenv("SKEIN_PRECISION_BITS", " ")
-    assert wheel_log_invariant_mp(21, 4, 10, 10)[0] == pytest.approx(
-        wheel_log_invariant_mp(21, 4, 10, 10)[0])
 
 
 def test_zero_angled_highprec_against_engine():
