@@ -308,6 +308,8 @@ def cmd_verify(args) -> int:
             _fail(f"unknown fixture {args.graph!r}; choose from {', '.join(sorted(FIXTURES))}")
     if args.r is not None and (args.r < 5 or args.r % 2 == 0):
         _fail(f"--r must be an odd level >= 5, got {args.r}")
+    if args.rmax is not None and args.rmax < 5:
+        _fail(f"--rmax must be at least 5, the smallest level a suite checks, got {args.rmax}")
     try:
         results = run_suite(args.suite, r=args.r, rmax=args.rmax, graph=graph)
     except KeyError as exc:

@@ -263,16 +263,16 @@ class CycloOracle:
             for j in range(n):
                 acc = acc + f.zeta((n - 1 - 2 * j) % r)
             self.qint.append(acc)
-        self.qfact = [f.one()]
+        self.fact = [f.one()]
         for n in range(1, r):
-            self.qfact.append(self.qfact[-1] * self.qint[n])
+            self.fact.append(self.fact[-1] * self.qint[n])
         # One Euclid for the top factorial, then walk down with
         # 1/[n-1]! = [n] / [n]!.
         inv = [None] * r
-        inv[r - 1] = self.qfact[r - 1].inverse()
+        inv[r - 1] = self.fact[r - 1].inverse()
         for n in range(r - 1, 0, -1):
             inv[n - 1] = inv[n] * self.qint[n]
-        self.qfact_inv = inv
+        self.fact_inv = inv
         # exact values per admissible triple; field elements are immutable
         self._theta: dict[tuple, CycloExact] = {}
         self._theta_inverse: dict[tuple, CycloExact] = {}
@@ -296,7 +296,7 @@ class CycloOracle:
             if not self._admissible_triple(a, b, c):
                 raise Inadmissible(f"triple ({a},{b},{c}) not admissible at r={self.r}")
             s = (a + b + c) // 2
-            th = self.qfact[s + 1] * self.qfact_inv[s - a] * self.qfact_inv[s - b] * self.qfact_inv[s - c]
+            th = self.fact[s + 1] * self.fact_inv[s - a] * self.fact_inv[s - b] * self.fact_inv[s - c]
             th = self._theta[(a, b, c)] = -th if s % 2 else th
         return th
 
@@ -306,7 +306,7 @@ class CycloOracle:
             if not self._admissible_triple(a, b, c):
                 raise Inadmissible(f"triple ({a},{b},{c}) not admissible at r={self.r}")
             s = (a + b + c) // 2
-            th = self.qfact_inv[s + 1] * self.qfact[s - a] * self.qfact[s - b] * self.qfact[s - c]
+            th = self.fact_inv[s + 1] * self.fact[s - a] * self.fact[s - b] * self.fact[s - c]
             th = self._theta_inverse[(a, b, c)] = -th if s % 2 else th
         return th
 
@@ -324,11 +324,11 @@ class CycloOracle:
         )
         zsum = self.field.zero()
         for z in range(max(T), min(min(Q), self.r - 2) + 1):
-            term = self.qfact[z + 1]
+            term = self.fact[z + 1]
             for ti in T:
-                term = term * self.qfact_inv[z - ti]
+                term = term * self.fact_inv[z - ti]
             for qj in Q:
-                term = term * self.qfact_inv[qj - z]
+                term = term * self.fact_inv[qj - z]
             zsum = (zsum - term) if z % 2 else (zsum + term)
         out = zsum * zsum
         for t in triples:

@@ -8,18 +8,12 @@ class SkeinError(Exception):
 class Inadmissible(SkeinError):
     """A color triple violates the admissibility conditions.
 
-    Raised by the weight functions that are undefined on inadmissible
-    triples (theta_weight, vertex_weight).  Evaluators catch this and map
-    it to the value 0, which is what an inadmissible vertex contributes.
-    """
-
-
-class DegenerateTheta(SkeinError):
-    """Theta of an admissible triple came out exactly zero.
-
-    This cannot happen for an admissible triple at an odd level (every
-    factor [k] with 0 < k < r is nonzero), so hitting it means the inputs
-    were corrupted.  Kept as a loud guard instead of a silent 1/0.
+    Raised where a value is undefined on an inadmissible triple: the
+    weights theta_weight and vertex_weight, the exact oracle's thetas,
+    and the wheel closed forms of scans for an inadmissible rim triple.
+    Nothing in the package catches it: the sums over colorings only
+    form admissible triples, and the command line reports it, like
+    every SkeinError, as invalid input (exit 2).
     """
 
 

@@ -2,9 +2,11 @@
 
 Invariant values at level r grow like exp(c*r), which overflows IEEE
 doubles somewhere around r ~ 150.  Everything that can get large is
-therefore carried either as a complex mantissa times a power of two
-(ExtScalar) or, for real products of quantum integers, in sign-log form
-(SignLogReal).
+therefore carried as a complex mantissa times a power of two
+(ExtScalar).  A real product of quantum integers is accumulated as a
+plain (negative, log) pair of a bool and a float, the form of the
+factorial table qnum.Level.lf/fneg, and converted once with
+ExtScalar.from_log.
 """
 
 from __future__ import annotations
@@ -138,55 +140,3 @@ class ExtScalar:
             return "ExtScalar(0)"
         return f"ExtScalar({self._part_str(self.m.real)} {self._part_str(self.m.imag)}j)"
 
-
-class SignLogReal:
-    """A real number as (sign, log|value|); sign 0 means exact zero."""
-
-    __slots__ = ("sign", "log")
-
-    def __init__(self, sign, log=0.0):
-        if sign == 0:
-            self.sign = 0
-            self.log = 0.0
-        else:
-            self.sign = 1 if sign > 0 else -1
-            self.log = float(log)
-
-    @classmethod
-    def from_float(cls, x):
-        if x == 0.0:
-            return cls(0)
-        return cls(1 if x > 0 else -1, math.log(abs(x)))
-
-    def __mul__(self, other):
-        if self.sign == 0 or other.sign == 0:
-            return SignLogReal(0)
-        return SignLogReal(self.sign * other.sign, self.log + other.log)
-
-    def __truediv__(self, other):
-        if other.sign == 0:
-            raise ZeroDivisionError("SignLogReal division by zero")
-        if self.sign == 0:
-            return SignLogReal(0)
-        return SignLogReal(self.sign * other.sign, self.log - other.log)
-
-    def __pow__(self, n):
-        if self.sign == 0:
-            return SignLogReal(0) if n else SignLogReal(1)
-        s = self.sign if n % 2 else 1
-        return SignLogReal(s, self.log * n)
-
-    def to_float(self):
-        if self.sign == 0:
-            return 0.0
-        return self.sign * math.exp(self.log)
-
-    def to_ext(self):
-        if self.sign == 0:
-            return ExtScalar()
-        return ExtScalar.from_log(self.log, sign=self.sign)
-
-    def __repr__(self):
-        if self.sign == 0:
-            return "SignLogReal(0)"
-        return f"SignLogReal({'+' if self.sign > 0 else '-'}exp({self.log:.6f}))"

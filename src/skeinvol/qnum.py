@@ -20,11 +20,14 @@ signs.  ``loop_weight`` returns the second variant for comparison with
 sources that use it.
 
 Each level keeps one table of quantum factorials, Level.lf (log |[k]!|)
-and Level.fneg ([k]! < 0).  The scalar 6j, the thetas, quantum_factorial
-and the batched 6j of scans all read it, so the scalar and batched
-z-sums take the same term logs and signs.  Where doubles lose too many
-digits the 6j is recomputed at the fixed floor of r + 64 bits; nothing
-in the package reads the environment.
+and Level.fneg ([k]! < 0).  The scalar 6j, the one float theta
+(Level.theta) and the batched 6j of scans all read it, so the scalar
+and batched z-sums take the same term logs and signs.  A real product
+of such factors is carried the same way, as a (negative, log) pair of
+a bool and a float, and becomes an ExtScalar once, through
+ExtScalar.from_log.  Where doubles lose too many digits the 6j is
+recomputed at the fixed floor of r + 64 bits; nothing in the package
+reads the environment.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ import threading
 import mpmath as mp
 import numpy as np
 
-from .errors import DegenerateTheta, Inadmissible
-from .extscalar import ExtScalar, SignLogReal
+from .errors import Inadmissible
+from .extscalar import ExtScalar
 
 _SIXJ_CACHE_MAX = 1 << 21
 
@@ -61,9 +64,9 @@ class Level:
             max(0, k - (r-1)/2).
 
     lf and fneg are the level's one factorial table: the vectorized
-    scans (scans.batch_sixj) read the arrays, and the scalar 6j, the
-    thetas and quantum_factorial read their plain-list copies _lf and
-    _fneg, so both z-sums see the same bits.
+    scans (scans.batch_sixj) read the arrays, and the scalar 6j and
+    theta read their plain-list copies _lf and _fneg, so both z-sums
+    see the same bits.
     """
 
     _instances: dict[int, "Level"] = {}
@@ -102,13 +105,16 @@ class Level:
     def qint(self, n: int) -> float:
         return self._qint[n % self.r]
 
-    def qfact(self, n: int) -> SignLogReal:
-        if n < 0:
-            raise ValueError(f"[n]! needs n >= 0, got {n}")
-        if n >= self.r:
-            # the product picks up the factor [r] = 0
-            return SignLogReal(0)
-        return SignLogReal(-1 if self._fneg[n] else 1, self._lf[n])
+    def theta(self, a: int, b: int, c: int) -> tuple[bool, float]:
+        """Theta(a,b,c) of an admissible triple as (negative, log |Theta|).
+
+        Theta = (-1)^s [s+1]! / ([s-a]! [s-b]! [s-c]!) with s = (a+b+c)/2,
+        read off the factorial table; s + 1 <= r - 1, so it never vanishes.
+        """
+        s = (a + b + c) // 2
+        lf, fneg = self._lf, self._fneg
+        return (fneg[s + 1] ^ fneg[s - a] ^ fneg[s - b] ^ fneg[s - c] ^ (s % 2 == 1),
+                lf[s + 1] - ((lf[s - a] + lf[s - b]) + lf[s - c]))
 
     def mp_factorials(self, prec: int) -> "MpFactorials":
         """The fixed-point factorial tables for prec-bit work, built once."""
@@ -315,11 +321,6 @@ def quantum_integer(n: int, level) -> float:
     return _lv(level).qint(n)
 
 
-def quantum_factorial(n: int, level) -> SignLogReal:
-    """[n]! = [1][2]...[n] in sign-log form; [0]! = 1, zero for n >= r."""
-    return _lv(level).qfact(n)
-
-
 def circle_weight(n: int, level) -> float:
     """Value of a closed loop colored n: (-1)^n [n+1].
 
@@ -404,25 +405,23 @@ def fusion_colors(a: int, b: int, level):
     return tuple(range(abs(a - b), min(a + b, 2 * lv.r - 4 - a - b) + 1, 2))
 
 
-def theta_signlog(a: int, b: int, c: int, level) -> SignLogReal:
-    """Theta(a,b,c) in sign-log form; raises Inadmissible when undefined."""
+def _admissible_theta(a: int, b: int, c: int, level) -> tuple[bool, float]:
+    """Level.theta of the triple; raises Inadmissible when undefined."""
     lv = _lv(level)
     if not is_admissible_triple(a, b, c, lv):
         raise Inadmissible(f"triple ({a},{b},{c}) not admissible at r={lv.r}")
-    s = (a + b + c) // 2
-    th = lv.qfact(s + 1) / (lv.qfact(s - a) * lv.qfact(s - b) * lv.qfact(s - c))
-    if s % 2:
-        th = SignLogReal(-th.sign, th.log)
-    return th
+    return lv.theta(a, b, c)
 
 
 def theta_weight(a: int, b: int, c: int, level) -> float:
     """Theta(a,b,c) = (-1)^S [S+1]! / ([S-a]! [S-b]! [S-c]!), S = (a+b+c)/2.
 
     Returned as a float, which is adequate at the small levels where one
-    wants the number itself; large-level code works with theta_signlog.
+    wants the number itself; large-level code reads Level.theta, the
+    (negative, log) pair.  Raises Inadmissible when undefined.
     """
-    return theta_signlog(a, b, c, level).to_float()
+    negative, lg = _admissible_theta(a, b, c, level)
+    return -math.exp(lg) if negative else math.exp(lg)
 
 
 def vertex_weight(a: int, b: int, c: int, level) -> ExtScalar:
@@ -430,15 +429,10 @@ def vertex_weight(a: int, b: int, c: int, level) -> ExtScalar:
 
     For Theta > 0 this is the positive real root; for Theta < 0 it is
     -i / sqrt(|Theta|), so that the square is 1/Theta in both cases.
+    Raises Inadmissible when undefined.
     """
-    th = theta_signlog(a, b, c, level)
-    if th.sign == 0:
-        # Cannot occur at odd r: Theta is a ratio of factorials whose
-        # factors [k] all have 1 <= k <= r-1, and none of those vanish.
-        raise DegenerateTheta(f"theta({a},{b},{c}) = 0 at r={_lv(level).r}")
-    if th.sign > 0:
-        return ExtScalar.from_log(-0.5 * th.log, sign=1, quadrant=0)
-    return ExtScalar.from_log(-0.5 * th.log, sign=1, quadrant=1)
+    negative, lg = _admissible_theta(a, b, c, level)
+    return ExtScalar.from_log(-0.5 * lg, sign=1, quadrant=1 if negative else 0)
 
 
 # The 6j symbol is invariant under the symmetries of the tetrahedron it
@@ -579,15 +573,12 @@ def sixj_info(n1, n2, n3, n4, n5, n6, level) -> dict:
         value = _sixj_mp(key, lv, prec)
     else:
         prec = None
-        # Theta(a,b,c) = (-1)^s [s+1]! / ([s-a]! [s-b]! [s-c]!), with its
-        # log associated as theta_signlog's
-        lf, fneg = lv._lf, lv._fneg
         quad = 0
         preflog = 0.0
         for a, b, c in _vertex_triples(key):
-            s = (a + b + c) // 2
-            quad += fneg[s + 1] ^ fneg[s - a] ^ fneg[s - b] ^ fneg[s - c] ^ (s & 1)
-            preflog -= 0.5 * (lf[s + 1] - ((lf[s - a] + lf[s - b]) + lf[s - c]))
+            negative, lg = lv.theta(a, b, c)
+            quad += negative
+            preflog -= 0.5 * lg
         sign, log = zsum
         value = ExtScalar.from_log(preflog + log, sign=sign, quadrant=quad)
     info = {

@@ -61,7 +61,7 @@ import numpy as np
 
 import mpmath as mp
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, Inadmissible
 from .hypvol import V8, ScanRecord, named_volumes
 from .qnum import (
     MP_LOCK,
@@ -623,14 +623,15 @@ def wheel_log_invariant(r: int, n_spokes: int, s: int, b: int):
 
     evaluated in the log domain.  Fourth powers are nonnegative real
     whatever the i^quad phase; squares contribute (-1)^quad, which the
-    sign accumulation tracks.  Raises ValueError when the coloring is
-    inadmissible or the sum vanishes outright.
+    sign accumulation tracks.  Raises Inadmissible when the rim triple
+    (s, b, b) is inadmissible, and ValueError when no fan color is
+    admissible or the sum vanishes outright.
     """
     if n_spokes not in (4, 5):
         raise ValueError("closed forms cover 4- and 5-spoke wheels")
     lv = Level.of(r)
     if not is_admissible_triple(s, b, b, r):
-        raise ValueError(f"rim triple ({s},{b},{b}) inadmissible at r={r}")
+        raise Inadmissible(f"rim triple ({s},{b},{b}) inadmissible at r={r}")
 
     def admissible(x, y, z):  # color triples, vectorized
         return (z >= np.abs(x - y)) & (z <= x + y) & (x + y + z <= 2 * (r - 2))
@@ -703,7 +704,7 @@ def wheel_log_invariant_mp(r: int, n_spokes: int, s: int, b: int):
     """
     lv = Level.of(r)
     if not is_admissible_triple(s, b, b, r):
-        raise ValueError(f"rim triple ({s},{b},{b}) inadmissible at r={r}")
+        raise Inadmissible(f"rim triple ({s},{b},{b}) inadmissible at r={r}")
     ilist = [i for i in lv.colors
              if is_admissible_triple(s, s, i, lv) and is_admissible_triple(i, b, b, lv)]
     if not ilist:

@@ -45,6 +45,14 @@ state sum therefore adds absolute values over all colorings
 (`tv_graph`).  `fourier_dual` relates the coloring table of a graph to
 single values on its planar dual through the Hopf-link pairing matrix
 `hopf_pairing`.
+
+Circle weights and Hopf-pairing entries are read as (negative, log)
+pairs of a bool and a float, like the factorial table of
+`skeinvol.qnum.Level`.  A product of them (a strip rule's factor, the
+weight of an internal or a Kirby coloring, the Hopf factor of a dual
+coloring) is a parity and a sum of logs, converted to an ExtScalar
+once.  A vanishing Hopf entry has log -inf, and `fourier_dual` skips
+the colorings it zeroes.
 """
 
 from __future__ import annotations
@@ -54,7 +62,7 @@ from functools import lru_cache
 
 from .bracket import _SHAPE_CACHES, _Ctx, _eval_canonical, _RGraph, _validate_coloring
 from .errors import LowValence, NotPlanar
-from .extscalar import ExtScalar, SignLogReal
+from .extscalar import ExtScalar
 from .planar import PlanarGraph, betti, canonical_labelings, genus, read_signature
 from .qnum import Level, circle_weight, kirby_norm, quantum_integer
 
@@ -150,7 +158,6 @@ def desingularize(graph: PlanarGraph, coloring, anchors=None):
 
 # the kinds of low-valence rule (see _strip_rules)
 _PENDANT, _JOIN, _LOOP = 0, 1, 2
-_ONE = SignLogReal.from_float(1.0)
 
 
 def _strip_rules(rg):
@@ -240,11 +247,27 @@ def _shape(graph: PlanarGraph, anchors: tuple) -> _Shape:
 _SHAPE_CACHES.append(_shape)
 
 
+def _neg_log(x):
+    """The float x as a (negative, log |x|) pair; the log of 0 is -inf."""
+    return x < 0, math.log(abs(x)) if x else -math.inf
+
+
+def _product(pairs):
+    """The product of (negative, log) pairs, as an ExtScalar (0 if one is)."""
+    negative, log = False, 0.0
+    for n, lg in pairs:
+        negative ^= n
+        log += lg
+    if log == -math.inf:
+        return ExtScalar()
+    return ExtScalar.from_log(log, sign=-1 if negative else 1)
+
+
 @lru_cache(maxsize=16)
 def _circle_weights(r):
-    """Color -> circle weight as a SignLogReal, at level r."""
+    """Color -> circle weight as a (negative, log) pair, at level r."""
     lv = Level.of(r)
-    return {c: SignLogReal.from_float(circle_weight(c, lv)) for c in lv.colors}
+    return {c: _neg_log(circle_weight(c, lv)) for c in lv.colors}
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +354,9 @@ def _evaluator(graph, lv, anchors=None, budget=None, memo=None):
     ctx = _Ctx(lv, True, None, budget, memo)
     weights = _circle_weights(lv.r)
     rules, g2, src, slots, closing = shape.rules, shape.g2, shape.src, shape.slots, shape.closing
-    slot_weights = {}  # internal colors -> product of their circle weights
 
     def value(coloring):
-        factor = _ONE
+        factors = []  # a loop's circle weight, or a join's reciprocal
         for kind, e1, e2 in rules:
             c = coloring[e1]
             if kind == _PENDANT:
@@ -342,27 +364,24 @@ def _evaluator(graph, lv, anchors=None, budget=None, memo=None):
                     return ExtScalar()
             elif coloring[e2] != c:
                 return ExtScalar()
-            elif kind == _LOOP:
-                factor = factor * weights[c]
             else:
-                factor = factor / weights[c]
+                n, lg = weights[c]
+                factors.append((n, lg if kind == _LOOP else -lg))
+        factor = _product(factors)
         if g2 is None:
-            return factor.to_ext()
+            return factor
         col = [None if e is None else coloring[e] for e in src]
         total = ExtScalar()
         for assign in _fill(col, slots, closing, lv):
-            weight = slot_weights.get(assign)
-            if weight is None:
-                w = _ONE
-                for c in assign:
-                    w = w * weights[c]
-                weight = slot_weights[assign] = w.to_ext()
             if not shape.planar:
                 raise NotPlanar("the rotation system does not embed in the sphere")
             ctx.steps = 0
             b = _eval_canonical(g2, tuple(col), ctx, read_signature(shape.labelings, col))
-            total = total + weight * (b * b)
-        return factor.to_ext() * total
+            square = b * b
+            if assign:  # the weight of no internal edge is 1
+                square = _product(map(weights.__getitem__, assign)) * square
+            total = total + square
+        return factor * total
 
     return value
 
@@ -451,10 +470,7 @@ def yokota_kirby(graph: PlanarGraph, level, *, budget=None, memo=None) -> ExtSca
         y = value(col)
         if y.is_zero():
             continue
-        w = _ONE
-        for c in col:
-            w = w * weights[c]
-        total = total + w.to_ext() * y
+        total = total + _product(map(weights.__getitem__, col)) * y
     return total
 
 
@@ -480,18 +496,16 @@ def fourier_dual(
     lv = Level.of(level)
     if table is None:
         table = yokota_table(graph, lv, budget=budget, memo=memo)
-    # H(c, dual_coloring[e]) for every color c, one table per edge e
-    hopf = [{c: SignLogReal.from_float(hopf_pairing(c, cstar, lv)) for c in lv.colors}
+    # H(c, dual_coloring[e]) as a (negative, log) pair for every color c,
+    # one table per edge e; a vanishing entry has log -inf
+    hopf = [{c: _neg_log(hopf_pairing(c, cstar, lv)) for c in lv.colors}
             for cstar in dual_coloring]
     total = ExtScalar()
     for col, y in table.items():
         if y.is_zero():
             continue
-        h = SignLogReal.from_float(1.0)
-        for c, he in zip(col, hopf):
-            h = h * he[c]
-        if h.sign == 0:
-            continue
-        total = total + h.to_ext() * y
+        h = _product(map(dict.__getitem__, hopf, col))
+        if not h.is_zero():
+            total = total + h * y
     g = betti(graph)
     return ExtScalar.from_log(-g * math.log(kirby_norm(lv))) * total

@@ -313,6 +313,28 @@ def test_verify_graph_suite(capsys):
     assert "checks passed" in out
 
 
+@pytest.mark.parametrize("suite,rmax", [("oracle", "3"), ("nidentity", "1"), ("all", "4")])
+def test_verify_rmax_below_5_is_invalid_input(suite, rmax, capsys):
+    # no suite checks a level below 5, so such a cap would pass with
+    # nothing run
+    expect_exit2(["verify", suite, "--rmax", rmax])
+    assert "error: --rmax" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["reproduce-appendix", "--which", "sq-zero", "--rmin", "7", "--rmax", "7"],
+    ["scan", "--graph", "pentagonal-pyramid", "--policy", "zero-angled", "--rmin", "5",
+     "--rmax", "9"],
+])
+def test_inadmissible_wheel_colors_are_invalid_input(argv, capsys):
+    # at r = 7 the zero-angled colors round to 4, and the rim triple
+    # (4, 4, 4) breaks the level bound 2r - 4 = 10
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 2
+    assert out == ""
+    assert "error: rim triple (4,4,4) inadmissible at r=7" in err
+
+
 def test_extrapolate_flag(capsys):
     rc, _, err = run_cli(
         [

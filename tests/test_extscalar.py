@@ -2,7 +2,7 @@
 
 import math
 
-from skeinvol.extscalar import ExtScalar, SignLogReal
+from skeinvol.extscalar import ExtScalar
 
 
 def test_normalization_window():
@@ -58,11 +58,3 @@ def test_add_and_sub():
     # a vastly smaller addend is absorbed without error
     tiny = ExtScalar(0.5, -5000)
     assert (a + tiny).to_complex() == 3.0
-
-
-def test_signlogreal():
-    x = SignLogReal(-2.0, math.log(7.0))
-    assert x.sign == -1
-    assert abs(x.log - math.log(7.0)) < 1e-15
-    zero = SignLogReal(0)
-    assert zero.sign == 0 and zero.log == 0.0

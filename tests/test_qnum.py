@@ -18,7 +18,6 @@ from skeinvol.qnum import (
     is_admissible_triple,
     kirby_norm,
     loop_weight,
-    quantum_factorial,
     quantum_integer,
     sixj,
     sixj_info,
@@ -61,25 +60,32 @@ def test_quantum_integer_sign_window():
             assert q > 0
 
 
+def _direct_factorial(k, r):
+    """([k]! < 0, log |[k]!|) from a direct product of quantum integers."""
+    qs = [quantum_integer(n, r) for n in range(1, k + 1)]
+    return sum(q < 0 for q in qs) % 2 == 1, math.fsum(math.log(abs(q)) for q in qs)
+
+
 def test_quantum_factorial_signs_and_logs():
     r = 9
+    lv = Level.of(r)
     # sign([k]!) = (-1)^max(0, k-(r-1)/2)
     for k in range(0, r - 1):
-        f = quantum_factorial(k, r)
-        assert f.sign == (-1) ** max(0, k - (r - 1) // 2)
-        direct = math.fsum(math.log(abs(quantum_integer(n, r))) for n in range(1, k + 1))
-        assert abs(f.log - direct) < 1e-12
+        assert lv.fneg[k] == (max(0, k - (r - 1) // 2) % 2 == 1)
+        negative, direct = _direct_factorial(k, r)
+        assert lv.fneg[k] == negative
+        assert abs(lv.lf[k] - direct) < 1e-12
 
 
 @pytest.mark.parametrize("r", [3, 5, 9, 31, 101])
 def test_level_numpy_tables_match_factorials(r):
-    # lf and fneg, the tables of the batched 6j, against [k]! in sign-log form
+    # lf and fneg, the factorial table, against direct products of [n]
     lv = Level.of(r)
     assert lv.lf.shape == lv.fneg.shape == (r,)
     for k in range(r):
-        f = quantum_factorial(k, r)
-        assert lv.fneg[k] == (f.sign < 0)
-        assert abs(lv.lf[k] - f.log) < 1e-12 * max(1.0, abs(f.log))
+        negative, direct = _direct_factorial(k, r)
+        assert lv.fneg[k] == negative
+        assert abs(lv.lf[k] - direct) < 1e-12 * max(1.0, abs(direct))
 
 
 def test_circle_and_loop_weights():
@@ -121,13 +127,11 @@ def test_theta_weight_values():
     assert abs(theta_weight(0, 0, 0, 5) - 1.0) < 1e-15
     r, (a, b, c) = 7, (2, 2, 2)
     s = (a + b + c) // 2
-    num = quantum_factorial(s + 1, r)
-    val = (-1.0) ** s * num.sign * math.exp(
-        num.log
-        - quantum_factorial(s - a, r).log
-        - quantum_factorial(s - b, r).log
-        - quantum_factorial(s - c, r).log
-    )
+
+    def fact(k):
+        return math.prod(quantum_integer(n, r) for n in range(1, k + 1))
+
+    val = (-1.0) ** s * fact(s + 1) / (fact(s - a) * fact(s - b) * fact(s - c))
     assert abs(theta_weight(a, b, c, r) - val) < 1e-12
     # theta of a color with its dual pairing can be negative
     assert theta_weight(2, 2, 2, 5) < 0
@@ -178,13 +182,20 @@ def test_sixj_escalates_at_r_plus_64_bits(monkeypatch):
 
 @pytest.mark.parametrize("r", [5, 191, 871])
 def test_quantum_factorial_reads_the_level_table(r):
-    # one factorial table per level: the scalar [k]! is the numpy table's
-    # entry, also at levels where np.log and math.log round apart
+    # one factorial table per level: the float theta is read off the numpy
+    # table's entries, also at levels where np.log and math.log round apart
     lv = Level.of(r)
-    for k in range(r):
-        f = quantum_factorial(k, lv)
-        assert f.sign == (-1 if lv.fneg[k] else 1)
-        assert f.log == lv.lf[k]
+    lf, fneg = lv.lf, lv.fneg
+    colors = lv.colors
+    # (0, c, c) and (2, c, c) read every entry of the table
+    triples = [(0, c, c) for c in colors] + [(2, c, c) for c in colors[1:]]
+    triples += [(a, b, c) for a in colors[::17] for b in colors[::13]
+                for c in fusion_colors(a, b, lv)[::11]]
+    for a, b, c in triples:
+        s = (a + b + c) // 2
+        negative, lg = lv.theta(a, b, c)
+        assert negative == bool(fneg[s + 1] ^ fneg[s - a] ^ fneg[s - b] ^ fneg[s - c] ^ (s % 2))
+        assert lg == lf[s + 1] - ((lf[s - a] + lf[s - b]) + lf[s - c])
 
 
 def test_sixj_agrees_with_sixj_info_cold_and_warm(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 
 from skeinvol.bracket import _RGraph, _validate_coloring, bracket, cache_clear
 from skeinvol.errors import BudgetExceeded, NotPlanar
-from skeinvol.extscalar import ExtScalar, SignLogReal
+from skeinvol.extscalar import ExtScalar
 from skeinvol.planar import (
     PlanarGraph,
     _vector_getter,
@@ -174,10 +174,27 @@ def test_maximizing_color_pins():
 # The per-coloring procedure that the per-shape split replaced, kept as the
 # reference: every call rebuilds the graph, strips its low-valence vertices,
 # fans and freezes it, and evaluates one bracket per internal coloring.
+# Real products are (negative, log) pairs, multiplied factor by factor.
+
+
+def _neg_log(x):
+    return x < 0, math.log(abs(x))
+
+
+def _times(p, q):
+    return p[0] ^ q[0], p[1] + q[1]
+
+
+def _over(p, q):
+    return p[0] ^ q[0], p[1] - q[1]
+
+
+def _to_ext(p):
+    return ExtScalar.from_log(p[1], sign=-1 if p[0] else 1)
 
 
 def _strip_low_valence_reference(rg, lv):
-    factor = SignLogReal.from_float(1.0)
+    factor = (False, 0.0)
     again = True
     while again:
         again = False
@@ -200,13 +217,13 @@ def _strip_low_valence_reference(rg, lv):
                 c = rg.col[e1]
                 if rg.col[e2] != c:
                     return None
-                delta = SignLogReal.from_float(circle_weight(c, lv))
+                delta = _neg_log(circle_weight(c, lv))
                 if e1 == e2:
-                    factor = factor * delta
+                    factor = _times(factor, delta)
                     rg.remove_edge(e1)
                     del rg.rot[v]
                 else:
-                    factor = factor / delta
+                    factor = _over(factor, delta)
                     rg.splice(d1, d2)
                     del rg.rot[v]
             break
@@ -265,7 +282,7 @@ def yokota_ext_reference(graph, coloring, level, *, anchors=None, budget=None, m
     if factor is None:
         return ExtScalar()
     if not rg.rot:
-        return factor.to_ext()
+        return _to_ext(factor)
     internal = _fan_all(rg, anchors)
     g2, col2, emap = rg.freeze()
     template = list(col2)
@@ -273,13 +290,13 @@ def yokota_ext_reference(graph, coloring, level, *, anchors=None, budget=None, m
     total = ExtScalar()
     for assign in _internal_assignments_reference(g2, template, slots, lv):
         col = list(template)
-        weight = SignLogReal.from_float(1.0)
+        weight = (False, 0.0)
         for e, c in zip(slots, assign):
             col[e] = c
-            weight = weight * SignLogReal.from_float(circle_weight(c, lv))
+            weight = _times(weight, _neg_log(circle_weight(c, lv)))
         b = bracket(g2, tuple(col), lv, budget=budget, memo=memo)
-        total = total + weight.to_ext() * (b * b)
-    return factor.to_ext() * total
+        total = total + _to_ext(weight) * (b * b)
+    return _to_ext(factor) * total
 
 
 def brute_colorings(graph, level):
@@ -324,10 +341,10 @@ def kirby_reference(graph, level, memo):
         y = yokota_ext_reference(graph, col, lv, memo=memo)
         if y.is_zero():
             continue
-        w = SignLogReal.from_float(1.0)
+        w = (False, 0.0)
         for c in col:
-            w = w * SignLogReal.from_float(circle_weight(c, lv))
-        total = total + w.to_ext() * y
+            w = _times(w, _neg_log(circle_weight(c, lv)))
+        total = total + _to_ext(w) * y
     return total
 
 
