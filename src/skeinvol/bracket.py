@@ -53,6 +53,8 @@ from .planar import (
     _vector_getter,
     canonical_labelings,
     canonical_signature,
+    dart_components,
+    face_cycles,
     genus,
     read_signature,
 )
@@ -160,39 +162,11 @@ class _RGraph:
 
     def faces(self):
         s = self.sigma()
-        seen = set()
-        out = []
-        for d0 in sorted(s):
-            if d0 in seen:
-                continue
-            cyc = []
-            d = d0
-            while d not in seen:
-                seen.add(d)
-                cyc.append(d)
-                d = s[d ^ 1]
-            out.append(tuple(cyc))
-        return out
+        return face_cycles(s, sorted(s))
 
     def dart_components(self):
         s = self.sigma()
-        seen = set()
-        comps = []
-        for d0 in sorted(s):
-            if d0 in seen:
-                continue
-            comp = set()
-            stack = [d0]
-            seen.add(d0)
-            while stack:
-                d = stack.pop()
-                comp.add(d)
-                for nd in (d ^ 1, s[d]):
-                    if nd not in seen:
-                        seen.add(nd)
-                        stack.append(nd)
-            comps.append(comp)
-        return comps
+        return dart_components(s, sorted(s))
 
     def freeze(self, darts=None):
         """Compact (a component of) the graph to (PlanarGraph, coloring, emap).

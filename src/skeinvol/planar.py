@@ -12,12 +12,15 @@ The dual graph reuses the very same darts with rotation sigma* = sigma o
 alpha, which makes the double dual literally the identity and gives the
 edge correspondence e <-> e* for free.
 
-This module owns the colored canonical signature, the memo key of the
-graph engine: canonical_labelings works out the uncolored half once per
-embedded shape, with a getter per automorphism, and read_signature reads
-a coloring's signature off them.  `skeinvol.bracket` and
-`skeinvol.yokota` keep the labelings of the graphs they evaluate and read
-every key through read_signature.
+This module owns the face and component walks: face_cycles and
+dart_components serve PlanarGraph and the bracket's mutable graph alike,
+so the faces and components the local moves choose from are walked by
+one piece of code.  It also owns the colored canonical signature, the
+memo key of the graph engine: canonical_labelings works out the
+uncolored half once per embedded shape, with a getter per automorphism,
+and read_signature reads a coloring's signature off them.
+`skeinvol.bracket` and `skeinvol.yokota` keep the labelings of the
+graphs they evaluate and read every key through read_signature.
 """
 
 from __future__ import annotations
@@ -74,9 +77,6 @@ class PlanarGraph:
     def ne(self):
         return len(self.edges)
 
-    def alpha(self, d):
-        return d ^ 1
-
     def sigma(self, d):
         return self._sigma[d]
 
@@ -92,21 +92,8 @@ class PlanarGraph:
     def faces(self):
         """Faces as dart tuples (orbits of sigma o alpha), sorted by min dart."""
         if self._faces is None:
-            nmax = 2 * self.ne
-            seen = [False] * nmax
-            out = []
-            for d0 in range(nmax):
-                if seen[d0]:
-                    continue
-                cyc = []
-                d = d0
-                while not seen[d]:
-                    seen[d] = True
-                    cyc.append(d)
-                    d = self._sigma[d ^ 1]
-                out.append(tuple(cyc))
-            self._faces = tuple(out)
-            face_of = [-1] * nmax
+            self._faces = tuple(face_cycles(self._sigma, range(2 * self.ne)))
+            face_of = [-1] * (2 * self.ne)
             for i, f in enumerate(self._faces):
                 for d in f:
                     face_of[d] = i
@@ -130,50 +117,83 @@ class PlanarGraph:
 
 
 # ---------------------------------------------------------------------------
-# global invariants
+# face and component walks
 
 
-def _vertex_components(g: PlanarGraph):
-    """Connected components as sorted vertex lists (isolated vertices included)."""
-    adj = [[] for _ in range(g.nv)]
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = [False] * g.nv
-    comps = []
-    for s in range(g.nv):
-        if seen[s]:
+def face_cycles(sigma, darts):
+    """Faces as dart tuples, in order of smallest dart.
+
+    sigma maps a dart to the next dart counterclockwise at its vertex (a
+    list or a dict) and darts lists every dart in ascending order.  A
+    face is an orbit of d -> sigma(d ^ 1).
+    """
+    seen = set()
+    out = []
+    for d0 in darts:
+        if d0 in seen:
             continue
-        stack = [s]
-        seen[s] = True
+        cyc = []
+        d = d0
+        while d not in seen:
+            seen.add(d)
+            cyc.append(d)
+            d = sigma[d ^ 1]
+        out.append(tuple(cyc))
+    return out
+
+
+def dart_components(sigma, darts):
+    """Connected components as dart lists, in order of smallest dart.
+
+    sigma and darts are as in face_cycles.  A component is the closure of
+    a dart under d -> d ^ 1 and sigma; a vertex with no dart is in none.
+    """
+    seen = set()
+    comps = []
+    for d0 in darts:
+        if d0 in seen:
+            continue
         comp = []
+        stack = [d0]
+        seen.add(d0)
         while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(sorted(comp))
+            d = stack.pop()
+            comp.append(d)
+            for nd in (d ^ 1, sigma[d]):
+                if nd not in seen:
+                    seen.add(nd)
+                    stack.append(nd)
+        comps.append(comp)
     return comps
 
 
+# ---------------------------------------------------------------------------
+# global invariants
+
+
+def _component_count(g: PlanarGraph) -> int:
+    """Connected components, isolated vertices included."""
+    isolated = sum(1 for r in g.rot if not r)
+    return len(dart_components(g._sigma, range(2 * g.ne))) + isolated
+
+
 def is_connected(g: PlanarGraph) -> bool:
-    return len(_vertex_components(g)) <= 1
+    return _component_count(g) <= 1
 
 
 def betti(g: PlanarGraph) -> int:
     """First Betti number E - V + (number of components)."""
-    return g.ne - g.nv + len(_vertex_components(g))
+    return g.ne - g.nv + _component_count(g)
 
 
 @lru_cache(maxsize=1024)
 def genus(g: PlanarGraph) -> int:
     """Genus of the embedding surface (per component, summed), cached per
     embedded shape."""
-    comps = len(_vertex_components(g))
-    chi = g.nv - g.ne + len(g.faces())
-    # each sphere component contributes 2 to chi
+    comps = len(dart_components(g._sigma, range(2 * g.ne)))
+    # each sphere component contributes 2 to chi; an isolated vertex is a
+    # sphere with one face that face_cycles does not see, so leave it out
+    chi = g.nv - sum(1 for r in g.rot if not r) - g.ne + len(g.faces())
     return (2 * comps - chi) // 2
 
 
@@ -474,28 +494,6 @@ def double_at(g: PlanarGraph, v: int, coloring=None):
 # canonical form
 
 
-def _component_darts(g: PlanarGraph):
-    """Darts grouped by connected component (components with edges only)."""
-    nmax = 2 * g.ne
-    seen = [False] * nmax
-    comps = []
-    for d0 in range(nmax):
-        if seen[d0]:
-            continue
-        comp = []
-        stack = [d0]
-        seen[d0] = True
-        while stack:
-            d = stack.pop()
-            comp.append(d)
-            for nd in (d ^ 1, g._sigma[d]):
-                if not seen[nd]:
-                    seen[nd] = True
-                    stack.append(nd)
-        comps.append(comp)
-    return comps
-
-
 def _first_row(g: PlanarGraph, sig, d0: int):
     """The first BFS row from d0: the labels met going round its vertex."""
     vof = g._vertex_of
@@ -595,7 +593,7 @@ def canonical_labelings(g: PlanarGraph):
     for d, s in enumerate(sigma):
         inv[s] = d
     vof = g._vertex_of
-    comps = _component_darts(g)
+    comps = dart_components(sigma, range(len(sigma)))
     out = []
     for comp in comps:
         low = None
@@ -660,35 +658,6 @@ def canonical_signature(g: PlanarGraph, coloring=None):
     reversing, relates them.
     """
     return read_signature(canonical_labelings(g), coloring)
-
-
-# ---------------------------------------------------------------------------
-# component split (for multiplicative evaluation)
-
-
-def split_components(g: PlanarGraph):
-    """Split into connected components.
-
-    Returns (graphs_with_maps, isolated_count) where each item is
-    (component_graph, edge_ids): edge_ids[new_e] = old edge id.  Isolated
-    vertices are not returned as graphs, only counted.
-    """
-    comps = _vertex_components(g)
-    out = []
-    isolated = 0
-    for comp in comps:
-        vset = set(comp)
-        edge_ids = [e for e, (u, _) in enumerate(g.edges) if u in vset]
-        if not edge_ids:
-            isolated += 1
-            continue
-        vmap = {v: i for i, v in enumerate(comp)}
-        emap = {e: i for i, e in enumerate(edge_ids)}
-        edges = [(vmap[g.edges[e][0]], vmap[g.edges[e][1]]) for e in edge_ids]
-        dart = lambda d: 2 * emap[d >> 1] + (d & 1)
-        rot = [[dart(d) for d in g.rot[v]] for v in comp]
-        out.append((PlanarGraph(len(comp), edges, rot), edge_ids))
-    return out, isolated
 
 
 # ---------------------------------------------------------------------------

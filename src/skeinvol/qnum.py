@@ -193,7 +193,8 @@ class MpFactorials:
         """Signed z-sum of the 6-tuple t (no vertex normalization), as an mpf.
 
         The sum runs over z = max T_i .. min(min Q_j, r-2); each term is
-        (-1)^z [z+1]! / (prod_i [z-T_i]! prod_j [Q_j-z]!), see sixj.
+        (-1)^z [z+1]! / (prod_i [z-T_i]! prod_j [Q_j-z]!), see sixj.  It
+        is 0 when |sum| <= 2**-(P-9) sum |term|, the truncation bound.
         """
         (t1, t2, t3, t4), (q1, q2, q3) = _sum_ranges(t)
         fm, fe, im, ie, p = self._fm, self._fe, self._im, self._ie, self.bits
@@ -210,9 +211,15 @@ class MpFactorials:
             exps.append(fe[z + 1] + ie[z - t1] + ie[z - t2] + ie[z - t3]
                         + ie[z - t4] + ie[q1 - z] + ie[q2 - z] + ie[q3 - z])
         emin = min(exps)
-        acc = 0
+        acc = absacc = 0
         for m, e in zip(mans, exps):
-            acc += m << (e - emin)
+            m <<= e - emin
+            acc += m
+            absacc += abs(m)
+        # every term is off by under 2**-(p-9) relative, so a sum within
+        # that share of sum |term| cannot be told from 0
+        if abs(acc) << (p - 9) <= absacc:
+            return mp.mpf(0)
         # each of the seven truncations scaled the mantissa by 2**-p
         return mp.mpf((acc, emin + 7 * p))
 
@@ -377,13 +384,7 @@ def is_admissible_sixtuple(colors, level) -> bool:
     The tuple (n1, ..., n6) is admissible when (n1,n2,n3), (n1,n5,n6),
     (n2,n4,n6) and (n3,n4,n5) all are.
     """
-    n1, n2, n3, n4, n5, n6 = colors
-    return (
-        is_admissible_triple(n1, n2, n3, level)
-        and is_admissible_triple(n1, n5, n6, level)
-        and is_admissible_triple(n2, n4, n6, level)
-        and is_admissible_triple(n3, n4, n5, level)
-    )
+    return all(is_admissible_triple(a, b, c, level) for a, b, c in _vertex_triples(colors))
 
 
 def admissible_triples(level):

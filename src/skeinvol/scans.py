@@ -67,6 +67,8 @@ from .qnum import (
     MP_LOCK,
     SIXJ_SYMMETRIES,
     Level,
+    _sum_ranges,
+    _vertex_triples,
     is_admissible_triple,
     sixj_info,
 )
@@ -86,15 +88,6 @@ __all__ = [
     "wheel_log_invariant",
     "wheel_log_invariant_mp",
 ]
-
-
-def _sixj_indices(a, b, c, d, e, f):
-    # vertex triples (a,b,c), (a,e,f), (b,d,f), (c,d,e) -- the same
-    # convention as the scalar evaluator
-    bc, de, df, ef = b + c, d + e, d + f, e + f
-    t = ((a + bc) >> 1, (a + ef) >> 1, (b + df) >> 1, (c + de) >> 1)
-    q = ((a + b + de) >> 1, (a + c + df) >> 1, (bc + ef) >> 1)
-    return t, q
 
 
 _BLOCK = 32_768  # tuples per block of the 6-tuple stream and of the kernel: they stay in the L2 cache
@@ -149,13 +142,13 @@ def _sixj_block(lv: Level, a, b, c, d, e, f, *, out: dict) -> None:
     r, lf, fneg = lv.r, lv.lf, lv.fneg
     # zneg[z] = [z+1]! < 0 xor z odd: the sign of (-1)^z [z+1]!
     zneg = fneg[1:] ^ (np.arange(r - 1) % 2 == 1)
-    t, q = _sixj_indices(a, b, c, d, e, f)
+    t, q = _sum_ranges((a, b, c, d, e, f))
 
     # Theta(x,y,w) = (-1)^s [s+1]! / ([s-x]! [s-y]! [s-w]!), and t holds s
     preflog = np.zeros(n)
     quad = out["quad"]
     quad[:] = 0
-    for s, (x, y, w) in zip(t, ((a, b, c), (a, e, f), (b, d, f), (c, d, e))):
+    for s, (x, y, w) in zip(t, _vertex_triples((a, b, c, d, e, f))):
         x, y, w = s - x, s - y, s - w
         preflog -= 0.5 * (lf[1:][s] - lf[x] - lf[y] - lf[w])
         quad += zneg[s] ^ fneg[x] ^ fneg[y] ^ fneg[w]

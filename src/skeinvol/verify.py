@@ -56,6 +56,7 @@ from .planar import (
 from .qnum import (
     MP_LOCK,
     Level,
+    _vertex_triples,
     admissible_triples,
     circle_weight,
     fusion_colors,
@@ -190,8 +191,7 @@ def _fan_oracle_check(r: int) -> CheckResult:
     with MP_LOCK, mp.workprec(prec):
         for t in sixes:
             square = fan.zsum(t[1], t[2]) ** 2
-            for n1, n2, n3 in ((t[0], t[1], t[2]), (t[0], t[4], t[5]),
-                               (t[1], t[3], t[5]), (t[2], t[3], t[4])):
+            for n1, n2, n3 in _vertex_triples(t):
                 square /= tab.theta(n1, n2, n3)
             exact = sixj_exact_square(*t, r)
             worst = max(worst, _rel(exact, complex(square), abs(exact)))

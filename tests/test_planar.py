@@ -28,7 +28,6 @@ from skeinvol.planar import (
     pentagonal_pyramid,
     read_signature,
     same_embedding,
-    split_components,
     square_pyramid,
     tetrahedron,
     theta,
@@ -72,6 +71,7 @@ def test_face_counts():
     assert sorted(len(f) for f in square_pyramid().faces()) == [3, 3, 3, 3, 4]
     assert len(cube().faces()) == 6
     assert len(octahedron().faces()) == 8
+    assert circle().ne == 1 and len(circle().faces()) == 2
 
 
 def test_betti_numbers():
@@ -198,13 +198,12 @@ def test_wheel_fixtures():
     assert w.degree(0) == 6  # apex carries the spokes
 
 
-def test_split_components():
-    parts, isolated = split_components(theta())
-    assert len(parts) == 1 and isolated == 0
-    comp, edge_ids = parts[0]
-    assert same_embedding(comp, theta())
-    assert edge_ids == [0, 1, 2]
-    assert circle().ne == 1 and len(circle().faces()) == 2
+def test_disconnected_graph_with_isolated_vertices():
+    # theta and circle: E = 4, V = 3 + 2 isolated, four components
+    g = with_isolated(disjoint_union(theta(), circle()), 2)
+    assert betti(g) == 3
+    assert genus(g) == 0
+    assert not is_connected(g)
 
 
 def test_rotation_validation():

@@ -180,6 +180,21 @@ def test_sixj_escalates_at_r_plus_64_bits(monkeypatch):
     assert wide.to_complex() == pytest.approx(base["value"].to_complex(), rel=1e-12)
 
 
+@pytest.mark.parametrize("t, r", [
+    ((6, 8, 8, 14, 16, 18), 45),
+    ((6, 26, 26, 14, 34, 36), 45),
+    ((6, 14, 14, 24, 28, 30), 75),
+])
+def test_sixj_exactly_zero_after_escalation(monkeypatch, t, r):
+    # exactly 0 (the cyclotomic square vanishes); doubles lose every
+    # digit, and the mp z-sum lands within its truncation bound of 0
+    lv = Level.of(r)
+    monkeypatch.setattr(lv, "_sixj_cache", {})
+    info = sixj_info(*t, lv)
+    assert info["used_mp"]
+    assert info["value"].is_zero()
+
+
 @pytest.mark.parametrize("r", [5, 191, 871])
 def test_quantum_factorial_reads_the_level_table(r):
     # one factorial table per level: the float theta is read off the numpy
