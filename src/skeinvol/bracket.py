@@ -50,11 +50,10 @@ from .errors import BudgetExceeded, LowValence, NotPlanar, NotTrivalent
 from .extscalar import ExtScalar
 from .planar import (
     PlanarGraph,
+    _RGraph,
     _vector_getter,
     canonical_labelings,
     canonical_signature,
-    dart_components,
-    face_cycles,
     genus,
     read_signature,
 )
@@ -95,97 +94,6 @@ class _Ctx:
         if self.rng is None:
             return seq[0]
         return seq[self.rng.randrange(len(seq))]
-
-
-class _RGraph:
-    """Mutable rotation system used during reduction.
-
-    Vertices and edges keep their (sparse) integer ids across surgery;
-    edge endpoints are derived from the dart-to-vertex map, so moving a
-    dart to another vertex automatically reconnects its edge.
-    """
-
-    __slots__ = ("rot", "vof", "col", "next_edge")
-
-    def __init__(self, rot, vof, col, next_edge):
-        self.rot = rot            # vertex id -> list of darts (ccw)
-        self.vof = vof            # dart -> vertex id
-        self.col = col            # edge id -> color
-        self.next_edge = next_edge
-
-    @classmethod
-    def from_graph(cls, g: PlanarGraph, coloring):
-        rot = {v: list(r) for v, r in enumerate(g.rot)}
-        vof = {}
-        for v, r in rot.items():
-            for d in r:
-                vof[d] = v
-        col = {e: coloring[e] for e in range(g.ne)}
-        return cls(rot, vof, col, g.ne)
-
-    def remove_edge(self, e):
-        for d in (2 * e, 2 * e + 1):
-            v = self.vof.pop(d)
-            self.rot[v].remove(d)
-        del self.col[e]
-
-    def new_edge(self, color):
-        e = self.next_edge
-        self.next_edge += 1
-        self.col[e] = color
-        return e
-
-    def splice(self, keep, drop):
-        """Join the edges of darts keep and drop into keep's edge.
-
-        Dart keep moves to the far end of drop's edge, taking the place
-        of drop's twin there; drop, its twin and the color of its edge
-        are deleted.  The vertices keep and drop sat at are left for the
-        caller to remove.
-        """
-        far = drop ^ 1
-        tgt = self.vof[far]
-        r = self.rot[tgt]
-        r[r.index(far)] = keep
-        self.vof[keep] = tgt
-        del self.vof[drop]
-        del self.vof[far]
-        del self.col[drop >> 1]
-
-    def sigma(self):
-        s = {}
-        for r in self.rot.values():
-            k = len(r)
-            for i, d in enumerate(r):
-                s[d] = r[(i + 1) % k]
-        return s
-
-    def faces(self):
-        s = self.sigma()
-        return face_cycles(s, sorted(s))
-
-    def dart_components(self):
-        s = self.sigma()
-        return dart_components(s, sorted(s))
-
-    def freeze(self, darts=None):
-        """Compact (a component of) the graph to (PlanarGraph, coloring, emap).
-
-        emap maps the live edge ids to the frozen 0-based ids.  When darts
-        is given, only the edges/vertices touched by those darts are taken.
-        """
-        if darts is None:
-            edge_ids = sorted(self.col)
-            vert_ids = sorted(v for v, r in self.rot.items() if r)
-        else:
-            edge_ids = sorted({d >> 1 for d in darts})
-            vert_ids = sorted({self.vof[d] for d in darts})
-        emap = {e: i for i, e in enumerate(edge_ids)}
-        vmap = {v: i for i, v in enumerate(vert_ids)}
-        edges = [(vmap[self.vof[2 * e]], vmap[self.vof[2 * e + 1]]) for e in edge_ids]
-        rot = [[2 * emap[d >> 1] + (d & 1) for d in self.rot[v]] for v in vert_ids]
-        coloring = tuple(self.col[e] for e in edge_ids)
-        return PlanarGraph(len(vert_ids), edges, rot), coloring, emap
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ _EMBED_BITS = 120
 
 
 # ---------------------------------------------------------------------------
-# integer / rational polynomial helpers (little-endian coefficient lists)
+# integer polynomial helpers (little-endian coefficient lists)
 
 
 def _divisors(n):
@@ -57,28 +57,6 @@ def cyclotomic_poly(r):
             p = _int_poly_div_exact(p, polys[e])
         polys[d] = p
     return polys[r]
-
-
-def _pdeg(p):
-    d = len(p) - 1
-    while d >= 0 and p[d] == 0:
-        d -= 1
-    return d
-
-
-def _pdivmod(num, den):
-    """divmod for Fraction polynomials (den nonzero, not necessarily monic)."""
-    num = list(num)
-    dd = _pdeg(den)
-    lead = den[dd]
-    q = [Fraction(0)] * max(len(num) - dd, 1)
-    for k in range(_pdeg(num) - dd, -1, -1):
-        c = num[k + dd] / lead
-        q[k] = c
-        if c:
-            for i in range(dd + 1):
-                num[k + i] -= c * den[i]
-    return q, num[:dd] if dd > 0 else [Fraction(0)]
 
 
 class CycloField:
@@ -134,9 +112,6 @@ class CycloExact:
         self.field = field
         self.vec = tuple(vec)
 
-    def is_zero(self):
-        return all(c == 0 for c in self.vec)
-
     def __eq__(self, other):
         if isinstance(other, CycloExact):
             return self.field.r == other.field.r and self.vec == other.vec
@@ -179,25 +154,6 @@ class CycloExact:
 
     __rmul__ = __mul__
 
-    def inverse(self):
-        """Multiplicative inverse via the extended Euclidean algorithm."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero in cyclotomic field")
-        phi = [Fraction(c) for c in self.field.phi]
-        r0, r1 = phi, list(self.vec)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while _pdeg(r1) > 0:
-            q, rem = _pdivmod(r0, r1)
-            r0, r1 = r1, rem
-            qs = _pmul(q, s1)
-            s0, s1 = s1, _psub(s0, qs)
-        c = r1[0]
-        if c == 0:
-            raise ZeroDivisionError("element not invertible (degenerate input)")
-        d = self.field.d
-        inv = [x / c for x in s1] + [Fraction(0)] * d
-        return CycloExact(self.field, inv[:d])
-
     def embed(self, prec_bits: int = _EMBED_BITS) -> complex:
         """Numeric value at zeta = exp(2*pi*i/r), via mpmath."""
         with mp.workprec(prec_bits):
@@ -213,24 +169,6 @@ class CycloExact:
     def __repr__(self):
         terms = [f"{c}*z^{k}" for k, c in enumerate(self.vec) if c]
         return "CycloExact(" + (" + ".join(terms) if terms else "0") + ")"
-
-
-def _psub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
-def _pmul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] += x * y
-    return out
 
 
 # the exact oracle refuses levels past this, where the Fraction arithmetic
@@ -266,10 +204,17 @@ class CycloOracle:
         self.fact = [f.one()]
         for n in range(1, r):
             self.fact.append(self.fact[-1] * self.qint[n])
-        # One Euclid for the top factorial, then walk down with
-        # 1/[n-1]! = [n] / [n]!.
+        # The top inverse in closed form, 1/[r-1]! = (zeta - 1/zeta)^(r-1) / r:
+        # [n] = zeta^-n (zeta^2n - 1) / (zeta - 1/zeta), the zeta^-n multiply
+        # to 1 for odd r, and 2n runs over the nonzero residues mod r, so
+        # prod (zeta^2n - 1) = prod_j (1 - zeta^j) = r.  Then walk down
+        # with 1/[n-1]! = [n] / [n]!.
         inv = [None] * r
-        inv[r - 1] = self.fact[r - 1].inverse()
+        step = f.zeta(1) - f.zeta(r - 1)
+        top = f.one() * Fraction(1, r)
+        for _ in range(r - 1):
+            top = top * step
+        inv[r - 1] = top
         for n in range(r - 1, 0, -1):
             inv[n - 1] = inv[n] * self.qint[n]
         self.fact_inv = inv

@@ -12,13 +12,16 @@ The dual graph reuses the very same darts with rotation sigma* = sigma o
 alpha, which makes the double dual literally the identity and gives the
 edge correspondence e <-> e* for free.
 
-This module owns the face and component walks: face_cycles and
-dart_components serve PlanarGraph and the bracket's mutable graph alike,
-so the faces and components the local moves choose from are walked by
-one piece of code.  It also owns the colored canonical signature, the
-memo key of the graph engine: canonical_labelings works out the
-uncolored half once per embedded shape, with a getter per automorphism,
-and read_signature reads a coloring's signature off them.
+This module owns the mutable rotation system that surgery edits,
+_RGraph: the bracket's moves, yokota's strip-and-fan and the vertex sum
+(k splices on a disjoint union) all cut and rejoin darts on it and
+freeze the result back to a PlanarGraph.  It owns the face and
+component walks: face_cycles and dart_components serve PlanarGraph and
+_RGraph alike, so the faces and components the local moves choose from
+are walked by one piece of code.  It also owns the colored canonical
+signature, the memo key of the graph engine: canonical_labelings works
+out the uncolored half once per embedded shape, with a getter per
+automorphism, and read_signature reads a coloring's signature off them.
 `skeinvol.bracket` and `skeinvol.yokota` keep the labelings of the
 graphs they evaluate and read every key through read_signature.
 """
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 
-from .errors import NotPlanar, NotTriangle, NotTrivalent
+from .errors import NotTriangle, NotTrivalent
 
 
 class PlanarGraph:
@@ -165,6 +168,97 @@ def dart_components(sigma, darts):
                     stack.append(nd)
         comps.append(comp)
     return comps
+
+
+class _RGraph:
+    """Mutable rotation system, the substrate of every surgery.
+
+    Vertices and edges keep their (sparse) integer ids across surgery;
+    edge endpoints are derived from the dart-to-vertex map, so moving a
+    dart to another vertex automatically reconnects its edge.
+    """
+
+    __slots__ = ("rot", "vof", "col", "next_edge")
+
+    def __init__(self, rot, vof, col, next_edge):
+        self.rot = rot            # vertex id -> list of darts (ccw)
+        self.vof = vof            # dart -> vertex id
+        self.col = col            # edge id -> color
+        self.next_edge = next_edge
+
+    @classmethod
+    def from_graph(cls, g: PlanarGraph, coloring):
+        rot = {v: list(r) for v, r in enumerate(g.rot)}
+        vof = {}
+        for v, r in rot.items():
+            for d in r:
+                vof[d] = v
+        col = {e: coloring[e] for e in range(g.ne)}
+        return cls(rot, vof, col, g.ne)
+
+    def remove_edge(self, e):
+        for d in (2 * e, 2 * e + 1):
+            v = self.vof.pop(d)
+            self.rot[v].remove(d)
+        del self.col[e]
+
+    def new_edge(self, color):
+        e = self.next_edge
+        self.next_edge += 1
+        self.col[e] = color
+        return e
+
+    def splice(self, keep, drop):
+        """Join the edges of darts keep and drop into keep's edge.
+
+        Dart keep moves to the far end of drop's edge, taking the place
+        of drop's twin there; drop, its twin and the color of its edge
+        are deleted.  The vertices keep and drop sat at are left for the
+        caller to remove.
+        """
+        far = drop ^ 1
+        tgt = self.vof[far]
+        r = self.rot[tgt]
+        r[r.index(far)] = keep
+        self.vof[keep] = tgt
+        del self.vof[drop]
+        del self.vof[far]
+        del self.col[drop >> 1]
+
+    def sigma(self):
+        s = {}
+        for r in self.rot.values():
+            k = len(r)
+            for i, d in enumerate(r):
+                s[d] = r[(i + 1) % k]
+        return s
+
+    def faces(self):
+        s = self.sigma()
+        return face_cycles(s, sorted(s))
+
+    def dart_components(self):
+        s = self.sigma()
+        return dart_components(s, sorted(s))
+
+    def freeze(self, darts=None):
+        """Compact (a component of) the graph to (PlanarGraph, coloring, emap).
+
+        emap maps the live edge ids to the frozen 0-based ids.  When darts
+        is given, only the edges/vertices touched by those darts are taken.
+        """
+        if darts is None:
+            edge_ids = sorted(self.col)
+            vert_ids = sorted(v for v, r in self.rot.items() if r)
+        else:
+            edge_ids = sorted({d >> 1 for d in darts})
+            vert_ids = sorted({self.vof[d] for d in darts})
+        emap = {e: i for i, e in enumerate(edge_ids)}
+        vmap = {v: i for i, v in enumerate(vert_ids)}
+        edges = [(vmap[self.vof[2 * e]], vmap[self.vof[2 * e + 1]]) for e in edge_ids]
+        rot = [[2 * emap[d >> 1] + (d & 1) for d in self.rot[v]] for v in vert_ids]
+        coloring = tuple(self.col[e] for e in edge_ids)
+        return PlanarGraph(len(vert_ids), edges, rot), coloring, emap
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +462,11 @@ def vertex_sum_with_maps(g1: PlanarGraph, v1: int, g2: PlanarGraph, v2: int, off
     edge e of g1 (likewise emap2); a spliced pair of edges becomes the
     single new edge emap1[e1] == emap2[e2].
 
-    New numbering: vertices of g1 except v1 (order kept), then vertices of
-    g2 except v2.  Edges: unspliced g1 edges, unspliced g2 edges, then the
-    k spliced edges in rot(v1) order.
+    The sum is k splices on the disjoint union, frozen.  New numbering:
+    vertices of g1 except v1 (order kept), then vertices of g2 except v2
+    (isolated vertices are dropped, as freeze drops them).  Edges: the
+    edges of g1 in id order, a spliced edge keeping its place, then the
+    unspliced edges of g2 in id order.
     """
     k = g1.degree(v1)
     if g2.degree(v2) != k:
@@ -384,71 +480,24 @@ def vertex_sum_with_maps(g1: PlanarGraph, v1: int, g2: PlanarGraph, v2: int, off
         if g2.vertex_of(d ^ 1) == v2:
             raise ValueError("loop at the glued vertex of the second graph")
 
-    vmap1 = {}
-    for v in range(g1.nv):
-        if v != v1:
-            vmap1[v] = len(vmap1)
-    vmap2 = {}
-    for v in range(g2.nv):
-        if v != v2:
-            vmap2[v] = len(vmap1) + len(vmap2)
-
-    glued1 = {g1.edge_of(d) for d in a}
-    glued2 = {g2.edge_of(d) for d in b}
-    emap1 = {}
-    for e in range(g1.ne):
-        if e not in glued1:
-            emap1[e] = len(emap1)
-    base2 = len(emap1)
-    emap2 = {}
-    for e in range(g2.ne):
-        if e not in glued2:
-            emap2[e] = base2 + len(emap2)
-    base3 = base2 + len(emap2)
-
-    new_edges = []
-    for e in range(g1.ne):
-        if e in emap1:
-            u, v = g1.edges[e]
-            new_edges.append((vmap1[u], vmap1[v]))
-    for e in range(g2.ne):
-        if e in emap2:
-            u, v = g2.edges[e]
-            new_edges.append((vmap2[u], vmap2[v]))
-
-    # spliced edges: pair dart a[i] with dart b[(offset - i) mod k].  The
-    # new edge runs from the far end of the a-edge to the far end of the
-    # b-edge; its even dart replaces alpha(a[i]), its odd dart alpha(b[j]).
-    dart_map1 = {}
-    dart_map2 = {}
-    for e in range(g1.ne):
-        if e in emap1:
-            dart_map1[2 * e] = 2 * emap1[e]
-            dart_map1[2 * e + 1] = 2 * emap1[e] + 1
-    for e in range(g2.ne):
-        if e in emap2:
-            dart_map2[2 * e] = 2 * emap2[e]
-            dart_map2[2 * e + 1] = 2 * emap2[e] + 1
+    # the disjoint union: g2's vertices shifted by g1.nv, its darts by 2 g1.ne
+    dshift = 2 * g1.ne
+    rot = {v: list(r) for v, r in enumerate(g1.rot)}
+    rot.update((g1.nv + v, [d + dshift for d in r]) for v, r in enumerate(g2.rot))
+    vof = {d: v for v, r in rot.items() for d in r}
+    ne = g1.ne + g2.ne
+    rg = _RGraph(rot, vof, dict.fromkeys(range(ne)), ne)
+    # a[i]'s edge runs on to the far end of its partner's
+    partner = {}
     for i in range(k):
-        da = a[i]
         db = b[(offset - i) % k]
-        eid = base3 + i
-        emap1[g1.edge_of(da)] = eid
-        emap2[g2.edge_of(db)] = eid
-        fa = da ^ 1  # surviving end in g1
-        fb = db ^ 1  # surviving end in g2
-        new_edges.append((vmap1[g1.vertex_of(fa)], vmap2[g2.vertex_of(fb)]))
-        dart_map1[fa] = 2 * eid
-        dart_map2[fb] = 2 * eid + 1
-
-    rot = []
-    for v in range(g1.nv):
-        if v != v1:
-            rot.append([dart_map1[d] for d in g1.rot[v]])
-    for v in range(g2.nv):
-        if v != v2:
-            rot.append([dart_map2[d] for d in g2.rot[v]])
-    return PlanarGraph(len(vmap1) + len(vmap2), new_edges, rot), emap1, emap2
+        rg.splice(a[i], db + dshift)
+        partner[db >> 1] = a[i] >> 1
+    del rg.rot[v1], rg.rot[g1.nv + v2]
+    g, _, emap = rg.freeze()
+    emap1 = {e: emap[e] for e in range(g1.ne)}
+    emap2 = {e: emap[partner[e]] if e in partner else emap[g1.ne + e] for e in range(g2.ne)}
+    return g, emap1, emap2
 
 
 def vertex_sum(g1: PlanarGraph, v1: int, g2: PlanarGraph, v2: int, offset: int = 0) -> PlanarGraph:

@@ -100,8 +100,8 @@ def batch_sixj(lv: Level, a, b, c, d, e, f) -> dict:
     The six inputs are equal-length integer arrays of even colors that
     form admissible 6-tuples.  Returns a dict of arrays, in input order:
 
-      log     log |6j|            (-inf where the z-sum vanished)
-      sign    sign of the real z-sum
+      log     log |6j|            (-inf where the z-sum is 0 to rounding)
+      sign    sign of the real z-sum (0 where log is -inf)
       quad    number of negative vertex thetas (the 6j is i^quad * real)
       cancel  decimal digits lost to cancellation in the z-sum
       log_ub  cancellation-free upper bound on log |6j|
@@ -184,15 +184,25 @@ def _sixj_block(lv: Level, a, b, c, d, e, f, *, out: dict) -> None:
     for arr in (acc, absacc, mlog):
         arr[order] = arr.copy()
 
+    # A 6j that is exactly 0 leaves rounding noise in acc.  A term's log
+    # is lf[z+1] less seven lf entries whose indices sum to z.  lf is a
+    # cumulative sum of up to r - 1 logs, and the rounding made at step j
+    # of it (at most u max|lf|, u = 2^-53) reaches every later entry
+    # alike, so it enters the term's log with a coefficient c_j where
+    # sum_j |c_j| <= 2z + 1 < 2r.  Allowing 32 u max|lf| for the term's
+    # own subtractions, a term's relative error is at most
+    # E = (2r + 32) u max|lf| = (r + 16) max|lf| 2^-52, and a z-sum with
+    # |acc| <= E absacc is taken as 0.  cancel stays as measured.
+    zero = np.abs(acc) <= (r + 16) * np.abs(lf).max() * 2.0**-52 * absacc
     with np.errstate(divide="ignore", invalid="ignore"):
-        out["log"][:] = np.where(acc == 0.0, -np.inf, preflog + mlog + np.log(np.abs(acc)))
+        out["log"][:] = np.where(zero, -np.inf, preflog + mlog + np.log(np.abs(acc)))
         out["log_ub"][:] = preflog + mlog + np.log(absacc)
         out["cancel"][:] = np.where(
             acc != 0.0,
             np.log10(np.maximum(absacc / np.abs(np.where(acc == 0.0, 1.0, acc)), 1.0)),
             np.inf,
         )
-    out["sign"][:] = np.sign(acc)
+    out["sign"][:] = np.where(zero, 0.0, np.sign(acc))
 
 
 def _zsum_sorted(tables, zlo, lo, hi, nz, mlog, acc, absacc) -> None:

@@ -60,10 +60,10 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .bracket import _SHAPE_CACHES, _Ctx, _eval_canonical, _RGraph, _validate_coloring
+from .bracket import _SHAPE_CACHES, _Ctx, _eval_canonical, _validate_coloring
 from .errors import LowValence, NotPlanar
 from .extscalar import ExtScalar
-from .planar import PlanarGraph, betti, canonical_labelings, genus, read_signature
+from .planar import PlanarGraph, _RGraph, betti, canonical_labelings, genus, read_signature
 from .qnum import Level, circle_weight, kirby_norm, quantum_integer
 
 __all__ = [

@@ -40,6 +40,15 @@ def test_oracle_theta_inverse():
         assert abs(prod.embed() - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("r", [5, 9, 15, 21, 25, 27])
+def test_factorial_inverses_exact(r):
+    # the top inverse is in closed form; composite levels included
+    orc = CycloOracle(r)
+    one = orc.field.one()
+    for n in range(r):
+        assert orc.fact[n] * orc.fact_inv[n] == one
+
+
 def _sixtuples(r):
     cols = range(0, r - 2, 2)
     for a in cols:

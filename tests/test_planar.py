@@ -36,6 +36,7 @@ from skeinvol.planar import (
     triangulate,
     validate,
     vertex_sum,
+    vertex_sum_with_maps,
     wheel,
 )
 
@@ -134,6 +135,27 @@ def test_vertex_sum_counts():
     assert validate(g).euler_ok
     flipped = vertex_sum(tetrahedron(), 0, tetrahedron(), 0, offset=1)
     assert flipped.nv == g.nv and flipped.ne == g.ne
+
+
+@pytest.mark.parametrize("build", [tetrahedron, triangular_prism, cube])
+def test_vertex_sum_with_tetrahedron_is_truncation(build):
+    g = build()
+    for v in range(g.nv):
+        for offset in range(3):
+            h, emap1, emap2 = vertex_sum_with_maps(g, v, tetrahedron(), 0, offset)
+            assert iso(h, blow_up(g, v))
+            assert set(emap1.values()) | set(emap2.values()) == set(range(h.ne))
+
+
+def test_vertex_sum_rejects_bad_input():
+    with pytest.raises(ValueError, match="degree mismatch"):
+        vertex_sum(square_pyramid(), 0, tetrahedron(), 0)
+    # theta plus a loop: vertex 0 of degree 3 carries both ends of the loop
+    loop = PlanarGraph(2, [(0, 1), (0, 0), (1, 1)], [(0, 2, 3), (1, 4, 5)])
+    with pytest.raises(ValueError, match="first graph"):
+        vertex_sum(loop, 0, tetrahedron(), 0)
+    with pytest.raises(ValueError, match="second graph"):
+        vertex_sum(tetrahedron(), 0, loop, 0)
 
 
 def test_double_at_counts():

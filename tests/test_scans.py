@@ -211,6 +211,17 @@ def test_batch_bit_identical_to_reference_on_wheel_calls(monkeypatch):
         assert_same_bits(batch_sixj(tab, *cols), _batch_sixj_reference(tab, *cols))
 
 
+def test_batch_exactly_zero_sixj_is_floored():
+    # exactly 0 (the cyclotomic square vanishes); the doubles leave a sum
+    # 14.5 digits below the absolute sum, within the kernel's rounding bound
+    tab = Level.of(45)
+    cols = np.array([(6, 8, 8, 14, 16, 18), (6, 26, 26, 14, 34, 36)]).T
+    d = batch_sixj(tab, *cols)
+    assert np.all(d["log"] == -np.inf)
+    assert np.all(d["sign"] == 0)
+    assert np.all(d["cancel"] > 14)
+
+
 def test_chunks_enumerate_all_tuples():
     r = 9
     tab = Level.of(r)
