@@ -11,8 +11,9 @@ Scan output follows the fixed CSV schema
 ``r,kind,color_policy,log_value,slope,target,rel_gap,cancel_digits,wall_ms``
 and is byte-identical for a given invocation whatever the number of cores
 the bound sweep's forked screen uses (timings are opt-in because they would
-break that). Human-readable summaries go to stderr so stdout stays
-machine-readable.
+break that). Every row is built by hypvol.ScanRecord.at, which works out
+slope and rel_gap and the empty row of a level marked !zero or !budget.
+Human-readable summaries go to stderr so stdout stays machine-readable.
 
 The CLI reads no environment: scan's evaluation budget comes from
 --budget alone, and the high-precision floors (r + 64 bits for a 6j,
@@ -116,7 +117,7 @@ def _emit(records, args) -> None:
         payload = [
             {field: getattr(rec, field) for field in CSV_FIELDS} for rec in records
         ]
-        text = json.dumps(payload, indent=2, allow_nan=True) + "\n"
+        text = json.dumps(payload, indent=2) + "\n"
     else:
         text = records_to_csv(records)
     if args.output:
@@ -128,11 +129,7 @@ def _emit(records, args) -> None:
 
 
 def _extrapolation_note(records) -> None:
-    pairs = [
-        (rec.r, rec.slope)
-        for rec in records
-        if isinstance(rec.slope, float) and math.isfinite(rec.slope)
-    ]
+    pairs = [(rec.r, rec.slope) for rec in records if rec.slope is not None]
     if len(pairs) < 4:
         print("# extrapolation skipped: fewer than 4 usable rows", file=sys.stderr)
         return
@@ -175,50 +172,22 @@ def cmd_sixj(args) -> int:
 # ------------------------------------------------------------------ scan
 
 
-def _fixed_builder(graph, colors, policy, budget):
-    def build(r: int) -> ScanRecord:
-        val = yokota_ext(graph, colors, r, budget=budget)
-        if val.is_zero():
-            return ScanRecord(r, "fixed", policy + "!zero", None, None, None, None, None)
-        lg = val.log_abs()
-        return ScanRecord(r, "fixed", policy, lg, (math.pi / r) * lg, None, None, None)
-
-    return build
+# fixtures whose maximizer scan takes the scalar-6j fast route, with
+# their move count m for family_record
+_FAMILY_M = {"tetrahedron": 0, "triangular-prism": 1}
 
 
-def _maximizer_builder(graph, name, budget):
-    if name == "tetrahedron":
-        return lambda r: family_record(r, 0)
-    if name == "triangular-prism":
-        return lambda r: family_record(r, 1)
-
-    def build(r: int) -> ScanRecord:
-        c = maximizing_color(r)
-        val = yokota_ext(graph, [c] * graph.ne, r, budget=budget)
-        policy = f"maximizer[c={c}]"
-        if val.is_zero():
-            return ScanRecord(r, "maximizer", policy + "!zero", None, None, None, None, None)
-        lg = val.log_abs()
-        return ScanRecord(r, "maximizer", policy, lg, (math.pi / r) * lg, None, None, None)
-
-    return build
-
-
-def _tv_builder(graph, name, budget):
-    if name == "tetrahedron":
-        return lambda r: tv_tet_record(r, budget=budget)
-
-    def build(r: int) -> ScanRecord:
-        val = tv_graph(graph, r, budget=budget)
-        lg = val.log_abs()
-        return ScanRecord(r, "tv", "full-TV-sweep", lg, (math.pi / r) * lg, None, None, None)
-
-    return build
+def _engine_row(r: int, kind: str, policy: str, val) -> ScanRecord:
+    """The row of a graph-engine value at level r; a zero is marked !zero."""
+    if val.is_zero():
+        return ScanRecord.at(r, kind, policy + "!zero")
+    return ScanRecord.at(r, kind, policy, val.log_abs())
 
 
 def cmd_scan(args) -> int:
     levels = _odd_levels(args.rmin, args.rmax, args.rstep)
     graph, name, file_colors = _resolve_graph(args.graph)
+    budget = args.budget
 
     if args.policy == "fixed":
         colors = (
@@ -231,29 +200,39 @@ def cmd_scan(args) -> int:
         if any(c > levels[0] - 3 for c in colors):
             _fail(f"colors must lie in 0..{levels[0] - 3} at the smallest level r={levels[0]}")
         # space-separated so the policy label never breaks the 9-column CSV
-        policy = "fixed[" + " ".join(str(c) for c in colors) + "]"
-        build, kind = _fixed_builder(graph, colors, policy, args.budget), "fixed"
+        kind, policy = "fixed", "fixed[" + " ".join(str(c) for c in colors) + "]"
+        build = lambda r: _engine_row(r, kind, policy, yokota_ext(graph, colors, r, budget=budget))
     elif args.policy == "maximizer":
-        build, kind = _maximizer_builder(graph, name, args.budget), "maximizer"
-        policy = "maximizer"
+        kind, policy = "maximizer", "maximizer"
+        if name in _FAMILY_M:
+            build = lambda r: family_record(r, _FAMILY_M[name])
+        else:
+            def build(r):
+                c = maximizing_color(r)
+                val = yokota_ext(graph, [c] * graph.ne, r, budget=budget)
+                return _engine_row(r, kind, f"maximizer[c={c}]", val)
     elif args.policy in _IDEAL_POLICY:
-        wheel, exp_kind = _IDEAL_POLICY[args.policy]
+        wheel, kind = _IDEAL_POLICY[args.policy]
         if name != wheel:
             _fail(f"policy {args.policy} applies to the {wheel} fixture, not {name}")
-        build, kind, policy = (lambda r: appendix_record(exp_kind, r)), exp_kind, args.policy
+        policy = args.policy
+        build = lambda r: appendix_record(kind, r)
     elif args.policy == "zero-angled":
         if name not in _ZERO_KIND:
             _fail(f"policy zero-angled applies to a pyramid fixture, not {name}")
-        exp_kind = _ZERO_KIND[name]
-        build, kind, policy = (lambda r: appendix_record(exp_kind, r)), exp_kind, "zero-angled"
+        kind, policy = _ZERO_KIND[name], "zero-angled"
+        build = lambda r: appendix_record(kind, r)
     elif args.policy == "exhaustive-bound":
         if name != "tetrahedron":
             _fail(f"policy exhaustive-bound applies to the tetrahedron fixture, not {name}")
-        build, kind = (lambda r: bound_record(r, budget=args.budget)[0]), "sixj-bound"
-        policy = "exhaustive"
+        kind, policy = "sixj-bound", "exhaustive"
+        build = lambda r: bound_record(r, budget=budget)[0]
     else:  # full-TV-sweep
-        build, kind = _tv_builder(graph, name, args.budget), "tv"
-        policy = "full-TV-sweep"
+        kind, policy = "tv", "full-TV-sweep"
+        if name == "tetrahedron":
+            build = lambda r: tv_tet_record(r, budget=budget)
+        else:
+            build = lambda r: _engine_row(r, kind, policy, tv_graph(graph, r, budget=budget))
 
     records = run_levels(build, levels, timings=args.timings, mark=(kind, policy))
     _emit(records, args)
@@ -267,33 +246,23 @@ def cmd_scan(args) -> int:
 
 def cmd_reproduce_appendix(args) -> int:
     levels = _odd_levels(args.rmin, args.rmax, args.rstep)
-    records = run_levels(
-        lambda r: appendix_record(args.which, r),
-        levels,
-        timings=args.timings,
-        mark=(args.which, args.which),
-    )
+    records = run_levels(lambda r: appendix_record(args.which, r), levels, timings=args.timings)
     _emit(records, args)
 
-    usable = [
-        rec
-        for rec in records
-        if isinstance(rec.rel_gap, float) and math.isfinite(rec.rel_gap)
-    ]
-    if usable:
-        first, last = usable[0], usable[-1]
-        trend = "decreasing" if abs(last.rel_gap) < abs(first.rel_gap) else "NOT decreasing"
-        within = "within" if abs(last.rel_gap) <= 0.05 else "outside"
-        print(
-            f"# {args.which}: target {last.target:.6f}; final slope at r={last.r}: "
-            f"{last.slope:.6f} (gap {last.rel_gap:+.2%}, {within} 5%)",
-            file=sys.stderr,
-        )
-        print(
-            f"# gap trend over r={first.r}..{last.r}: {trend} "
-            f"({first.rel_gap:+.2%} -> {last.rel_gap:+.2%})",
-            file=sys.stderr,
-        )
+    # appendix rows always carry a target, so every rel_gap is set
+    first, last = records[0], records[-1]
+    trend = "decreasing" if abs(last.rel_gap) < abs(first.rel_gap) else "NOT decreasing"
+    within = "within" if abs(last.rel_gap) <= 0.05 else "outside"
+    print(
+        f"# {args.which}: target {last.target:.6f}; final slope at r={last.r}: "
+        f"{last.slope:.6f} (gap {last.rel_gap:+.2%}, {within} 5%)",
+        file=sys.stderr,
+    )
+    print(
+        f"# gap trend over r={first.r}..{last.r}: {trend} "
+        f"({first.rel_gap:+.2%} -> {last.rel_gap:+.2%})",
+        file=sys.stderr,
+    )
     return 0
 
 

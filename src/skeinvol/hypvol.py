@@ -135,6 +135,9 @@ class ScanRecord:
     cancel_digits the worst decimal cancellation hit while summing.
     wall_ms stays None (empty in CSV) unless timings were requested,
     keeping the output reproducible across machines.
+
+    Build rows with ScanRecord.at, which owns the slope and rel_gap
+    arithmetic and the placeholder row of a level without a value.
     """
 
     r: int
@@ -146,6 +149,24 @@ class ScanRecord:
     rel_gap: float
     cancel_digits: float
     wall_ms: Optional[float] = None
+
+    @classmethod
+    def at(cls, r: int, kind: str, policy: str, log_value: Optional[float] = None, *,
+           target: Optional[float] = None, cancel_digits: Optional[float] = None,
+           per: float = math.pi) -> "ScanRecord":
+        """The row of level r: slope = (per / r) * log_value, and
+        rel_gap = (slope - target) / target when a target is given.
+
+        per is pi for an invariant and 2 pi for a single 6j (sixj-bound).
+        Without a log_value this is the placeholder row of a level that
+        has no value (a zero or a blown budget, marked in policy): every
+        numeric field is None, so CSV prints it empty and JSON null.
+        """
+        if log_value is None:
+            return cls(r, kind, policy, None, None, None, None, None)
+        slope = (per / r) * log_value
+        rel_gap = None if target is None else (slope - target) / target
+        return cls(r, kind, policy, log_value, slope, target, rel_gap, cancel_digits)
 
 
 def _fmt(x) -> str:

@@ -446,12 +446,8 @@ def bound_record(r: int, *, margin: float = 4.0, budget: Optional[int] = None):
         excess = max(excess, lgv - thr_log)
         worst_cancel = max(worst_cancel, float(info["cancel_digits"]))
     level_max = max(safe_max, exact_max)
-    slope = (2 * math.pi / r) * level_max
-    rec = ScanRecord(
-        r=r, kind="sixj-bound", color_policy="exhaustive",
-        log_value=level_max, slope=slope, target=V8,
-        rel_gap=(slope - V8) / V8, cancel_digits=worst_cancel,
-    )
+    rec = ScanRecord.at(r, "sixj-bound", "exhaustive", level_max, target=V8,
+                        cancel_digits=worst_cancel, per=2 * math.pi)
     diag = {
         "tuples": ntuples,
         "rechecked": len(cand),
@@ -690,7 +686,8 @@ def wheel_log_invariant(r: int, n_spokes: int, s: int, b: int):
 
 
 def _wheel_start_bits(r: int) -> int:
-    """The first precision of wheel_log_invariant_mp; a seam for tests."""
+    """The first precision of wheel_log_invariant_mp, at which the fan
+    oracle (verify) checks its z-sums too; a seam for tests."""
     return 2 * r + 256
 
 
@@ -781,12 +778,8 @@ def appendix_record(kind: str, r: int) -> ScanRecord:
         need_mp = True
     if need_mp:
         log_y, _, worst_cancel = wheel_log_invariant_mp(r, n_spokes, s, b)
-    slope = (math.pi / r) * log_y
-    return ScanRecord(
-        r=r, kind=kind, color_policy=f"{kind}[spoke={s} rim={b}]",
-        log_value=log_y, slope=slope, target=target,
-        rel_gap=(slope - target) / target, cancel_digits=worst_cancel,
-    )
+    return ScanRecord.at(r, kind, f"{kind}[spoke={s} rim={b}]", log_y,
+                         target=target, cancel_digits=worst_cancel)
 
 
 def tv_tet_record(r: int, *, budget: Optional[int] = None) -> ScanRecord:
@@ -819,13 +812,8 @@ def tv_tet_record(r: int, *, budget: Optional[int] = None) -> ScanRecord:
         fin = res["cancel"][np.isfinite(res["cancel"])]
         if fin.size:
             worst_cancel = max(worst_cancel, float(fin.max()))
-    log_tv = mx + math.log(shifted)
-    slope = (math.pi / r) * log_tv
-    return ScanRecord(
-        r=r, kind="tv-tet", color_policy="full-TV-sweep", log_value=log_tv,
-        slope=slope, target=V8, rel_gap=(slope - V8) / V8,
-        cancel_digits=worst_cancel,
-    )
+    return ScanRecord.at(r, "tv-tet", "full-TV-sweep", mx + math.log(shifted),
+                         target=V8, cancel_digits=worst_cancel)
 
 
 def family_record(r: int, m: int = 1) -> ScanRecord:
@@ -840,15 +828,9 @@ def family_record(r: int, m: int = 1) -> ScanRecord:
         raise ValueError("fast path covers m = 0 and m = 1 only")
     c = maximizing_color(r)
     info = sixj_info(c, c, c, c, c, c, Level.of(r))
-    lg = (2 + 2 * m) * info["value"].log_abs()
-    slope = (math.pi / r) * lg
-    target = (m + 1) * V8
-    return ScanRecord(
-        r=r, kind=f"family-m{m}", color_policy=f"maximizer[c={c}]",
-        log_value=lg, slope=slope, target=target,
-        rel_gap=(slope - target) / target,
-        cancel_digits=float(info["cancel_digits"]),
-    )
+    return ScanRecord.at(r, f"family-m{m}", f"maximizer[c={c}]",
+                         (2 + 2 * m) * info["value"].log_abs(), target=(m + 1) * V8,
+                         cancel_digits=float(info["cancel_digits"]))
 
 
 # ---------------------------------------------------------------------------
@@ -863,7 +845,8 @@ def run_levels(fn: Callable[[int], ScanRecord], rs: Sequence[int], *,
     With timings=True the per-level wall time is stored on the records --
     leave it off when byte-stable output matters.  mark=(kind, policy)
     converts a BudgetExceeded at one level into a placeholder record
-    (policy suffixed with "!budget") instead of aborting the scan.
+    (policy suffixed with "!budget", every numeric field None) instead of
+    aborting the scan.
     """
     records = []
     for r in sorted(set(int(r) for r in rs)):
@@ -874,11 +857,7 @@ def run_levels(fn: Callable[[int], ScanRecord], rs: Sequence[int], *,
             if mark is None:
                 raise
             kind, policy = mark
-            rec = ScanRecord(
-                r=r, kind=kind, color_policy=policy + "!budget",
-                log_value=math.nan, slope=math.nan, target=None,
-                rel_gap=None, cancel_digits=0.0,
-            )
+            rec = ScanRecord.at(r, kind, policy + "!budget")
         if timings:
             rec.wall_ms = (time.perf_counter() - t0) * 1e3
         records.append(rec)

@@ -64,7 +64,7 @@ from .qnum import (
     kirby_norm,
     sixj,
 )
-from .scans import appendix_colors
+from .scans import _wheel_start_bits, appendix_colors
 from .yokota import (
     admissible_colorings,
     fourier_dual,
@@ -184,7 +184,7 @@ def _fan_oracle_check(r: int) -> CheckResult:
     sixes = [(s, s, i, b, b, b) for i in ilist]
     sixes += [(s, i, j, b, b, b) for i in ilist for j in ilist
               if i <= j and is_admissible_triple(s, i, j, r)]
-    prec = 2 * r + 256
+    prec = _wheel_start_bits(r)
     tab = lv.mp_factorials(prec)
     fan = tab.fan(s, b)
     worst = 0.0

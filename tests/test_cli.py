@@ -355,3 +355,84 @@ def test_extrapolate_flag(capsys):
     )
     assert rc == 0
     assert "limit" in err
+
+
+@pytest.mark.parametrize("graph,rmax,name", [("tetrahedron", "101", "maximizer-tetrahedron-5-101.csv"),
+                                             ("triangular-prism", "101", "maximizer-prism-5-101.csv"),
+                                             ("cube", "9", "maximizer-cube-5-9.csv")])
+def test_scan_maximizer_golden_csv(graph, rmax, name, capsys):
+    # The tetrahedron and prism rows come from the scalar-6j fast route
+    # (family-m0, family-m1), the cube rows from the graph engine.
+    golden = (DATA / name).read_bytes()
+    rc, out, _ = run_cli(
+        ["scan", "--graph", graph, "--policy", "maximizer", "--rmin", "5", "--rmax", rmax],
+        capsys,
+    )
+    assert rc == 0
+    assert out.encode("utf-8") == golden
+
+
+NUMERIC = ("log_value", "slope", "target", "rel_gap", "cancel_digits")
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def test_budget_rows_are_empty_and_json_is_standard(capsys):
+    argv = ["scan", "--graph", "cube", "--policy", "maximizer", "--rmax", "7", "--budget", "1"]
+    rc, out, _ = run_cli(argv, capsys)
+    assert rc == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [row["color_policy"] for row in rows] == ["maximizer!budget"] * 2
+    assert all(row[f] == "" for row in rows for f in NUMERIC + ("wall_ms",))
+
+    rc, out, _ = run_cli(argv + ["--format", "json"], capsys)
+    assert rc == 0
+    recs = json.loads(out, parse_constant=_reject_constant)
+    assert all(rec[f] is None for rec in recs for f in NUMERIC)
+
+
+# one (graph, policy, extra argv) per route a scan row is built on
+ROUTES = [
+    ("tetrahedron", "fixed", ["--colors", "2,2,2,2,2,2", "--rmax", "11"]),
+    ("tetrahedron", "fixed", ["--colors", "0,0,0,0,0,2", "--rmax", "7"]),  # !zero rows
+    ("tetrahedron", "maximizer", ["--rmax", "11"]),
+    ("triangular-prism", "maximizer", ["--rmax", "11"]),
+    ("cube", "maximizer", ["--rmax", "9"]),
+    ("square-pyramid", "ideal-square-pyramid", ["--rmax", "11"]),
+    ("pentagonal-pyramid", "ideal-pentagonal-pyramid", ["--rmax", "11"]),
+    ("square-pyramid", "zero-angled", ["--rmin", "9", "--rmax", "11"]),
+    ("pentagonal-pyramid", "zero-angled", ["--rmin", "11", "--rmax", "11"]),
+    ("tetrahedron", "full-TV-sweep", ["--rmax", "11"]),
+    ("triangular-prism", "full-TV-sweep", ["--rmax", "7"]),
+    ("tetrahedron", "exhaustive-bound", ["--rmax", "11"]),
+    ("tetrahedron", "exhaustive-bound", ["--rmax", "7", "--budget", "1"]),  # !budget rows
+]
+
+
+@pytest.mark.parametrize("graph,policy,extra", ROUTES)
+def test_scan_rows_share_one_formula(graph, policy, extra, capsys):
+    argv = ["scan", "--graph", graph, "--policy", policy] + extra
+    rc, out, _ = run_cli(argv + ["--format", "json"], capsys)
+    assert rc == 0
+    recs = json.loads(out, parse_constant=_reject_constant)
+    rc, out, _ = run_cli(argv, capsys)
+    assert rc == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == len(recs)
+    for rec, row in zip(recs, rows):
+        # the CSV prints the same row, each float to 12 digits
+        assert row == {
+            f: "" if v is None else format(v, ".12g") if isinstance(v, float) else str(v)
+            for f, v in rec.items()
+        }
+        if rec["color_policy"].endswith(("!zero", "!budget")):
+            assert all(rec[f] is None for f in NUMERIC)
+            continue
+        per = 2 * math.pi if rec["kind"] == "sixj-bound" else math.pi
+        assert rec["slope"] == (per / rec["r"]) * rec["log_value"]
+        if rec["target"] is None:
+            assert rec["rel_gap"] is None
+        else:
+            assert rec["rel_gap"] == (rec["slope"] - rec["target"]) / rec["target"]

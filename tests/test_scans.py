@@ -914,7 +914,7 @@ def test_run_levels_deterministic_and_marks_budget():
 
     recs = run_levels(boom, [7, 9], mark=("tet", "fixed"))
     assert [rec.color_policy for rec in recs] == ["fixed!budget", "fixed!budget"]
-    assert all(math.isnan(rec.log_value) for rec in recs)
+    assert all(rec.log_value is None for rec in recs)
     assert all(rec.target is None and rec.rel_gap is None for rec in recs)
 
 
