@@ -455,21 +455,26 @@ def _canonical_sixtuple(t, _getters=_SYMMETRY_GETTERS):
     return min([g(t) for g in _getters])
 
 
-def _sum_ranges(t):
-    """Triple half-sums T_i, square half-sums Q_j, and the z range."""
+def _sum_ranges(t, out=None):
+    """Triple half-sums T_i and square half-sums Q_j of a 6-tuple; the z
+    range runs from max T_i to min Q_j.
+
+    The six entries are ints, or equal-length int64 arrays (scans.batch_sixj).
+    With out, seven int64 arrays of that length, the sums are written
+    into them and they are returned.  >> 1 is floor division by 2.
+    """
     n1, n2, n3, n4, n5, n6 = t
-    T = (
-        (n1 + n2 + n3) // 2,
-        (n1 + n5 + n6) // 2,
-        (n2 + n4 + n6) // 2,
-        (n3 + n4 + n5) // 2,
-    )
-    Q = (
-        (n1 + n2 + n4 + n5) // 2,
-        (n1 + n3 + n4 + n6) // 2,
-        (n2 + n3 + n5 + n6) // 2,
-    )
-    return T, Q
+    groups = ((n1, n2, n3), (n1, n5, n6), (n2, n4, n6), (n3, n4, n5),
+              (n1, n2, n4, n5), (n1, n3, n4, n6), (n2, n3, n5, n6))
+    if out is None:
+        out = [s >> 1 for s in map(sum, groups)]
+    else:
+        for (x, y, *rest), o in zip(groups, out):
+            np.add(x, y, out=o)
+            for z in rest:
+                o += z
+            o >>= 1
+    return tuple(out[:4]), tuple(out[4:])
 
 
 def _sixj_double(t, lv):

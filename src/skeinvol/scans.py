@@ -7,8 +7,11 @@ log-domain 6j evaluator:
 
 * the batched 6j (batch_sixj) sorts each block of 6-tuples by the
   length of its z-range, so every term of every alternating z-sum is
-  computed exactly once and no lane is padded.  On a 2-core box it runs
-  about 3.2 M tuples/s on the bound sweep at r = 41..65;
+  computed exactly once and no lane is padded.  Its work arrays live in
+  a workspace (_SixjWork) that lasts for one level's screen or TV sweep,
+  so the blocks reuse them instead of faulting fresh memory in.  On a
+  2-core box it runs about 3.7 M tuples/s per process on the bound sweep
+  at r = 41..65;
 * the 6-tuple enumeration (sixtuple_chunks) reads every admissibility
   and cover condition as an interval bound, so each slot's colors are
   one range given the earlier slots; the ranges are expanded with
@@ -94,7 +97,7 @@ _BLOCK = 32_768  # tuples per block of the 6-tuple stream and of the kernel: the
 _TERMS = 32_768  # z-terms kept at once (9 bytes each), whatever the level
 
 
-def batch_sixj(lv: Level, a, b, c, d, e, f) -> dict:
+def batch_sixj(lv: Level, a, b, c, d, e, f, *, work: Optional[_SixjWork] = None) -> dict:
     """Batched 6j evaluation in the log domain.
 
     The six inputs are equal-length integer arrays of even colors that
@@ -125,64 +128,157 @@ def batch_sixj(lv: Level, a, b, c, d, e, f) -> dict:
     log_ub replaces the signed sum by the sum of absolute values, which
     cannot cancel, so it bounds the true magnitude from above regardless
     of how badly the signed sum cancels.
+
+    The blocks run in the scratch arrays of one _SixjWork, made per call.
+    A sweep passes its own as work, one per level, so that the arrays
+    are reused from block to block; the result is then views into work,
+    valid until its next call.  The inputs must be admissible: the
+    kernel's gathers clip their indices instead of checking them.
     """
     cols = [np.asarray(x, dtype=np.int64) for x in (a, b, c, d, e, f)]
     n = cols[0].shape[0]
-    out = {"log": np.empty(n), "sign": np.empty(n), "quad": np.empty(n, dtype=np.int64),
-           "cancel": np.empty(n), "log_ub": np.empty(n)}
+    if work is None:
+        work, out = _SixjWork(), _results(n)
+    else:
+        out = work.outputs(n)
     for i in range(0, n, _BLOCK):
         part = slice(i, i + _BLOCK)
-        _sixj_block(lv, *(x[part] for x in cols), out={k: v[part] for k, v in out.items()})
+        _sixj_block(lv, [x[part] for x in cols], work, {k: v[part] for k, v in out.items()})
     return out
 
 
-def _sixj_block(lv: Level, a, b, c, d, e, f, *, out: dict) -> None:
+def _results(n: int) -> dict:
+    """Fresh result arrays of batch_sixj for n tuples."""
+    return {"log": np.empty(n), "sign": np.empty(n), "quad": np.empty(n, dtype=np.int64),
+            "cancel": np.empty(n), "log_ub": np.empty(n)}
+
+
+class _SixjWork:
+    """The scratch arrays of batch_sixj, reused from block to block.
+
+    The kernel writes every intermediate into these arrays with out=.
+    Made afresh per block, some twenty block-sized arrays would go back
+    to the system at the end of each block and be faulted in again at
+    the next.  The arrays grow on demand to the largest block and term
+    list seen, so memory stays bounded by the block, not by the level.
+    The level's tables are rebuilt when the level changes.  A workspace
+    belongs to one caller on one thread (there is no module-level one)
+    and carries no result from one call to the next.
+    """
+
+    def __init__(self):
+        self.lv = None
+        self._cap = self._terms_cap = self._out_cap = 0
+
+    def level(self, lv: Level) -> None:
+        """Build the tables of lv unless they are the current ones."""
+        if self.lv is lv:
+            return
+        self.lv = lv
+        lf, fneg = lv.lf, lv.fneg
+        # zneg[z] = [z+1]! < 0 xor z odd: the sign of (-1)^z [z+1]!
+        self.zneg = fneg[1:] ^ (np.arange(lv.r - 1) % 2 == 1)
+        self.rev, self.rneg = lf[::-1].copy(), fneg[::-1].copy()
+        self.zero_tol = (lv.r + 16) * np.abs(lf).max() * 2.0**-52  # see _sixj_block
+
+    def block(self, n: int):
+        """(ints, floats, bools, key): rows of n int64, float and bool
+        scratch entries, and an int16 sort key of n entries."""
+        if n > self._cap:
+            self._cap = n
+            self._ints = np.empty((11, n), dtype=np.int64)
+            self._floats = np.empty((6, n))
+            self._bools = np.empty((2, n), dtype=bool)
+            self._key = np.empty(n, dtype=np.int16)
+        return (self._ints[:, :n], self._floats[:, :n], self._bools[:, :n],
+                self._key[:n])
+
+    def terms(self, n: int):
+        """The flat term buffers: n term logs and n term signs."""
+        if n > self._terms_cap:
+            self._terms_cap = n + self.lv.r  # a piece holds under _TERMS + r terms
+            self._tl = np.empty(self._terms_cap)
+            self._neg = np.empty(self._terms_cap, dtype=bool)
+        return self._tl[:n], self._neg[:n]
+
+    def outputs(self, n: int) -> dict:
+        """batch_sixj's five result arrays, as views of n entries."""
+        if n > self._out_cap:
+            self._out_cap = n
+            self._out = _results(n)
+        return {k: v[:n] for k, v in self._out.items()}
+
+
+def _sixj_block(lv: Level, cols, work: _SixjWork, out: dict) -> None:
     """batch_sixj on one non-empty block, written into the views in out."""
-    n = a.shape[0]
+    n = cols[0].shape[0]
     r, lf, fneg = lv.r, lv.lf, lv.fneg
-    # zneg[z] = [z+1]! < 0 xor z odd: the sign of (-1)^z [z+1]!
-    zneg = fneg[1:] ^ (np.arange(r - 1) % 2 == 1)
-    t, q = _sum_ranges((a, b, c, d, e, f))
+    work.level(lv)
+    zneg = work.zneg
+    ints, floats, bools, key = work.block(n)
+    t, q = _sum_ranges(cols, out=ints[:7])
+    zlo, nz, zs, nzs = ints[7:]
+    preflog, mlog, acc, absacc, tmp, tmp2 = floats
+    b1, b2 = bools
 
     # Theta(x,y,w) = (-1)^s [s+1]! / ([s-x]! [s-y]! [s-w]!), and t holds s
-    preflog = np.zeros(n)
+    preflog.fill(0.0)
     quad = out["quad"]
-    quad[:] = 0
-    for s, (x, y, w) in zip(t, _vertex_triples((a, b, c, d, e, f))):
-        x, y, w = s - x, s - y, s - w
-        preflog -= 0.5 * (lf[1:][s] - lf[x] - lf[y] - lf[w])
-        quad += zneg[s] ^ fneg[x] ^ fneg[y] ^ fneg[w]
+    quad.fill(0)
+    for s, tri in zip(t, _vertex_triples(cols)):
+        lf[1:].take(s, out=tmp, mode="clip")
+        zneg.take(s, out=b1, mode="clip")
+        for x in tri:
+            np.subtract(s, x, out=zs)
+            lf.take(zs, out=tmp2, mode="clip")
+            tmp -= tmp2
+            fneg.take(zs, out=b2, mode="clip")
+            b1 ^= b2
+        tmp *= 0.5
+        preflog -= tmp
+        quad += b1
 
-    zlo = np.maximum.reduce(t)
-    nz = np.minimum(np.minimum.reduce(q), r - 2) - zlo  # >= 0 on admissible tuples
-    key = -nz
+    np.maximum(t[0], t[1], out=zlo)
+    np.maximum(zlo, t[2], out=zlo)
+    np.maximum(zlo, t[3], out=zlo)
+    np.minimum(q[0], q[1], out=nz)
+    np.minimum(nz, q[2], out=nz)
+    np.minimum(nz, r - 2, out=nz)
+    nz -= zlo  # >= 0 on admissible tuples
     if r < 2**15:
-        key = key.astype(np.int16)  # stable sorts of 16-bit keys are radix sorts
+        np.negative(nz, out=key, casting="unsafe")  # stable sorts of 16-bit keys are radix sorts
+    else:
+        key = -nz
     order = np.argsort(key, kind="stable")
-    nz, zlo = nz[order], zlo[order]
+    nz.take(order, out=nzs, mode="clip")
+    zlo.take(order, out=zs, mode="clip")
     # z = zlo + k.  Each factorial index is a fixed array plus or minus
     # k, so it is read from the table shifted by k instead:
     #   [z+1]!   -> lf[k+1:][zlo]
     #   [z-t_i]! -> lf[k:][zlo - t_i]
     #   [q_j-z]! -> rev[k:][(r-1) - (q_j - zlo)]   with rev = lf[::-1]
-    # and the parity of z rides on zneg.
-    lo = [zlo - x[order] for x in t]
-    top = zlo + (r - 1)
-    hi = [top - x[order] for x in q]
-    del t, q, key, top
-    tables = (lf, fneg, lf[::-1].copy(), fneg[::-1].copy(), zneg)
+    # and the parity of z rides on zneg.  lo and hi overwrite t and q;
+    # the unsorted zlo and nz are spent, and serve as scratch.
+    np.add(zs, r - 1, out=nz)
+    for base, xs in ((zs, t), (nz, q)):
+        for x in xs:
+            x.take(order, out=zlo, mode="clip")
+            np.subtract(base, zlo, out=x)
+    lo, hi = t, q
 
-    mlog, acc, absacc = np.empty(n), np.zeros(n), np.zeros(n)
-    kept = np.cumsum(nz + 1)
+    acc.fill(0.0)
+    absacc.fill(0.0)
+    np.add(nzs, 1, out=zlo)
+    kept = np.cumsum(zlo, out=zlo)
     cuts = np.searchsorted(kept, np.arange(_TERMS, kept[-1], _TERMS), side="right").tolist()
     for part in map(slice, [0, *cuts], [*cuts, n]):
-        _zsum_sorted(tables, zlo[part], [x[part] for x in lo], [x[part] for x in hi],
-                     nz[part], mlog[part], acc[part], absacc[part])
-    del lo, hi, zlo, nz
+        _zsum_sorted(work, (tmp, b1), zs[part], [x[part] for x in lo], [x[part] for x in hi],
+                     nzs[part], mlog[part], acc[part], absacc[part])
 
     # back to input order
     for arr in (acc, absacc, mlog):
-        arr[order] = arr.copy()
+        np.copyto(tmp, arr)
+        arr[order] = tmp
 
     # A 6j that is exactly 0 leaves rounding noise in acc.  A term's log
     # is lf[z+1] less seven lf entries whose indices sum to z.  lf is a
@@ -191,42 +287,62 @@ def _sixj_block(lv: Level, a, b, c, d, e, f, *, out: dict) -> None:
     # alike, so it enters the term's log with a coefficient c_j where
     # sum_j |c_j| <= 2z + 1 < 2r.  Allowing 32 u max|lf| for the term's
     # own subtractions, a term's relative error is at most
-    # E = (2r + 32) u max|lf| = (r + 16) max|lf| 2^-52, and a z-sum with
-    # |acc| <= E absacc is taken as 0.  cancel stays as measured.
-    zero = np.abs(acc) <= (r + 16) * np.abs(lf).max() * 2.0**-52 * absacc
+    # E = (2r + 32) u max|lf| = (r + 16) max|lf| 2^-52 (work.zero_tol),
+    # and a z-sum with |acc| <= E absacc is taken as 0.  cancel stays as
+    # measured.
+    zero, acc0 = b1, b2
+    np.multiply(work.zero_tol, absacc, out=tmp)
+    np.abs(acc, out=tmp2)
+    np.less_equal(tmp2, tmp, out=zero)
+    np.equal(acc, 0.0, out=acc0)
+    preflog += mlog
     with np.errstate(divide="ignore", invalid="ignore"):
-        out["log"][:] = np.where(zero, -np.inf, preflog + mlog + np.log(np.abs(acc)))
-        out["log_ub"][:] = preflog + mlog + np.log(absacc)
-        out["cancel"][:] = np.where(
-            acc != 0.0,
-            np.log10(np.maximum(absacc / np.abs(np.where(acc == 0.0, 1.0, acc)), 1.0)),
-            np.inf,
-        )
-    out["sign"][:] = np.where(zero, 0.0, np.sign(acc))
+        np.log(tmp2, out=tmp2)
+        np.add(preflog, tmp2, out=out["log"])
+        np.copyto(out["log"], -np.inf, where=zero)
+        np.log(absacc, out=tmp)
+        np.add(preflog, tmp, out=out["log_ub"])
+        np.abs(acc, out=tmp)
+        np.copyto(tmp, 1.0, where=acc0)
+        np.divide(absacc, tmp, out=tmp)
+        np.maximum(tmp, 1.0, out=tmp)
+        np.log10(tmp, out=out["cancel"])
+        np.copyto(out["cancel"], np.inf, where=acc0)
+    np.sign(acc, out=out["sign"])
+    np.copyto(out["sign"], 0.0, where=zero)
 
 
-def _zsum_sorted(tables, zlo, lo, hi, nz, mlog, acc, absacc) -> None:
+def _zsum_sorted(work: _SixjWork, scratch, zlo, lo, hi, nz, mlog, acc, absacc) -> None:
     """The z-sums of tuples sorted by nz, longest first, into the views
     mlog (largest term log), acc and absacc (signed and absolute sums of
-    exp(term - mlog)).  The first loop keeps every term it computes."""
-    lf, fneg, rev, rneg, zneg = tables
-    terms = []
-    live = np.cumsum(np.bincount(nz)[::-1])[::-1]  # live[k] = #{nz >= k}
-    for k, m in enumerate(live.tolist()):
-        tl = lf[k + 1:][zlo[:m]]
-        neg = zneg[k:][zlo[:m]]
-        for ix in lo:
-            tl -= lf[k:][ix[:m]]
-            neg ^= fneg[k:][ix[:m]]
-        for ix in hi:
-            tl -= rev[k:][ix[:m]]
-            neg ^= rneg[k:][ix[:m]]
+    exp(term - mlog)).  The first loop keeps every term it computes, the
+    terms of step k one after another in work's term buffers; scratch is
+    a float and a bool array at least as long as the views."""
+    lf, fneg, rev, rneg, zneg = work.lv.lf, work.lv.fneg, work.rev, work.rneg, work.zneg
+    live = np.cumsum(np.bincount(nz)[::-1])[::-1].tolist()  # live[k] = #{nz >= k}
+    tls, negs = work.terms(sum(live))
+    tmp, bmp = scratch
+    steps = []
+    start = 0
+    for k, m in enumerate(live):
+        tl, neg = tls[start:start + m], negs[start:start + m]
+        start += m
+        tm, bm = tmp[:m], bmp[:m]
+        lf[k + 1:].take(zlo[:m], out=tl, mode="clip")
+        zneg[k:].take(zlo[:m], out=neg, mode="clip")
+        for table, sgn, ixs in ((lf[k:], fneg[k:], lo), (rev[k:], rneg[k:], hi)):
+            for ix in ixs:
+                ix = ix[:m]
+                table.take(ix, out=tm, mode="clip")
+                tl -= tm
+                sgn.take(ix, out=bm, mode="clip")
+                neg ^= bm
         if k == 0:
             mlog[:] = tl
         else:
             np.maximum(mlog[:m], tl, out=mlog[:m])
-        terms.append((tl, neg))
-    for tl, neg in terms:
+        steps.append((tl, neg))
+    for tl, neg in steps:
         m = tl.size
         tl -= mlog[:m]
         mag = np.exp(tl, out=tl)
@@ -558,21 +674,17 @@ def _screen_share(lv: Level, blocks, hot_log: float,
     safe_max = -math.inf
     worst_cancel = 0.0
     cand: list[tuple] = []
+    work = _SixjWork()
     for tup in itertools.islice(blocks, share, None, nshares):
-        res = batch_sixj(lv, *tup)
+        res = batch_sixj(lv, *tup, work=work)
         ntuples += tup[0].size
         hot = res["log_ub"] >= hot_log
-        if hot.any():
-            idx = np.nonzero(hot)[0]
-            for i in idx:
-                cand.append(tuple(int(x[i]) for x in tup))
+        for i in np.flatnonzero(hot).tolist():
+            cand.append(tuple(int(x[i]) for x in tup))
         cold = ~hot
-        if cold.any():
-            safe_max = max(safe_max, float(res["log"][cold].max()))
-            fin = res["cancel"][cold]
-            fin = fin[np.isfinite(fin)]
-            if fin.size:
-                worst_cancel = max(worst_cancel, float(fin.max()))
+        safe_max = max(safe_max, float(res["log"].max(where=cold, initial=-math.inf)))
+        fin = cold & np.isfinite(res["cancel"])
+        worst_cancel = max(worst_cancel, float(res["cancel"].max(where=fin, initial=-math.inf)))
     return ntuples, safe_max, worst_cancel, cand
 
 
@@ -797,10 +909,11 @@ def tv_tet_record(r: int, *, budget: Optional[int] = None) -> ScanRecord:
     mx = -math.inf  # running max of log |6j|^2
     shifted = 0.0   # sum of weight * |6j|^2 / exp(mx)
     worst_cancel = 0.0
+    work = _SixjWork()
     for tup in sixtuple_chunks(lv, restrict=True, budget=budget):
         keep, weight = orbit_representatives(lv, tup)
         tup = tuple(x[keep] for x in tup)  # frees the rest of the block
-        res = batch_sixj(lv, *tup)
+        res = batch_sixj(lv, *tup, work=work)
         fin = np.isfinite(res["log"])
         if fin.any():
             lg = 2.0 * res["log"][fin]

@@ -4,6 +4,8 @@ import itertools
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -211,6 +213,30 @@ def test_batch_bit_identical_to_reference_on_wheel_calls(monkeypatch):
         assert_same_bits(batch_sixj(tab, *cols), _batch_sixj_reference(tab, *cols))
 
 
+def test_workspace_reuse_is_stateless():
+    # One workspace, as a sweep keeps it, fed blocks of shrinking, then
+    # growing size, a shuffled, a single-term and an empty block, at two
+    # levels in turn: every result is the reference's and a fresh call's.
+    cases = {}
+    for r in (31, 25):
+        tab = Level.of(r)
+        tup = next(sixtuple_chunks(tab, restrict=False))
+        assert tup[0].size == scans._BLOCK
+        perm = np.random.default_rng(r).permutation(tup[0].size)
+        t, q = _sixj_indices_reference(*tup)
+        single = np.maximum.reduce(t) == np.minimum(np.minimum.reduce(q), tab.r - 2)
+        cases[r] = [tuple(x[:n] for x in tup) for n in (20_000, 3_000, 1, scans._BLOCK)]
+        cases[r] += [tuple(x[perm] for x in tup), tuple(x[single] for x in tup),
+                     (np.zeros(0, dtype=np.int64),) * 6]
+    work = scans._SixjWork()
+    for step in range(len(cases[31])):
+        for r in (31, 25):
+            tab, tup = Level.of(r), cases[r][step]
+            got = batch_sixj(tab, *tup, work=work)
+            assert_same_bits(got, _batch_sixj_reference(tab, *tup))
+            assert_same_bits(got, batch_sixj(tab, *tup))
+
+
 def test_batch_exactly_zero_sixj_is_floored():
     # exactly 0 (the cyclotomic square vanishes); the doubles leave a sum
     # 14.5 digits below the absolute sum, within the kernel's rounding bound
@@ -412,6 +438,33 @@ def test_bound_record():
     assert diag["tuples"] > 0
     assert rec.slope == pytest.approx((2 * math.pi / 25) * rec.log_value)
     assert rec.target == pytest.approx(V8)
+
+
+FAULT_PROBE = """
+import resource, sys
+sys.path.insert(0, sys.argv[1])
+import skeinvol.scans as scans
+scans._cores = lambda: 1
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+_, diag = scans.bound_record(65)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+print(after - before, diag["tuples"])
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor fault counts as on Linux")
+def test_bound_record_page_faults_per_tuple():
+    # A screen that allocates its kernel arrays afresh per block hands
+    # them back to the system and faults them in again: 0.044 minor
+    # faults per tuple at r = 65 on one core.  Reusing one workspace per
+    # level reads 0.003, and both counts repeat from run to run.  A fresh
+    # process, because a heap grown by earlier tests hides the faults.
+    src = os.path.dirname(os.path.dirname(scans.__file__))
+    done = subprocess.run([sys.executable, "-c", FAULT_PROBE, src],
+                          capture_output=True, text=True, check=True, timeout=600)
+    faults, tuples = map(int, done.stdout.split())
+    assert tuples == 2_645_686
+    assert faults <= 0.015 * tuples
 
 
 def bound_bits(rec, diag):
