@@ -62,6 +62,9 @@ class Level:
         fneg: numpy bool array, fneg[k] = [k]! < 0.  [k] is negative
             exactly for r/2 < k < r, so the sign of [k]! alternates with
             max(0, k - (r-1)/2).
+        zneg, rev, rneg, zero_tol: the batched 6j's read-only tables,
+            built from lf and fneg: the sign of (-1)^z [z+1]!, lf and
+            fneg reversed, and the rounding floor of a z-sum.
 
     lf and fneg are the level's one factorial table: the vectorized
     scans (scans.batch_sixj) read the arrays, and the scalar 6j and
@@ -87,6 +90,10 @@ class Level:
         lg[1:] = np.log(mag[1:])
         self.lf = np.concatenate([[0.0], np.cumsum(lg[1:])])
         self.fneg = np.maximum(0, k - (r - 1) // 2) % 2 == 1
+        # zneg[z] = [z+1]! < 0 xor z odd: the sign of (-1)^z [z+1]!
+        self.zneg = self.fneg[1:] ^ (k[:-1] % 2 == 1)
+        self.rev, self.rneg = self.lf[::-1].copy(), self.fneg[::-1].copy()
+        self.zero_tol = (r + 16) * np.abs(self.lf).max() * 2.0**-52  # see scans._sixj_block
         self._lf = self.lf.tolist()
         self._fneg = self.fneg.tolist()
         self._sixj_cache: dict[tuple, tuple[ExtScalar, dict]] = {}

@@ -45,7 +45,8 @@ run_levels evaluates the levels of a scan one after another, in level
 order.  The forked screen of the bound sweep is the only work spread
 over processes; the records are bit-identical for any core count.
 The numpy tables every kernel here reads (lf, fneg) are the level's one
-factorial table on qnum.Level, which the scalar 6j reads too.  The wheel
+factorial table on qnum.Level, which the scalar 6j reads too; the 6j
+kernel's sign and reversed tables are built from them there.  The wheel
 sums start at the fixed floor of 2r + 256 bits; nothing here reads the
 environment.
 """
@@ -138,19 +139,12 @@ def batch_sixj(lv: Level, a, b, c, d, e, f, *, work: Optional[_SixjWork] = None)
     cols = [np.asarray(x, dtype=np.int64) for x in (a, b, c, d, e, f)]
     n = cols[0].shape[0]
     if work is None:
-        work, out = _SixjWork(), _results(n)
-    else:
-        out = work.outputs(n)
+        work = _SixjWork()
+    out = work.outputs(n)
     for i in range(0, n, _BLOCK):
         part = slice(i, i + _BLOCK)
         _sixj_block(lv, [x[part] for x in cols], work, {k: v[part] for k, v in out.items()})
     return out
-
-
-def _results(n: int) -> dict:
-    """Fresh result arrays of batch_sixj for n tuples."""
-    return {"log": np.empty(n), "sign": np.empty(n), "quad": np.empty(n, dtype=np.int64),
-            "cancel": np.empty(n), "log_ub": np.empty(n)}
 
 
 class _SixjWork:
@@ -161,25 +155,14 @@ class _SixjWork:
     to the system at the end of each block and be faulted in again at
     the next.  The arrays grow on demand to the largest block and term
     list seen, so memory stays bounded by the block, not by the level.
-    The level's tables are rebuilt when the level changes.  A workspace
-    belongs to one caller on one thread (there is no module-level one)
-    and carries no result from one call to the next.
+    The workspace holds scratch only; the level's tables are on Level.
+    It belongs to one caller on one thread (there is no module-level
+    one) and carries no result from one call to the next.
     """
 
     def __init__(self):
-        self.lv = None
-        self._cap = self._terms_cap = self._out_cap = 0
-
-    def level(self, lv: Level) -> None:
-        """Build the tables of lv unless they are the current ones."""
-        if self.lv is lv:
-            return
-        self.lv = lv
-        lf, fneg = lv.lf, lv.fneg
-        # zneg[z] = [z+1]! < 0 xor z odd: the sign of (-1)^z [z+1]!
-        self.zneg = fneg[1:] ^ (np.arange(lv.r - 1) % 2 == 1)
-        self.rev, self.rneg = lf[::-1].copy(), fneg[::-1].copy()
-        self.zero_tol = (lv.r + 16) * np.abs(lf).max() * 2.0**-52  # see _sixj_block
+        self._cap = self._terms_cap = 0
+        self._out_cap = -1  # the first outputs call allocates, even for n = 0
 
     def block(self, n: int):
         """(ints, floats, bools, key): rows of n int64, float and bool
@@ -193,10 +176,11 @@ class _SixjWork:
         return (self._ints[:, :n], self._floats[:, :n], self._bools[:, :n],
                 self._key[:n])
 
-    def terms(self, n: int):
-        """The flat term buffers: n term logs and n term signs."""
+    def terms(self, n: int, slack: int):
+        """The flat term buffers: n term logs and n term signs, grown to
+        n + slack entries when they must grow."""
         if n > self._terms_cap:
-            self._terms_cap = n + self.lv.r  # a piece holds under _TERMS + r terms
+            self._terms_cap = n + slack
             self._tl = np.empty(self._terms_cap)
             self._neg = np.empty(self._terms_cap, dtype=bool)
         return self._tl[:n], self._neg[:n]
@@ -205,16 +189,16 @@ class _SixjWork:
         """batch_sixj's five result arrays, as views of n entries."""
         if n > self._out_cap:
             self._out_cap = n
-            self._out = _results(n)
+            self._out = {"log": np.empty(n), "sign": np.empty(n),
+                         "quad": np.empty(n, dtype=np.int64),
+                         "cancel": np.empty(n), "log_ub": np.empty(n)}
         return {k: v[:n] for k, v in self._out.items()}
 
 
 def _sixj_block(lv: Level, cols, work: _SixjWork, out: dict) -> None:
     """batch_sixj on one non-empty block, written into the views in out."""
     n = cols[0].shape[0]
-    r, lf, fneg = lv.r, lv.lf, lv.fneg
-    work.level(lv)
-    zneg = work.zneg
+    r, lf, fneg, zneg = lv.r, lv.lf, lv.fneg, lv.zneg
     ints, floats, bools, key = work.block(n)
     t, q = _sum_ranges(cols, out=ints[:7])
     zlo, nz, zs, nzs = ints[7:]
@@ -272,7 +256,7 @@ def _sixj_block(lv: Level, cols, work: _SixjWork, out: dict) -> None:
     kept = np.cumsum(zlo, out=zlo)
     cuts = np.searchsorted(kept, np.arange(_TERMS, kept[-1], _TERMS), side="right").tolist()
     for part in map(slice, [0, *cuts], [*cuts, n]):
-        _zsum_sorted(work, (tmp, b1), zs[part], [x[part] for x in lo], [x[part] for x in hi],
+        _zsum_sorted(lv, work, (tmp, b1), zs[part], [x[part] for x in lo], [x[part] for x in hi],
                      nzs[part], mlog[part], acc[part], absacc[part])
 
     # back to input order
@@ -287,11 +271,11 @@ def _sixj_block(lv: Level, cols, work: _SixjWork, out: dict) -> None:
     # alike, so it enters the term's log with a coefficient c_j where
     # sum_j |c_j| <= 2z + 1 < 2r.  Allowing 32 u max|lf| for the term's
     # own subtractions, a term's relative error is at most
-    # E = (2r + 32) u max|lf| = (r + 16) max|lf| 2^-52 (work.zero_tol),
+    # E = (2r + 32) u max|lf| = (r + 16) max|lf| 2^-52 (lv.zero_tol),
     # and a z-sum with |acc| <= E absacc is taken as 0.  cancel stays as
     # measured.
     zero, acc0 = b1, b2
-    np.multiply(work.zero_tol, absacc, out=tmp)
+    np.multiply(lv.zero_tol, absacc, out=tmp)
     np.abs(acc, out=tmp2)
     np.less_equal(tmp2, tmp, out=zero)
     np.equal(acc, 0.0, out=acc0)
@@ -312,15 +296,15 @@ def _sixj_block(lv: Level, cols, work: _SixjWork, out: dict) -> None:
     np.copyto(out["sign"], 0.0, where=zero)
 
 
-def _zsum_sorted(work: _SixjWork, scratch, zlo, lo, hi, nz, mlog, acc, absacc) -> None:
+def _zsum_sorted(lv: Level, work: _SixjWork, scratch, zlo, lo, hi, nz, mlog, acc, absacc) -> None:
     """The z-sums of tuples sorted by nz, longest first, into the views
     mlog (largest term log), acc and absacc (signed and absolute sums of
     exp(term - mlog)).  The first loop keeps every term it computes, the
     terms of step k one after another in work's term buffers; scratch is
     a float and a bool array at least as long as the views."""
-    lf, fneg, rev, rneg, zneg = work.lv.lf, work.lv.fneg, work.rev, work.rneg, work.zneg
+    lf, fneg, rev, rneg, zneg = lv.lf, lv.fneg, lv.rev, lv.rneg, lv.zneg
     live = np.cumsum(np.bincount(nz)[::-1])[::-1].tolist()  # live[k] = #{nz >= k}
-    tls, negs = work.terms(sum(live))
+    tls, negs = work.terms(sum(live), lv.r)  # a piece holds under _TERMS + r terms
     tmp, bmp = scratch
     steps = []
     start = 0

@@ -214,9 +214,10 @@ def test_batch_bit_identical_to_reference_on_wheel_calls(monkeypatch):
 
 
 def test_workspace_reuse_is_stateless():
-    # One workspace, as a sweep keeps it, fed blocks of shrinking, then
-    # growing size, a shuffled, a single-term and an empty block, at two
-    # levels in turn: every result is the reference's and a fresh call's.
+    # One workspace, as a sweep keeps it, fed an empty block first, then
+    # blocks of shrinking, then growing size, a shuffled, a single-term
+    # and an empty block, at two levels in turn: every result is the
+    # reference's and a fresh call's.
     cases = {}
     for r in (31, 25):
         tab = Level.of(r)
@@ -225,7 +226,7 @@ def test_workspace_reuse_is_stateless():
         perm = np.random.default_rng(r).permutation(tup[0].size)
         t, q = _sixj_indices_reference(*tup)
         single = np.maximum.reduce(t) == np.minimum(np.minimum.reduce(q), tab.r - 2)
-        cases[r] = [tuple(x[:n] for x in tup) for n in (20_000, 3_000, 1, scans._BLOCK)]
+        cases[r] = [tuple(x[:n] for x in tup) for n in (0, 20_000, 3_000, 1, scans._BLOCK)]
         cases[r] += [tuple(x[perm] for x in tup), tuple(x[single] for x in tup),
                      (np.zeros(0, dtype=np.int64),) * 6]
     work = scans._SixjWork()
