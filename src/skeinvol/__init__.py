@@ -7,7 +7,8 @@ against hyperbolic volumes.
 
 Layered design, each layer usable on its own:
 
-- ``extscalar``  — exact-exponent scalars that survive huge dynamic range
+- ``extscalar``  — real or imaginary scalars, (-i)^q * m * 2^e, that survive
+  huge dynamic range
 - ``qnum``       — quantum integers, admissibility, 6j symbols, diagnostics
 - ``cyclo``      — exact cyclotomic arithmetic; an independent 6j oracle
 - ``planar``     — rotation-system planar graphs, fixtures, local moves

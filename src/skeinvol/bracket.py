@@ -458,13 +458,13 @@ def _weights(r):
     tables = ([None] * r, [None] * r, [None] * r)
     for c in lv.colors:
         w = circle_weight(c, lv)
-        tables[_CIRCLE][c] = ExtScalar.from_complex(w)
-        tables[_INV_CIRCLE][c] = ExtScalar.from_complex(1.0 / w)
+        tables[_CIRCLE][c] = ExtScalar(w)
+        tables[_INV_CIRCLE][c] = ExtScalar(1.0 / w)
         tables[_THETA0][c] = vertex_weight(c, c, 0, lv)
     return tables
 
 
-_ONE = ExtScalar.from_complex(1.0)
+_ONE = ExtScalar(1.0)
 _NIL = ExtScalar()
 
 

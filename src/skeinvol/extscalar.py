@@ -2,11 +2,13 @@
 
 Invariant values at level r grow like exp(c*r), which overflows IEEE
 doubles somewhere around r ~ 150.  Everything that can get large is
-therefore carried as a complex mantissa times a power of two
-(ExtScalar).  A real product of quantum integers is accumulated as a
-plain (negative, log) pair of a bool and a float, the form of the
-factorial table qnum.Level.lf/fneg, and converted once with
-ExtScalar.from_log.
+therefore carried as a float mantissa times a power of two (ExtScalar).
+Under the unitary normalization every vertex carries 1/sqrt(Theta) and a
+negative Theta contributes a factor -i, so every value is real or purely
+imaginary: +-|x| * (-i)**q with q in {0, 1}, since (-i)**2 folds into the
+sign.  A real product of quantum integers is accumulated as a plain
+(negative, log) pair of a bool and a float, the form of the factorial
+table qnum.Level.lf/fneg, and converted once with ExtScalar.from_log.
 """
 
 from __future__ import annotations
@@ -22,33 +24,31 @@ _LN2 = math.log(2.0)
 
 
 class ExtScalar:
-    """A complex number stored as mantissa * 2**exponent.
+    """The number (-i)**q * m * 2**e: real for q = 0, imaginary for q = 1.
 
-    Nonzero values are normalized so that max(|re|, |im|) of the mantissa
-    lies in [1/2, 1).  Zero is canonical: mantissa 0j, exponent 0.
+    Nonzero values are normalized so that |m| lies in [1/2, 1).  Zero is
+    canonical: m = 0.0, e = 0, q = 0.  The constructor takes a real
+    mantissa and a quadrant of 0 or 1; from_log folds larger quadrants
+    into the sign.  A sum of a real and an imaginary value raises
+    ValueError, since no invariant is a complex number in general
+    position.
     """
 
-    __slots__ = ("m", "e")
+    __slots__ = ("m", "e", "q")
 
-    def __init__(self, mantissa=0j, exponent=0):
-        m = complex(mantissa)
-        a = max(abs(m.real), abs(m.imag))
-        if a == 0.0:
-            self.m = 0j
+    def __init__(self, mantissa=0.0, exponent=0, quadrant=0):
+        if mantissa == 0.0:
+            self.m = 0.0
             self.e = 0
+            self.q = 0
             return
-        # frexp(a) = (f, k) with f in [1/2, 1) and a = f * 2**k
-        _, k = math.frexp(a)
-        if k != 0:
-            m = complex(math.ldexp(m.real, -k), math.ldexp(m.imag, -k))
+        # frexp(x) = (f, k) with |f| in [1/2, 1) and x = f * 2**k
+        m, k = math.frexp(mantissa)
         self.m = m
         self.e = exponent + k
+        self.q = quadrant
 
     # ---- constructors -------------------------------------------------
-
-    @classmethod
-    def from_complex(cls, z):
-        return cls(complex(z), 0)
 
     @classmethod
     def from_log(cls, log_magnitude, sign=1.0, quadrant=0):
@@ -56,87 +56,75 @@ class ExtScalar:
 
         The quadrant argument covers the values produced by products of
         vertex weights: an even count of negative thetas gives a real
-        result, an odd count an imaginary one.
+        result, an odd count an imaginary one.  A quadrant of 2 or 3
+        folds (-i)**2 = -1 into the sign.
         """
         if sign == 0:
             return cls()
         e = int(math.floor(log_magnitude / _LN2))
         frac = log_magnitude - e * _LN2
-        m = math.exp(frac) * (1.0 if sign > 0 else -1.0)
-        m *= (1, -1j, -1, 1j)[quadrant % 4]
-        return cls(m, e)
+        m = math.exp(frac)
+        if (sign < 0) != (quadrant % 4 >= 2):
+            m = -m
+        return cls(m, e, quadrant % 2)
 
     # ---- queries ------------------------------------------------------
 
     def is_zero(self):
-        return self.m == 0j
+        return self.m == 0.0
+
+    def _scaled(self):
+        """m * 2**e as a float, signed inf on overflow."""
+        try:
+            return math.ldexp(self.m, self.e)
+        except OverflowError:
+            return math.copysign(math.inf, self.m)
 
     def to_complex(self):
         """Collapse to an ordinary complex (inf on overflow)."""
-        try:
-            return complex(
-                math.ldexp(self.m.real, self.e), math.ldexp(self.m.imag, self.e)
-            )
-        except OverflowError:
-            re = math.copysign(math.inf, self.m.real) if self.m.real else 0.0
-            im = math.copysign(math.inf, self.m.imag) if self.m.imag else 0.0
-            return complex(re, im)
+        v = self._scaled()
+        return complex(0.0, -v) if self.q else complex(v, 0.0)
 
     def to_float(self):
-        """Real part as a float; use only on values known to be real."""
-        return self.to_complex().real
+        """The value as a float (inf on overflow); imaginary values raise."""
+        if self.q:
+            raise ValueError(f"{self!r} is imaginary, not a float")
+        return self._scaled()
 
     def log_abs(self):
         """Natural log of |value|; -inf for zero."""
-        if self.is_zero():
+        if self.m == 0.0:
             return -math.inf
         return math.log(abs(self.m)) + self.e * _LN2
 
     # ---- arithmetic ---------------------------------------------------
 
     def __mul__(self, other):
-        if isinstance(other, ExtScalar):
-            return ExtScalar(self.m * other.m, self.e + other.e)
-        return ExtScalar(self.m * complex(other), self.e)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ExtScalar(-self.m, self.e)
+        m = self.m * other.m
+        q = self.q + other.q
+        if q == 2:  # (-i)**2 = -1
+            return ExtScalar(-m, self.e + other.e)
+        return ExtScalar(m, self.e + other.e, q)
 
     def __add__(self, other):
-        if not isinstance(other, ExtScalar):
-            other = ExtScalar.from_complex(other)
-        if self.is_zero():
+        if self.m == 0.0:
             return other
-        if other.is_zero():
+        if other.m == 0.0:
             return self
+        if self.q != other.q:
+            raise ValueError(f"adding real and imaginary values: {self!r} + {other!r}")
         big, small = (self, other) if self.e >= other.e else (other, self)
         gap = big.e - small.e
         if gap > _ADD_GAP:
             return big
-        shifted = complex(
-            math.ldexp(small.m.real, -gap), math.ldexp(small.m.imag, -gap)
-        )
-        return ExtScalar(big.m + shifted, big.e)
-
-    def __sub__(self, other):
-        if not isinstance(other, ExtScalar):
-            other = ExtScalar.from_complex(other)
-        return self + (-other)
+        return ExtScalar(big.m + math.ldexp(small.m, -gap), big.e, big.q)
 
     # ---- formatting ---------------------------------------------------
-
-    def _part_str(self, x):
-        if x == 0.0:
-            return "0"
-        l10 = math.log10(abs(x)) + self.e * math.log10(2.0)
-        d = int(math.floor(l10))
-        mant = math.copysign(10.0 ** (l10 - d), x)
-        return f"{mant:.9f}e{d:+d}"
 
     def __repr__(self):
         if self.is_zero():
             return "ExtScalar(0)"
-        return f"ExtScalar({self._part_str(self.m.real)} {self._part_str(self.m.imag)}j)"
-
+        l10 = math.log10(abs(self.m)) + self.e * math.log10(2.0)
+        d = int(math.floor(l10))
+        mant = math.copysign(10.0 ** (l10 - d), self.m)
+        return f"ExtScalar({mant:.9f}e{d:+d}{' * -i' if self.q else ''})"

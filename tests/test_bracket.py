@@ -108,7 +108,7 @@ def test_library_ignores_skein_budget(monkeypatch):
     def values():
         b = bracket(cube(), (2,) * 12, 7)
         y = yokota_ext(square_pyramid(), (2,) * 8, 7)
-        return (b.m, b.e, y.m, y.e)
+        return (b.m, b.e, b.q, y.m, y.e, y.q)
 
     cache_clear()
     monkeypatch.setenv("SKEIN_BUDGET", "1")  # the package reads no environment
@@ -169,7 +169,7 @@ def test_shape_cache_cleared_and_invisible():
         # a private memo each time, so every call runs the full reduction
         b = bracket(cube(), (2,) * 12, 7, memo={})
         y = yokota_ext(square_pyramid(), (2,) * 8, 7, memo={})
-        return (b.m, b.e, y.m, y.e)
+        return (b.m, b.e, b.q, y.m, y.e, y.q)
 
     cold = values()
     assert canonical_labelings.cache_info().hits > 0
@@ -204,10 +204,10 @@ def test_numpy_integer_coloring_is_accepted():
     memo = {}
     got = bracket(tetrahedron(), np.full(6, 2), 5, memo=memo)
     want = bracket(tetrahedron(), (2,) * 6, 5, memo={})
-    assert (got.m, got.e) == (want.m, want.e)
+    assert (got.m, got.e, got.q) == (want.m, want.e, want.q)
     y = yokota_ext(square_pyramid(), np.full(8, 2), 7, memo=memo)
     y_want = yokota_ext(square_pyramid(), (2,) * 8, 7, memo={})
-    assert (y.m, y.e) == (y_want.m, y_want.e)
+    assert (y.m, y.e, y.q) == (y_want.m, y_want.e, y_want.q)
 
     def ints(x):
         if isinstance(x, tuple):

@@ -34,6 +34,13 @@ def test_sixj_pinned_value(capsys):
     assert "admissible: yes" in out
 
 
+def test_sixj_imaginary_value_has_unsigned_zero_real_part(capsys):
+    # one negative theta: the symbol is -i times a positive real
+    rc, out, _ = run_cli(["sixj", "--r", "5", "--colors", "0,0,0,2,2,2"], capsys)
+    assert rc == 0
+    assert "value = 0.000000000000 - 1.272019649514i\n" in out
+
+
 def test_sixj_inadmissible(capsys):
     rc, out, _ = run_cli(["sixj", "--r", "7", "--colors", "0,2,4,0,2,4"], capsys)
     assert rc == 0

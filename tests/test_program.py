@@ -65,7 +65,7 @@ def _check_and_clean(rg, ctx):
                 w = circle_weight(rg.col[e1], ctx.lv)
                 rg.remove_edge(e1)
                 del rg.rot[v]
-                return "changed", ExtScalar.from_complex(w)
+                return "changed", ExtScalar(w)
             if rg.col[e1] != rg.col[e2]:
                 return "zero", None
             rg.splice(d1, d2)  # edge e1 swallows e2
@@ -140,7 +140,7 @@ def _collapse_bigon(rg, face, ctx):
     etU, etW = tU >> 1, tW >> 1
     if rg.col[etU] != rg.col[etW]:
         return None  # hard zero
-    weight = ExtScalar.from_complex(1.0 / circle_weight(rg.col[etU], ctx.lv))
+    weight = ExtScalar(1.0 / circle_weight(rg.col[etU], ctx.lv))
     rg.splice(tU, tW)  # the outer strands become one edge (keep etU)
     rg.remove_edge(ep)
     rg.remove_edge(eq)
@@ -210,7 +210,7 @@ def _whitehead(rg, face, ctx):
             and is_admissible_triple(t1_col, i, t2_col, ctx.lv)
         ):
             continue
-        coeff = ExtScalar.from_complex(circle_weight(i, ctx.lv)) * sixj(
+        coeff = ExtScalar(circle_weight(i, ctx.lv)) * sixj(
             s_col, a_col, t1_col, i, t2_col, b_col, ctx.lv
         )
         terms.append((i, coeff))
@@ -218,7 +218,7 @@ def _whitehead(rg, face, ctx):
 
 
 def _reduce(rg, ctx):
-    acc = ExtScalar.from_complex(1.0)
+    acc = ExtScalar(1.0)
     while True:
         ctx.tick()
         state, factor = _check_and_clean(rg, ctx)
@@ -314,7 +314,7 @@ def bracket_reference(graph, coloring, level, *, base_tet=True, seed=None, budge
 
 
 def bits(x):
-    return (x.m, x.e)
+    return (x.m, x.e, x.q)
 
 
 def cube_zero_patterns():

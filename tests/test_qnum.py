@@ -234,7 +234,7 @@ def test_sixj_agrees_with_sixj_info_cold_and_warm(monkeypatch):
                 else:
                     b = sixj_info(*t, lv)["value"]
                     a = sixj(*t, lv)
-                assert (a.m, a.e) == (b.m, b.e), t
+                assert (a.m, a.e, a.q) == (b.m, b.e, b.q), t
     for t in base[3], base[5]:
         assert sixj(*t, lv).is_zero()
         assert not sixj_info(*t, lv)["admissible"]
@@ -300,7 +300,7 @@ def test_numpy_integer_colors_are_colors():
     lv._sixj_cache.clear()
     got = sixj(*np.full(6, 2), lv)
     want = sixj(2, 2, 2, 2, 2, 2, lv)
-    assert (got.m, got.e) == (want.m, want.e)
+    assert (got.m, got.e, got.q) == (want.m, want.e, want.q)
     assert abs(got.to_float() + 2.618033988749895) < 1e-12
     assert sixj_info(*np.full(6, 2, dtype=np.int32), lv)["admissible"]
     assert is_admissible_triple(np.int64(2), 2, 2, 5)

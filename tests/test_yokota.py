@@ -359,7 +359,7 @@ def low_valence():
 
 
 def bits(x):
-    return (x.m, x.e)
+    return (x.m, x.e, x.q)
 
 
 TABLE_CASES = [
