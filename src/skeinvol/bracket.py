@@ -57,7 +57,7 @@ from .planar import (
     genus,
     read_signature,
 )
-from .qnum import Level, circle_weight, sixj, vertex_weight
+from .qnum import Level, sixj
 
 _MEMO_MAX = 1 << 20  # entries one memo may hold before it is emptied
 _BUDGET = 1e8  # reduction steps per top-level evaluation by default
@@ -118,7 +118,7 @@ _SIXJ = 1  # (_SIXJ, getter): acc *= sixj(*getter(col))
 _TRIPLE = 2  # (_TRIPLE, ticks, x, y, z): the value is 0 unless admissible
 _EQUAL = 3  # (_EQUAL, ticks, x, y): the value is 0 unless col[x] == col[y]
 
-# the weight tables of _weights
+# indices into the weight tables of Level.ext_weights
 _CIRCLE, _INV_CIRCLE, _THETA0 = 0, 1, 2
 
 # how a program ends, as a tuple (kind, ...)
@@ -450,20 +450,6 @@ _SHAPE_CACHES.append(_program)
 # replay
 
 
-@lru_cache(maxsize=16)
-def _weights(r):
-    """Per color, at level r: circle weight, its inverse, and the vertex
-    weight of (c, c, 0), each as the ExtScalar the moves multiply in."""
-    lv = Level.of(r)
-    tables = ([None] * r, [None] * r, [None] * r)
-    for c in lv.colors:
-        w = circle_weight(c, lv)
-        tables[_CIRCLE][c] = ExtScalar(w)
-        tables[_INV_CIRCLE][c] = ExtScalar(1.0 / w)
-        tables[_THETA0][c] = vertex_weight(c, c, 0, lv)
-    return tables
-
-
 _ONE = ExtScalar(1.0)
 _NIL = ExtScalar()
 
@@ -477,7 +463,7 @@ def _run(prog: _Program, col, ctx) -> ExtScalar:
     can see (a sub-evaluation, a memo entry, the returned value).
     """
     lv = ctx.lv
-    tables = _weights(lv.r)
+    tables = lv.ext_weights
     top = 2 * lv.r - 4
     acc = _ONE
     for step in prog.steps:

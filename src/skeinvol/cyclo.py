@@ -13,6 +13,7 @@ beyond the statement of the formulas.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 
@@ -62,8 +63,6 @@ def cyclotomic_poly(r):
 class CycloField:
     """Q(zeta_r) with precomputed reduction rows for zeta^k."""
 
-    _instances: dict[int, "CycloField"] = {}
-
     def __init__(self, r: int):
         self.r = r
         self.phi = cyclotomic_poly(r)
@@ -85,12 +84,9 @@ class CycloField:
         self.rows = rows
 
     @classmethod
+    @lru_cache(maxsize=16)
     def of(cls, r) -> "CycloField":
-        f = cls._instances.get(r)
-        if f is None:
-            f = cls(r)
-            cls._instances[r] = f
-        return f
+        return cls(r)
 
     def zero(self):
         return CycloExact(self, (Fraction(0),) * self.d)
@@ -185,8 +181,6 @@ class CycloOracle:
     of those.  Levels past _MAX_LEVEL raise BudgetExceeded.
     """
 
-    _instances: dict[int, "CycloOracle"] = {}
-
     def __init__(self, r: int):
         if r > _MAX_LEVEL:
             raise BudgetExceeded(f"exact oracle capped at r <= {_MAX_LEVEL}, got r={r}")
@@ -223,12 +217,9 @@ class CycloOracle:
         self._theta_inverse: dict[tuple, CycloExact] = {}
 
     @classmethod
+    @lru_cache(maxsize=16)
     def of(cls, r) -> "CycloOracle":
-        o = cls._instances.get(r)
-        if o is None:
-            o = cls(r)
-            cls._instances[r] = o
-        return o
+        return cls(r)
 
     def _admissible_triple(self, a, b, c):
         if any(x < 0 or x > self.r - 2 or x % 2 for x in (a, b, c)):

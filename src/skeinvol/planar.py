@@ -543,27 +543,6 @@ def double_at(g: PlanarGraph, v: int, coloring=None):
 # canonical form
 
 
-def _first_row(g: PlanarGraph, sig, d0: int):
-    """The first BFS row from d0: the labels met going round its vertex."""
-    vof = g._vertex_of
-    vlab = {vof[d0]: 0}
-    elab = {}
-    row = []
-    d = d0
-    while True:
-        e = d >> 1
-        if e not in elab:
-            elab[e] = len(elab)
-        w = vof[d ^ 1]
-        if w not in vlab:
-            vlab[w] = len(vlab)
-        row.append(elab[e])
-        row.append(vlab[w])
-        d = sig[d]
-        if d == d0:
-            return tuple(row)
-
-
 def _bfs_labeling(g: PlanarGraph, sig, start: int, bound):
     """Deterministic BFS relabeling of one component, starting at a dart.
 
@@ -632,8 +611,8 @@ def canonical_labelings(g: PlanarGraph):
     dart and both orientations, and for every start that attains it the
     getter of a coloring's color vector in that start's edge order (edge
     ids by BFS label).  Those starts are the component's automorphisms,
-    reflections included.  Only starts whose first row is minimal are
-    searched, and a search stops at its first row above the best so far.
+    reflections included.  Every start is searched, and a search stops
+    at its first row above the best so far.
     canonical_labelings.cache_info() reports how often the shape was
     already known.
     """
@@ -645,28 +624,19 @@ def canonical_labelings(g: PlanarGraph):
     comps = dart_components(sigma, range(len(sigma)))
     out = []
     for comp in comps:
-        low = None
-        starts = []
-        for sig in (sigma, inv):
-            for d0 in comp:
-                row = _first_row(g, sig, d0)
-                if low is None or row < low:
-                    low = row
-                    starts = [(sig, d0)]
-                elif row == low:
-                    starts.append((sig, d0))
         best = None
         orders = []
-        for sig, d0 in starts:
-            found = _bfs_labeling(g, sig, d0, best)
-            if found is None:
-                continue
-            rows, order, tied = found
-            if tied:
-                orders.append(order)
-            else:
-                best = rows
-                orders = [order]
+        for sig in (sigma, inv):
+            for d0 in comp:
+                found = _bfs_labeling(g, sig, d0, best)
+                if found is None:
+                    continue
+                rows, order, tied = found
+                if tied:
+                    orders.append(order)
+                else:
+                    best = rows
+                    orders = [order]
         out.append((best, tuple(_vector_getter(order) for order in orders)))
     isolated = g.nv - len({vof[d] for comp in comps for d in comp})
     return isolated, tuple(out)

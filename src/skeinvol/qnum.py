@@ -36,6 +36,7 @@ import itertools
 import math
 import operator
 import threading
+from functools import cached_property, lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -65,14 +66,16 @@ class Level:
         zneg, rev, rneg, zero_tol: the batched 6j's read-only tables,
             built from lf and fneg: the sign of (-1)^z [z+1]!, lf and
             fneg reversed, and the rounding floor of a z-sum.
+        ext_weights, circle_logs: the graph engine's weight tables,
+            built on first use (see their docstrings).
 
     lf and fneg are the level's one factorial table: the vectorized
     scans (scans.batch_sixj) read the arrays, and the scalar 6j and
     theta read their plain-list copies _lf and _fneg, so both z-sums
-    see the same bits.
+    see the same bits.  Every per-level table lives on its Level, and
+    Level.of keeps the 16 most recently used levels, so a scan over
+    many levels holds the tables of at most 16.
     """
-
-    _instances: dict[int, "Level"] = {}
 
     def __init__(self, r: int):
         if not isinstance(r, int) or r < 3 or r % 2 == 0:
@@ -101,13 +104,14 @@ class Level:
 
     @classmethod
     def of(cls, r) -> "Level":
-        if isinstance(r, Level):
-            return r
-        lv = cls._instances.get(r)
-        if lv is None:
-            lv = cls(r)
-            cls._instances[r] = lv
-        return lv
+        """The Level of r, shared while it is among the 16 most recently
+        used; a Level is returned unchanged."""
+        return r if isinstance(r, Level) else cls._recent(r)
+
+    @classmethod
+    @lru_cache(maxsize=16)
+    def _recent(cls, r) -> "Level":
+        return cls(r)
 
     def qint(self, n: int) -> float:
         return self._qint[n % self.r]
@@ -122,6 +126,25 @@ class Level:
         lf, fneg = self._lf, self._fneg
         return (fneg[s + 1] ^ fneg[s - a] ^ fneg[s - b] ^ fneg[s - c] ^ (s % 2 == 1),
                 lf[s + 1] - ((lf[s - a] + lf[s - b]) + lf[s - c]))
+
+    @cached_property
+    def ext_weights(self) -> tuple[list, list, list]:
+        """Per color c, as the ExtScalars that bracket replays multiply in:
+        circle_weight(c), its inverse and vertex_weight(c, c, 0), in three
+        lists indexed by color (None at odd indices)."""
+        tables = ([None] * self.r, [None] * self.r, [None] * self.r)
+        for c in self.colors:
+            w = circle_weight(c, self)
+            tables[0][c] = ExtScalar(w)
+            tables[1][c] = ExtScalar(1.0 / w)
+            tables[2][c] = vertex_weight(c, c, 0, self)
+        return tables
+
+    @cached_property
+    def circle_logs(self) -> dict[int, tuple[bool, float]]:
+        """Color -> circle_weight as a (negative, log) pair, the weights
+        of yokota's sums."""
+        return {c: _neg_log(circle_weight(c, self)) for c in self.colors}
 
     def mp_factorials(self, prec: int) -> "MpFactorials":
         """The fixed-point factorial tables for prec-bit work, built once."""
@@ -326,13 +349,14 @@ def _inverse_pairs(im, ie, n: int, p: int):
             [ie[w] + ie[n - w] + p for w in range(n + 1)])
 
 
-def _lv(level) -> Level:
-    return Level.of(level)
+def _neg_log(x: float) -> tuple[bool, float]:
+    """The float x as a (negative, log |x|) pair; the log of 0 is -inf."""
+    return x < 0, math.log(abs(x)) if x else -math.inf
 
 
 def quantum_integer(n: int, level) -> float:
     """[n] = sin(2*pi*n/r) / sin(2*pi/r), periodic mod r."""
-    return _lv(level).qint(n)
+    return Level.of(level).qint(n)
 
 
 def circle_weight(n: int, level) -> float:
@@ -342,7 +366,7 @@ def circle_weight(n: int, level) -> float:
     the module docstring).  On even colors it equals [n+1], which is
     negative once n+1 passes (r-1)/2.
     """
-    lv = _lv(level)
+    lv = Level.of(level)
     w = lv.qint(n + 1)
     return -w if n % 2 else w
 
@@ -372,7 +396,7 @@ def is_admissible_triple(a: int, b: int, c: int, level) -> bool:
     Requires even integers in [0, r-2] satisfying the triangle
     inequalities with a + b + c <= 2r - 4.
     """
-    lv = _lv(level)
+    lv = Level.of(level)
     t = _ints(a, b, c)
     if t is None:
         return False
@@ -396,7 +420,7 @@ def is_admissible_sixtuple(colors, level) -> bool:
 
 def admissible_triples(level):
     """All admissible triples (a, b, c) at the level, lexicographic."""
-    lv = _lv(level)
+    lv = Level.of(level)
     return [(a, b, c) for a in lv.colors for b in lv.colors
             for c in fusion_colors(a, b, lv)]
 
@@ -405,7 +429,7 @@ def fusion_colors(a: int, b: int, level):
     """Colors i with (a, b, i) admissible, ascending: the even i from
     |a - b| to min(a + b, 2r - 4 - a - b); none when a or b is not a
     color."""
-    lv = _lv(level)
+    lv = Level.of(level)
     t = _ints(a, b)
     if t is None or not all(0 <= x <= lv.r - 2 and x % 2 == 0 for x in t):
         return ()
@@ -415,7 +439,7 @@ def fusion_colors(a: int, b: int, level):
 
 def _admissible_theta(a: int, b: int, c: int, level) -> tuple[bool, float]:
     """Level.theta of the triple; raises Inadmissible when undefined."""
-    lv = _lv(level)
+    lv = Level.of(level)
     if not is_admissible_triple(a, b, c, lv):
         raise Inadmissible(f"triple ({a},{b},{c}) not admissible at r={lv.r}")
     return lv.theta(a, b, c)
@@ -565,7 +589,7 @@ def sixj_info(n1, n2, n3, n4, n5, n6, level) -> dict:
     lost to cancellation in the alternating sum, as estimated from the
     double-precision pass), ``used_mp`` and ``prec_bits``.
     """
-    lv = _lv(level)
+    lv = Level.of(level)
     t = (n1, n2, n3, n4, n5, n6)
     if not is_admissible_sixtuple(t, lv):
         return {
@@ -629,7 +653,7 @@ def sixj(n1, n2, n3, n4, n5, n6, level) -> ExtScalar:
     given, so a repeated call is one lookup; a tuple with a non-integral
     entry is not a tuple of colors and gives zero without a lookup.
     """
-    lv = _lv(level)
+    lv = Level.of(level)
     t = _ints(n1, n2, n3, n4, n5, n6)
     if t is None:
         return ExtScalar()  # 2.0 is not a color, though it hashes like 2
@@ -648,6 +672,6 @@ def kirby_norm(level) -> float:
 
     Equals sum over colors i of circle_weight(i)^2 = sum [i+1]^2.
     """
-    lv = _lv(level)
+    lv = Level.of(level)
     s = math.sin(2 * math.pi / lv.r)
     return lv.r / (4 * s * s)

@@ -27,6 +27,7 @@ volumes        hyperbolic volume constants and the Lobachevsky oracle
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 from dataclasses import dataclass
@@ -141,7 +142,7 @@ def _tet_slot_args(col):
 # ---------------------------------------------------------------- suites
 
 
-def suite_oracle(*, rmax: int = 13, **_) -> List[CheckResult]:
+def suite_oracle(*, rmax: int = 13) -> List[CheckResult]:
     """Float 6j engine, and the high-precision wheel z-sums at r = 11 and
     13, against exact arithmetic in the cyclotomic field."""
     from .cyclo import sixj_exact_square
@@ -203,7 +204,7 @@ def _fan_oracle_check(r: int) -> CheckResult:
     )
 
 
-def suite_bigon(*, r: int = 7, **_) -> List[CheckResult]:
+def suite_bigon(*, r: int = 7) -> List[CheckResult]:
     """Pin the loop, theta, and bigon-collapse normalizations."""
     out = []
 
@@ -259,7 +260,7 @@ def suite_bigon(*, r: int = 7, **_) -> List[CheckResult]:
     return out
 
 
-def suite_axiom3(*, r: int = 7, **_) -> List[CheckResult]:
+def suite_axiom3(*, r: int = 7) -> List[CheckResult]:
     """Full reduction of the tetrahedron reproduces the 6j-symbol."""
     worst = 0.0
     cnt = 0
@@ -278,7 +279,7 @@ def suite_axiom3(*, r: int = 7, **_) -> List[CheckResult]:
     ]
 
 
-def suite_axiom7(*, r: int = 7, **_) -> List[CheckResult]:
+def suite_axiom7(*, r: int = 7) -> List[CheckResult]:
     """A zero-colored edge drops out with the (circle weights)^{-1/2} factor.
 
     Each square-root factor of a negative circle weight takes the -i
@@ -317,7 +318,7 @@ def suite_axiom7(*, r: int = 7, **_) -> List[CheckResult]:
     ]
 
 
-def suite_desing(*, r: int = 7, **_) -> List[CheckResult]:
+def suite_desing(*, r: int = 7) -> List[CheckResult]:
     """The invariant does not depend on the fan-tree anchor choice.
 
     Each anchor setting has a memo of its own: the values it compares
@@ -373,7 +374,7 @@ def suite_desing(*, r: int = 7, **_) -> List[CheckResult]:
     return out
 
 
-def suite_doubling(*, r: int = 5, **_) -> List[CheckResult]:
+def suite_doubling(*, r: int = 5) -> List[CheckResult]:
     """Doubling a graph at a vertex squares its invariant."""
     g = square_pyramid()
     cols = list(admissible_colorings(g, r))
@@ -394,7 +395,7 @@ def suite_doubling(*, r: int = 5, **_) -> List[CheckResult]:
     ]
 
 
-def suite_vertexsum(*, r: int = 7, **_) -> List[CheckResult]:
+def suite_vertexsum(*, r: int = 7) -> List[CheckResult]:
     """The invariant is multiplicative under vertex sums.
 
     The summands and the vertex sums have a memo each, so a vertex sum is
@@ -436,7 +437,7 @@ def suite_vertexsum(*, r: int = 7, **_) -> List[CheckResult]:
     ]
 
 
-def suite_fusion(*, r: Optional[int] = None, **_) -> List[CheckResult]:
+def suite_fusion(*, r: Optional[int] = None) -> List[CheckResult]:
     """Termwise fusion-rule expansion and reduction-order independence.
 
     Each reduction order (no seed, or one seed) has a memo of its own, so
@@ -492,7 +493,7 @@ def suite_fusion(*, r: Optional[int] = None, **_) -> List[CheckResult]:
     return out
 
 
-def suite_kirby(*, r: Optional[int] = None, graph: Optional[str] = None, **_) -> List[CheckResult]:
+def suite_kirby(*, r: Optional[int] = None, graph: Optional[str] = None) -> List[CheckResult]:
     """The Kirby-colored invariant equals N^betti."""
     if graph:
         cases = [(graph, r or 5)]
@@ -519,7 +520,7 @@ def suite_kirby(*, r: Optional[int] = None, graph: Optional[str] = None, **_) ->
     return out
 
 
-def suite_nidentity(*, rmax: int = 2001, **_) -> List[CheckResult]:
+def suite_nidentity(*, rmax: int = 2001) -> List[CheckResult]:
     """Sum of squared circle weights against the closed form."""
     worst = 0.0
     worst_r = 0
@@ -541,7 +542,7 @@ def suite_nidentity(*, rmax: int = 2001, **_) -> List[CheckResult]:
     ]
 
 
-def suite_fourier(*, r: Optional[int] = None, graph: Optional[str] = None, **_) -> List[CheckResult]:
+def suite_fourier(*, r: Optional[int] = None, graph: Optional[str] = None) -> List[CheckResult]:
     """Both sides of the dual-graph Fourier identity, exhaustively."""
     if graph:
         cases = [(graph, r or 7)]
@@ -573,7 +574,7 @@ def suite_fourier(*, r: Optional[int] = None, graph: Optional[str] = None, **_) 
     return out
 
 
-def suite_sixj_symmetry(*, r: int = 9, **_) -> List[CheckResult]:
+def suite_sixj_symmetry(*, r: int = 9) -> List[CheckResult]:
     """All 24 tetrahedral relabelings leave the 6j-symbol unchanged, and
     the vectorized enumeration matches the brute-force tuple set."""
     import numpy as np
@@ -646,7 +647,7 @@ def suite_sixj_symmetry(*, r: int = 9, **_) -> List[CheckResult]:
     return out
 
 
-def suite_hopf(*, r: int = 31, **_) -> List[CheckResult]:
+def suite_hopf(*, r: int = 31) -> List[CheckResult]:
     """Hopf pairing: closed forms, symmetry, and the constant-sign row."""
     out = []
     cols = list(range(0, r - 2, 2))
@@ -696,7 +697,7 @@ def suite_hopf(*, r: int = 31, **_) -> List[CheckResult]:
     return out
 
 
-def suite_volumes(**_) -> List[CheckResult]:
+def suite_volumes() -> List[CheckResult]:
     """Volume constants and the Lobachevsky function against an oracle."""
     out = []
     pins = {
@@ -776,19 +777,24 @@ def run_suite(
     rmax: Optional[int] = None,
     graph: Optional[str] = None,
 ) -> List[CheckResult]:
-    """Run one named suite (or ``all``) and return its check results."""
-    kwargs = {}
-    if r is not None:
-        kwargs["r"] = r
-    if rmax is not None:
-        kwargs["rmax"] = rmax
-    if graph is not None:
-        kwargs["graph"] = graph
+    """Run one named suite (or ``all``) and return its check results.
+
+    ``all`` passes each suite only the options it takes.  A named suite
+    given an option it does not take raises KeyError, as an unknown
+    suite does, before anything runs.
+    """
+    options = {k: v for k, v in (("r", r), ("rmax", rmax), ("graph", graph)) if v is not None}
     if name == "all":
         out: List[CheckResult] = []
         for fn in SUITES.values():
-            out.extend(fn(**kwargs))
+            taken = inspect.signature(fn).parameters
+            out.extend(fn(**{k: v for k, v in options.items() if k in taken}))
         return out
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or 'all'")
-    return SUITES[name](**kwargs)
+    taken = inspect.signature(SUITES[name]).parameters
+    extra = [k for k in options if k not in taken]
+    if extra:
+        raise KeyError(f"suite {name!r} does not take {', '.join('--' + k for k in extra)}; "
+                       f"its options: {', '.join('--' + k for k in taken) or 'none'}")
+    return SUITES[name](**options)

@@ -48,7 +48,8 @@ single values on its planar dual through the Hopf-link pairing matrix
 
 Circle weights and Hopf-pairing entries are read as (negative, log)
 pairs of a bool and a float, like the factorial table of
-`skeinvol.qnum.Level`.  A product of them (a strip rule's factor, the
+`skeinvol.qnum.Level`, which also holds the circle weights in that form
+(`Level.circle_logs`).  A product of them (a strip rule's factor, the
 weight of an internal or a Kirby coloring, the Hopf factor of a dual
 coloring) is a parity and a sum of logs, converted to an ExtScalar
 once.  A vanishing Hopf entry has log -inf, and `fourier_dual` skips
@@ -64,7 +65,7 @@ from .bracket import _SHAPE_CACHES, _Ctx, _eval_canonical, _validate_coloring
 from .errors import LowValence, NotPlanar
 from .extscalar import ExtScalar
 from .planar import PlanarGraph, _RGraph, betti, canonical_labelings, genus, read_signature
-from .qnum import Level, circle_weight, kirby_norm, quantum_integer
+from .qnum import Level, _neg_log, kirby_norm, quantum_integer
 
 __all__ = [
     "admissible_colorings",
@@ -247,11 +248,6 @@ def _shape(graph: PlanarGraph, anchors: tuple) -> _Shape:
 _SHAPE_CACHES.append(_shape)
 
 
-def _neg_log(x):
-    """The float x as a (negative, log |x|) pair; the log of 0 is -inf."""
-    return x < 0, math.log(abs(x)) if x else -math.inf
-
-
 def _product(pairs):
     """The product of (negative, log) pairs, as an ExtScalar (0 if one is)."""
     negative, log = False, 0.0
@@ -261,13 +257,6 @@ def _product(pairs):
     if log == -math.inf:
         return ExtScalar()
     return ExtScalar.from_log(log, sign=-1 if negative else 1)
-
-
-@lru_cache(maxsize=16)
-def _circle_weights(r):
-    """Color -> circle weight as a (negative, log) pair, at level r."""
-    lv = Level.of(r)
-    return {c: _neg_log(circle_weight(c, lv)) for c in lv.colors}
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +341,7 @@ def _evaluator(graph, lv, anchors=None, budget=None, memo=None):
     """
     shape = _shape(graph, _anchor_key(anchors))
     ctx = _Ctx(lv, True, None, budget, memo)
-    weights = _circle_weights(lv.r)
+    weights = lv.circle_logs
     rules, g2, src, slots, closing = shape.rules, shape.g2, shape.src, shape.slots, shape.closing
 
     def value(coloring):
@@ -447,9 +436,16 @@ def yokota_table(graph: PlanarGraph, level, *, budget=None, memo=None):
 
 
 def tv_graph(graph: PlanarGraph, level, *, budget=None, memo=None) -> ExtScalar:
-    """Sum of |invariant| over all colorings of the graph's edges."""
+    """Sum of |invariant| over all colorings of the graph's edges.
+
+    The colorings are streamed in the order of yokota_table, whose sum
+    this is, without holding the table.
+    """
+    lv = Level.of(level)
+    value = _evaluator(graph, lv, budget=budget, memo=memo)
     total = ExtScalar()
-    for y in yokota_table(graph, level, budget=budget, memo=memo).values():
+    for col in admissible_colorings(graph, lv):
+        y = value(col)
         if not y.is_zero():
             total = total + ExtScalar.from_log(y.log_abs())
     return total
@@ -464,7 +460,7 @@ def yokota_kirby(graph: PlanarGraph, level, *, budget=None, memo=None) -> ExtSca
     """
     lv = Level.of(level)
     value = _evaluator(graph, lv, budget=budget, memo=memo)
-    weights = _circle_weights(lv.r)
+    weights = lv.circle_logs
     total = ExtScalar()
     for col in admissible_colorings(graph, lv):
         y = value(col)

@@ -8,6 +8,7 @@ import pathlib
 
 import pytest
 
+import skeinvol.verify as verify
 from skeinvol.cli import main
 from skeinvol.hypvol import records_to_csv
 from skeinvol.planar import graph_to_json, tetrahedron, theta
@@ -318,6 +319,34 @@ def test_verify_graph_suite(capsys):
     rc, out, _ = run_cli(["verify", "kirby", "--graph", "theta", "--r", "5"], capsys)
     assert rc == 0
     assert "checks passed" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "volumes", "--r", "7"],
+    ["verify", "hopf", "--graph", "cube"],
+    ["verify", "oracle", "--r", "7", "--rmax", "9"],
+])
+def test_verify_option_a_suite_does_not_take_is_invalid_input(argv, capsys):
+    expect_exit2(argv)
+    assert "error: suite" in capsys.readouterr().err
+
+
+def test_verify_all_passes_each_suite_only_its_options(monkeypatch, capsys):
+    seen = []
+
+    def takes_r(*, r=7):
+        seen.append(("takes-r", r))
+        return []
+
+    def takes_none():
+        seen.append(("takes-none",))
+        return []
+
+    monkeypatch.setattr(verify, "SUITES", {"takes-r": takes_r, "takes-none": takes_none})
+    rc, out, _ = run_cli(["verify", "all", "--r", "5", "--graph", "cube"], capsys)
+    assert rc == 0
+    assert seen == [("takes-r", 5), ("takes-none",)]
+    assert out == "0/0 checks passed\n"
 
 
 @pytest.mark.parametrize("suite,rmax", [("oracle", "3"), ("nidentity", "1"), ("all", "4")])

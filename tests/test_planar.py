@@ -10,12 +10,14 @@ from skeinvol.errors import NotTriangle, NotTrivalent
 from skeinvol.yokota import _shape
 from skeinvol.planar import (
     PlanarGraph,
+    _bfs_labeling,
     betti,
     blow_up,
     canonical_labelings,
     canonical_signature,
     circle,
     cube,
+    dart_components,
     double_at,
     dual,
     family_enumerate,
@@ -367,6 +369,31 @@ def test_canonical_signature_matches_reference_partition():
             assert sig == want  # the uncolored value is the reference's
     fam = family_enumerate(2)
     assert [reference_signature(g) for g in fam] == sorted(reference_signature(g) for g in fam)
+
+
+def unpruned_labelings(g):
+    """canonical_labelings by an unpruned search: every start searched
+    to the end, the minimum taken afterwards."""
+    sigma = g._sigma
+    inv = [0] * len(sigma)
+    for d, s in enumerate(sigma):
+        inv[s] = d
+    comps = dart_components(sigma, range(len(sigma)))
+    out = []
+    for comp in comps:
+        found = [_bfs_labeling(g, sig, d0, None)[:2] for sig in (sigma, inv) for d0 in comp]
+        best = min(rows for rows, _ in found)
+        out.append((best, [order for rows, order in found if rows == best]))
+    isolated = g.nv - len({g._vertex_of[d] for comp in comps for d in comp})
+    return isolated, out
+
+
+def test_canonical_labelings_match_an_unpruned_search():
+    graphs = list({id(g): g for g, _ in _signature_corpus()}.values())
+    for g in graphs:
+        isolated, labelings = canonical_labelings(g)
+        got = [(sig, [get(range(g.ne)) for get in gets]) for sig, gets in labelings]
+        assert (isolated, got) == unpruned_labelings(g)
 
 
 def signature_by_orders(g, coloring=None):

@@ -1,5 +1,6 @@
 """Quantum integers, factorials, theta/vertex weights, and the 6j-symbol."""
 
+import gc
 import itertools
 import math
 
@@ -36,6 +37,19 @@ def test_level_construction():
     for bad in (4, -1, 0):
         with pytest.raises(ValueError):
             Level.of(bad)
+
+
+def live_levels(rs):
+    """The Level objects of the levels rs that are still reachable."""
+    gc.collect()
+    return [o for o in gc.get_objects() if isinstance(o, Level) and o.r in rs]
+
+
+def test_level_of_keeps_the_16_most_recent_levels():
+    rs = range(3001, 3081, 2)  # 40 levels no other test asks for
+    for r in rs:
+        Level.of(r).circle_logs  # a weight table lives and dies with its level
+    assert sorted(lv.r for lv in live_levels(rs)) == list(rs[-16:])
 
 
 @pytest.mark.parametrize("r", [5, 7, 9, 13])

@@ -13,6 +13,7 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
+from test_qnum import live_levels
 
 import skeinvol.scans as scans
 from skeinvol.errors import BudgetExceeded
@@ -947,6 +948,13 @@ def test_tv_record_memory_bounded_by_chunk():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_family_record_keeps_at_most_16_levels():
+    rs = range(2001, 2081, 2)  # 40 levels, more than Level.of keeps
+    for r in rs:
+        family_record(r)
+    assert len(live_levels(rs)) <= 16
 
 
 def test_family_record_prism_identity():

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import skeinvol.yokota as yokota_module
 from skeinvol.bracket import _RGraph, _validate_coloring, bracket, cache_clear
 from skeinvol.errors import BudgetExceeded, NotPlanar
 from skeinvol.extscalar import ExtScalar
@@ -390,6 +391,19 @@ def test_coloring_sums_bit_identical_to_reference(name, make, r):
     for dual in [(2,) * g.ne, tuple(c % 4 for c in range(0, 2 * g.ne, 2))]:
         want_dual = fourier_dual(g, r, dual, table=want)
         assert bits(fourier_dual(g, r, dual, memo={})) == bits(want_dual)
+
+
+@pytest.mark.parametrize("make,r,want", [
+    (triangular_prism, 9, (0.6974959874960297, 21, 0)),
+    (cube, 5, (0.5893387751167021, 13, 0)),
+])
+def test_tv_graph_streams_the_colorings(monkeypatch, make, r, want):
+    # the sum of the table, in its order, without building the table
+    def no_table(*args, **kwargs):
+        raise AssertionError("tv_graph built the coloring table")
+
+    monkeypatch.setattr(yokota_module, "yokota_table", no_table)
+    assert bits(tv_graph(make(), r, memo={})) == want
 
 
 def test_low_valence_fixture_applies_every_rule():
