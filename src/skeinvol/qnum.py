@@ -194,7 +194,10 @@ class MpFactorials:
     [k]!, 1/[k]! and qint(k) stay good to P bits, as with mpmath sines.
 
     fan(s, b) gives the tables of the wheel symbols sixj(s, x, y, b, b,
-    b), whose z-terms cost two multiplies each (see MpFan).
+    b), whose z-terms cost one multiply each (see MpFan).  zsum and
+    theta return mpfs at the caller's working precision; qint,
+    inv_theta and the fan z-sums return (man, exp) pairs, which mp.mpf
+    takes as they are.
     """
 
     def __init__(self, r: int, prec: int):
@@ -263,10 +266,20 @@ class MpFactorials:
         e = fe[s + 1] + ie[s - a] + ie[s - b] + ie[s - c]
         return mp.mpf((-m if s & 1 else m, e + 3 * p))
 
-    def qint(self, k: int):
-        """The quantum integer [k] = [k]! / [k-1]! for 1 <= k <= r-1, as an mpf."""
+    def inv_theta(self, a: int, b: int, c: int) -> tuple[int, int]:
+        """Signed 1/Theta(a,b,c) of an admissible triple, as a (man, exp)
+        pair of three truncated multiplies."""
+        s = (a + b + c) // 2
+        fm, fe, im, ie, p = self._fm, self._fe, self._im, self._ie, self.bits
+        m = im[s + 1] * fm[s - a] >> p
+        m = m * fm[s - b] >> p
+        m = m * fm[s - c] >> p
+        return -m if s & 1 else m, ie[s + 1] + fe[s - a] + fe[s - b] + fe[s - c] + 3 * p
+
+    def qint(self, k: int) -> tuple[int, int]:
+        """The quantum integer [k] = [k]! / [k-1]! for 1 <= k <= r-1, as a (man, exp) pair."""
         p = self.bits
-        return mp.mpf((self._fm[k] * self._im[k - 1] >> p, self._fe[k] + self._ie[k - 1] + p))
+        return self._fm[k] * self._im[k - 1] >> p, self._fe[k] + self._ie[k - 1] + p
 
     def fan(self, s: int, b: int) -> "MpFan":
         """Fan tables of the wheel symbols sixj(s, x, y, b, b, b)."""
@@ -287,15 +300,21 @@ class MpFan:
     z = r-2).  The wheel closed forms need u_i = zsum(s, i) and w_ij =
     zsum(i, j).  Every B_x is one table B(w) = 1/([w]! [s/2-w]!) read
     at w = z - (x+2b)/2, and every C_y one table C(w) = 1/([w]!
-    [b-s/2-w]!) read at w = z - (s+y)/2.  A, B and C are lists of
-    fixed-point entries in the convention of MpFactorials: an entry is
-    man * 2**exp with a signed P-bit mantissa, and a product of two is
-    (m1 * m2 >> P) * 2**(e1 + e2 + P).  D_x = A B_x is kept for the
-    last x asked for only, so callers should vary y fastest; a term
-    D_x(z) B_y(z) C_{x+y}(z) then costs two multiplies, against
-    seven in MpFactorials.zsum.  Its eight factorial factors still pass
-    through seven truncations, so the 2**-(P-9) bound holds, and the
-    tables hold O(r) entries however many fan colors there are.
+    [b-s/2-w]!) read at w = z - (s+y)/2.  At w = z - (y/2 + b),
+
+        B_y(z) C_{x+y}(z) = B(w) C(w + b - (s+x)/2) = E_x(w),
+
+    which depends on x alone, so a term is D_x(z) E_x(z - y/2 - b) with
+    D_x = A B_x.  A, B, C, D and E are lists of fixed-point entries in
+    the convention of MpFactorials: an entry is man * 2**exp with a
+    signed mantissa of at most P bits, and a product of two is (m1 * m2
+    >> P) * 2**(e1 + e2 + P).  D_x and E_x are kept for the last x asked for
+    only, so callers should vary y fastest; a term then costs one
+    multiply, against seven in MpFactorials.zsum.  Its eight factorial
+    factors still pass through seven truncations (one each in A, B and
+    C, one each to form D and E, one for the term), so the 2**-(P-9)
+    bound holds, and the tables hold O(r) entries however many fan
+    colors there are.
     """
 
     def __init__(self, tab: MpFactorials, s: int, b: int):
@@ -309,44 +328,69 @@ class MpFan:
         self._ae = [fe[z + 1] + ie[z - t] + p for z in zs]
         self._bm, self._be = _inverse_pairs(im, ie, s // 2, p)
         self._cm, self._ce = _inverse_pairs(im, ie, b - s // 2, p)
-        self._dx = self._dtab = None
+        self._x = self._dtab = self._etab = None
 
-    def _d(self, x: int):
-        """D_x = A B_x as (lo, mantissas, exponents), kept for the last x."""
-        if x != self._dx:
-            alo, blo, p = self._alo, x // 2 + self.b, self.bits
-            lo = max(alo, blo)
-            hi = min(alo + len(self._am), blo + len(self._bm))
-            sa, sb = slice(lo - alo, hi - alo), slice(lo - blo, hi - blo)
-            self._dtab = (lo, [u * v >> p for u, v in zip(self._am[sa], self._bm[sb])],
-                          [u + v + p for u, v in zip(self._ae[sa], self._be[sb])])
-            self._dx = x
-        return self._dtab
+    def _tables(self, x: int):
+        """D_x over z and E_x over w, each as (lo, mantissas, exponents),
+        kept for the last x."""
+        if x != self._x:
+            self._dtab = _products(self._alo, self._am, self._ae,
+                                   x // 2 + self.b, self._bm, self._be, self.bits)
+            self._etab = _products(0, self._bm, self._be,
+                                   (self.s + x) // 2 - self.b, self._cm, self._ce, self.bits)
+            self._x = x
+        return self._dtab, self._etab
 
-    def zsum(self, x: int, y: int):
-        """Signed z-sum of sixj(s, x, y, b, b, b) (no vertex normalization), as an mpf."""
-        dlo, dm, de = self._d(x)
-        blo, clo = y // 2 + self.b, (self.s + x + y) // 2
-        lo = max(dlo, blo, clo)
-        hi = min(dlo + len(dm), blo + len(self._bm), clo + len(self._cm))
-        sd, sb = slice(lo - dlo, hi - dlo), slice(lo - blo, hi - blo)
-        sc = slice(lo - clo, hi - clo)
+    def zsum(self, x: int, y: int) -> tuple[int, int]:
+        """Signed z-sum of sixj(s, x, y, b, b, b) (no vertex normalization),
+        as a fixed-point pair (man, exp): the value is man * 2**exp, and
+        its terms were added exactly."""
+        (dlo, dm, de), (elo, em, ee) = self._tables(x)
+        elo += y // 2 + self.b  # E_x's first w, as a z
+        lo, hi = max(dlo, elo), min(dlo + len(dm), elo + len(em))
+        sd, se = slice(lo - dlo, hi - dlo), slice(lo - elo, hi - elo)
         p = self.bits
-        mans = [(u * v >> p) * w >> p
-                for u, v, w in zip(dm[sd], self._bm[sb], self._cm[sc])]
-        exps = [u + v + w for u, v, w in zip(de[sd], self._be[sb], self._ce[sc])]
+        exps = list(map(operator.add, de[sd], ee[se]))
         emin = min(exps)
         acc = 0
-        for m, e in zip(mans, exps):
-            acc += m << (e - emin)
-        # the two truncations of each term scaled its mantissa by 2**-p each
-        return mp.mpf((acc, emin + 2 * p))
+        for u, v, e in zip(dm[sd], em[se], exps):
+            acc += (u * v >> p) << (e - emin)
+        # the term's one truncation scaled its mantissa by 2**-p
+        return acc, emin + p
+
+
+def _products(alo, am, ae, blo, bm, be, p):
+    """The fixed-point product of two tables, the first read at index
+    k - alo and the second at k - blo, over the k where both are
+    defined, as (first k, mantissas, exponents)."""
+    lo = max(alo, blo)
+    hi = min(alo + len(am), blo + len(bm))
+    sa, sb = slice(lo - alo, hi - alo), slice(lo - blo, hi - blo)
+    return (lo, [u * v >> p for u, v in zip(am[sa], bm[sb])],
+            [u + v + p for u, v in zip(ae[sa], be[sb])])
 
 
 def _inverse_pairs(im, ie, n: int, p: int):
     """Fixed-point 1 / ([w]! [n-w]!) for w = 0 .. n, as mantissas and exponents."""
     return ([im[w] * im[n - w] >> p for w in range(n + 1)],
             [ie[w] + ie[n - w] + p for w in range(n + 1)])
+
+
+def _fx_norm(pair, p: int) -> tuple[int, int]:
+    """A fixed-point (man, exp) pair with its mantissa cut to p bits, or
+    shifted up to p bits; the cut truncates, by under one unit of 2**-(p-1)
+    relative."""
+    m, e = pair
+    sh = m.bit_length() - p
+    return (m >> sh, e + sh) if sh >= 0 else (m << -sh, e + sh)
+
+
+def _fx_prod(pairs, p: int) -> tuple[int, int]:
+    """The product of fixed-point pairs, cut to p bits after each multiply."""
+    m, e = 1, 0
+    for pm, pe in pairs:
+        m, e = _fx_norm((m * pm, e + pe), p)
+    return m, e
 
 
 def _neg_log(x: float) -> tuple[bool, float]:

@@ -33,10 +33,11 @@ log-domain 6j evaluator:
   The zero-angled colorings cancel hundreds of bits, so they run on the
   high-precision twin.  Its z-sums read the fan tables of qnum.MpFan,
   built per (spoke, rim) pair over the level's fixed-point factorials,
-  so each z-term is two integer multiplies, and the factorials come
-  from a rotation recurrence instead of r mpmath sines.  On a 2-core
-  box with pure-Python mpmath, pent-zero at r = 321 takes about 1.7 s
-  and the whole pent-zero grid of reproduce-appendix about 6 s;
+  so each z-term is one integer multiply, the outer sum is added in
+  integers too, and the factorials come from a rotation recurrence
+  instead of r mpmath sines.  On a 2-core box with pure-Python mpmath,
+  pent-zero at r = 321 takes about 0.4 s and the whole pent-zero grid
+  of reproduce-appendix about 2 s;
 * the family fast path uses Y(prism, all-max) = sixj(max,...)^4 (one
   6j per level), checked against the graph engine at small levels in
   the test suite.
@@ -71,6 +72,8 @@ from .qnum import (
     MP_LOCK,
     SIXJ_SYMMETRIES,
     Level,
+    _fx_norm,
+    _fx_prod,
     _sum_ranges,
     _vertex_triples,
     is_admissible_triple,
@@ -791,11 +794,23 @@ def wheel_log_invariant_mp(r: int, n_spokes: int, s: int, b: int):
     """High-precision wheel closed form; same contract as the float twin.
 
     The vertex normalizations enter only as Theta^(-2) (fourth powers)
-    or Theta^(-1) (squares), so no square-root branches appear and the
-    whole sum is carried in signed mp floats.  The thetas and
-    Delta_i = [i+1] come from the level's fixed-point factorial tables
-    (qnum.MpFactorials), the z-sums from its fan tables for (s, b)
-    (qnum.MpFan).  Precision starts at 2r + 256 bits and doubles until
+    or Theta^(-1) (squares), so no square-root branches appear.  The
+    sum is carried in the fixed-point (man, exp) pairs of
+    qnum.MpFactorials, P = prec + 32 bits: the z-sums come from the fan
+    tables for (s, b) (qnum.MpFan), the 1/Theta and Delta_i = [i+1]
+    from the level's factorial tables.  With v_i = u_i^2 / (Theta(s,s,i)
+    Theta(s,b,b)^2 Theta(i,b,b)) = sixj(s,s,i,b,b,b)^2, each fan color
+    gives one factor, Delta_i v_i^2 (4 spokes) or h_i = Delta_i v_i /
+    Theta(i,b,b) and g_i = h_i / Theta(s,b,b) (5 spokes), cut to P bits
+    after every multiply.  A pair term g_i h_j w_ij^2 / Theta(s,i,j)
+    (twice that for j != i) takes eight truncations more: one to cut
+    w_ij to P bits, one to square it, three for 1/Theta(s,i,j) and
+    three to multiply in the rest; they cost under 2^-(P-9) relative,
+    and with the per-color factors' own truncations a term is off by
+    under 2^-(P-10) from the exact product of its table entries and
+    z-sums.  The terms and their magnitudes are added exactly at the
+    lowest exponent, and one mpf of each gives the log and the
+    cancellation.  Precision starts at 2r + 256 bits and doubles until
     the observed cancellation leaves at least 50 trusted bits.
     """
     lv = Level.of(r)
@@ -805,49 +820,59 @@ def wheel_log_invariant_mp(r: int, n_spokes: int, s: int, b: int):
              if is_admissible_triple(s, s, i, lv) and is_admissible_triple(i, b, b, lv)]
     if not ilist:
         raise ValueError(f"no admissible fan colors for wheel at r={r}")
-    prec = _wheel_start_bits(r)
-    for _ in range(5):
+    start = _wheel_start_bits(r)
+    for k in range(5):
+        prec = start << k
         tab = lv.mp_factorials(prec)
         fan = tab.fan(s, b)
-        with MP_LOCK, mp.workprec(prec):
-            th_sbb = tab.theta(s, b, b)
-            total = mp.mpf(0)
-            abstot = mp.mpf(0)
+        p = tab.bits
+        sbb = tab.inv_theta(s, b, b)
+        mans, exps = [], []
+        h, g = {}, {}
+        for i in ilist:
+            ibb = tab.inv_theta(i, b, b)
+            u = _fx_norm(fan.zsum(s, i), p)
+            v = _fx_prod((u, u, tab.inv_theta(s, s, i), sbb, sbb, ibb), p)
             if n_spokes == 4:
-                for i in ilist:
-                    th = tab.theta(s, s, i) * th_sbb ** 2 * tab.theta(i, b, b)
-                    term = tab.qint(i + 1) * fan.zsum(s, i) ** 4 / th ** 2
-                    total += term
-                    abstot += abs(term)
+                m, e = _fx_prod((tab.qint(i + 1), v, v), p)
+                mans.append(m)
+                exps.append(e)
             else:
-                # half[i] = Delta_i u_i^2 / Theta(i,b,b) is all of a pair
-                # term that depends on i alone, so a pair only adds w_ij
-                # and Theta(s,i,j)
-                half = {}
-                for i in ilist:
-                    th_ibb = tab.theta(i, b, b)
-                    th = tab.theta(s, s, i) * th_sbb ** 2 * th_ibb
-                    half[i] = tab.qint(i + 1) * fan.zsum(s, i) ** 2 / (th * th_ibb)
-                for i in ilist:
-                    # the j >= i of ilist with (s, i, j) admissible are one
-                    # run of it: max(i, |s-i|) <= j <= min(s+i, 2r-4-s-i)
-                    lo = bisect.bisect_left(ilist, max(i, abs(s - i)))
-                    hi = bisect.bisect_right(ilist, min(s + i, 2 * r - 4 - s - i))
-                    for j in ilist[lo:hi]:
-                        term = (half[i] * half[j] * fan.zsum(i, j) ** 2
-                                / (tab.theta(s, i, j) * th_sbb))
-                        if j != i:
-                            term *= 2
-                        total += term
-                        abstot += abs(term)
-            if total == 0:
-                raise ValueError(f"wheel invariant vanished at r={r}")
-            cancel_bits = float(mp.log(abstot / abs(total), 2))
+                # h_i and g_i are all of a pair term that depends on i or
+                # j alone, so a pair only adds w_ij and Theta(s,i,j)
+                h[i] = _fx_prod((tab.qint(i + 1), v, ibb), p)
+                g[i] = _fx_prod((h[i], sbb), p)
+        for i in g:  # no pairs with 4 spokes
+            # the j >= i of ilist with (s, i, j) admissible are one run
+            # of it: max(i, |s-i|) <= j <= min(s+i, 2r-4-s-i)
+            lo = bisect.bisect_left(ilist, max(i, abs(s - i)))
+            hi = bisect.bisect_right(ilist, min(s + i, 2 * r - 4 - s - i))
+            gm, ge = g[i]
+            ge += 4 * p
+            for j in ilist[lo:hi]:
+                wm, we = _fx_norm(fan.zsum(i, j), p)
+                tm, te = tab.inv_theta(s, i, j)
+                hm, he = h[j]
+                m = tm * (wm * wm >> p) >> p
+                m = m * gm >> p
+                mans.append(m * hm >> p)
+                # a pair j != i stands for (i, j) and (j, i)
+                exps.append(ge + te + 2 * we + he + (j != i))
+        emin = min(exps, default=0)
+        total = absum = 0
+        for m, e in zip(mans, exps):
+            m <<= e - emin
+            total += m
+            absum += abs(m)
+        if total == 0:
+            raise ValueError(f"wheel invariant vanished at r={r}")
+        with MP_LOCK, mp.workprec(prec):
+            total, absum = mp.mpf((total, emin)), mp.mpf((absum, emin))
+            cancel_bits = float(mp.log(absum / abs(total), 2))
             if cancel_bits <= prec - 50:
                 log_y = float(mp.log(abs(total)))
                 sign = 1.0 if total > 0 else -1.0
                 return log_y, sign, cancel_bits * math.log10(2.0)
-        prec *= 2
     raise ValueError(f"wheel sum at r={r} cancels beyond {prec} bits")
 
 

@@ -191,7 +191,7 @@ def _fan_oracle_check(r: int) -> CheckResult:
     worst = 0.0
     with MP_LOCK, mp.workprec(prec):
         for t in sixes:
-            square = fan.zsum(t[1], t[2]) ** 2
+            square = mp.mpf(fan.zsum(t[1], t[2])) ** 2
             for n1, n2, n3 in _vertex_triples(t):
                 square /= tab.theta(n1, n2, n3)
             exact = sixj_exact_square(*t, r)

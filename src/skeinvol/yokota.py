@@ -487,17 +487,21 @@ def fourier_dual(
 
     with N = kirby_norm(level), g the number of independent cycles of
     graph, and H the Hopf pairing.  table can pass a precomputed
-    yokota_table(graph, level).
+    yokota_table(graph, level); without it the colorings are streamed
+    in the table's order, as in tv_graph.
     """
     lv = Level.of(level)
     if table is None:
-        table = yokota_table(graph, lv, budget=budget, memo=memo)
+        value = _evaluator(graph, lv, budget=budget, memo=memo)
+        items = ((col, value(col)) for col in admissible_colorings(graph, lv))
+    else:
+        items = table.items()
     # H(c, dual_coloring[e]) as a (negative, log) pair for every color c,
     # one table per edge e; a vanishing entry has log -inf
     hopf = [{c: _neg_log(hopf_pairing(c, cstar, lv)) for c in lv.colors}
             for cstar in dual_coloring]
     total = ExtScalar()
-    for col, y in table.items():
+    for col, y in items:
         if y.is_zero():
             continue
         h = _product(map(dict.__getitem__, hopf, col))

@@ -786,17 +786,6 @@ def reference_qint(k, r):
     return mp.sin(2 * mp.pi * k / r) / mp.sin(2 * mp.pi / r)
 
 
-class ReferenceFan:
-    """MpFactorials.fan with every z-sum taken by the divide reference."""
-
-    def __init__(self, tab, s, b, facts, calls):
-        self.s, self.b, self.r, self.facts, self.calls = s, b, tab.r, facts, calls
-
-    def zsum(self, x, y):
-        self.calls["fan"] += 1
-        return reference_zsum((self.s, x, y, self.b, self.b, self.b), self.facts, self.r)
-
-
 # (r, spokes, s, b): the two zero-angled kinds, and the maximizing color
 # at small levels, where the z-ranges are short
 FAN_CASES = (
@@ -817,10 +806,10 @@ def test_fan_kernel_and_rotation_tables_match_divide_reference():
         assert all(t[0] == s and t[3:] == (b, b, b) for t in sixes)
         with mp.workprec(prec):
             tol = mp.mpf(2) ** -(prec - 16)
-            pairs = [(fan.zsum(t[1], t[2]), reference_zsum(t, facts, r)) for t in sixes]
+            pairs = [(mp.mpf(fan.zsum(t[1], t[2])), reference_zsum(t, facts, r)) for t in sixes]
             pairs += [(mp.mpf((tab._fm[k], tab._fe[k])), facts[k]) for k in range(r)]
             pairs += [(mp.mpf((tab._im[k], tab._ie[k])), 1 / facts[k]) for k in range(r)]
-            pairs += [(tab.qint(k), reference_qint(k, r)) for k in range(1, r)]
+            pairs += [(mp.mpf(tab.qint(k)), reference_qint(k, r)) for k in range(1, r)]
             for got, want in pairs:
                 assert want != 0
                 assert abs(got - want) <= tol * abs(want)
@@ -836,37 +825,78 @@ def test_rotation_recurrence_keeps_full_table_precision():
         p = tab.bits
         for k in range(1, r):
             with mp.workprec(p):
-                got = tab.qint(k)
+                got = mp.mpf(tab.qint(k))
             with mp.workprec(p + 30):
                 want = reference_qint(k, r)
                 assert abs(got - want) <= mp.mpf(2) ** -(p - 4) * abs(want)
 
 
-def test_wheel_mp_matches_reference_kernel(monkeypatch):
+def reference_wheel_mp(r, n_spokes, s, b):
+    """wheel_log_invariant_mp as the mpf outer loop it once was, over the
+    divide reference: every z-sum, Theta and [k] an mpf, the terms summed
+    in order in mpf at the working precision, and the same precision
+    rule."""
+    lv = Level.of(r)
+    ilist = [i for i in lv.colors
+             if is_admissible_triple(s, s, i, lv) and is_admissible_triple(i, b, b, lv)]
+    prec = scans._wheel_start_bits(r)
+    while True:
+        facts = reference_facts(r, prec)
+        with mp.workprec(prec):
+            def u(x, y):
+                return reference_zsum((s, x, y, b, b, b), facts, r)
+
+            def theta(x, y, z):
+                return reference_theta(x, y, z, facts)
+
+            th_sbb = theta(s, b, b)
+            terms = []
+            if n_spokes == 4:
+                for i in ilist:
+                    th = theta(s, s, i) * th_sbb ** 2 * theta(i, b, b)
+                    terms.append(reference_qint(i + 1, r) * u(s, i) ** 4 / th ** 2)
+            else:
+                half = {}
+                for i in ilist:
+                    th_ibb = theta(i, b, b)
+                    th = theta(s, s, i) * th_sbb ** 2 * th_ibb
+                    half[i] = reference_qint(i + 1, r) * u(s, i) ** 2 / (th * th_ibb)
+                for ix, i in enumerate(ilist):
+                    for j in ilist[ix:]:
+                        if is_admissible_triple(s, i, j, lv):
+                            term = half[i] * half[j] * u(i, j) ** 2 / (theta(s, i, j) * th_sbb)
+                            terms.append(term if j == i else 2 * term)
+            total = abstot = mp.mpf(0)
+            for term in terms:
+                total += term
+                abstot += abs(term)
+            cancel_bits = float(mp.log(abstot / abs(total), 2))
+            if cancel_bits <= prec - 50:
+                return (float(mp.log(abs(total))), 1.0 if total > 0 else -1.0,
+                        cancel_bits * math.log10(2.0))
+        prec *= 2
+
+
+def test_wheel_mp_matches_reference_kernel():
+    # the fixed-point sum against an mpf one built on its own tables
     cases = [(r, n, *appendix_colors(kind, r))
              for kind, r, n in (("pent-zero", 101, 5), ("sq-zero", 101, 4), ("sq-zero", 141, 4))]
-    fast = [wheel_log_invariant_mp(*case) for case in cases]
-    facts = {}
-    calls = {"fan": 0, "qint": 0}
+    for case in cases:
+        assert wheel_log_invariant_mp(*case) == reference_wheel_mp(*case)
 
-    def ref_facts(tab):
-        key = (tab.r, tab.prec)
-        if key not in facts:
-            facts[key] = reference_facts(tab.r, tab.prec)
-        return facts[key]
 
-    def ref_qint(tab, k):
-        calls["qint"] += 1
-        return reference_qint(k, tab.r)
-
-    monkeypatch.setattr(MpFactorials, "fan",
-                        lambda tab, s, b: ReferenceFan(tab, s, b, ref_facts(tab), calls))
-    monkeypatch.setattr(MpFactorials, "qint", ref_qint)
-    monkeypatch.setattr(MpFactorials, "theta",
-                        lambda tab, a, b, c: reference_theta(a, b, c, ref_facts(tab)))
-    assert [wheel_log_invariant_mp(*case) for case in cases] == fast
-    # the patch reached both the z-sums and the Delta_i source
-    assert calls["fan"] > 0 and calls["qint"] > 0
+def test_wheel_mp_error_names_last_precision(monkeypatch):
+    # from 8 bits the five tries are 8 .. 128 bits, all below the
+    # cancellation of pent-zero at r = 101
+    used = []
+    real = Level.mp_factorials
+    monkeypatch.setattr(Level, "mp_factorials",
+                        lambda lv, prec: used.append(prec) or real(lv, prec))
+    monkeypatch.setattr(scans, "_wheel_start_bits", lambda r: 8)
+    s, b = appendix_colors("pent-zero", 101)
+    with pytest.raises(ValueError, match=r"cancels beyond 128 bits$"):
+        wheel_log_invariant_mp(101, 5, s, b)
+    assert used == [8, 16, 32, 64, 128]
 
 
 def test_tv_record_matches_engine():

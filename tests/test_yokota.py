@@ -406,6 +406,21 @@ def test_tv_graph_streams_the_colorings(monkeypatch, make, r, want):
     assert bits(tv_graph(make(), r, memo={})) == want
 
 
+@pytest.mark.parametrize("make,r", [(triangular_prism, 9), (cube, 5)])
+def test_fourier_dual_streams_the_colorings(monkeypatch, make, r):
+    # without table= the same sum, in the table's order, bit for bit,
+    # without building the table
+    g = make()
+    dual = tuple(c % 4 for c in range(0, 2 * g.ne, 2))
+    want = bits(fourier_dual(g, r, dual, table=yokota_table(g, r, memo={})))
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("fourier_dual built the coloring table")
+
+    monkeypatch.setattr(yokota_module, "yokota_table", no_table)
+    assert bits(fourier_dual(g, r, dual, memo={})) == want
+
+
 def test_low_valence_fixture_applies_every_rule():
     shape = _shape(low_valence(), ())
     kinds = [kind for kind, _, _ in shape.rules]
