@@ -40,7 +40,7 @@ from .hypvol import (
 )
 from .planar import PlanarGraph, graph_from_json
 from .qnum import sixj_info
-from .scans import appendix_record, bound_record, family_record, run_levels, tv_tet_record
+from .scans import _APPENDIX, appendix_record, bound_record, family_record, run_levels, tv_tet_record
 from .verify import FIXTURES, run_suite, suite_names
 from .yokota import maximizing_color, tv_graph, yokota_ext
 
@@ -60,8 +60,6 @@ _IDEAL_POLICY = {
     "ideal-pentagonal-pyramid": ("pentagonal-pyramid", "pent-ideal"),
 }
 _ZERO_KIND = {"square-pyramid": "sq-zero", "pentagonal-pyramid": "pent-zero"}
-
-APPENDIX_KINDS = ("sq-ideal", "sq-zero", "pent-ideal", "pent-zero")
 
 
 def _fail(msg: str) -> "SystemExit":
@@ -345,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "reproduce-appendix", help="run one wheel-graph volume experiment"
     )
-    p.add_argument("--which", required=True, choices=APPENDIX_KINDS)
+    p.add_argument("--which", required=True, choices=tuple(_APPENDIX))
     p.add_argument("--rmin", type=int, default=101)
     p.add_argument("--rmax", type=int, default=321)
     p.add_argument("--rstep", type=int, default=20)

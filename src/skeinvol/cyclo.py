@@ -18,6 +18,7 @@ from functools import lru_cache
 import mpmath as mp
 
 from .errors import BudgetExceeded, Inadmissible
+from .qnum import MP_LOCK
 
 _EMBED_BITS = 120
 
@@ -151,8 +152,8 @@ class CycloExact:
     __rmul__ = __mul__
 
     def embed(self, prec_bits: int = _EMBED_BITS) -> complex:
-        """Numeric value at zeta = exp(2*pi*i/r), via mpmath."""
-        with mp.workprec(prec_bits):
+        """Numeric value at zeta = exp(2*pi*i/r), via mpmath under MP_LOCK."""
+        with MP_LOCK, mp.workprec(prec_bits):
             z = mp.e ** (2j * mp.pi / self.field.r)
             acc = mp.mpc(0)
             p = mp.mpc(1)

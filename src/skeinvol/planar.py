@@ -89,9 +89,6 @@ class PlanarGraph:
     def degree(self, v):
         return len(self.rot[v])
 
-    def edge_of(self, d):
-        return d >> 1
-
     def faces(self):
         """Faces as dart tuples (orbits of sigma o alpha), sorted by min dart."""
         if self._faces is None:

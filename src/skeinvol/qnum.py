@@ -179,8 +179,7 @@ class MpFactorials:
     ints.  An eight-factor chain keeps at least P - 8 significant bits
     and its truncations cost under 2**-(P-9) relative, so the 32 guard
     bits keep every term good past prec bits.  The terms of one sum are
-    added exactly in one integer at their lowest exponent and rounded to
-    an mpf once, at the caller's working precision.
+    added exactly in one integer at their lowest exponent (_fx_sum).
 
     The quantum integers [k] = sin(k theta) / sin(theta), theta = 2 pi/r,
     come from one rotation recurrence instead of r mpmath sines.  cos
@@ -194,15 +193,14 @@ class MpFactorials:
     [k]!, 1/[k]! and qint(k) stay good to P bits, as with mpmath sines.
 
     fan(s, b) gives the tables of the wheel symbols sixj(s, x, y, b, b,
-    b), whose z-terms cost one multiply each (see MpFan).  zsum and
-    theta return mpfs at the caller's working precision; qint,
-    inv_theta and the fan z-sums return (man, exp) pairs, which mp.mpf
-    takes as they are.
+    b), whose z-terms cost one multiply each (see MpFan).  zsum, qint,
+    inv_theta and the fan z-sums all return (man, exp) pairs, the one
+    format of the high-precision layer: _fx_prod multiplies them with no
+    mpmath state, and mpmath reads one as it is where a log is wanted.
     """
 
     def __init__(self, r: int, prec: int):
         self.r = r
-        self.prec = prec
         self.bits = prec + 32
         g = self.bits + 40
         with MP_LOCK, mp.workprec(g):
@@ -222,12 +220,13 @@ class MpFactorials:
         self._fm, self._fe = _fixed_point(facts, self.bits)
         self._im, self._ie = _fixed_point(inverses, self.bits)
 
-    def zsum(self, t):
-        """Signed z-sum of the 6-tuple t (no vertex normalization), as an mpf.
+    def zsum(self, t) -> tuple[int, int]:
+        """Signed z-sum of the 6-tuple t (no vertex normalization), as a
+        fixed-point (man, exp) pair.
 
         The sum runs over z = max T_i .. min(min Q_j, r-2); each term is
         (-1)^z [z+1]! / (prod_i [z-T_i]! prod_j [Q_j-z]!), see sixj.  It
-        is 0 when |sum| <= 2**-(P-9) sum |term|, the truncation bound.
+        is (0, 0) when |sum| <= 2**-(P-9) sum |term|, the truncation bound.
         """
         (t1, t2, t3, t4), (q1, q2, q3) = _sum_ranges(t)
         fm, fe, im, ie, p = self._fm, self._fe, self._im, self._ie, self.bits
@@ -243,28 +242,13 @@ class MpFactorials:
             mans.append(-m if z & 1 else m)
             exps.append(fe[z + 1] + ie[z - t1] + ie[z - t2] + ie[z - t3]
                         + ie[z - t4] + ie[q1 - z] + ie[q2 - z] + ie[q3 - z])
-        emin = min(exps)
-        acc = absacc = 0
-        for m, e in zip(mans, exps):
-            m <<= e - emin
-            acc += m
-            absacc += abs(m)
+        acc, absacc, emin = _fx_sum(mans, exps)
         # every term is off by under 2**-(p-9) relative, so a sum within
         # that share of sum |term| cannot be told from 0
         if abs(acc) << (p - 9) <= absacc:
-            return mp.mpf(0)
+            return 0, 0
         # each of the seven truncations scaled the mantissa by 2**-p
-        return mp.mpf((acc, emin + 7 * p))
-
-    def theta(self, a: int, b: int, c: int):
-        """Signed Theta(a,b,c) of an admissible triple, as an mpf."""
-        s = (a + b + c) // 2
-        fm, fe, im, ie, p = self._fm, self._fe, self._im, self._ie, self.bits
-        m = fm[s + 1] * im[s - a] >> p
-        m = m * im[s - b] >> p
-        m = m * im[s - c] >> p
-        e = fe[s + 1] + ie[s - a] + ie[s - b] + ie[s - c]
-        return mp.mpf((-m if s & 1 else m, e + 3 * p))
+        return acc, emin + 7 * p
 
     def inv_theta(self, a: int, b: int, c: int) -> tuple[int, int]:
         """Signed 1/Theta(a,b,c) of an admissible triple, as a (man, exp)
@@ -374,6 +358,19 @@ def _inverse_pairs(im, ie, n: int, p: int):
     """Fixed-point 1 / ([w]! [n-w]!) for w = 0 .. n, as mantissas and exponents."""
     return ([im[w] * im[n - w] >> p for w in range(n + 1)],
             [ie[w] + ie[n - w] + p for w in range(n + 1)])
+
+
+def _fx_sum(mans, exps) -> tuple[int, int, int]:
+    """The exact sum of the fixed-point terms man * 2**exp, and of their
+    magnitudes, as (sum, absolute sum, e): both are integers scaled by
+    2**e, e the lowest exponent (0 when there are no terms)."""
+    emin = min(exps, default=0)
+    acc = absacc = 0
+    for m, e in zip(mans, exps):
+        m <<= e - emin
+        acc += m
+        absacc += abs(m)
+    return acc, absacc, emin
 
 
 def _fx_norm(pair, p: int) -> tuple[int, int]:
@@ -601,23 +598,23 @@ def _sixj_double(t, lv):
 
 
 def _sixj_mp(t, lv, prec):
-    """Full recomputation of the symbol with mpmath at prec bits."""
+    """Full recomputation of the symbol at prec bits.
+
+    6j^2 = zsum^2 / prod_v Theta(v) is one fixed-point product of the
+    table pairs, cut to P = prec + 32 bits after each multiply, and log
+    |6j| is half its log, taken once in mpmath at prec bits.  The sign
+    is the z-sum's, and each negative Theta turns the quadrant once.
+    """
     tab = lv.mp_factorials(prec)
+    zsum = tab.zsum(t)
+    if not zsum[0]:
+        return ExtScalar()
+    inv = [tab.inv_theta(a, b, c) for a, b, c in _vertex_triples(t)]
+    quad = sum(th[0] < 0 for th in inv)
+    m, e = _fx_prod((zsum, zsum, *inv), tab.bits)
     with MP_LOCK, mp.workprec(prec):
-        zsum = tab.zsum(t)
-        quad = 0
-        prefmag = mp.mpf(1)
-        for (a, b, c) in _vertex_triples(t):
-            th = tab.theta(a, b, c)
-            if th < 0:
-                quad += 1
-            prefmag /= mp.sqrt(abs(th))
-        mag = abs(zsum) * prefmag
-        if mag == 0:
-            return ExtScalar()
-        lg = float(mp.log(mag))
-        sign = 1 if zsum > 0 else -1
-    return ExtScalar.from_log(lg, sign=sign, quadrant=quad)
+        lg = float(mp.log(mp.mpf((abs(m), e)))) / 2
+    return ExtScalar.from_log(lg, sign=1 if zsum[0] > 0 else -1, quadrant=quad)
 
 
 def _vertex_triples(t):
@@ -692,10 +689,11 @@ def sixj(n1, n2, n3, n4, n5, n6, level) -> ExtScalar:
     The alternating sum is evaluated in log-shifted double precision with
     compensated positive/negative accumulation; when the cancellation
     estimate says doubles cannot deliver ~8 significant digits the symbol
-    is recomputed with mpmath at r + 64 bits.  Values are memoized per
-    level under the 24 tetrahedral symmetries, and under the tuple as
-    given, so a repeated call is one lookup; a tuple with a non-integral
-    entry is not a tuple of colors and gives zero without a lookup.
+    is recomputed at r + 64 bits from MpFactorials' fixed-point tables
+    (_sixj_mp).  Values are memoized per level under the 24 tetrahedral
+    symmetries, and under the tuple as given, so a repeated call is one
+    lookup; a tuple with a non-integral entry is not a tuple of colors
+    and gives zero without a lookup.
     """
     lv = Level.of(level)
     t = _ints(n1, n2, n3, n4, n5, n6)

@@ -74,6 +74,7 @@ from .qnum import (
     Level,
     _fx_norm,
     _fx_prod,
+    _fx_sum,
     _sum_ranges,
     _vertex_triples,
     is_admissible_triple,
@@ -784,6 +785,12 @@ def wheel_log_invariant(r: int, n_spokes: int, s: int, b: int):
     return log_y, (1.0 if acc > 0 else -1.0), worst_cancel
 
 
+def _fan_colors(lv: Level, s: int, b: int) -> list[int]:
+    """The wheel's fan colors i, ascending: (s, s, i) and (i, b, b) admissible."""
+    return [i for i in lv.colors
+            if is_admissible_triple(s, s, i, lv) and is_admissible_triple(i, b, b, lv)]
+
+
 def _wheel_start_bits(r: int) -> int:
     """The first precision of wheel_log_invariant_mp, at which the fan
     oracle (verify) checks its z-sums too; a seam for tests."""
@@ -816,8 +823,7 @@ def wheel_log_invariant_mp(r: int, n_spokes: int, s: int, b: int):
     lv = Level.of(r)
     if not is_admissible_triple(s, b, b, r):
         raise Inadmissible(f"rim triple ({s},{b},{b}) inadmissible at r={r}")
-    ilist = [i for i in lv.colors
-             if is_admissible_triple(s, s, i, lv) and is_admissible_triple(i, b, b, lv)]
+    ilist = _fan_colors(lv, s, b)
     if not ilist:
         raise ValueError(f"no admissible fan colors for wheel at r={r}")
     start = _wheel_start_bits(r)
@@ -858,12 +864,7 @@ def wheel_log_invariant_mp(r: int, n_spokes: int, s: int, b: int):
                 mans.append(m * hm >> p)
                 # a pair j != i stands for (i, j) and (j, i)
                 exps.append(ge + te + 2 * we + he + (j != i))
-        emin = min(exps, default=0)
-        total = absum = 0
-        for m, e in zip(mans, exps):
-            m <<= e - emin
-            total += m
-            absum += abs(m)
+        total, absum, emin = _fx_sum(mans, exps)
         if total == 0:
             raise ValueError(f"wheel invariant vanished at r={r}")
         with MP_LOCK, mp.workprec(prec):

@@ -57,6 +57,7 @@ from .planar import (
 from .qnum import (
     MP_LOCK,
     Level,
+    _fx_prod,
     _vertex_triples,
     admissible_triples,
     circle_weight,
@@ -65,7 +66,7 @@ from .qnum import (
     kirby_norm,
     sixj,
 )
-from .scans import _wheel_start_bits, appendix_colors
+from .scans import _fan_colors, _wheel_start_bits, appendix_colors
 from .yokota import (
     admissible_colorings,
     fourier_dual,
@@ -175,13 +176,13 @@ def suite_oracle(*, rmax: int = 13) -> List[CheckResult]:
 
 def _fan_oracle_check(r: int) -> CheckResult:
     """The high-precision wheel z-sums (qnum.MpFan) at the zero-angled
-    colors, as 6j^2 = zsum^2 / prod Theta, against the exact field."""
+    colors, as 6j^2 = zsum^2 / prod Theta (one fixed-point product, as in
+    qnum._sixj_mp), against the exact field."""
     from .cyclo import sixj_exact_square
 
     s, b = appendix_colors("pent-zero", r)
     lv = Level.of(r)
-    ilist = [i for i in lv.colors
-             if is_admissible_triple(s, s, i, r) and is_admissible_triple(i, b, b, r)]
+    ilist = _fan_colors(lv, s, b)
     sixes = [(s, s, i, b, b, b) for i in ilist]
     sixes += [(s, i, j, b, b, b) for i in ilist for j in ilist
               if i <= j and is_admissible_triple(s, i, j, r)]
@@ -189,13 +190,14 @@ def _fan_oracle_check(r: int) -> CheckResult:
     tab = lv.mp_factorials(prec)
     fan = tab.fan(s, b)
     worst = 0.0
-    with MP_LOCK, mp.workprec(prec):
-        for t in sixes:
-            square = mp.mpf(fan.zsum(t[1], t[2])) ** 2
-            for n1, n2, n3 in _vertex_triples(t):
-                square /= tab.theta(n1, n2, n3)
-            exact = sixj_exact_square(*t, r)
-            worst = max(worst, _rel(exact, complex(square), abs(exact)))
+    for t in sixes:
+        zsum = fan.zsum(t[1], t[2])
+        inv = [tab.inv_theta(*v) for v in _vertex_triples(t)]
+        square = _fx_prod((zsum, zsum, *inv), tab.bits)
+        with MP_LOCK, mp.workprec(prec):
+            got = complex(mp.mpf(square))
+        exact = sixj_exact_square(*t, r)
+        worst = max(worst, _rel(exact, got, abs(exact)))
     return CheckResult(
         "oracle",
         f"wheel fan z-sums vs cyclotomic field, r={r}",

@@ -1,12 +1,13 @@
 """Exact cyclotomic-field arithmetic used as the 6j oracle."""
 
 import math
+import threading
 
 import pytest
 
 from skeinvol.cyclo import CycloField, CycloOracle, cyclotomic_poly, sixj_exact_square
 from skeinvol.errors import BudgetExceeded
-from skeinvol.qnum import is_admissible_triple, sixj
+from skeinvol.qnum import MP_LOCK, is_admissible_triple, sixj
 
 
 def test_cyclotomic_polynomials():
@@ -31,6 +32,20 @@ def test_field_root_relations():
         power = power * fld.zeta()
     assert power == fld.one()
     assert total == fld.zero()
+
+
+def test_embed_waits_for_the_mp_lock():
+    # embed sets mpmath's process-wide precision, so it waits while another
+    # thread holds MP_LOCK instead of changing the precision under it
+    x = CycloField(7).zeta()
+    got = []
+    with MP_LOCK:
+        worker = threading.Thread(target=lambda: got.append(x.embed()))
+        worker.start()
+        worker.join(0.5)
+        assert worker.is_alive() and not got
+    worker.join()
+    assert got == [x.embed()]
 
 
 def test_oracle_theta_inverse():

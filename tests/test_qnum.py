@@ -1,17 +1,22 @@
 """Quantum integers, factorials, theta/vertex weights, and the 6j-symbol."""
 
+import functools
 import gc
 import itertools
 import math
+import random
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from skeinvol.extscalar import ExtScalar
 from skeinvol.qnum import (
     SIXJ_SYMMETRIES,
     Level,
     _canonical_sixtuple,
     _sixj_mp,
+    _vertex_triples,
     admissible_triples,
     circle_weight,
     fusion_colors,
@@ -207,6 +212,83 @@ def test_sixj_exactly_zero_after_escalation(monkeypatch, t, r):
     info = sixj_info(*t, lv)
     assert info["used_mp"]
     assert info["value"].is_zero()
+
+
+def test_mp_zsum_floors_an_exact_zero_to_a_zero_pair():
+    t, r = (6, 8, 8, 14, 16, 18), 45
+    assert Level.of(r).mp_factorials(r + 64).zsum(t) == (0, 0)
+
+
+def reference_sixj_mp(t, lv, prec):
+    """_sixj_mp as the mpf formula it once was: the z-sum and the four
+    Theta as mpfs at prec bits, one square root per vertex and the
+    magnitude multiplied out before its log."""
+    tab = lv.mp_factorials(prec)
+    fm, fe, im, ie, p = tab._fm, tab._fe, tab._im, tab._ie, tab.bits
+    with mp.workprec(prec):
+        zsum = mp.mpf(tab.zsum(t))
+        quad = 0
+        prefmag = mp.mpf(1)
+        for a, b, c in _vertex_triples(t):
+            s = (a + b + c) // 2
+            m = fm[s + 1] * im[s - a] >> p
+            m = m * im[s - b] >> p
+            m = m * im[s - c] >> p
+            e = fe[s + 1] + ie[s - a] + ie[s - b] + ie[s - c] + 3 * p
+            th = mp.mpf((-m if s & 1 else m, e))
+            if th < 0:
+                quad += 1
+            prefmag /= mp.sqrt(abs(th))
+        mag = abs(zsum) * prefmag
+        if mag == 0:
+            return ExtScalar()
+        lg = float(mp.log(mag))
+        sign = 1 if zsum > 0 else -1
+    return ExtScalar.from_log(lg, sign=sign, quadrant=quad)
+
+
+def cover_sample(seed, n):
+    """n distinct seeded (r, t): a random admissible symbol at a random
+    odd r in 21 .. 201, as its canonical 6-tuple, the form sixj_info
+    passes to _sixj_mp, which lies in the restricted cover of
+    scans.sixtuple_chunks."""
+    rng = random.Random(seed)
+    out = set()
+    while len(out) < n:
+        r = rng.randrange(21, 202, 2)
+        n1, n2, n4 = (rng.randrange(0, r - 2, 2) for _ in range(3))
+        n3s = fusion_colors(n1, n2, r)
+        n3 = rng.choice(n3s) if n3s else None
+        n5s = fusion_colors(n3, n4, r) if n3s else ()
+        n5 = rng.choice(n5s) if n5s else None
+        n6s = sorted(set(fusion_colors(n1, n5, r)) & set(fusion_colors(n2, n4, r))) if n5s else ()
+        if n6s:
+            out.add((r, _canonical_sixtuple((n1, n2, n3, n4, n5, rng.choice(n6s)))))
+    return sorted(out)  # level by level
+
+
+@functools.cache
+def sixj_mp_cases():
+    # the sample, then the exact zeros and the escalation tuple of the
+    # tests above
+    return cover_sample(2025, 10_000) + [
+        (45, (6, 8, 8, 14, 16, 18)), (45, (6, 26, 26, 14, 34, 36)),
+        (75, (6, 14, 14, 24, 28, 30)), (101, (14, 30, 30, 66, 84, 84)),
+    ]
+
+
+@pytest.mark.parametrize("bits", ["r + 64", "2r + 256", "1024"])
+def test_sixj_mp_matches_the_mpf_formula_bit_for_bit(bits):
+    # one fixed-point product and one log give the bits of the per-vertex
+    # square roots and mpf products, at the escalation floor and above
+    zeros = 0
+    for r, t in sixj_mp_cases():
+        prec = {"r + 64": r + 64, "2r + 256": 2 * r + 256, "1024": 1024}[bits]
+        lv = Level.of(r)
+        got, want = _sixj_mp(t, lv, prec), reference_sixj_mp(t, lv, prec)
+        assert (got.m, got.e, got.q) == (want.m, want.e, want.q), (r, t, prec)
+        zeros += got.is_zero()
+    assert zeros >= 3
 
 
 @pytest.mark.parametrize("r", [5, 191, 871])

@@ -774,8 +774,8 @@ def test_fixed_point_kernel_matches_divide_reference():
         sixes, triples = wheel_symbols(r, n_spokes, s, b)
         with mp.workprec(prec):
             tol = mp.mpf(2) ** -(prec - 16)
-            pairs = [(tab.zsum(t), reference_zsum(t, facts, r)) for t in sixes]
-            pairs += [(tab.theta(*t), reference_theta(*t, facts)) for t in triples]
+            pairs = [(mp.mpf(tab.zsum(t)), reference_zsum(t, facts, r)) for t in sixes]
+            pairs += [(mp.mpf(tab.inv_theta(*t)), 1 / reference_theta(*t, facts)) for t in triples]
             for got, want in pairs:
                 assert want != 0
                 assert abs(got - want) <= tol * abs(want)
