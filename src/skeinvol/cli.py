@@ -15,6 +15,10 @@ break that). Every row is built by hypvol.ScanRecord.at, which works out
 slope and rel_gap and the empty row of a level marked !zero or !budget.
 Human-readable summaries go to stderr so stdout stays machine-readable.
 
+scan routes a policy by the graph's shape (planar.recognize), not by the
+name it was given: a JSON copy of a fixture, relabeled or mirrored,
+prints the fixture's rows.
+
 The CLI reads no environment: scan's evaluation budget comes from
 --budget alone, and the high-precision floors (r + 64 bits for a 6j,
 2r + 256 for a wheel sum) are fixed in the library.
@@ -38,7 +42,7 @@ from .hypvol import (
     extrapolate_limit,
     records_to_csv,
 )
-from .planar import PlanarGraph, graph_from_json
+from .planar import PlanarGraph, graph_from_json, recognize
 from .qnum import sixj_info
 from .scans import _APPENDIX, appendix_record, bound_record, family_record, run_levels, tv_tet_record
 from .verify import FIXTURES, run_suite, suite_names
@@ -53,13 +57,6 @@ POLICIES = (
     "full-TV-sweep",
     "exhaustive-bound",
 )
-
-# coloring policy -> (required wheel fixture, appendix experiment kind)
-_IDEAL_POLICY = {
-    "ideal-square-pyramid": ("square-pyramid", "sq-ideal"),
-    "ideal-pentagonal-pyramid": ("pentagonal-pyramid", "pent-ideal"),
-}
-_ZERO_KIND = {"square-pyramid": "sq-zero", "pentagonal-pyramid": "pent-zero"}
 
 
 def _fail(msg: str) -> "SystemExit":
@@ -170,11 +167,6 @@ def cmd_sixj(args) -> int:
 # ------------------------------------------------------------------ scan
 
 
-# fixtures whose maximizer scan takes the scalar-6j fast route, with
-# their move count m for family_record
-_FAMILY_M = {"tetrahedron": 0, "triangular-prism": 1}
-
-
 def _engine_row(r: int, kind: str, policy: str, val) -> ScanRecord:
     """The row of a graph-engine value at level r; a zero is marked !zero."""
     if val.is_zero():
@@ -185,6 +177,12 @@ def _engine_row(r: int, kind: str, policy: str, val) -> ScanRecord:
 def cmd_scan(args) -> int:
     levels = _odd_levels(args.rmin, args.rmax, args.rstep)
     graph, name, file_colors = _resolve_graph(args.graph)
+    shape = recognize(graph)
+    tet = shape == ("wheel", 3)
+    # spoke count -> the _APPENDIX experiment this policy runs on that wheel:
+    # an ideal experiment's target names its policy, the others are zero-angled
+    wheel_kinds = {n: kind for kind, (target, n, _) in _APPENDIX.items()
+                   if args.policy == (target if target in POLICIES else "zero-angled")}
     budget = args.budget
 
     if args.policy == "fixed":
@@ -200,37 +198,35 @@ def cmd_scan(args) -> int:
         # space-separated so the policy label never breaks the 9-column CSV
         kind, policy = "fixed", "fixed[" + " ".join(str(c) for c in colors) + "]"
         build = lambda r: _engine_row(r, kind, policy, yokota_ext(graph, colors, r, budget=budget))
+    elif args.policy == "maximizer" and (tet or shape == ("prism", 3)):
+        m = 0 if tet else 1
+        kind, policy = f"family-m{m}", "maximizer"
+        build = lambda r: family_record(r, m)
     elif args.policy == "maximizer":
         kind, policy = "maximizer", "maximizer"
-        if name in _FAMILY_M:
-            build = lambda r: family_record(r, _FAMILY_M[name])
-        else:
-            def build(r):
-                c = maximizing_color(r)
-                val = yokota_ext(graph, [c] * graph.ne, r, budget=budget)
-                return _engine_row(r, kind, f"maximizer[c={c}]", val)
-    elif args.policy in _IDEAL_POLICY:
-        wheel, kind = _IDEAL_POLICY[args.policy]
-        if name != wheel:
-            _fail(f"policy {args.policy} applies to the {wheel} fixture, not {name}")
-        policy = args.policy
-        build = lambda r: appendix_record(kind, r)
-    elif args.policy == "zero-angled":
-        if name not in _ZERO_KIND:
-            _fail(f"policy zero-angled applies to a pyramid fixture, not {name}")
-        kind, policy = _ZERO_KIND[name], "zero-angled"
+
+        def build(r):
+            c = maximizing_color(r)
+            val = yokota_ext(graph, [c] * graph.ne, r, budget=budget)
+            return _engine_row(r, kind, f"maximizer[c={c}]", val)
+    elif wheel_kinds:  # the ideal and zero-angled wheel experiments
+        spokes = shape[1] if shape and shape[0] == "wheel" else None
+        if spokes not in wheel_kinds:
+            wheels = " or ".join(f"a {n}-spoke wheel" for n in sorted(wheel_kinds))
+            _fail(f"policy {args.policy} needs {wheels}, not {name}")
+        kind, policy = wheel_kinds[spokes], args.policy
         build = lambda r: appendix_record(kind, r)
     elif args.policy == "exhaustive-bound":
-        if name != "tetrahedron":
-            _fail(f"policy exhaustive-bound applies to the tetrahedron fixture, not {name}")
+        if not tet:
+            _fail(f"policy exhaustive-bound needs a tetrahedron (the 3-spoke wheel), not {name}")
         kind, policy = "sixj-bound", "exhaustive"
         build = lambda r: bound_record(r, budget=budget)[0]
-    else:  # full-TV-sweep
+    elif tet:  # full-TV-sweep
+        kind, policy = "tv-tet", "full-TV-sweep"
+        build = lambda r: tv_tet_record(r, budget=budget)
+    else:
         kind, policy = "tv", "full-TV-sweep"
-        if name == "tetrahedron":
-            build = lambda r: tv_tet_record(r, budget=budget)
-        else:
-            build = lambda r: _engine_row(r, kind, policy, tv_graph(graph, r, budget=budget))
+        build = lambda r: _engine_row(r, kind, policy, tv_graph(graph, r, budget=budget))
 
     records = run_levels(build, levels, timings=args.timings, mark=(kind, policy))
     _emit(records, args)
@@ -319,8 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--policy",
         required=True,
         choices=POLICIES,
-        help="coloring policy; exhaustive-bound is the level maximum of log|6j| "
-        "over all admissible colorings, with v8 as its target (tetrahedron only)",
+        help="coloring policy, routed by the graph's shape (fixture or file): the ideal "
+        "policies need the wheel their pyramid names, zero-angled a 4- or 5-spoke wheel, "
+        "exhaustive-bound (the level maximum of log|6j|, target v8) a tetrahedron",
     )
     p.add_argument("--rmin", type=int, default=5)
     p.add_argument("--rmax", type=int, required=True)
@@ -329,8 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--budget",
         type=int,
-        help="evaluation budget for engine-backed policies; on full-TV-sweep of "
-        "the tetrahedron and on exhaustive-bound, the enumerated cover 6-tuples",
+        help="evaluation budget for engine-backed policies; on a tetrahedron's "
+        "full-TV-sweep and on exhaustive-bound, the enumerated cover 6-tuples",
     )
     p.add_argument(
         "--extrapolate",

@@ -820,6 +820,23 @@ def triangular_prism() -> PlanarGraph:
     return PlanarGraph(6, edges, rot)
 
 
+def recognize(g: PlanarGraph):
+    """("wheel", n) if g is the n-spoke wheel (n >= 3; the tetrahedron is
+    the 3-spoke wheel), ("prism", 3) if it is the triangular prism, else None.
+
+    g is compared by canonical_signature with wheel(g.nv - 1) or
+    triangular_prism(), so its ids, dart orientations, rotation starts
+    and mirror image do not matter.  The reference shape is built on
+    first use, and canonical_labelings caches its labelings.
+    """
+    if g.nv >= 4 and g.ne == 2 * (g.nv - 1):
+        if canonical_signature(g) == canonical_signature(wheel(g.nv - 1)):
+            return ("wheel", g.nv - 1)
+    elif (g.nv, g.ne) == (6, 9) and canonical_signature(g) == canonical_signature(triangular_prism()):
+        return ("prism", 3)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # the tetrahedron family
 

@@ -696,7 +696,9 @@ def round_even_color(x: float, r: int) -> int:
 # (colors r/5 and 2r/5), and the zero-angled pyramids put every edge at
 # r/2.  Fraction tables published alongside the experiments quote half
 # these values (spin rather than color units); the colors below are the
-# ones that actually reproduce the stated volume limits.
+# ones that actually reproduce the stated volume limits.  This table owns which
+# experiment fits which wheel: scan's ideal policies are named after their
+# targets, and zero-angled picks one of the others by the wheel's spoke count.
 _APPENDIX = {
     "sq-ideal": ("ideal-square-pyramid", 4, (1 / 4, 3 / 8)),
     "sq-zero": ("square-antiprism", 4, (1 / 2, 1 / 2)),

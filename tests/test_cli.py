@@ -5,13 +5,15 @@ import io
 import json
 import math
 import pathlib
+import random
 
 import pytest
+from test_planar import relabel
 
 import skeinvol.verify as verify
-from skeinvol.cli import main
+from skeinvol.cli import POLICIES, main
 from skeinvol.hypvol import records_to_csv
-from skeinvol.planar import graph_to_json, tetrahedron, theta
+from skeinvol.planar import graph_to_json, mirror, tetrahedron, theta, wheel
 from skeinvol.scans import bound_record
 from skeinvol.yokota import yokota
 
@@ -472,3 +474,98 @@ def test_scan_rows_share_one_formula(graph, policy, extra, capsys):
             assert rec["rel_gap"] is None
         else:
             assert rec["rel_gap"] == (rec["slope"] - rec["target"]) / rec["target"]
+
+
+def test_tetrahedron_tv_budget_rows_keep_their_kind(capsys):
+    rc, out, _ = run_cli(["scan", "--graph", "tetrahedron", "--policy", "full-TV-sweep",
+                          "--rmin", "5", "--rmax", "21", "--rstep", "4", "--budget", "2000"], capsys)
+    assert rc == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert rows[-1]["color_policy"] == "full-TV-sweep!budget"
+    assert [row["kind"] for row in rows] == ["tv-tet"] * 5
+
+
+# ---------------------------------------------------------------------------
+# a scan's route depends on the graph's shape, not on the name it is given by
+
+
+# the routes planar.recognize selects; the others run the graph engine,
+# whose move order follows the labeling
+SHAPE_ROUTES = {("tetrahedron", "maximizer"), ("triangular-prism", "maximizer"),
+                ("tetrahedron", "full-TV-sweep"), ("tetrahedron", "exhaustive-bound")}
+WHEEL_POLICIES = ("ideal-square-pyramid", "ideal-pentagonal-pyramid", "zero-angled")
+
+
+def json_copies(g, tmp_path, shuffled):
+    """Paths of JSON copies of g: in its own edge order, or relabeled
+    (ids, edge orientations and rotation starts shuffled) and mirrored."""
+    if shuffled:
+        h = relabel(g, (0,) * g.ne, random.Random(repr(g.edges)))[0]
+        graphs = [h, mirror(h)]
+    else:
+        graphs = [g]
+    paths = []
+    for i, h in enumerate(graphs):
+        path = tmp_path / f"copy-{i}.json"
+        path.write_text(json.dumps(graph_to_json(h)))
+        paths.append(str(path))
+    return paths
+
+
+def scan_stdout(argv, capsys):
+    """(exit code, stdout) of a scan, an invalid one included."""
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    return rc, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("graph,policy,extra", ROUTES)
+def test_json_copy_takes_the_fixture_route(graph, policy, extra, tmp_path, capsys):
+    argv = ["--policy", policy] + extra
+    want = scan_stdout(["scan", "--graph", graph] + argv, capsys)
+    assert want[0] == 0
+    shuffled = (graph, policy) in SHAPE_ROUTES or policy in WHEEL_POLICIES
+    for path in json_copies(verify.FIXTURES[graph](), tmp_path, shuffled):
+        assert scan_stdout(["scan", "--graph", path] + argv, capsys) == want
+
+
+@pytest.mark.parametrize("graph,policy,rmax,name", [
+    ("tetrahedron", "maximizer", "101", "maximizer-tetrahedron-5-101.csv"),
+    ("triangular-prism", "maximizer", "101", "maximizer-prism-5-101.csv"),
+    ("tetrahedron", "full-TV-sweep", "41", "tv-tetrahedron-5-41.csv"),
+    ("tetrahedron", "exhaustive-bound", "49", "exhaustive-bound-5-49.csv"),
+])
+def test_relabeled_json_copy_prints_the_golden_csv(graph, policy, rmax, name, tmp_path, capsys):
+    golden = (DATA / name).read_bytes()
+    for path in json_copies(verify.FIXTURES[graph](), tmp_path, shuffled=True):
+        argv = ["scan", "--graph", path, "--policy", policy, "--rmin", "5", "--rmax", rmax]
+        assert scan_stdout(argv, capsys) == (0, golden.decode("utf-8"))
+
+
+@pytest.mark.parametrize("graph", sorted(verify.FIXTURES))
+def test_every_policy_gives_a_fixture_and_its_json_copy_the_same_scan(graph, tmp_path, capsys):
+    g = verify.FIXTURES[graph]()
+    path, = json_copies(g, tmp_path, shuffled=False)
+    for policy in POLICIES:
+        argv = ["--policy", policy, "--rmax", "5"]
+        if policy == "fixed":
+            argv += ["--colors", ",".join(["2"] * g.ne)]
+        want = scan_stdout(["scan", "--graph", graph] + argv, capsys)
+        assert scan_stdout(["scan", "--graph", path] + argv, capsys) == want
+
+
+@pytest.mark.parametrize("graph,policy,needs", [
+    ("cube", "zero-angled", "a 4-spoke wheel or a 5-spoke wheel"),
+    ("pentagonal-pyramid", "ideal-square-pyramid", "a 4-spoke wheel"),
+    ("triangular-prism", "exhaustive-bound", "a tetrahedron (the 3-spoke wheel)"),
+    (wheel(6), "zero-angled", "a 4-spoke wheel or a 5-spoke wheel"),
+])
+def test_route_refuses_a_graph_without_its_shape(graph, policy, needs, tmp_path, capsys):
+    if not isinstance(graph, str):
+        graph = json_copies(graph, tmp_path, shuffled=True)[0]
+    expect_exit2(["scan", "--graph", graph, "--policy", policy, "--rmax", "9"])
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: policy {policy} needs {needs}, not ")

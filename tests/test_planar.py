@@ -29,6 +29,7 @@ from skeinvol.planar import (
     octahedron,
     pentagonal_pyramid,
     read_signature,
+    recognize,
     same_embedding,
     square_pyramid,
     tetrahedron,
@@ -434,3 +435,45 @@ def test_read_signature_matches_edge_order_formula():
     # a circle is one component with one edge: its vector is a 1-tuple
     (_, vector), = read_signature(canonical_labelings(circle()), [4])[1]
     assert vector == (4,)
+
+
+# ---------------------------------------------------------------------------
+# recognizing a shape whatever its labeling
+
+
+def shuffled_copies(g, seed):
+    """g, relabeled copies of it, and the mirror image of each."""
+    rng = random.Random(seed)
+    copies = [g] + [relabel(g, (0,) * g.ne, rng)[0] for _ in range(3)]
+    return copies + [mirror(h) for h in copies]
+
+
+@pytest.mark.parametrize("build,shape", [
+    (tetrahedron, ("wheel", 3)),
+    (square_pyramid, ("wheel", 4)),
+    (pentagonal_pyramid, ("wheel", 5)),
+    (triangular_prism, ("prism", 3)),
+    (cube, None),
+    (octahedron, None),
+    (theta, None),
+    (triangle, None),
+    (circle, None),
+], ids=lambda x: getattr(x, "__name__", None))
+def test_recognize_fixtures(build, shape):
+    assert [recognize(h) for h in shuffled_copies(build(), build.__name__)] == [shape] * 8
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_recognize_wheels(n):
+    assert [recognize(h) for h in shuffled_copies(wheel(n), n)] == [("wheel", n)] * 8
+
+
+@pytest.mark.parametrize("build", [square_pyramid, triangular_prism])
+def test_recognize_refuses_another_embedding_of_the_same_graph(build):
+    # vertex 1 turned the other way round: the same abstract graph on a torus
+    g = build()
+    rot = list(g.rot)
+    rot[1] = tuple(reversed(rot[1]))
+    twisted = PlanarGraph(g.nv, g.edges, rot)
+    assert genus(twisted) > 0
+    assert recognize(twisted) is None
