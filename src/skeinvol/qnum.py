@@ -365,12 +365,8 @@ def _fx_sum(mans, exps) -> tuple[int, int, int]:
     magnitudes, as (sum, absolute sum, e): both are integers scaled by
     2**e, e the lowest exponent (0 when there are no terms)."""
     emin = min(exps, default=0)
-    acc = absacc = 0
-    for m, e in zip(mans, exps):
-        m <<= e - emin
-        acc += m
-        absacc += abs(m)
-    return acc, absacc, emin
+    terms = [m << (e - emin) for m, e in zip(mans, exps)]
+    return sum(terms), sum(map(abs, terms)), emin
 
 
 def _fx_norm(pair, p: int) -> tuple[int, int]:

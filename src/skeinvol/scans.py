@@ -28,12 +28,13 @@ log-domain 6j evaluator:
   bit-identical to one process's.  It stays in-process on one core,
   without the fork start method, while other threads of the caller run,
   and on covers with fewer than one block per core;
-* the wheel-graph fast paths evaluate the closed forms for the square
-  and pentagonal pyramids (one- and two-index sums of 6j products).
+* the wheel sums evaluate every n-spoke wheel, n >= 4, by one fan
+  transfer loop over 6j squares, Y = a^T M^(n-4) v; the square and
+  pentagonal pyramids of the published experiments are n = 4 and 5.
   The zero-angled colorings cancel hundreds of bits, so they run on the
   high-precision twin.  Its z-sums read the fan tables of qnum.MpFan,
   built per (spoke, rim) pair over the level's fixed-point factorials,
-  so each z-term is one integer multiply, the outer sum is added in
+  so each z-term is one integer multiply, the row sums are added in
   integers too, and the factorials come from a rotation recurrence
   instead of r mpmath sines.  On a 2-core box with pure-Python mpmath,
   pent-zero at r = 321 takes about 0.4 s and the whole pent-zero grid
@@ -54,7 +55,6 @@ environment.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import os
@@ -713,84 +713,104 @@ def appendix_colors(kind: str, r: int) -> tuple[int, int]:
     return round_even_color(fs * r, r), round_even_color(fb * r, r)
 
 
-def wheel_log_invariant(r: int, n_spokes: int, s: int, b: int):
-    """log |Y|, sign, and worst cancellation of a colored wheel.
-
-    Spokes carry color s and the rim color b.  The closed forms, with
-    u_i = sixj(s,s,i,b,b,b) and w_ij = sixj(s,i,j,b,b,b), are
-
-        4 spokes   Y = sum_i Delta_i u_i^4
-        5 spokes   Y = sum_ij Delta_i Delta_j (u_i u_j w_ij)^2
-
-    evaluated in the log domain.  Fourth powers are nonnegative real
-    whatever the i^quad phase; squares contribute (-1)^quad, which the
-    sign accumulation tracks.  Raises Inadmissible when the rim triple
-    (s, b, b) is inadmissible, and ValueError when no fan color is
-    admissible or the sum vanishes outright.
-    """
-    if n_spokes not in (4, 5):
-        raise ValueError("closed forms cover 4- and 5-spoke wheels")
+def _fan_colors(r: int, n_spokes: int, s: int, b: int):
+    """The checks both wheel twins make, then the level, the fan's end
+    colors ((s,s,i) and (i,b,b) admissible) and all colors a fan path
+    visits, ascending: its middle colors, only for n >= 6, need (i,b,b)."""
+    if n_spokes < 4:
+        raise ValueError(f"the fan transfer matrix needs at least 4 spokes, not {n_spokes}")
     lv = Level.of(r)
     if not is_admissible_triple(s, b, b, r):
         raise Inadmissible(f"rim triple ({s},{b},{b}) inadmissible at r={r}")
-
-    def admissible(x, y, z):  # color triples, vectorized
-        return (z >= np.abs(x - y)) & (z <= x + y) & (x + y + z <= 2 * (r - 2))
-
-    colors = np.arange(0, r - 2, 2, dtype=np.int64)
-    i = colors[admissible(s, s, colors) & admissible(colors, b, b)]
-    if i.size == 0:
+    rim = [i for i in lv.colors if is_admissible_triple(i, b, b, lv)]
+    ends = [i for i in rim if is_admissible_triple(s, s, i, lv)]
+    if not ends:
         raise ValueError(f"no admissible fan colors for wheel at r={r}")
-    const = np.full(i.size, s, dtype=np.int64)
-    rimc = np.full(i.size, b, dtype=np.int64)
+    return lv, ends, ends if n_spokes < 6 else rim
+
+
+def _link_runs(path, s: int, r: int):
+    """For each color i of path, a run of even colors, the slice lo:hi of
+    path with (s, i, j) admissible: |s-i| <= j <= min(s+i, 2r-4-s-i)."""
+    c = np.asarray(path, dtype=np.int64)
+    return (np.searchsorted(c, np.abs(s - c)),
+            np.searchsorted(c, np.minimum(s + c, 2 * r - 4 - s - c), side="right"))
+
+
+def _row_logsum(rows, tl, sign, m: int):
+    """log |sum| and sign of the terms sign * exp(tl) in each row below m,
+    with a running max per row; -inf for a row without finite terms."""
+    fin = np.isfinite(tl)
+    rows, tl, sign = rows[fin], tl[fin], np.broadcast_to(sign, fin.shape)[fin]
+    mx = np.full(m, -np.inf)
+    np.maximum.at(mx, rows, tl)
+    acc = np.bincount(rows, weights=sign * np.exp(tl - mx[rows]), minlength=m)
+    with np.errstate(divide="ignore"):
+        return mx + np.log(np.abs(acc)), np.where(acc < 0, -1, 1)
+
+
+def wheel_log_invariant(r: int, n_spokes: int, s: int, b: int):
+    """log |Y|, sign, and worst cancellation of a colored n-spoke wheel.
+
+    Spokes carry color s and the rim color b.  Fusing the hub into a fan
+    gives, for every n >= 4, Y = sum_i a_i (M^(n-4) v)_i with v_i = u_i^2,
+    a_i = Delta_i v_i and M_ij = w_ij^2 Delta_j, where u_i =
+    sixj(s,s,i,b,b,b) and w_ij = sixj(s,i,j,b,b,b).  a and v live on the
+    end colors, with (s,s,i) and (i,b,b) admissible; the middle colors of
+    n >= 6 need (i,b,b) alone (_fan_colors).  In the log domain y = v, a
+    half log, passes the middle links row by row, and the last link is
+    one flat sum of the terms a_i M_ij y_j; squares give (-1)^quad to the
+    sign.  The cancellation is the worst of the 6j symbols' own and that
+    of Y against the path-absolute sum |a|^T |M|^(n-4) |v|.  Raises
+    ValueError for n < 4, when no fan color is admissible or the sum
+    vanishes outright, and Inadmissible for an inadmissible (s, b, b).
+    """
+    lv, ends, path = _fan_colors(r, n_spokes, s, b)
+    i, path = np.array(ends, dtype=np.int64), np.array(path, dtype=np.int64)
+    const, rimc = (np.full(i.size, c, dtype=np.int64) for c in (s, b))
     u = batch_sixj(lv, const, const, i, rimc, rimc, rimc)
     # Delta_i = (-1)^i [i+1]; colors are even, and [i+1] < 0 once i+1
-    # passes r/2
-    dlog = (np.log(np.abs(np.sin(2 * np.pi * (colors + 1) / r)))
-            - math.log(math.sin(2 * math.pi / r)))[i >> 1]
-    dsign = np.where(i + 1 <= (r - 1) // 2, 1, -1)
-    fin = u["cancel"][np.isfinite(u["cancel"])]
-    worst_cancel = float(fin.max()) if fin.size else 0.0
-
-    if n_spokes == 4:
-        tl = dlog + 4.0 * u["log"]
-        ts = dsign.astype(float)
-    else:
-        ii, jj = np.meshgrid(np.arange(i.size), np.arange(i.size), indexing="ij")
-        ii, jj = ii.ravel(), jj.ravel()
-        wmask = admissible(s, i[ii], i[jj])
-        ii, jj = ii[wmask], jj[wmask]
-        cs = np.full(ii.size, s, dtype=np.int64)
-        cb = np.full(ii.size, b, dtype=np.int64)
-        w = batch_sixj(lv, cs, i[ii], i[jj], cb, cb, cb)
-        fin = w["cancel"][np.isfinite(w["cancel"])]
-        if fin.size:
-            worst_cancel = max(worst_cancel, float(fin.max()))
-        tl = (
-            dlog[ii] + dlog[jj]
-            + 2.0 * (u["log"][ii] + u["log"][jj] + w["log"])
-        )
-        quad = u["quad"][ii] + u["quad"][jj] + w["quad"]
-        ts = (dsign[ii] * dsign[jj] * np.where(quad % 2 == 0, 1, -1)).astype(float)
-
+    # passes r/2; taken over every color, then read at path, so the bits of
+    # a color's log do not depend on which colors path holds
+    dlog = (np.log(np.abs(np.sin(2 * np.pi * np.arange(1, r - 1, 2, dtype=np.int64) / r)))
+            - math.log(math.sin(2 * math.pi / r)))[path >> 1]
+    dsign = np.where(path + 1 <= (r - 1) // 2, 1, -1)
+    rows = np.searchsorted(path, i)
+    ulog, usign = np.full(path.size, -np.inf), np.zeros(path.size, dtype=np.int64)
+    ulog[rows], usign[rows] = u["log"], np.where(u["quad"] % 2 == 0, 1, -1)
+    cancels = [u["cancel"]]
+    # y = M^(n-4) v is kept as the terms Delta_j y_j w_ij^2 of its last link:
+    # rows i and the logs dl of |Delta_j|, yh of |y_j|^(1/2) (ya for the
+    # path-absolute y) and w of |w_ij|; y = v is one term a row, dl = w = 0.
+    dl, yh, ya, w, sign = 0.0, ulog[rows], ulog[rows], 0.0, usign[rows]
+    pairs = None
+    for _ in range(n_spokes - 4):
+        y, ysign = _row_logsum(rows, dl + 2.0 * (yh + w), sign, path.size)
+        yabs, _ = _row_logsum(rows, dl + 2.0 * (ya + w), 1, path.size)
+        if pairs is None:
+            lo, hi = _link_runs(path, s, r)
+            ii = np.repeat(np.arange(path.size), hi - lo)
+            jj = np.arange(ii.size) + np.repeat(hi - np.cumsum(hi - lo), hi - lo)
+            cs, cb = (np.full(ii.size, c, dtype=np.int64) for c in (s, b))
+            wij = batch_sixj(lv, cs, path[ii], path[jj], cb, cb, cb)
+            cancels.append(wij["cancel"])
+            pairs = ii, jj, wij["log"], np.where(wij["quad"] % 2 == 0, 1, -1)
+        rows, jj, w, wsign = pairs
+        dl, yh, ya, sign = dlog[jj], y[jj] / 2, yabs[jj] / 2, dsign[jj] * ysign[jj] * wsign
+    tl = dlog[rows] + dl + 2.0 * (ulog[rows] + yh + w)
+    tla = dlog[rows] + dl + 2.0 * (ulog[rows] + ya + w)
+    ts = (dsign[rows] * usign[rows] * sign).astype(float)
     good = np.isfinite(tl)
-    tl, ts = tl[good], ts[good]
-    if tl.size == 0:
-        raise ValueError(f"wheel invariant vanished at r={r}")
-    mx = float(tl.max())
+    tl, ts, tla = tl[good], ts[good], tla[np.isfinite(tla)]
+    mx, mxa = float(tl.max(initial=-np.inf)), float(tla.max(initial=-np.inf))
     acc = float(np.sum(ts * np.exp(tl - mx)))
-    absacc = float(np.sum(np.exp(tl - mx)))
+    absacc = float(np.sum(np.exp(tla - mxa)))
     if acc == 0.0:
         raise ValueError(f"wheel invariant vanished at r={r}")
     log_y = mx + math.log(abs(acc))
-    worst_cancel = max(worst_cancel, math.log10(max(absacc / abs(acc), 1.0)))
+    cancel = math.log10(max(absacc / abs(acc), 1.0)) + (mxa - mx) / math.log(10)
+    worst_cancel = max(cancel, *(float(c.max(where=np.isfinite(c), initial=0.0)) for c in cancels))
     return log_y, (1.0 if acc > 0 else -1.0), worst_cancel
-
-
-def _fan_colors(lv: Level, s: int, b: int) -> list[int]:
-    """The wheel's fan colors i, ascending: (s, s, i) and (i, b, b) admissible."""
-    return [i for i in lv.colors
-            if is_admissible_triple(s, s, i, lv) and is_admissible_triple(i, b, b, lv)]
 
 
 def _wheel_start_bits(r: int) -> int:
@@ -800,77 +820,67 @@ def _wheel_start_bits(r: int) -> int:
 
 
 def wheel_log_invariant_mp(r: int, n_spokes: int, s: int, b: int):
-    """High-precision wheel closed form; same contract as the float twin.
+    """High-precision wheel sum: the float twin's contract, Y and colors.
 
-    The vertex normalizations enter only as Theta^(-2) (fourth powers)
-    or Theta^(-1) (squares), so no square-root branches appear.  The
-    sum is carried in the fixed-point (man, exp) pairs of
-    qnum.MpFactorials, P = prec + 32 bits: the z-sums come from the fan
-    tables for (s, b) (qnum.MpFan), the 1/Theta and Delta_i = [i+1]
-    from the level's factorial tables.  With v_i = u_i^2 / (Theta(s,s,i)
-    Theta(s,b,b)^2 Theta(i,b,b)) = sixj(s,s,i,b,b,b)^2, each fan color
-    gives one factor, Delta_i v_i^2 (4 spokes) or h_i = Delta_i v_i /
-    Theta(i,b,b) and g_i = h_i / Theta(s,b,b) (5 spokes), cut to P bits
-    after every multiply.  A pair term g_i h_j w_ij^2 / Theta(s,i,j)
-    (twice that for j != i) takes eight truncations more: one to cut
-    w_ij to P bits, one to square it, three for 1/Theta(s,i,j) and
-    three to multiply in the rest; they cost under 2^-(P-9) relative,
-    and with the per-color factors' own truncations a term is off by
-    under 2^-(P-10) from the exact product of its table entries and
-    z-sums.  The terms and their magnitudes are added exactly at the
-    lowest exponent, and one mpf of each gives the log and the
+    It is carried in the (man, exp) pairs of qnum.MpFactorials, P = prec
+    + 32 bits, cut to P bits after every multiply; the z-sums come from
+    the fan tables for (s, b) (qnum.MpFan), 1/Theta and Delta_i = [i+1]
+    from the factorial tables.  Squares need only Theta^(-1): v_i = u_i^2
+    / (Theta(s,s,i) Theta(s,b,b)^2 Theta(i,b,b)), and a link is (M y)_i =
+    sum_j S_ij h_j / (Theta(s,b,b) Theta(i,b,b)), h_j = Delta_j y_j /
+    Theta(j,b,b), S_ij = w_ij^2 / Theta(s,i,j) formed once per i <= j.
+    Rows and Y = sum_i a_i y_i are summed exactly (_fx_sum).  A path term
+    takes 39 + 22(n-4) cuts (three per 1/Theta), each under 2^-(P-1)
+    relative, a cut row sum too, of its terms' magnitudes; so Y is off
+    by under 22n 2^-(P-1) of the path-absolute sum |a|^T |M|^(n-4) |v|,
+    which the links give from |v|, and whose ratio to |Y| is the
     cancellation.  Precision starts at 2r + 256 bits and doubles until
-    the observed cancellation leaves at least 50 trusted bits.
+    the cancellation leaves at least 50 trusted bits.
     """
-    lv = Level.of(r)
-    if not is_admissible_triple(s, b, b, r):
-        raise Inadmissible(f"rim triple ({s},{b},{b}) inadmissible at r={r}")
-    ilist = _fan_colors(lv, s, b)
-    if not ilist:
-        raise ValueError(f"no admissible fan colors for wheel at r={r}")
+    lv, ends, path = _fan_colors(r, n_spokes, s, b)
+    lo, hi = (x.tolist() for x in _link_runs(path, s, r))
     start = _wheel_start_bits(r)
     for k in range(5):
         prec = start << k
         tab = lv.mp_factorials(prec)
-        fan = tab.fan(s, b)
-        p = tab.bits
+        fan, p = tab.fan(s, b), tab.bits
         sbb = tab.inv_theta(s, b, b)
-        mans, exps = [], []
-        h, g = {}, {}
-        for i in ilist:
-            ibb = tab.inv_theta(i, b, b)
-            u = _fx_norm(fan.zsum(s, i), p)
-            v = _fx_prod((u, u, tab.inv_theta(s, s, i), sbb, sbb, ibb), p)
-            if n_spokes == 4:
-                m, e = _fx_prod((tab.qint(i + 1), v, v), p)
-                mans.append(m)
-                exps.append(e)
-            else:
-                # h_i and g_i are all of a pair term that depends on i or
-                # j alone, so a pair only adds w_ij and Theta(s,i,j)
-                h[i] = _fx_prod((tab.qint(i + 1), v, ibb), p)
-                g[i] = _fx_prod((h[i], sbb), p)
-        for i in g:  # no pairs with 4 spokes
-            # the j >= i of ilist with (s, i, j) admissible are one run
-            # of it: max(i, |s-i|) <= j <= min(s+i, 2r-4-s-i)
-            lo = bisect.bisect_left(ilist, max(i, abs(s - i)))
-            hi = bisect.bisect_right(ilist, min(s + i, 2 * r - 4 - s - i))
-            gm, ge = g[i]
-            ge += 4 * p
-            for j in ilist[lo:hi]:
-                wm, we = _fx_norm(fan.zsum(i, j), p)
-                tm, te = tab.inv_theta(s, i, j)
-                hm, he = h[j]
-                m = tm * (wm * wm >> p) >> p
-                m = m * gm >> p
-                mans.append(m * hm >> p)
-                # a pair j != i stands for (i, j) and (j, i)
-                exps.append(ge + te + 2 * we + he + (j != i))
-        total, absum, emin = _fx_sum(mans, exps)
+        ibb = {i: tab.inv_theta(i, b, b) for i in path}
+        u = {i: _fx_norm(fan.zsum(s, i), p) for i in ends}
+        y = {i: _fx_prod((u[i], u[i], tab.inv_theta(s, s, i), sbb, sbb, ibb[i]), p) for i in ends}
+        a = {i: _fx_prod((tab.qint(i + 1), y[i]), p) for i in ends}
+        # ya is the path-absolute y once a link has summed rows (before, |y|
+        # is its own); only absolute sums read it, so its signs do not matter
+        ya = rows = None
+
+        def row_sums(y):  # i -> _fx_sum of the terms S_ij h_j of row i
+            h = {j: _fx_prod((tab.qint(j + 1), y[j], ibb[j]), p) for j in y}
+            return {i: _fx_sum([sm * h[j][0] >> p for j, sm, _ in row if j in h],
+                               [se + h[j][1] for j, _, se in row if j in h])
+                    for i, row in rows.items()}
+
+        for _ in range(n_spokes - 4):
+            if rows is None:
+                rows = {i: [] for i in path}
+                for x, i in enumerate(path):
+                    for j in path[max(lo[x], x):hi[x]]:
+                        wm, we = _fx_norm(fan.zsum(i, j), p)
+                        tm, te = tab.inv_theta(s, i, j)
+                        sm, se = tm * (wm * wm >> p) >> p, te + 2 * we + 3 * p
+                        rows[i].append((j, sm, se))
+                        if j != i:
+                            rows[j].append((i, sm, se))
+            sy = row_sums(y)
+            sa = sy if ya is None else row_sums(ya)
+            y = {i: _fx_prod(((m, e), sbb, ibb[i]), p) for i, (m, _, e) in sy.items() if m}
+            ya = {i: _fx_prod(((m, e), sbb, ibb[i]), p) for i, (_, m, e) in sa.items() if m}
+        dots = [[_fx_prod((a[i], x[i]), p) for i in ends if i in x] for x in (y, ya or y)]
+        (total, _, emin), (_, absum, amin) = (
+            _fx_sum([m for m, _ in t], [e for _, e in t]) for t in dots)
         if total == 0:
             raise ValueError(f"wheel invariant vanished at r={r}")
         with MP_LOCK, mp.workprec(prec):
-            total, absum = mp.mpf((total, emin)), mp.mpf((absum, emin))
+            total, absum = mp.mpf((total, emin)), mp.mpf((absum, amin))
             cancel_bits = float(mp.log(absum / abs(total), 2))
             if cancel_bits <= prec - 50:
                 log_y = float(mp.log(abs(total)))

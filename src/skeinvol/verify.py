@@ -175,34 +175,39 @@ def suite_oracle(*, rmax: int = 13) -> List[CheckResult]:
 
 
 def _fan_oracle_check(r: int) -> CheckResult:
-    """The high-precision wheel z-sums (qnum.MpFan) at the zero-angled
-    colors, as 6j^2 = zsum^2 / prod Theta (one fixed-point product, as in
-    qnum._sixj_mp), against the exact field."""
+    """The high-precision wheel z-sums (qnum.MpFan) against the exact
+    field, as 6j^2 = zsum^2 / prod Theta (one fixed-point product, as in
+    qnum._sixj_mp): at the zero-angled colors, and at the pent-ideal ones,
+    whose middle colors (read by wheels of six spokes or more) are not
+    end colors."""
     from .cyclo import sixj_exact_square
 
-    s, b = appendix_colors("pent-zero", r)
     lv = Level.of(r)
-    ilist = _fan_colors(lv, s, b)
-    sixes = [(s, s, i, b, b, b) for i in ilist]
-    sixes += [(s, i, j, b, b, b) for i in ilist for j in ilist
-              if i <= j and is_admissible_triple(s, i, j, r)]
     prec = _wheel_start_bits(r)
     tab = lv.mp_factorials(prec)
-    fan = tab.fan(s, b)
     worst = 0.0
-    for t in sixes:
-        zsum = fan.zsum(t[1], t[2])
-        inv = [tab.inv_theta(*v) for v in _vertex_triples(t)]
-        square = _fx_prod((zsum, zsum, *inv), tab.bits)
-        with MP_LOCK, mp.workprec(prec):
-            got = complex(mp.mpf(square))
-        exact = sixj_exact_square(*t, r)
-        worst = max(worst, _rel(exact, got, abs(exact)))
+    cases = []
+    for kind in ("pent-zero", "pent-ideal"):
+        s, b = appendix_colors(kind, r)
+        _, ends, mids = _fan_colors(r, 6, s, b)  # six spokes: ends and middles
+        sixes = [(s, s, i, b, b, b) for i in ends]
+        sixes += [(s, i, j, b, b, b) for i in mids for j in mids
+                  if i <= j and is_admissible_triple(s, i, j, r)]
+        fan = tab.fan(s, b)
+        for t in sixes:
+            zsum = fan.zsum(t[1], t[2])
+            inv = [tab.inv_theta(*v) for v in _vertex_triples(t)]
+            square = _fx_prod((zsum, zsum, *inv), tab.bits)
+            with MP_LOCK, mp.workprec(prec):
+                got = complex(mp.mpf(square))
+            exact = sixj_exact_square(*t, r)
+            worst = max(worst, _rel(exact, got, abs(exact)))
+        cases.append(f"{len(sixes)} symbols at spoke {s}, rim {b}")
     return CheckResult(
         "oracle",
         f"wheel fan z-sums vs cyclotomic field, r={r}",
         worst <= 1e-10,
-        f"{len(sixes)} symbols at spoke {s}, rim {b}, worst rel {worst:.2e}",
+        f"{'; '.join(cases)}; worst rel {worst:.2e}",
     )
 
 

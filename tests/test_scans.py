@@ -670,14 +670,27 @@ def test_appendix_colors():
 
 
 def test_wheel_closed_form_against_engine():
-    for n, s, b, r in [(4, 2, 4, 7), (5, 2, 2, 7), (4, 4, 4, 9)]:
-        logv, sign, cancel = wheel_log_invariant(r, n, s, b)
-        w = wheel(n)
-        col = [s] * n + [b] * n  # spokes first, then the rim
-        got = yokota(w, col, r)
-        want = sign * math.exp(logv)
-        assert abs(got - want) < 1e-9 * max(1.0, abs(want))
-        assert cancel >= 0.0
+    # both twins on every admissible (spoke, rim) pair of the wheels with
+    # 4 to 8 spokes; an invariant that is exactly 0 vanishes in both
+    for n, r in itertools.product(range(4, 9), (5, 7, 9, 11)):
+        lv = Level.of(r)
+        memo = {}
+        for s, b in itertools.product(lv.colors, repeat=2):
+            if not is_admissible_triple(s, b, b, lv):
+                continue
+            col = [s] * n + [b] * n  # spokes first, then the rim
+            want = yokota(wheel(n), col, r, memo=memo)
+            for twin in (wheel_log_invariant, wheel_log_invariant_mp):
+                if want == 0.0:
+                    with pytest.raises(ValueError, match="vanished"):
+                        twin(r, n, s, b)
+                    continue
+                logv, sign, cancel = twin(r, n, s, b)
+                assert abs(sign * math.exp(logv) - want) <= 1e-10 * abs(want)
+                assert cancel >= 0.0
+    for twin in (wheel_log_invariant, wheel_log_invariant_mp):
+        with pytest.raises(ValueError, match="at least 4 spokes"):
+            twin(11, 3, 2, 4)  # the 3-spoke wheel, the tetrahedron
 
 
 def test_wheel_float_vs_highprec():
@@ -690,18 +703,23 @@ def test_wheel_float_vs_highprec():
 
 def test_wheel_mp_value_holds_at_1024_bits(monkeypatch):
     # starting above the 2r + 256 = 458-bit floor changes the working
-    # precision, not the value
-    s, b = appendix_colors("pent-zero", 101)
-    want, sign, _ = wheel_log_invariant_mp(101, 5, s, b)
+    # precision, not the value; so does starting the zero-angled W_6 and
+    # W_8, whose middle links cancel the most, at twice the floor
+    cases = [(101, 5, *appendix_colors("pent-zero", 101), 1024)]
+    cases += [(r, n, *appendix_colors("sq-zero", r), 2 * (2 * r + 256))
+              for r in (101, 201) for n in (6, 8)]
+    wants = [wheel_log_invariant_mp(*case[:4]) for case in cases]
     used = []
     real = Level.mp_factorials
     monkeypatch.setattr(Level, "mp_factorials",
                         lambda lv, prec: used.append(prec) or real(lv, prec))
-    monkeypatch.setattr(scans, "_wheel_start_bits", lambda r: 1024)
-    got, got_sign, _ = wheel_log_invariant_mp(101, 5, s, b)
-    assert used == [1024]
-    assert got_sign == sign
-    assert abs(got - want) <= 1e-12 * abs(want)
+    for (*case, start), (want, sign, _) in zip(cases, wants):
+        used.clear()
+        monkeypatch.setattr(scans, "_wheel_start_bits", lambda r: start)
+        got, got_sign, _ = wheel_log_invariant_mp(*case)
+        assert used == [start]
+        assert got_sign == sign
+        assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_zero_angled_highprec_against_engine():
@@ -944,7 +962,7 @@ def test_numpy_paths_at_the_smallest_level():
     rec, diag = bound_record(3)
     assert rec.log_value == sixj(0, 0, 0, 0, 0, 0, 3).log_abs() == 0.0
     assert diag["tuples"] == 1 and diag["bound_ok"]
-    for n in (4, 5):
+    for n in range(4, 9):
         assert wheel_log_invariant(3, n, 0, 0) == (0.0, 1.0, 0.0)
         assert yokota(wheel(n), [0] * (2 * n), 3) == 1.0
 
