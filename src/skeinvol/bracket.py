@@ -142,6 +142,12 @@ class _Sub:
         self.read = read
         self.mask = mask
 
+    def value(self, col, ctx) -> ExtScalar:
+        """The value of the sub-graph under the parent's coloring col."""
+        subcol = self.read(col)
+        sig = read_signature(self.labelings, subcol)
+        return _eval_canonical(self.g, subcol, ctx, sig, self.mask)
+
 
 class _Program:
     """One recorded reduction: steps, the reduction steps counted before
@@ -494,44 +500,29 @@ def _run(prog: _Program, col, ctx) -> ExtScalar:
         for i in range(lo, hi + 1, 2):
             ctx.tick()
             coeff = circle[i] * sixj(s, a, t1, i, t2, b, lv)
-            sub = subs[i == 0]
-            subcol = sub.read(col + (i,))
-            sig = read_signature(sub.labelings, subcol)
-            total = total + coeff * _eval_canonical(sub.g, subcol, ctx, sig, sub.mask)
+            total = total + coeff * subs[i == 0].value(col + (i,), ctx)
         return acc * total
     if kind == _RETURN:
         return acc
     if kind == _PRODUCT:
         for sub in end[1]:
-            subcol = sub.read(col)
-            sig = read_signature(sub.labelings, subcol)
-            acc = acc * _eval_canonical(sub.g, subcol, ctx, sig, sub.mask)
+            acc = acc * sub.value(col, ctx)
         return acc
     if kind == _ZERO:
         return _NIL
     raise end[1](end[2])
 
 
-def _reduce(rg: _RGraph, ctx) -> ExtScalar:
-    """The value of the colored rotation system rg under a seeded ctx.
-
-    Nothing is cached: the reduction is recorded against rg's own colors
-    with ctx's picks, in the reference order, and run once.
-    """
-    edges = sorted(rg.col)
-    colors = tuple(rg.col[e] for e in edges)
-    rg.col = {e: k for k, e in enumerate(edges)}
-    return _run(_Compiler(rg, _zero_mask(colors), ctx, colors).compile(), colors, ctx)
-
-
 def _eval_canonical(g: PlanarGraph, coloring, ctx, sig=None, mask=None) -> ExtScalar:
     """Value of (g, coloring), memoized under its canonical signature.
 
-    This is the one place a memo key (r, base_tet, signature) is built
-    and looked up; a hit costs no steps.  coloring is a tuple.  sig can
-    pass canonical_signature(g, coloring) and mask its _zero_mask when
-    the caller has them.  A miss replays the program of (g, mask,
-    base_tet), or runs a seeded reduction.
+    This is the one place a reduction is compiled, looked up or run, and
+    the one place a memo key (r, base_tet, signature) is built and looked
+    up; a hit costs no steps.  coloring is a tuple.  sig can pass
+    canonical_signature(g, coloring) and mask its _zero_mask when the
+    caller has them.  A miss replays the program of (g, mask, base_tet);
+    under a seeded context it records the reduction afresh against the
+    coloring itself, with ctx's picks, and runs it once without caching.
     """
     if sig is None:
         sig = canonical_signature(g, coloring)
@@ -539,12 +530,13 @@ def _eval_canonical(g: PlanarGraph, coloring, ctx, sig=None, mask=None) -> ExtSc
     hit = ctx.memo.get(key)
     if hit is not None:
         return hit
+    if mask is None:
+        mask = _zero_mask(coloring)
     if ctx.rng is None:
-        if mask is None:
-            mask = _zero_mask(coloring)
-        val = _run(_program(g, mask, ctx.base_tet), coloring, ctx)
+        prog = _program(g, mask, ctx.base_tet)
     else:
-        val = _reduce(_RGraph.from_graph(g, coloring), ctx)
+        prog = _Compiler(_RGraph.from_graph(g, range(g.ne)), mask, ctx, coloring).compile()
+    val = _run(prog, coloring, ctx)
     if len(ctx.memo) >= _MEMO_MAX:
         ctx.memo.clear()
     ctx.memo[key] = val

@@ -214,7 +214,6 @@ class CycloOracle:
             inv[n - 1] = inv[n] * self.qint[n]
         self.fact_inv = inv
         # exact values per admissible triple; field elements are immutable
-        self._theta: dict[tuple, CycloExact] = {}
         self._theta_inverse: dict[tuple, CycloExact] = {}
 
     @classmethod
@@ -226,16 +225,6 @@ class CycloOracle:
         if any(x < 0 or x > self.r - 2 or x % 2 for x in (a, b, c)):
             return False
         return abs(a - b) <= c <= a + b and a + b + c <= 2 * self.r - 4
-
-    def theta(self, a, b, c) -> CycloExact:
-        th = self._theta.get((a, b, c))
-        if th is None:
-            if not self._admissible_triple(a, b, c):
-                raise Inadmissible(f"triple ({a},{b},{c}) not admissible at r={self.r}")
-            s = (a + b + c) // 2
-            th = self.fact[s + 1] * self.fact_inv[s - a] * self.fact_inv[s - b] * self.fact_inv[s - c]
-            th = self._theta[(a, b, c)] = -th if s % 2 else th
-        return th
 
     def theta_inverse(self, a, b, c) -> CycloExact:
         th = self._theta_inverse.get((a, b, c))

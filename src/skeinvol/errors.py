@@ -10,10 +10,10 @@ class Inadmissible(SkeinError):
 
     Raised where a value is undefined on an inadmissible triple: the
     weights theta_weight and vertex_weight, the exact oracle's thetas,
-    and the wheel closed forms of scans for an inadmissible rim triple.
-    Nothing in the package catches it: the sums over colorings only
-    form admissible triples, and the command line reports it, like
-    every SkeinError, as invalid input (exit 2).
+    and the fan transfer loop of scans' wheel sums for an inadmissible
+    rim triple.  Nothing in the package catches it: the sums over
+    colorings only form admissible triples, and the command line
+    reports it, like every SkeinError, as invalid input (exit 2).
     """
 
 

@@ -281,10 +281,10 @@ class MpFan:
         C_y(z) = 1 / ([z - (s+y)/2]! [(y+2b)/2 - z]!),
 
     and the sum runs over the z where all four are defined (A stops at
-    z = r-2).  The wheel closed forms need u_i = zsum(s, i) and w_ij =
-    zsum(i, j).  Every B_x is one table B(w) = 1/([w]! [s/2-w]!) read
-    at w = z - (x+2b)/2, and every C_y one table C(w) = 1/([w]!
-    [b-s/2-w]!) read at w = z - (s+y)/2.  At w = z - (y/2 + b),
+    z = r-2).  The fan transfer loop of the wheel sum needs u_i =
+    zsum(s, i) and w_ij = zsum(i, j).  Every B_x is one table B(w) =
+    1/([w]! [s/2-w]!) read at w = z - (x+2b)/2, and every C_y one table
+    C(w) = 1/([w]! [b-s/2-w]!) read at w = z - (s+y)/2.  At w = z - (y/2 + b),
 
         B_y(z) C_{x+y}(z) = B(w) C(w + b - (s+x)/2) = E_x(w),
 

@@ -896,9 +896,9 @@ def appendix_record(kind: str, r: int) -> ScanRecord:
     rim colors come from the dihedral angles of the target polyhedron
     (see appendix_colors), and the actual colors used are recorded in
     the color_policy field.  The zero-angled colorings sit at the
-    maximal-growth color where the closed forms cancel catastrophically
-    in doubles, so the evaluation escalates to the mp twin whenever the
-    double pass loses more than 8 digits.
+    maximal-growth color where the fan transfer loop cancels
+    catastrophically in doubles, so the evaluation escalates to the mp
+    twin whenever the double pass loses more than 8 digits.
     """
     target_name, n_spokes, _ = _APPENDIX[kind]
     s, b = appendix_colors(kind, r)

@@ -422,6 +422,14 @@ def admissible_colorings(graph: PlanarGraph, level):
     yield from _fill([None] * graph.ne, slots, _closing(graph, slots), lv)
 
 
+def _values(graph, lv, budget, memo):
+    """Yield (coloring, invariant) for every admissible coloring of graph,
+    in the order of admissible_colorings; all of them share one memo."""
+    value = _evaluator(graph, lv, budget=budget, memo=memo)
+    for col in admissible_colorings(graph, lv):
+        yield col, value(col)
+
+
 def yokota_table(graph: PlanarGraph, level, *, budget=None, memo=None):
     """Map each admissible coloring to its invariant (ExtScalar).
 
@@ -430,9 +438,7 @@ def yokota_table(graph: PlanarGraph, level, *, budget=None, memo=None):
     reduction for each bracket the memo has not seen.  All colorings
     share one memo: the caller's memo, or a fresh dict for this call.
     """
-    lv = Level.of(level)
-    value = _evaluator(graph, lv, budget=budget, memo=memo)
-    return {col: value(col) for col in admissible_colorings(graph, lv)}
+    return dict(_values(graph, Level.of(level), budget, memo))
 
 
 def tv_graph(graph: PlanarGraph, level, *, budget=None, memo=None) -> ExtScalar:
@@ -441,11 +447,8 @@ def tv_graph(graph: PlanarGraph, level, *, budget=None, memo=None) -> ExtScalar:
     The colorings are streamed in the order of yokota_table, whose sum
     this is, without holding the table.
     """
-    lv = Level.of(level)
-    value = _evaluator(graph, lv, budget=budget, memo=memo)
     total = ExtScalar()
-    for col in admissible_colorings(graph, lv):
-        y = value(col)
+    for _, y in _values(graph, Level.of(level), budget, memo):
         if not y.is_zero():
             total = total + ExtScalar.from_log(y.log_abs())
     return total
@@ -459,11 +462,9 @@ def yokota_kirby(graph: PlanarGraph, level, *, budget=None, memo=None) -> ExtSca
     number of independent cycles of the graph.
     """
     lv = Level.of(level)
-    value = _evaluator(graph, lv, budget=budget, memo=memo)
     weights = lv.circle_logs
     total = ExtScalar()
-    for col in admissible_colorings(graph, lv):
-        y = value(col)
+    for col, y in _values(graph, lv, budget, memo):
         if y.is_zero():
             continue
         total = total + _product(map(weights.__getitem__, col)) * y
@@ -491,11 +492,7 @@ def fourier_dual(
     in the table's order, as in tv_graph.
     """
     lv = Level.of(level)
-    if table is None:
-        value = _evaluator(graph, lv, budget=budget, memo=memo)
-        items = ((col, value(col)) for col in admissible_colorings(graph, lv))
-    else:
-        items = table.items()
+    items = _values(graph, lv, budget, memo) if table is None else table.items()
     # H(c, dual_coloring[e]) as a (negative, log) pair for every color c,
     # one table per edge e; a vanishing entry has log -inf
     hopf = [{c: _neg_log(hopf_pairing(c, cstar, lv)) for c in lv.colors}

@@ -120,7 +120,8 @@ def test_library_ignores_skein_budget(monkeypatch):
 def test_fusion_order_check_runs_seeded_reductions(monkeypatch):
     seeded = []  # per seeded cube evaluation: [reductions, random picks]
     current = [None]
-    real_bracket, real_reduce, real_pick = verify.bracket, bracket_module._reduce, bracket_module._Ctx.pick
+    real_bracket, real_pick = verify.bracket, bracket_module._Ctx.pick
+    real_compile = bracket_module._Compiler.compile
 
     def counted_bracket(g, col, level, **kw):
         if kw.get("seed") is None or (g.nv, g.ne) != (8, 12):  # only the cube
@@ -132,10 +133,10 @@ def test_fusion_order_check_runs_seeded_reductions(monkeypatch):
         finally:
             current[0] = None
 
-    def counted_reduce(rg, ctx):
+    def counted_compile(compiler):
         if current[0] is not None:
             current[0][0] += 1
-        return real_reduce(rg, ctx)
+        return real_compile(compiler)
 
     def counted_pick(ctx, seq):
         if current[0] is not None and ctx.rng is not None:
@@ -143,7 +144,7 @@ def test_fusion_order_check_runs_seeded_reductions(monkeypatch):
         return real_pick(ctx, seq)
 
     monkeypatch.setattr(verify, "bracket", counted_bracket)
-    monkeypatch.setattr(bracket_module, "_reduce", counted_reduce)
+    monkeypatch.setattr(bracket_module._Compiler, "compile", counted_compile)
     monkeypatch.setattr(bracket_module._Ctx, "pick", counted_pick)
     assert all(res.passed for res in verify.suite_fusion(r=7))
     assert len(seeded) == 3

@@ -7,7 +7,7 @@ import pytest
 
 from skeinvol.cyclo import CycloField, CycloOracle, cyclotomic_poly, sixj_exact_square
 from skeinvol.errors import BudgetExceeded
-from skeinvol.qnum import MP_LOCK, is_admissible_triple, sixj
+from skeinvol.qnum import MP_LOCK, is_admissible_triple, sixj, theta_weight
 
 
 def test_cyclotomic_polynomials():
@@ -49,10 +49,15 @@ def test_embed_waits_for_the_mp_lock():
 
 
 def test_oracle_theta_inverse():
+    # the exact inverse against the float theta weight, on every triple
     orc = CycloOracle(7)
-    for triple in ((2, 2, 2), (4, 2, 2), (4, 4, 2)):
-        prod = orc.theta(*triple) * orc.theta_inverse(*triple)
-        assert abs(prod.embed() - 1.0) < 1e-12
+    colors = range(0, 5, 2)
+    triples = [(a, b, c) for a in colors for b in colors for c in colors
+               if is_admissible_triple(a, b, c, 7)]
+    assert len(triples) == 14
+    for triple in triples:
+        want = 1 / theta_weight(*triple, 7)
+        assert abs(orc.theta_inverse(*triple).embed() - want) < 1e-12 * abs(want)
 
 
 @pytest.mark.parametrize("r", [5, 9, 15, 21, 25, 27])

@@ -519,6 +519,22 @@ def test_program_cache_bounded_and_invisible():
     cache_clear()
 
 
+def test_seeded_reductions_are_compiled_afresh_and_never_cached():
+    cache_clear()
+    g, col = cube(), (2,) * 12
+    seeded = []
+    for seed in (1, 2, 3):
+        before = programs()
+        seeded.append(bracket(g, col, 7, base_tet=False, seed=seed).to_complex())
+        assert programs() == before  # no hit, no miss, no new entry
+    want = bracket(g, col, 7, base_tet=False).to_complex()
+    assert programs().misses == programs().currsize > 0
+    assert want != 0
+    for got in seeded:
+        assert abs(got - want) <= 1e-12 * abs(want)
+    cache_clear()
+
+
 def least_budget(call):
     """The smallest budget under which call(budget) does not raise."""
     lo, hi = 0, 1
