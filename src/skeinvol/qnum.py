@@ -105,8 +105,12 @@ class Level:
     @classmethod
     def of(cls, r) -> "Level":
         """The Level of r, shared while it is among the 16 most recently
-        used; a Level is returned unchanged."""
-        return r if isinstance(r, Level) else cls._recent(r)
+        used; a Level is returned unchanged.  r is read as colors are
+        (_ints), so 7.0, which hashes like 7, raises ValueError."""
+        if isinstance(r, Level):
+            return r
+        t = _ints(r)
+        return cls(r) if t is None else cls._recent(*t)
 
     @classmethod
     @lru_cache(maxsize=16)
@@ -194,9 +198,9 @@ class MpFactorials:
 
     fan(s, b) gives the tables of the wheel symbols sixj(s, x, y, b, b,
     b), whose z-terms cost one multiply each (see MpFan).  zsum, qint,
-    inv_theta and the fan z-sums all return (man, exp) pairs, the one
-    format of the high-precision layer: _fx_prod multiplies them with no
-    mpmath state, and mpmath reads one as it is where a log is wanted.
+    inv_theta, square and the fan z-sums all return (man, exp) pairs, the
+    one format of the high-precision layer: _fx_prod multiplies them with
+    no mpmath state, and mpmath reads one as it is where a log is wanted.
     """
 
     def __init__(self, r: int, prec: int):
@@ -259,6 +263,12 @@ class MpFactorials:
         m = m * fm[s - b] >> p
         m = m * fm[s - c] >> p
         return -m if s & 1 else m, ie[s + 1] + fe[s - a] + fe[s - b] + fe[s - c] + 3 * p
+
+    def square(self, t, zsum) -> tuple[int, int]:
+        """The one fixed-point 6j square zsum^2 / prod_v Theta(v) of the
+        6-tuple t, from its z-sum pair (zsum or MpFan.zsum), cut to P bits."""
+        inv = [self.inv_theta(a, b, c) for a, b, c in _vertex_triples(t)]
+        return _fx_prod((zsum, zsum, *inv), self.bits)
 
     def qint(self, k: int) -> tuple[int, int]:
         """The quantum integer [k] = [k]! / [k-1]! for 1 <= k <= r-1, as a (man, exp) pair."""
@@ -596,18 +606,17 @@ def _sixj_double(t, lv):
 def _sixj_mp(t, lv, prec):
     """Full recomputation of the symbol at prec bits.
 
-    6j^2 = zsum^2 / prod_v Theta(v) is one fixed-point product of the
-    table pairs, cut to P = prec + 32 bits after each multiply, and log
-    |6j| is half its log, taken once in mpmath at prec bits.  The sign
-    is the z-sum's, and each negative Theta turns the quadrant once.
+    6j^2 is MpFactorials.square at P = prec + 32 bits, and log |6j| is
+    half its log, taken once in mpmath at prec bits.  The sign is the
+    z-sum's, and each negative Theta (Level.theta) turns the quadrant
+    once, as in sixj_info's float branch.
     """
     tab = lv.mp_factorials(prec)
     zsum = tab.zsum(t)
     if not zsum[0]:
         return ExtScalar()
-    inv = [tab.inv_theta(a, b, c) for a, b, c in _vertex_triples(t)]
-    quad = sum(th[0] < 0 for th in inv)
-    m, e = _fx_prod((zsum, zsum, *inv), tab.bits)
+    m, e = tab.square(t, zsum)
+    quad = sum(lv.theta(a, b, c)[0] for a, b, c in _vertex_triples(t))
     with MP_LOCK, mp.workprec(prec):
         lg = float(mp.log(mp.mpf((abs(m), e)))) / 2
     return ExtScalar.from_log(lg, sign=1 if zsum[0] > 0 else -1, quadrant=quad)

@@ -67,7 +67,7 @@ import numpy as np
 import mpmath as mp
 
 from .errors import BudgetExceeded, Inadmissible
-from .hypvol import V8, ScanRecord, named_volumes
+from .hypvol import V8, ScanRecord, family_max_volume, named_volumes
 from .qnum import (
     MP_LOCK,
     SIXJ_SYMMETRIES,
@@ -783,19 +783,19 @@ def wheel_log_invariant(r: int, n_spokes: int, s: int, b: int):
     # rows i and the logs dl of |Delta_j|, yh of |y_j|^(1/2) (ya for the
     # path-absolute y) and w of |w_ij|; y = v is one term a row, dl = w = 0.
     dl, yh, ya, w, sign = 0.0, ulog[rows], ulog[rows], 0.0, usign[rows]
-    pairs = None
-    for _ in range(n_spokes - 4):
+    if n_spokes > 4:  # the link pairs (i, j) along path, and their w_ij
+        lo, hi = _link_runs(path, s, r)
+        ii = np.repeat(np.arange(path.size), hi - lo)
+        jj = np.arange(ii.size) + np.repeat(hi - np.cumsum(hi - lo), hi - lo)
+        cs, cb = (np.full(ii.size, c, dtype=np.int64) for c in (s, b))
+        wij = batch_sixj(lv, cs, path[ii], path[jj], cb, cb, cb)
+        cancels.append(wij["cancel"])
+        wlog, wsign = wij["log"], np.where(wij["quad"] % 2 == 0, 1, -1)
+    for link in range(n_spokes - 4):
         y, ysign = _row_logsum(rows, dl + 2.0 * (yh + w), sign, path.size)
-        yabs, _ = _row_logsum(rows, dl + 2.0 * (ya + w), 1, path.size)
-        if pairs is None:
-            lo, hi = _link_runs(path, s, r)
-            ii = np.repeat(np.arange(path.size), hi - lo)
-            jj = np.arange(ii.size) + np.repeat(hi - np.cumsum(hi - lo), hi - lo)
-            cs, cb = (np.full(ii.size, c, dtype=np.int64) for c in (s, b))
-            wij = batch_sixj(lv, cs, path[ii], path[jj], cb, cb, cb)
-            cancels.append(wij["cancel"])
-            pairs = ii, jj, wij["log"], np.where(wij["quad"] % 2 == 0, 1, -1)
-        rows, jj, w, wsign = pairs
+        # on the first link each row holds one term, so |y| is y
+        yabs = _row_logsum(rows, dl + 2.0 * (ya + w), 1, path.size)[0] if link else y
+        rows, w = ii, wlog
         dl, yh, ya, sign = dlog[jj], y[jj] / 2, yabs[jj] / 2, dsign[jj] * ysign[jj] * wsign
     tl = dlog[rows] + dl + 2.0 * (ulog[rows] + yh + w)
     tla = dlog[rows] + dl + 2.0 * (ulog[rows] + ya + w)
@@ -826,7 +826,8 @@ def wheel_log_invariant_mp(r: int, n_spokes: int, s: int, b: int):
     + 32 bits, cut to P bits after every multiply; the z-sums come from
     the fan tables for (s, b) (qnum.MpFan), 1/Theta and Delta_i = [i+1]
     from the factorial tables.  Squares need only Theta^(-1): v_i = u_i^2
-    / (Theta(s,s,i) Theta(s,b,b)^2 Theta(i,b,b)), and a link is (M y)_i =
+    / (Theta(s,s,i) Theta(s,b,b)^2 Theta(i,b,b)) is MpFactorials.square
+    of sixj(s,s,i,b,b,b), and a link is (M y)_i =
     sum_j S_ij h_j / (Theta(s,b,b) Theta(i,b,b)), h_j = Delta_j y_j /
     Theta(j,b,b), S_ij = w_ij^2 / Theta(s,i,j) formed once per i <= j.
     Rows and Y = sum_i a_i y_i are summed exactly (_fx_sum).  A path term
@@ -846,12 +847,22 @@ def wheel_log_invariant_mp(r: int, n_spokes: int, s: int, b: int):
         fan, p = tab.fan(s, b), tab.bits
         sbb = tab.inv_theta(s, b, b)
         ibb = {i: tab.inv_theta(i, b, b) for i in path}
-        u = {i: _fx_norm(fan.zsum(s, i), p) for i in ends}
-        y = {i: _fx_prod((u[i], u[i], tab.inv_theta(s, s, i), sbb, sbb, ibb[i]), p) for i in ends}
+        y = {i: tab.square((s, s, i, b, b, b), fan.zsum(s, i)) for i in ends}
         a = {i: _fx_prod((tab.qint(i + 1), y[i]), p) for i in ends}
         # ya is the path-absolute y once a link has summed rows (before, |y|
         # is its own); only absolute sums read it, so its signs do not matter
-        ya = rows = None
+        ya = None
+        # row i holds (j, S_ij) for every link pair, as (j, man, exp)
+        rows = {i: [] for i in path}
+        if n_spokes > 4:
+            for x, i in enumerate(path):
+                for j in path[max(lo[x], x):hi[x]]:
+                    wm, we = _fx_norm(fan.zsum(i, j), p)
+                    tm, te = tab.inv_theta(s, i, j)
+                    sm, se = tm * (wm * wm >> p) >> p, te + 2 * we + 3 * p
+                    rows[i].append((j, sm, se))
+                    if j != i:
+                        rows[j].append((i, sm, se))
 
         def row_sums(y):  # i -> _fx_sum of the terms S_ij h_j of row i
             h = {j: _fx_prod((tab.qint(j + 1), y[j], ibb[j]), p) for j in y}
@@ -860,16 +871,6 @@ def wheel_log_invariant_mp(r: int, n_spokes: int, s: int, b: int):
                     for i, row in rows.items()}
 
         for _ in range(n_spokes - 4):
-            if rows is None:
-                rows = {i: [] for i in path}
-                for x, i in enumerate(path):
-                    for j in path[max(lo[x], x):hi[x]]:
-                        wm, we = _fx_norm(fan.zsum(i, j), p)
-                        tm, te = tab.inv_theta(s, i, j)
-                        sm, se = tm * (wm * wm >> p) >> p, te + 2 * we + 3 * p
-                        rows[i].append((j, sm, se))
-                        if j != i:
-                            rows[j].append((i, sm, se))
             sy = row_sums(y)
             sa = sy if ya is None else row_sums(ya)
             y = {i: _fx_prod(((m, e), sbb, ibb[i]), p) for i, (m, _, e) in sy.items() if m}
@@ -905,12 +906,9 @@ def appendix_record(kind: str, r: int) -> ScanRecord:
     target = named_volumes()[target_name]
     try:
         log_y, _, worst_cancel = wheel_log_invariant(r, n_spokes, s, b)
-        need_mp = worst_cancel > 8.0
-    except ValueError as err:
-        if "vanished" not in str(err):
-            raise
-        need_mp = True
-    if need_mp:
+    except ValueError:  # vanished in doubles; the mp twin raises any other again
+        worst_cancel = math.inf
+    if worst_cancel > 8.0:
         log_y, _, worst_cancel = wheel_log_invariant_mp(r, n_spokes, s, b)
     return ScanRecord.at(r, kind, f"{kind}[spoke={s} rim={b}]", log_y,
                          target=target, cancel_digits=worst_cancel)
@@ -964,7 +962,7 @@ def family_record(r: int, m: int = 1) -> ScanRecord:
     c = maximizing_color(r)
     info = sixj_info(c, c, c, c, c, c, Level.of(r))
     return ScanRecord.at(r, f"family-m{m}", f"maximizer[c={c}]",
-                         (2 + 2 * m) * info["value"].log_abs(), target=(m + 1) * V8,
+                         (2 + 2 * m) * info["value"].log_abs(), target=family_max_volume(m),
                          cancel_digits=float(info["cancel_digits"]))
 
 

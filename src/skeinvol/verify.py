@@ -7,6 +7,11 @@ gathers those identities into named suites; each suite returns a list of
 CheckResult records so the command-line ``verify`` subcommand and the
 test suite can share one implementation.
 
+The second routes are not copies of package code: they rest on the
+exact cyclotomic-field oracle (cyclo), the brute-force 6-tuples and the
+closed forms.  The symmetry group that sixj-symmetry applies is
+qnum.SIXJ_SYMMETRIES, which a unit test pins as the tetrahedral group.
+
 Suites
 ------
 oracle         6j values and the wheel fan z-sums against exact cyclotomic-field arithmetic
@@ -56,9 +61,9 @@ from .planar import (
 )
 from .qnum import (
     MP_LOCK,
+    SIXJ_SYMMETRIES,
     Level,
-    _fx_prod,
-    _vertex_triples,
+    _canonical_sixtuple,
     admissible_triples,
     circle_weight,
     fusion_colors,
@@ -176,7 +181,7 @@ def suite_oracle(*, rmax: int = 13) -> List[CheckResult]:
 
 def _fan_oracle_check(r: int) -> CheckResult:
     """The high-precision wheel z-sums (qnum.MpFan) against the exact
-    field, as 6j^2 = zsum^2 / prod Theta (one fixed-point product, as in
+    field, as 6j^2 = zsum^2 / prod Theta (MpFactorials.square, as in
     qnum._sixj_mp): at the zero-angled colors, and at the pent-ideal ones,
     whose middle colors (read by wheels of six spokes or more) are not
     end colors."""
@@ -195,11 +200,8 @@ def _fan_oracle_check(r: int) -> CheckResult:
                   if i <= j and is_admissible_triple(s, i, j, r)]
         fan = tab.fan(s, b)
         for t in sixes:
-            zsum = fan.zsum(t[1], t[2])
-            inv = [tab.inv_theta(*v) for v in _vertex_triples(t)]
-            square = _fx_prod((zsum, zsum, *inv), tab.bits)
             with MP_LOCK, mp.workprec(prec):
-                got = complex(mp.mpf(square))
+                got = complex(mp.mpf(tab.square(t, fan.zsum(t[1], t[2]))))
             exact = sixj_exact_square(*t, r)
             worst = max(worst, _rel(exact, got, abs(exact)))
         cases.append(f"{len(sixes)} symbols at spoke {s}, rim {b}")
@@ -293,19 +295,14 @@ def suite_axiom7(*, r: int = 7) -> List[CheckResult]:
     branch, matching the vertex normalization.
     """
     g = tetrahedron()
-    inc = [[] for _ in range(g.nv)]
-    for ei, (u, v) in enumerate(g.edges):
-        inc[u].append(ei)
-        inc[v].append(ei)
     worst = 0.0
     cnt = 0
     for e0, (u, v) in enumerate(g.edges):
-        iu = [e for e in inc[u] if e != e0]
-        iv = [e for e in inc[v] if e != e0]
-        (k,) = [e for e in range(g.ne) if e != e0 and e not in iu and e not in iv]
+        # the other two edges at each endpoint, and the edge opposite e0
+        iu, iv = ([d >> 1 for d in g.rot[x] if d >> 1 != e0] for x in (u, v))
+        (k,) = set(range(g.ne)) - {e0, *iu, *iv}
         for a, b, c in admissible_triples(r):
             col = [0] * 6
-            col[e0] = 0
             col[iu[0]] = col[iu[1]] = a
             col[iv[0]] = col[iv[1]] = b
             col[k] = c
@@ -332,52 +329,27 @@ def suite_desing(*, r: int = 7) -> List[CheckResult]:
     are reduced from their own fanned graphs, not looked up in another
     setting's memo.
     """
+    pyramid, octa = square_pyramid(), octahedron()
+    sample = list(itertools.islice(admissible_colorings(octa, r), 48))
+    sample += [col for col in ((c,) * octa.ne for c in range(0, r - 2, 2)) if col not in sample]
+    # (graph, colorings, vertices anchored at k = 1, 2, 3, check name)
+    cases = ((pyramid, list(admissible_colorings(pyramid, r)), (0,),
+              "square pyramid: all 4 apex anchors agree"),
+             (octa, sample, range(octa.nv), "octahedron: rotated anchors at every vertex agree"))
     out = []
-
-    g = square_pyramid()
-    cols = list(admissible_colorings(g, r))
-    memo: dict = {}
-    base = {col: yokota_ext(g, col, r, memo=memo).to_complex() for col in cols}
-    scale = max(abs(v) for v in base.values())
-    worst = 0.0
-    for k in (1, 2, 3):
-        memo = {}
-        for col in cols:
-            got = yokota_ext(g, col, r, anchors={0: k}, memo=memo).to_complex()
-            worst = max(worst, _rel(base[col], got, scale))
-    out.append(
-        CheckResult(
-            "desing",
-            f"square pyramid: all 4 apex anchors agree, r={r}",
-            worst <= 1e-9,
-            f"{len(cols)} colorings, worst scaled residual {worst:.2e}",
-        )
-    )
-
-    g = octahedron()
-    sample = list(itertools.islice(admissible_colorings(g, r), 48))
-    for c in range(0, r - 2, 2):
-        const = tuple([c] * g.ne)
-        if const not in sample:
-            sample.append(const)
-    memo = {}
-    base_vals = [yokota_ext(g, col, r, memo=memo).to_complex() for col in sample]
-    scale = max(max(abs(v) for v in base_vals), 1e-300)
-    worst = 0.0
-    for k in (1, 2, 3):
-        anchors = {v: k for v in range(g.nv)}
-        memo = {}
-        for col, want in zip(sample, base_vals):
-            got = yokota_ext(g, col, r, anchors=anchors, memo=memo).to_complex()
-            worst = max(worst, _rel(want, got, scale))
-    out.append(
-        CheckResult(
-            "desing",
-            f"octahedron: rotated anchors at every vertex agree, r={r}",
-            worst <= 1e-9,
-            f"{len(sample)} colorings, worst scaled residual {worst:.2e}",
-        )
-    )
+    for g, cols, anchored, name in cases:
+        memo: dict = {}
+        base = [yokota_ext(g, col, r, memo=memo).to_complex() for col in cols]
+        scale = max(abs(v) for v in base)
+        worst = 0.0
+        for k in (1, 2, 3):
+            anchors = dict.fromkeys(anchored, k)
+            memo = {}
+            for col, want in zip(cols, base):
+                got = yokota_ext(g, col, r, anchors=anchors, memo=memo).to_complex()
+                worst = max(worst, _rel(want, got, scale))
+        out.append(CheckResult("desing", f"{name}, r={r}", worst <= 1e-9,
+                               f"{len(cols)} colorings, worst scaled residual {worst:.2e}"))
     return out
 
 
@@ -592,24 +564,8 @@ def suite_sixj_symmetry(*, r: int = 9) -> List[CheckResult]:
     arr = np.array(tuples, dtype=np.int64)
     ref = np.array([sixj(*t, r).to_complex() for t in tuples])
     lv = Level.of(r)
-    # Columns pair opposite slots; the symmetry group permutes the three
-    # columns and flips the entries of an even number of them.  Each
-    # relabeling is the tuple of source slots it reads.
-    columns = ((0, 3), (1, 4), (2, 5))
-    flips = ((0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1))
-    relabelings = []
-    for perm in itertools.permutations(range(3)):
-        for flip in flips:
-            src = [0] * 6
-            for j, (srci, fl) in enumerate(zip(perm, flip)):
-                top, bot = columns[srci]
-                if fl:
-                    top, bot = bot, top
-                src[columns[j][0]] = top
-                src[columns[j][1]] = bot
-            relabelings.append(tuple(src))
     worst = 0.0
-    for src in relabelings:
+    for src in SIXJ_SYMMETRIES:
         res = batch_sixj(lv, *(arr[:, k] for k in src))
         vals = res["sign"] * np.exp(res["log"]) * (-1j) ** res["quad"]
         worst = max(worst, float(np.max(np.abs(vals - ref) / np.abs(ref))))
@@ -638,11 +594,8 @@ def suite_sixj_symmetry(*, r: int = 9) -> List[CheckResult]:
         )
     )
 
-    def tet_class(t):
-        return min(tuple(t[k] for k in src) for src in relabelings)
-
-    classes = {tet_class(t) for t in tuples}
-    met = {tet_class(t) for t in rows(True)}
+    classes = {_canonical_sixtuple(t) for t in tuples}
+    met = {_canonical_sixtuple(t) for t in rows(True)}
     out.append(
         CheckResult(
             "sixj-symmetry",

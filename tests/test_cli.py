@@ -305,12 +305,39 @@ def test_verify_suite_passes(capsys):
     assert "checks passed" in out
 
 
-def test_verify_sixj_symmetry_checks_enumeration(capsys):
-    rc, out, _ = run_cli(["verify", "sixj-symmetry", "--r", "11"], capsys)
+@pytest.mark.parametrize("suite,r,heads", [
+    ("sixj-symmetry", "11", [
+        "[sixj-symmetry] 24 relabelings agree on all 1331 admissible sixtuples, r=11",
+        "[sixj-symmetry] sixtuple_chunks enumerates exactly the brute-force sixtuples, r=11"
+        " — 1331 enumerated, 1331 distinct, 1331 brute force",
+        "[sixj-symmetry] the restricted cover meets every tetrahedral class, r=11"
+        " — 122 of 122 classes",
+    ]),
+    ("sixj-symmetry", "9", [
+        "[sixj-symmetry] 24 relabelings agree on all 414 admissible sixtuples, r=9",
+        "[sixj-symmetry] sixtuple_chunks enumerates exactly the brute-force sixtuples, r=9"
+        " — 414 enumerated, 414 distinct, 414 brute force",
+        "[sixj-symmetry] the restricted cover meets every tetrahedral class, r=9"
+        " — 49 of 49 classes",
+    ]),
+    ("desing", "7", [
+        "[desing] square pyramid: all 4 apex anchors agree, r=7 — 650 colorings",
+        "[desing] octahedron: rotated anchors at every vertex agree, r=7 — 50 colorings",
+    ]),
+    ("axiom7", "7", [
+        "[axiom7] zero-colored tetrahedron edge reduces to the theta value, r=7"
+        " — 84 cases over all 6 edge positions",
+    ]),
+], ids=["sixj-symmetry-r11", "sixj-symmetry-r9", "desing-r7", "axiom7-r7"])
+def test_verify_sixj_symmetry_checks_enumeration(suite, r, heads, capsys):
+    # every check line up to its residual, and the count of checks
+    rc, out, _ = run_cli(["verify", suite, "--r", r], capsys)
     assert rc == 0
-    assert "sixtuple_chunks enumerates exactly the brute-force sixtuples, r=11" in out
-    assert "the restricted cover meets every tetrahedral class, r=11" in out
-    assert "3/3 checks passed" in out
+    lines = out.splitlines()
+    assert len(lines) == len(heads) + 1
+    for line, head in zip(lines, heads):
+        assert line.startswith("ok   " + head)
+    assert lines[-1] == f"{len(heads)}/{len(heads)} checks passed"
 
 
 def test_verify_unknown_suite():

@@ -39,9 +39,12 @@ def test_level_construction():
     assert Level.of(7) is lv  # cached instances
     assert Level.of(lv) is lv
     assert Level.of(3).colors == (0,)  # smallest legal level
-    for bad in (4, -1, 0):
+    # 7.0 hashes like the cached 7, but is not a level
+    for bad in (4, -1, 0, 7.0):
         with pytest.raises(ValueError):
             Level.of(bad)
+    # a numpy integer on a cold level is the level of the equal int
+    assert Level.of(np.int64(997)) is Level.of(997)
 
 
 def live_levels(rs):
