@@ -184,6 +184,8 @@ def cmd_scan(args) -> int:
     wheel_kinds = {n: kind for kind, (target, n, _) in _APPENDIX.items()
                    if args.policy == (target if target in POLICIES else "zero-angled")}
     budget = args.budget
+    if budget is not None and budget < 0:
+        _fail(f"--budget must be a non-negative integer, got {budget}")
 
     if args.policy == "fixed":
         colors = (

@@ -28,6 +28,11 @@ log-domain 6j evaluator:
   bit-identical to one process's.  It stays in-process on one core,
   without the fork start method, while other threads of the caller run,
   and on covers with fewer than one block per core;
+* the full TV sweep (tv_tet_record) evaluates one tuple per tetrahedral
+  class of the same cover, weighted by its orbit size.  Its orbit test
+  (orbit_representatives) reads only a block's tie rows: the rows where
+  an image of a cover tuple can equal or undercut it, compared with
+  those images alone;
 * the wheel sums evaluate every n-spoke wheel, n >= 4, by one fan
   transfer loop over 6j squares, Y = a^T M^(n-4) v; the square and
   pentagonal pyramids of the published experiments are n = 4 and 5.
@@ -477,38 +482,62 @@ def sixtuple_chunks(lv: Level, *, restrict: bool = True, budget: Optional[int] =
         yield tuple(x[:fill] for x in out)
 
 
+# The images of a cover tuple t that can tie or undercut it, as (slot
+# pairs equal on the rows where they can, leading slots tied there,
+# symmetries).  An image starts with t[g[0]], which is at least a on the
+# cover, so only the g with t[g[0]] == a count; of those, the three
+# non-identity g with g[0] == 0 also need (t[g[1]], t[g[2]]) == (b, c),
+# since the cover has (b, c) <= (t[g[1]], t[g[2]]).
+_TIE_GROUPS = tuple(
+    [(((g[1], 1), (g[2], 2)), 3, (g,)) for g in SIXJ_SYMMETRIES[1:] if g[0] == 0]
+    + [(((k, 0),), 1, tuple(g for g in SIXJ_SYMMETRIES if g[0] == k)) for k in range(1, 6)]
+)
+
+
+def _orbit_key(idx, order, m):
+    """The base-m integer of the color indices idx read in slot order
+    (at least two slots)."""
+    k = idx[order[0]] * m
+    for i in order[1:-1]:
+        k += idx[i]
+        k *= m
+    k += idx[order[-1]]
+    return k
+
+
 def orbit_representatives(lv: Level, tup):
     """Which tuples of a block are canonical, and their orbit sizes.
 
-    A tuple is canonical when it is the lexicographic minimum of its 24
-    tetrahedral images (qnum.SIXJ_SYMMETRIES); its orbit then has 24 //
-    |stabilizer| members, the stabilizer being the symmetries that fix
-    it.  Returns (keep, weight): a boolean mask over the block and the
-    orbit size of each kept tuple.  Every canonical tuple has a minimal
-    and (b,c) <= (c,b), (e,f), (f,e), so the restricted cover of
-    sixtuple_chunks contains each class's representative exactly once.
+    tup must be a block of the restricted cover (sixtuple_chunks with
+    restrict=True): a is the minimal color and (b,c) <= (c,b), (e,f),
+    (f,e).  A tuple is canonical when it is the lexicographic minimum of
+    its 24 tetrahedral images (qnum.SIXJ_SYMMETRIES); its orbit then has
+    24 // |stabilizer| members, the stabilizer being the symmetries that
+    fix it.  Returns (keep, weight): a boolean mask over the block and
+    the orbit size of each kept tuple.  Every canonical tuple meets the
+    cover's conditions, so the cover holds each class's representative
+    exactly once.
 
-    Tuples are compared as base-m integers of their color indices, one
-    pass per symmetry.
+    On the cover a tuple is strictly below every image outside
+    _TIE_GROUPS' tie rows, so only those rows are compared: for each
+    group, the rows where its slot pairs are equal, and there only the
+    slots after the tied ones, as base-m integers of the color indices.
+    Every other row keeps weight 24.
     """
     idx = [np.asarray(x, dtype=np.int64) >> 1 for x in tup]
     m = lv.m
-
-    def key(order):
-        k = idx[order[0]] * m
-        for i in order[1:-1]:
-            k += idx[i]
-            k *= m
-        k += idx[order[-1]]
-        return k
-
-    own = key(SIXJ_SYMMETRIES[0])
-    keep = np.ones(own.size, dtype=bool)
-    stab = np.ones(own.size, dtype=np.int64)
-    for g in SIXJ_SYMMETRIES[1:]:
-        img = key(g)
-        keep &= own <= img
-        stab += own == img
+    keep = np.ones(idx[0].size, dtype=bool)
+    stab = np.ones(idx[0].size, dtype=np.int64)
+    for pairs, tied, syms in _TIE_GROUPS:
+        rows = np.flatnonzero(np.logical_and.reduce([idx[i] == idx[j] for i, j in pairs]))
+        sub = [x[rows] for x in idx]
+        own = _orbit_key(sub, SIXJ_SYMMETRIES[0][tied:], m)
+        least, fixed = keep[rows], stab[rows]
+        for g in syms:
+            img = _orbit_key(sub, g[tied:], m)
+            least &= own <= img
+            fixed += own == img
+        keep[rows], stab[rows] = least, fixed
     return keep, 24 // stab[keep]
 
 

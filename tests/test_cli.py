@@ -512,6 +512,23 @@ def test_tetrahedron_tv_budget_rows_keep_their_kind(capsys):
     assert [row["kind"] for row in rows] == ["tv-tet"] * 5
 
 
+@pytest.mark.parametrize("graph,policy,label", [
+    ("tetrahedron", "full-TV-sweep", "full-TV-sweep"),
+    ("cube", "maximizer", "maximizer"),
+    ("tetrahedron", "exhaustive-bound", "exhaustive"),
+])
+def test_negative_budget_is_invalid_input(graph, policy, label, capsys):
+    argv = ["scan", "--graph", graph, "--policy", policy, "--rmax", "9", "--budget"]
+    expect_exit2(argv + ["-1"])
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: --budget must be a non-negative integer, got -1\n"
+    # a zero budget is valid and stops every level
+    rc, out, _ = run_cli(argv + ["0"], capsys)
+    assert rc == 0
+    assert [row["color_policy"] for row in csv.DictReader(io.StringIO(out))] == [label + "!budget"] * 3
+
+
 # ---------------------------------------------------------------------------
 # a scan's route depends on the graph's shape, not on the name it is given by
 

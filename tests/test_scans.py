@@ -19,7 +19,14 @@ import skeinvol.scans as scans
 from skeinvol.errors import BudgetExceeded
 from skeinvol.hypvol import V8, records_to_csv
 from skeinvol.planar import tetrahedron, wheel
-from skeinvol.qnum import Level, MpFactorials, is_admissible_sixtuple, is_admissible_triple, sixj
+from skeinvol.qnum import (
+    SIXJ_SYMMETRIES,
+    Level,
+    MpFactorials,
+    is_admissible_sixtuple,
+    is_admissible_triple,
+    sixj,
+)
 from skeinvol.scans import (
     ScanRecord,
     appendix_colors,
@@ -953,6 +960,46 @@ def test_orbit_representatives_one_per_class():
         assert sum(w for _, w in kept) == len(full)
         if r == 9:
             assert len(full) == 414
+
+
+def reference_orbit_representatives(lv, tup):
+    """The orbit test compared with all 24 images: one base-m key of the
+    whole block per symmetry."""
+    idx = [np.asarray(x, dtype=np.int64) >> 1 for x in tup]
+    m = lv.m
+
+    def key(order):
+        k = idx[order[0]] * m
+        for i in order[1:-1]:
+            k += idx[i]
+            k *= m
+        k += idx[order[-1]]
+        return k
+
+    own = key(SIXJ_SYMMETRIES[0])
+    keep = np.ones(own.size, dtype=bool)
+    stab = np.ones(own.size, dtype=np.int64)
+    for g in SIXJ_SYMMETRIES[1:]:
+        img = key(g)
+        keep &= own <= img
+        stab += own == img
+    return keep, 24 // stab[keep]
+
+
+def test_orbit_representatives_matches_all_images():
+    # only the tie rows are compared; on the restricted cover that gives
+    # the same keep mask and weights as comparing every image
+    blocks = 0
+    for r in [*range(5, 43, 2), 65]:
+        tab = Level.of(r)
+        for tup in sixtuple_chunks(tab, restrict=True):
+            keep, weight = orbit_representatives(tab, tup)
+            want_keep, want_weight = reference_orbit_representatives(tab, tup)
+            np.testing.assert_array_equal(keep, want_keep)
+            np.testing.assert_array_equal(weight, want_weight)
+            assert weight.dtype == want_weight.dtype
+            blocks += 1
+    assert blocks == 116
 
 
 def test_numpy_paths_at_the_smallest_level():
