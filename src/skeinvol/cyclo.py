@@ -151,9 +151,9 @@ class CycloExact:
 
     __rmul__ = __mul__
 
-    def embed(self, prec_bits: int = _EMBED_BITS) -> complex:
-        """Numeric value at zeta = exp(2*pi*i/r), via mpmath under MP_LOCK."""
-        with MP_LOCK, mp.workprec(prec_bits):
+    def embed(self) -> complex:
+        """Numeric value at zeta = exp(2*pi*i/r), at _EMBED_BITS bits under MP_LOCK."""
+        with MP_LOCK, mp.workprec(_EMBED_BITS):
             z = mp.e ** (2j * mp.pi / self.field.r)
             acc = mp.mpc(0)
             p = mp.mpc(1)

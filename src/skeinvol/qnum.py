@@ -26,8 +26,8 @@ and batched z-sums take the same term logs and signs.  A real product
 of such factors is carried the same way, as a (negative, log) pair of
 a bool and a float, and becomes an ExtScalar once, through
 ExtScalar.from_log.  Where doubles lose too many digits the 6j is
-recomputed at the fixed floor of r + 64 bits; nothing in the package
-reads the environment.
+recomputed at r + 64 bits from MpFactorials' integer tables, for which
+mpmath gives only cos and sin of 2*pi/r; nothing reads the environment.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ class Level:
         zneg, rev, rneg, zero_tol: the batched 6j's read-only tables,
             built from lf and fneg: the sign of (-1)^z [z+1]!, lf and
             fneg reversed, and the rounding floor of a z-sum.
-        ext_weights, circle_logs: the graph engine's weight tables,
-            built on first use (see their docstrings).
+        ext_weights, circle_logs, circle_table: per-color weight tables
+            of the graph engine and the float wheel, built on first use.
 
     lf and fneg are the level's one factorial table: the vectorized
     scans (scans.batch_sixj) read the arrays, and the scalar 6j and
@@ -150,27 +150,23 @@ class Level:
         of yokota's sums."""
         return {c: _neg_log(circle_weight(c, self)) for c in self.colors}
 
+    @cached_property
+    def circle_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The float wheel's Delta_c = circle_weight(c) at index c/2, as numpy
+        arrays of log |Delta_c| and of its sign, that of qint(c+1) (+1 or -1)."""
+        k = np.arange(1, self.r - 1, 2, dtype=np.int64)  # c + 1
+        logs = (np.log(np.abs(np.sin(2 * np.pi * k / self.r)))
+                - math.log(math.sin(2 * math.pi / self.r)))
+        return logs, np.where(np.array(self._qint[1:self.r - 1:2]) < 0, -1, 1)
+
     def mp_factorials(self, prec: int) -> "MpFactorials":
         """The fixed-point factorial tables for prec-bit work, built once."""
-        tab = self._mp_tables.get(prec)
-        if tab is None:
-            tab = MpFactorials(self.r, prec)
-            self._mp_tables[prec] = tab
-        return tab
+        if prec not in self._mp_tables:
+            self._mp_tables[prec] = MpFactorials(self.r, prec)
+        return self._mp_tables[prec]
 
     def __repr__(self):
         return f"Level(r={self.r})"
-
-
-def _fixed_point(values, bits):
-    """Signed mantissas of exactly `bits` bits, and exponents, of nonzero mpfs."""
-    mans, exps = [], []
-    for x in values:
-        sign, man, exp, bc = x._mpf_
-        shift = bits - bc
-        mans.append(-(man << shift) if sign else man << shift)
-        exps.append(exp - shift)
-    return mans, exps
 
 
 class MpFactorials:
@@ -193,8 +189,13 @@ class MpFactorials:
     gives the rest.  Each step adds under five units of 2**-G, so sin(k
     theta) is off by under 2.5 r units, and as it is at least sin(pi/r)
     > 2/r there, [k] is off by under 1.5 r**2 units relative.  The 40
-    guard bits keep that under 2**-(P+7) for every r below 2**16, so
-    [k]!, 1/[k]! and qint(k) stay good to P bits, as with mpmath sines.
+    guard bits keep that under 2**-(P+7) for every r below 2**16.  The
+    tables are built from those integers with no mpmath: [k], read at G
+    fractional bits as (sin k theta << G) // sin theta, multiplies [k-1]!
+    into [k]!, cut to P bits (_fx_norm), and 1/[k]! is 2**(2P-1) // ([k]!'s
+    mantissa), cut to P bits.  An entry takes at most r truncations, each
+    under 2**-(P-1) relative, so with the error of each [k] it is within
+    1.01 r 2**-(P-1) relative: past prec + 14 bits.
 
     fan(s, b) gives the tables of the wheel symbols sixj(s, x, y, b, b,
     b), whose z-terms cost one multiply each (see MpFan).  zsum, qint,
@@ -205,24 +206,22 @@ class MpFactorials:
 
     def __init__(self, r: int, prec: int):
         self.r = r
-        self.bits = prec + 32
-        g = self.bits + 40
+        self.bits = p = prec + 32
+        g = p + 40
         with MP_LOCK, mp.workprec(g):
-            theta = 2 * mp.pi / r
-            cos1 = int(mp.ldexp(mp.cos(theta), g))
-            sin1 = int(mp.ldexp(mp.sin(theta), g))
+            cos1, sin1 = (int(mp.ldexp(f(2 * mp.pi / r), g)) for f in (mp.cos, mp.sin))
         sines = [0] * r
         c, s = cos1, sin1
         for k in range(1, (r + 1) // 2):
             sines[k], sines[r - k] = s, -s
             c, s = (c * cos1 - s * sin1) >> g, (s * cos1 + c * sin1) >> g
-        with MP_LOCK, mp.workprec(self.bits):
-            facts = [mp.mpf(1)]
-            for k in range(1, r):
-                facts.append(facts[-1] * mp.mpf(((sines[k] << g) // sin1, -g)))
-            inverses = [1 / f for f in facts]
-        self._fm, self._fe = _fixed_point(facts, self.bits)
-        self._im, self._ie = _fixed_point(inverses, self.bits)
+        self._fm, self._fe = fm, fe = [1 << (p - 1)], [1 - p]  # [0]! = 1
+        for k in range(1, r):
+            m, e = _fx_norm((fm[-1] * ((sines[k] << g) // sin1), fe[-1] - g), p)
+            fm.append(m)
+            fe.append(e)
+        self._im, self._ie = zip(*[_fx_norm(((1 << (2 * p - 1)) // m, 1 - 2 * p - e), p)
+                                   for m, e in zip(fm, fe)])
 
     def zsum(self, t) -> tuple[int, int]:
         """Signed z-sum of the 6-tuple t (no vertex normalization), as a

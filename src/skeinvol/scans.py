@@ -798,12 +798,9 @@ def wheel_log_invariant(r: int, n_spokes: int, s: int, b: int):
     i, path = np.array(ends, dtype=np.int64), np.array(path, dtype=np.int64)
     const, rimc = (np.full(i.size, c, dtype=np.int64) for c in (s, b))
     u = batch_sixj(lv, const, const, i, rimc, rimc, rimc)
-    # Delta_i = (-1)^i [i+1]; colors are even, and [i+1] < 0 once i+1
-    # passes r/2; taken over every color, then read at path, so the bits of
-    # a color's log do not depend on which colors path holds
-    dlog = (np.log(np.abs(np.sin(2 * np.pi * np.arange(1, r - 1, 2, dtype=np.int64) / r)))
-            - math.log(math.sin(2 * math.pi / r)))[path >> 1]
-    dsign = np.where(path + 1 <= (r - 1) // 2, 1, -1)
+    # Delta_i = circle_weight(i), taken over every color, then read at path,
+    # so the bits of a color's log do not depend on which colors path holds
+    dlog, dsign = (x[path >> 1] for x in lv.circle_table)
     rows = np.searchsorted(path, i)
     ulog, usign = np.full(path.size, -np.inf), np.zeros(path.size, dtype=np.int64)
     ulog[rows], usign[rows] = u["log"], np.where(u["quad"] % 2 == 0, 1, -1)

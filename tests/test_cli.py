@@ -10,9 +10,10 @@ import random
 import pytest
 from test_planar import relabel
 
+import skeinvol.cli as cli
 import skeinvol.verify as verify
 from skeinvol.cli import POLICIES, main
-from skeinvol.hypvol import records_to_csv
+from skeinvol.hypvol import extrapolate_limit, records_to_csv
 from skeinvol.planar import graph_to_json, mirror, tetrahedron, theta, wheel
 from skeinvol.scans import bound_record
 from skeinvol.yokota import yokota
@@ -420,6 +421,51 @@ def test_extrapolate_flag(capsys):
     )
     assert rc == 0
     assert "limit" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["scan", "--graph", "tetrahedron", "--policy", "maximizer", "--rmin", "9", "--rmax", "7"],
+     "--rmax 7 is below --rmin 9"),
+    (["sixj", "--r", "7", "--colors", "2,2,x,2,2,2"],
+     "--colors must be a comma-separated integer list, got '2,2,x,2,2,2'"),
+    (["scan", "--graph", "BAD_FILE", "--policy", "maximizer", "--rmax", "7"],
+     "could not parse graph file"),
+    (["scan", "--graph", "tetrahedron", "--policy", "fixed", "--rmax", "7"],
+     "fixed policy needs --colors (or a graph file with a colors array)"),
+    (["scan", "--graph", "tetrahedron", "--policy", "fixed", "--colors", "4,4,4,4,4,4",
+      "--rmax", "7"],
+     "colors must lie in 0..2 at the smallest level r=5"),
+    (["verify", "oracle", "--graph", "dodecahedron"], "unknown fixture 'dodecahedron'"),
+    (["verify", "oracle", "--r", "8"], "--r must be an odd level >= 5, got 8"),
+])
+def test_invalid_input_prints_one_error_line(argv, message, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main([str(bad) if a == "BAD_FILE" else a for a in argv])
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert message in out.err
+
+
+@pytest.mark.parametrize("argv,note", [
+    # !budget rows have no slope, so four levels leave no usable row
+    (["--graph", "cube", "--rmax", "11", "--budget", "1"],
+     "# extrapolation skipped: fewer than 4 usable rows\n"),
+    (["--graph", "tetrahedron", "--rmax", "11"],
+     "# extrapolation failed: levels too clustered to separate the log(r)/r term\n"),
+])
+def test_extrapolate_notes(argv, note, monkeypatch, capsys):
+    def clustered(pairs):  # the fit's own guard, on one repeated level
+        return extrapolate_limit([(101, 3.6)] * len(pairs))
+
+    monkeypatch.setattr(cli, "extrapolate_limit", clustered)
+    rc, out, err = run_cli(["scan", "--policy", "maximizer", *argv, "--extrapolate"], capsys)
+    assert rc == 0
+    assert len(out.splitlines()) == 5  # the header and levels 5..11
+    assert err == note
 
 
 @pytest.mark.parametrize("graph,rmax,name", [("tetrahedron", "101", "maximizer-tetrahedron-5-101.csv"),

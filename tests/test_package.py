@@ -1,8 +1,19 @@
-"""The package namespace."""
+"""The package namespace, and two rules its source keeps."""
 
 import importlib
+import pathlib
+import re
 
 import skeinvol
+
+SOURCES = sorted(pathlib.Path(skeinvol.__file__).parent.rglob("*.py"))
+
+
+def source_lines(pattern):
+    """'file:line: text' for every source line of the package matching pattern."""
+    return [f"{path.name}:{n}: {line.strip()}" for path in SOURCES
+            for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if re.search(pattern, line)]
 
 
 def test_engine_modules_resolve_to_modules():
@@ -13,3 +24,17 @@ def test_engine_modules_resolve_to_modules():
 def test_exported_names_exist():
     for name in skeinvol.__all__:
         assert getattr(skeinvol, name) is not None
+
+
+def test_package_reads_no_environment():
+    # the package takes its settings from arguments only
+    assert len(SOURCES) > 1
+    assert source_lines(r"os\.environ|getenv") == []
+
+
+def test_every_mpmath_precision_change_holds_mp_lock():
+    # mpmath's working precision is process-global, so every change of it
+    # in the package holds qnum.MP_LOCK, taken on the same line
+    changes = source_lines(r"mp\.workprec")
+    assert changes
+    assert [line for line in changes if "MP_LOCK" not in line] == []

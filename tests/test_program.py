@@ -24,6 +24,8 @@ from skeinvol.planar import (
     octahedron,
     square_pyramid,
     tetrahedron,
+    theta,
+    triangle,
     triangular_prism,
 )
 from skeinvol.qnum import Level, circle_weight, is_admissible_triple, sixj, vertex_weight
@@ -468,6 +470,18 @@ def test_valence_errors_and_zero_order_as_reference():
                 bracket(pyramid, col, 7)
         else:
             assert bits(bracket(pyramid, col, 7)) == want
+
+
+def test_isolated_vertex_and_known_unequal_two_valent_as_reference():
+    # the compiled valence pass drops a 0-valent vertex, and gives 0 for a
+    # 2-valent vertex whose two colors it knows differ (one is 0, one not)
+    cache_clear()
+    isolated = PlanarGraph(3, [(0, 1)] * 3, [(0, 2, 4), (1, 5, 3), ()])
+    cases = [(isolated, col) for col in [(2, 2, 2), (0, 2, 2), (2, 4, 4)]]
+    for g, col in cases + [(triangle(), (0, 2, 2))]:
+        assert bits(bracket(g, col, 7)) == bits(bracket_reference(g, col, 7)[0]), col
+    assert bits(bracket(isolated, (2, 4, 4), 7)) == bits(bracket(theta(), (2, 4, 4), 7))
+    assert bracket(triangle(), (0, 2, 2), 7).is_zero()
 
 
 # ---------------------------------------------------------------------------

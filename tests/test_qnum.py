@@ -14,6 +14,7 @@ from skeinvol.extscalar import ExtScalar
 from skeinvol.qnum import (
     SIXJ_SYMMETRIES,
     Level,
+    MpFactorials,
     _canonical_sixtuple,
     _sixj_mp,
     _vertex_triples,
@@ -120,6 +121,17 @@ def test_circle_and_loop_weights():
     assert circle_weight(4, 7) < 0
 
 
+@pytest.mark.parametrize("r", [3, 7, 101, 321])
+def test_circle_table_is_circle_weight(r):
+    # the float wheel's Delta table: circle_weight's sign and log at c / 2
+    logs, signs = Level.of(r).circle_table
+    assert logs.shape == signs.shape == (Level.of(r).m,)
+    for c in Level.of(r).colors:
+        w = circle_weight(c, r)
+        assert signs[c // 2] == (1 if w > 0 else -1)
+        assert abs(logs[c // 2] - math.log(abs(w))) < 1e-12
+
+
 def test_admissibility_rules():
     r = 9
     assert is_admissible_triple(2, 2, 4, r)
@@ -220,6 +232,19 @@ def test_sixj_exactly_zero_after_escalation(monkeypatch, t, r):
 def test_mp_zsum_floors_an_exact_zero_to_a_zero_pair():
     t, r = (6, 8, 8, 14, 16, 18), 45
     assert Level.of(r).mp_factorials(r + 64).zsum(t) == (0, 0)
+
+
+@pytest.mark.parametrize("r, prec", [(5, 69), (101, 458), (141, 1076)])
+def test_mp_tables_enter_mpmath_once(monkeypatch, r, prec):
+    # the tables are built in integers from the rotation recurrence, so
+    # mpmath is entered once, for cos and sin of 2 pi / r at G = P + 40
+    # bits, and no entry is an mpf
+    entered = []
+    real = mp.workprec
+    monkeypatch.setattr(mp, "workprec", lambda bits: entered.append(bits) or real(bits))
+    tab = MpFactorials(r, prec)
+    assert entered == [tab.bits + 40] == [prec + 72]
+    assert all(type(x) is int for table in (tab._fm, tab._fe, tab._im, tab._ie) for x in table)
 
 
 def reference_sixj_mp(t, lv, prec):

@@ -842,7 +842,7 @@ def test_fan_kernel_and_rotation_tables_match_divide_reference():
 
 def test_rotation_recurrence_keeps_full_table_precision():
     # [k] = [k]! / [k-1]! read at the table's own P bits is within 16 units
-    # of 2**-P of the exact value (it reads 4.6 at most); the recurrence's
+    # of 2**-P of the exact value (it reads 5.9 at most); the recurrence's
     # 40 guard bits are what keep it there: without them it is off by
     # 650 to 1,060 units at these levels.
     for r in (101, 141, 321):
