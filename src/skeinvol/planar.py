@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from operator import itemgetter
 
 from .errors import NotTriangle, NotTrivalent
@@ -709,8 +710,12 @@ def graph_from_json(data) -> tuple[PlanarGraph, tuple | None]:
         data = json.loads(data)
     nv = data["vertices"]
     edges = [tuple(e) for e in data["edges"]]
+    rows = data["rotations"]
+    # int() would truncate 1.5 and accept true; a count of 4.0 breaks later
+    if any(type(x) is not int for x in [nv, *chain(*edges), *chain(*rows)]):
+        raise ValueError("the vertex count, edge endpoints and rotation entries must be integers")
     rot = []
-    for row in data["rotations"]:
+    for row in rows:
         darts = []
         for s in row:
             e = abs(s) - 1

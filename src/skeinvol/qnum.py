@@ -19,15 +19,18 @@ admissible i, and the handle-slide identities, come out with the correct
 signs.  ``loop_weight`` returns the second variant for comparison with
 sources that use it.
 
-Each level keeps one table of quantum factorials, Level.lf (log |[k]!|)
-and Level.fneg ([k]! < 0).  The scalar 6j, the one float theta
-(Level.theta) and the batched 6j of scans all read it, so the scalar
-and batched z-sums take the same term logs and signs.  A real product
-of such factors is carried the same way, as a (negative, log) pair of
-a bool and a float, and becomes an ExtScalar once, through
-ExtScalar.from_log.  Where doubles lose too many digits the 6j is
-recomputed at r + 64 bits from MpFactorials' integer tables, for which
-mpmath gives only cos and sin of 2*pi/r; nothing reads the environment.
+Each level takes the sines of 2*pi*k/r once, as its quantum integers
+[k] (Level.qint), and every float table of the level is read off them:
+one table of quantum factorials, Level.lf (log |[k]!|) and Level.fneg
+([k]! < 0), and the circle weights.  The scalar 6j, the one float theta
+(Level.theta) and the batched 6j of scans all read lf, so the scalar
+and batched z-sums take the same term logs and signs, and add them by
+the same rule.  A real product of such factors is carried the same
+way, as a (negative, log) pair of a bool and a float, and becomes an
+ExtScalar once, through ExtScalar.from_log.  Where doubles lose too
+many digits the 6j is recomputed at r + 64 bits from MpFactorials'
+integer tables, for which mpmath gives only cos and sin of 2*pi/r;
+nothing reads the environment.
 """
 
 from __future__ import annotations
@@ -67,13 +70,16 @@ class Level:
             built from lf and fneg: the sign of (-1)^z [z+1]!, lf and
             fneg reversed, and the rounding floor of a z-sum.
         ext_weights, circle_logs, circle_table: per-color weight tables
-            of the graph engine and the float wheel, built on first use.
+            of the graph engine and the float wheel, built on first use
+            from circle_weight; circle_table is circle_logs as arrays.
 
-    lf and fneg are the level's one factorial table: the vectorized
-    scans (scans.batch_sixj) read the arrays, and the scalar 6j and
-    theta read their plain-list copies _lf and _fneg, so both z-sums
-    see the same bits.  Every per-level table lives on its Level, and
-    Level.of keeps the 16 most recently used levels, so a scan over
+    The level takes one sine pass, the quantum integers [k] = qint(k):
+    lf sums their logs, and every weight table reads them through
+    circle_weight.  lf and fneg are the level's one factorial table: the
+    vectorized scans (scans.batch_sixj) read the arrays, and the scalar
+    6j and theta read their plain-list copies _lf and _fneg, so both
+    z-sums see the same bits.  Every per-level table lives on its Level,
+    and Level.of keeps the 16 most recently used levels, so a scan over
     many levels holds the tables of at most 16.
     """
 
@@ -84,14 +90,11 @@ class Level:
         self.m = (r - 1) // 2
         self.colors = tuple(range(0, r - 2, 2))
         s0 = math.sin(2 * math.pi / r)
-        # [k] for k = 0 .. r-1; extended periodically by qint().
+        # [k] for k = 0 .. r-1, the level's one sine pass; extended
+        # periodically by qint().
         self._qint = [math.sin(2 * math.pi * k / r) / s0 for k in range(r)]
-        self._qint[0] = 0.0
         k = np.arange(r, dtype=np.int64)
-        mag = np.abs(np.sin(2 * np.pi * k / r)) / s0
-        lg = np.zeros(r)
-        lg[1:] = np.log(mag[1:])
-        self.lf = np.concatenate([[0.0], np.cumsum(lg[1:])])
+        self.lf = np.concatenate([[0.0], np.cumsum(np.log(np.abs(self._qint[1:])))])
         self.fneg = np.maximum(0, k - (r - 1) // 2) % 2 == 1
         # zneg[z] = [z+1]! < 0 xor z odd: the sign of (-1)^z [z+1]!
         self.zneg = self.fneg[1:] ^ (k[:-1] % 2 == 1)
@@ -152,12 +155,10 @@ class Level:
 
     @cached_property
     def circle_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """The float wheel's Delta_c = circle_weight(c) at index c/2, as numpy
-        arrays of log |Delta_c| and of its sign, that of qint(c+1) (+1 or -1)."""
-        k = np.arange(1, self.r - 1, 2, dtype=np.int64)  # c + 1
-        logs = (np.log(np.abs(np.sin(2 * np.pi * k / self.r)))
-                - math.log(math.sin(2 * math.pi / self.r)))
-        return logs, np.where(np.array(self._qint[1:self.r - 1:2]) < 0, -1, 1)
+        """circle_logs as the float wheel reads it: numpy arrays of log
+        |Delta_c| and of its sign (+1 or -1) at index c/2."""
+        negs, logs = zip(*self.circle_logs.values())  # ascending colors
+        return np.array(logs), np.where(negs, -1, 1)
 
     def mp_factorials(self, prec: int) -> "MpFactorials":
         """The fixed-point factorial tables for prec-bit work, built once."""
@@ -562,14 +563,17 @@ def _sixj_double(t, lv):
     log is lf[z+1] - lf[z-T_1] - ... - lf[Q_3-z], subtracted in that
     order, and the term is negative when the fneg entries it reads and
     the parity of z XOR to 1: the terms and signs of scans.batch_sixj.
+    The terms, scaled by the largest, are added in z order to a signed
+    and an absolute running sum, as the batch kernel adds them.  A plain
+    running sum of n terms is off by at most n u sum |term| (u = 2^-53),
+    that is cond n u of the sum, cond = sum |term| / |sum|; the path is
+    kept only when cond n 2^-52, twice that, is at most 1e-8.
     """
     (t1, t2, t3, t4), (q1, q2, q3) = _sum_ranges(t)
     lf, fneg = lv._lf, lv._fneg
     # Admissibility makes the range nonempty (Q_j >= T_i always); terms
     # with z >= r-1 would contain the factor [r] = 0 and are dropped by
     # the clamp.
-    pos = neg = 0.0
-    cpos = cneg = 0.0
     logs = []
     negs = []
     for z in range(max(t1, t2, t3, t4), min(q1, q2, q3, lv.r - 2) + 1):
@@ -578,20 +582,11 @@ def _sixj_double(t, lv):
         negs.append(fneg[z + 1] ^ fneg[z - t1] ^ fneg[z - t2] ^ fneg[z - t3] ^ fneg[z - t4]
                     ^ fneg[q1 - z] ^ fneg[q2 - z] ^ fneg[q3 - z] ^ (z & 1))
     lmax = max(logs)
+    s = total = 0.0
     for lg, ng in zip(logs, negs):
         x = math.exp(lg - lmax)
-        if not ng:
-            y = x - cpos
-            tt = pos + y
-            cpos = (tt - pos) - y
-            pos = tt
-        else:
-            y = x - cneg
-            tt = neg + y
-            cneg = (tt - neg) - y
-            neg = tt
-    s = pos - neg
-    total = pos + neg
+        total += x
+        s += -x if ng else x
     nterms = len(logs)
     if s == 0.0:
         return None, math.inf, nterms  # full cancellation: defer to mp
@@ -690,8 +685,8 @@ def sixj(n1, n2, n3, n4, n5, n6, level) -> ExtScalar:
     real when the number of negative vertex thetas is even and purely
     imaginary when odd.  Inadmissible tuples give zero.
 
-    The alternating sum is evaluated in log-shifted double precision with
-    compensated positive/negative accumulation; when the cancellation
+    The alternating sum is evaluated in log-shifted double precision as
+    one signed running sum beside an absolute one; when the cancellation
     estimate says doubles cannot deliver ~8 significant digits the symbol
     is recomputed at r + 64 bits from MpFactorials' fixed-point tables
     (_sixj_mp).  Values are memoized per level under the 24 tetrahedral

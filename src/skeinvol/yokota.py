@@ -212,9 +212,9 @@ class _Shape:
     the graph is left), and src[i] the source edge of g2's edge i (None
     on the internal fan edges, whose g2 ids are slots).  closing is the
     _closing table of the slots.  planar says whether g2 embeds in the
-    sphere.  labelings are g2's canonical labelings, so that the memo
-    key of a coloring col of g2 is read_signature(labelings, col) ==
-    canonical_signature(g2, col).
+    sphere (True when none of the graph is left).  labelings are g2's
+    canonical labelings, so that the memo key of a coloring col of g2 is
+    read_signature(labelings, col) == canonical_signature(g2, col).
     """
 
     __slots__ = ("rules", "g2", "src", "slots", "closing", "planar", "labelings")
@@ -224,6 +224,7 @@ class _Shape:
         self.rules = _strip_rules(rg)
         self.g2 = None
         self.src = self.slots = self.closing = ()
+        self.planar = True
         if not rg.rot:
             return
         internal = _fan_all(rg, dict(anchors))
@@ -331,15 +332,18 @@ def _fill(col, slots, closing, lv):
 def _evaluator(graph, lv, anchors=None, budget=None, memo=None):
     """The function coloring -> invariant (ExtScalar) of graph at level lv.
 
-    The shape is looked up once (see _Shape).  Each call then checks the
-    strip rules, maps the colors onto g2, and sums over the admissible
-    internal colors the circle weights times the squared bracket, which
-    the bracket engine's memoized evaluation gives under its canonical
-    signature with a step count starting at 0; a memo hit costs no
-    steps.
+    The shape is looked up once (see _Shape), and a shape that does not
+    embed in the sphere raises NotPlanar, whatever the coloring.  Each
+    call then checks the strip rules, maps the colors onto g2, and sums
+    over the admissible internal colors the circle weights times the
+    squared bracket, which the bracket engine's memoized evaluation
+    gives under its canonical signature with a step count starting at
+    0; a memo hit costs no steps.
     Colorings are not validated here.
     """
     shape = _shape(graph, _anchor_key(anchors))
+    if not shape.planar:
+        raise NotPlanar("the rotation system does not embed in the sphere")
     ctx = _Ctx(lv, True, None, budget, memo)
     weights = lv.circle_logs
     rules, g2, src, slots, closing = shape.rules, shape.g2, shape.src, shape.slots, shape.closing
@@ -362,8 +366,6 @@ def _evaluator(graph, lv, anchors=None, budget=None, memo=None):
         col = [None if e is None else coloring[e] for e in src]
         total = ExtScalar()
         for assign in _fill(col, slots, closing, lv):
-            if not shape.planar:
-                raise NotPlanar("the rotation system does not embed in the sphere")
             ctx.steps = 0
             b = _eval_canonical(g2, tuple(col), ctx, read_signature(shape.labelings, col))
             square = b * b

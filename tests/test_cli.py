@@ -228,14 +228,19 @@ def test_reproduce_appendix_deterministic(capsys):
 DATA = pathlib.Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("kind", ["sq-ideal", "sq-zero", "pent-ideal", "pent-zero"])
-def test_reproduce_appendix_golden_csv(kind, capsys):
-    # The nine-column CSV is byte-stable: these files were written by the
-    # float and mpmath wheel sums before the fan tables and the rotation
-    # recurrence replaced their high-precision arithmetic.
-    golden = (DATA / f"appendix-{kind}-101-141.csv").read_bytes()
+@pytest.mark.parametrize("kind,rmax", [
+    *(pytest.param(kind, 141, id=kind) for kind in ["sq-ideal", "sq-zero", "pent-ideal", "pent-zero"]),
+    *(pytest.param(kind, 321, id=f"{kind}-321") for kind in ["sq-ideal", "pent-ideal"]),
+])
+def test_reproduce_appendix_golden_csv(kind, rmax, capsys):
+    # The nine-column CSV is byte-stable: the 101-141 files were written by
+    # the float and mpmath wheel sums before the fan tables and the rotation
+    # recurrence replaced their high-precision arithmetic, and the float
+    # wheel's 101-321 files (its default grid) before circle_table was read
+    # off circle_logs.
+    golden = (DATA / f"appendix-{kind}-101-{rmax}.csv").read_bytes()
     rc, out, _ = run_cli(
-        ["reproduce-appendix", "--which", kind, "--rmin", "101", "--rmax", "141", "--rstep", "20"],
+        ["reproduce-appendix", "--which", kind, "--rmin", "101", "--rmax", str(rmax), "--rstep", "20"],
         capsys,
     )
     assert rc == 0
@@ -423,6 +428,17 @@ def test_extrapolate_flag(capsys):
     assert "limit" in err
 
 
+# the graph files of test_invalid_input_prints_one_error_line, by the
+# placeholder that stands for their path
+_TORUS, _FLOAT_COUNT, _HALF_ENDPOINT = (graph_to_json(g) for g in (wheel(4), tetrahedron(), tetrahedron()))
+_TORUS["rotations"][1].reverse()  # vertex 1 reversed: genus 1
+_FLOAT_COUNT["vertices"] = 4.0
+_HALF_ENDPOINT["edges"][0] = [0, 1.5]
+_BAD_FILES = {"BAD_FILE": "{not json", "TORUS_FILE": json.dumps(_TORUS),
+              "FLOAT_COUNT_FILE": json.dumps(_FLOAT_COUNT),
+              "HALF_ENDPOINT_FILE": json.dumps(_HALF_ENDPOINT)}
+
+
 @pytest.mark.parametrize("argv,message", [
     (["scan", "--graph", "tetrahedron", "--policy", "maximizer", "--rmin", "9", "--rmax", "7"],
      "--rmax 7 is below --rmin 9"),
@@ -437,14 +453,28 @@ def test_extrapolate_flag(capsys):
      "colors must lie in 0..2 at the smallest level r=5"),
     (["verify", "oracle", "--graph", "dodecahedron"], "unknown fixture 'dodecahedron'"),
     (["verify", "oracle", "--r", "8"], "--r must be an odd level >= 5, got 8"),
+    # a vertex count of 4.0 and an endpoint of 1.5 are not integers
+    (["scan", "--graph", "FLOAT_COUNT_FILE", "--policy", "maximizer", "--rmax", "7"],
+     "could not parse graph file"),
+    (["scan", "--graph", "HALF_ENDPOINT_FILE", "--policy", "maximizer", "--rmax", "7"],
+     "could not parse graph file"),
+    # a coloring with no admissible internal fill is refused all the same
+    (["scan", "--graph", "TORUS_FILE", "--policy", "fixed", "--colors", "0,0,0,2,0,0,0,0",
+      "--rmin", "7", "--rmax", "7"],
+     "the rotation system does not embed in the sphere"),
 ])
 def test_invalid_input_prints_one_error_line(argv, message, tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json", encoding="utf-8")
-    with pytest.raises(SystemExit) as exc:
-        main([str(bad) if a == "BAD_FILE" else a for a in argv])
+    paths = {}
+    for name, text in _BAD_FILES.items():
+        paths[name] = tmp_path / f"{name.lower()}.json"
+        paths[name].write_text(text, encoding="utf-8")
+    # a bad argument exits 2, and an evaluation error returns 2
+    try:
+        rc = main([str(paths.get(a, a)) for a in argv])
+    except SystemExit as exc:
+        rc = exc.code
     out = capsys.readouterr()
-    assert exc.value.code == 2
+    assert rc == 2
     assert out.out == ""
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
     assert message in out.err

@@ -31,6 +31,7 @@ from skeinvol.qnum import (
     theta_weight,
     vertex_weight,
 )
+from skeinvol.scans import batch_sixj, sixtuple_chunks
 
 
 def test_level_construction():
@@ -123,13 +124,15 @@ def test_circle_and_loop_weights():
 
 @pytest.mark.parametrize("r", [3, 7, 101, 321])
 def test_circle_table_is_circle_weight(r):
-    # the float wheel's Delta table: circle_weight's sign and log at c / 2
-    logs, signs = Level.of(r).circle_table
-    assert logs.shape == signs.shape == (Level.of(r).m,)
-    for c in Level.of(r).colors:
-        w = circle_weight(c, r)
-        assert signs[c // 2] == (1 if w > 0 else -1)
-        assert abs(logs[c // 2] - math.log(abs(w))) < 1e-12
+    # the float wheel's Delta table is circle_logs at c / 2, bit for bit,
+    # and so circle_weight's sign and log
+    lv = Level.of(r)
+    logs, signs = lv.circle_table
+    assert logs.shape == signs.shape == (lv.m,)
+    for c in lv.colors:
+        negative, lg = lv.circle_logs[c]
+        assert signs[c // 2] == (-1 if negative else 1) == (1 if circle_weight(c, r) > 0 else -1)
+        assert logs[c // 2] == lg == math.log(abs(circle_weight(c, r)))
 
 
 def test_admissibility_rules():
@@ -212,6 +215,32 @@ def test_sixj_escalates_at_r_plus_64_bits(monkeypatch):
     wide = _sixj_mp(t, lv, 512)
     assert wide.log_abs() == pytest.approx(base["value"].log_abs(), rel=1e-12)
     assert wide.to_complex() == pytest.approx(base["value"].to_complex(), rel=1e-12)
+
+
+def test_sixj_info_keeps_8_digits_or_escalates(monkeypatch):
+    # every cover tuple whose doubles lose 5 digits or more: a float value
+    # sixj_info keeps is within 1e-8 of log |6j| at r + 200 bits, and an
+    # escalated one is _sixj_mp's at r + 64 bits, exact zeros included
+    kept = zeros = 0
+    for r in (45, 61):
+        lv = Level.of(r)
+        monkeypatch.setattr(lv, "_sixj_cache", {})
+        for tup in sixtuple_chunks(lv, restrict=True):
+            hard = batch_sixj(lv, *tup)["cancel"] >= 5
+            for t in zip(*(x[hard].tolist() for x in tup)):
+                got, key = sixj_info(*t, lv), _canonical_sixtuple(t)
+                v = got["value"]
+                if got["used_mp"]:
+                    want = _sixj_mp(key, lv, r + 64)
+                    assert (v.m, v.e, v.q) == (want.m, want.e, want.q), (r, t)
+                    zeros += v.is_zero()
+                else:
+                    want = _sixj_mp(key, lv, r + 200)
+                    assert (v.m > 0, v.q) == (want.m > 0, want.q), (r, t)
+                    assert abs(v.log_abs() - want.log_abs()) <= 1e-8, (r, t)
+                    kept += 1
+    assert sixj(6, 8, 8, 14, 16, 18, 45).is_zero()
+    assert kept >= 1 and zeros >= 1
 
 
 @pytest.mark.parametrize("t, r", [

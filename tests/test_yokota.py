@@ -490,6 +490,12 @@ def torus_theta():
     return PlanarGraph(2, theta().edges, ((0, 2, 4), (1, 3, 5)))
 
 
+def torus_wheel():
+    """wheel(4) with vertex 1's rotation reversed: it embeds in the torus."""
+    g = wheel(4)
+    return PlanarGraph(g.nv, g.edges, [rot[::-1] if v == 1 else rot for v, rot in enumerate(g.rot)])
+
+
 def test_yokota_ext_errors():
     with pytest.raises(ValueError):
         yokota_ext(tetrahedron(), (2, 2, 2), 7)
@@ -502,6 +508,11 @@ def test_yokota_ext_errors():
             yokota_ext(torus_theta(), (2, 2, 2), 7, memo={})
         with pytest.raises(NotPlanar):
             yokota_table(torus_theta(), 7, memo={})
+        # the verdict does not depend on the coloring: this one leaves no
+        # admissible internal fill
+        for col in ((2,) * 8, (0, 0, 0, 2, 0, 0, 0, 0)):
+            with pytest.raises(NotPlanar):
+                yokota_ext(torus_wheel(), col, 7, memo={})
 
 
 def test_budget_on_a_miss_and_free_on_a_hit():
