@@ -101,7 +101,7 @@ def _resolve_graph(ref: str) -> tuple[PlanarGraph, str, Optional[tuple]]:
         try:
             with open(ref, "r", encoding="utf-8") as fh:
                 g, col = graph_from_json(fh.read())
-        except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
             _fail(f"could not parse graph file {ref}: {exc}")
         return g, os.path.basename(ref), col
     _fail(f"unknown graph {ref!r}: not a fixture ({', '.join(sorted(FIXTURES))}) or a file")
@@ -116,8 +116,11 @@ def _emit(records, args) -> None:
     else:
         text = records_to_csv(records)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            _fail(f"could not write {args.output}: {exc}")
         print(f"# wrote {len(records)} rows to {args.output}", file=sys.stderr)
     else:
         sys.stdout.write(text)

@@ -69,9 +69,9 @@ class Level:
         zneg, rev, rneg, zero_tol: the batched 6j's read-only tables,
             built from lf and fneg: the sign of (-1)^z [z+1]!, lf and
             fneg reversed, and the rounding floor of a z-sum.
-        ext_weights, circle_logs, circle_table: per-color weight tables
-            of the graph engine and the float wheel, built on first use
-            from circle_weight; circle_table is circle_logs as arrays.
+        ext_weights, circle_logs: per-color weight tables of the graph
+            engine and the float wheel, built on first use from
+            circle_weight.
 
     The level takes one sine pass, the quantum integers [k] = qint(k):
     lf sums their logs, and every weight table reads them through
@@ -150,15 +150,8 @@ class Level:
     @cached_property
     def circle_logs(self) -> dict[int, tuple[bool, float]]:
         """Color -> circle_weight as a (negative, log) pair, the weights
-        of yokota's sums."""
+        of yokota's sums and the float wheel's Delta_i."""
         return {c: _neg_log(circle_weight(c, self)) for c in self.colors}
-
-    @cached_property
-    def circle_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """circle_logs as the float wheel reads it: numpy arrays of log
-        |Delta_c| and of its sign (+1 or -1) at index c/2."""
-        negs, logs = zip(*self.circle_logs.values())  # ascending colors
-        return np.array(logs), np.where(negs, -1, 1)
 
     def mp_factorials(self, prec: int) -> "MpFactorials":
         """The fixed-point factorial tables for prec-bit work, built once."""

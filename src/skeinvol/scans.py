@@ -82,6 +82,7 @@ from .qnum import (
     _fx_sum,
     _sum_ranges,
     _vertex_triples,
+    fusion_colors,
     is_admissible_triple,
     sixj_info,
 )
@@ -745,25 +746,23 @@ def appendix_colors(kind: str, r: int) -> tuple[int, int]:
 def _fan_colors(r: int, n_spokes: int, s: int, b: int):
     """The checks both wheel twins make, then the level, the fan's end
     colors ((s,s,i) and (i,b,b) admissible) and all colors a fan path
-    visits, ascending: its middle colors, only for n >= 6, need (i,b,b)."""
+    visits: its middle colors, only for n >= 6, need (i,b,b).  Both lists
+    are read off qnum.fusion_colors and run from 0 in steps of 2, so the
+    ends are the first colors of the rim, and color c is at index c/2."""
     if n_spokes < 4:
         raise ValueError(f"the fan transfer matrix needs at least 4 spokes, not {n_spokes}")
     lv = Level.of(r)
     if not is_admissible_triple(s, b, b, r):
         raise Inadmissible(f"rim triple ({s},{b},{b}) inadmissible at r={r}")
-    rim = [i for i in lv.colors if is_admissible_triple(i, b, b, lv)]
-    ends = [i for i in rim if is_admissible_triple(s, s, i, lv)]
-    if not ends:
-        raise ValueError(f"no admissible fan colors for wheel at r={r}")
+    rim = fusion_colors(b, b, lv)
+    ends = rim[:len(fusion_colors(s, s, lv))]
     return lv, ends, ends if n_spokes < 6 else rim
 
 
-def _link_runs(path, s: int, r: int):
-    """For each color i of path, a run of even colors, the slice lo:hi of
-    path with (s, i, j) admissible: |s-i| <= j <= min(s+i, 2r-4-s-i)."""
-    c = np.asarray(path, dtype=np.int64)
-    return (np.searchsorted(c, np.abs(s - c)),
-            np.searchsorted(c, np.minimum(s + c, 2 * r - 4 - s - c), side="right"))
+def _fan_links(lv: Level, s: int, path):
+    """The link pairs (i, j) of a fan path, row-major: i and j on the
+    path with (s, i, j) admissible."""
+    return [(i, j) for i in path for j in fusion_colors(s, i, lv) if j <= path[-1]]
 
 
 def _row_logsum(rows, tl, sign, m: int):
@@ -791,36 +790,35 @@ def wheel_log_invariant(r: int, n_spokes: int, s: int, b: int):
     one flat sum of the terms a_i M_ij y_j; squares give (-1)^quad to the
     sign.  The cancellation is the worst of the 6j symbols' own and that
     of Y against the path-absolute sum |a|^T |M|^(n-4) |v|.  Raises
-    ValueError for n < 4, when no fan color is admissible or the sum
-    vanishes outright, and Inadmissible for an inadmissible (s, b, b).
+    ValueError for n < 4 or when the sum vanishes outright, and
+    Inadmissible for an inadmissible (s, b, b).
     """
     lv, ends, path = _fan_colors(r, n_spokes, s, b)
-    i, path = np.array(ends, dtype=np.int64), np.array(path, dtype=np.int64)
-    const, rimc = (np.full(i.size, c, dtype=np.int64) for c in (s, b))
-    u = batch_sixj(lv, const, const, i, rimc, rimc, rimc)
-    # Delta_i = circle_weight(i), taken over every color, then read at path,
-    # so the bits of a color's log do not depend on which colors path holds
-    dlog, dsign = (x[path >> 1] for x in lv.circle_table)
-    rows = np.searchsorted(path, i)
-    ulog, usign = np.full(path.size, -np.inf), np.zeros(path.size, dtype=np.int64)
+    const, rimc = (np.full(len(ends), c, dtype=np.int64) for c in (s, b))
+    u = batch_sixj(lv, const, const, np.array(ends, dtype=np.int64), rimc, rimc, rimc)
+    # Delta_i = circle_weight(i) off circle_logs; color i is row i/2 of
+    # path, so the end colors are its first rows
+    negs, logs = zip(*(lv.circle_logs[i] for i in path))
+    dlog, dsign = np.array(logs), np.where(negs, -1, 1)
+    rows = np.arange(len(ends))
+    ulog, usign = np.full(len(path), -np.inf), np.zeros(len(path), dtype=np.int64)
     ulog[rows], usign[rows] = u["log"], np.where(u["quad"] % 2 == 0, 1, -1)
     cancels = [u["cancel"]]
     # y = M^(n-4) v is kept as the terms Delta_j y_j w_ij^2 of its last link:
     # rows i and the logs dl of |Delta_j|, yh of |y_j|^(1/2) (ya for the
     # path-absolute y) and w of |w_ij|; y = v is one term a row, dl = w = 0.
     dl, yh, ya, w, sign = 0.0, ulog[rows], ulog[rows], 0.0, usign[rows]
-    if n_spokes > 4:  # the link pairs (i, j) along path, and their w_ij
-        lo, hi = _link_runs(path, s, r)
-        ii = np.repeat(np.arange(path.size), hi - lo)
-        jj = np.arange(ii.size) + np.repeat(hi - np.cumsum(hi - lo), hi - lo)
+    if n_spokes > 4:  # the rows ii, jj of the link pairs, and their w_ij
+        ci, cj = np.array(_fan_links(lv, s, path), dtype=np.int64).reshape(-1, 2).T
+        ii, jj = ci >> 1, cj >> 1
         cs, cb = (np.full(ii.size, c, dtype=np.int64) for c in (s, b))
-        wij = batch_sixj(lv, cs, path[ii], path[jj], cb, cb, cb)
+        wij = batch_sixj(lv, cs, ci, cj, cb, cb, cb)
         cancels.append(wij["cancel"])
         wlog, wsign = wij["log"], np.where(wij["quad"] % 2 == 0, 1, -1)
     for link in range(n_spokes - 4):
-        y, ysign = _row_logsum(rows, dl + 2.0 * (yh + w), sign, path.size)
+        y, ysign = _row_logsum(rows, dl + 2.0 * (yh + w), sign, len(path))
         # on the first link each row holds one term, so |y| is y
-        yabs = _row_logsum(rows, dl + 2.0 * (ya + w), 1, path.size)[0] if link else y
+        yabs = _row_logsum(rows, dl + 2.0 * (ya + w), 1, len(path))[0] if link else y
         rows, w = ii, wlog
         dl, yh, ya, sign = dlog[jj], y[jj] / 2, yabs[jj] / 2, dsign[jj] * ysign[jj] * wsign
     tl = dlog[rows] + dl + 2.0 * (ulog[rows] + yh + w)
@@ -865,7 +863,7 @@ def wheel_log_invariant_mp(r: int, n_spokes: int, s: int, b: int):
     the cancellation leaves at least 50 trusted bits.
     """
     lv, ends, path = _fan_colors(r, n_spokes, s, b)
-    lo, hi = (x.tolist() for x in _link_runs(path, s, r))
+    links = [(i, j) for i, j in _fan_links(lv, s, path) if i <= j] if n_spokes > 4 else []
     start = _wheel_start_bits(r)
     for k in range(5):
         prec = start << k
@@ -880,15 +878,13 @@ def wheel_log_invariant_mp(r: int, n_spokes: int, s: int, b: int):
         ya = None
         # row i holds (j, S_ij) for every link pair, as (j, man, exp)
         rows = {i: [] for i in path}
-        if n_spokes > 4:
-            for x, i in enumerate(path):
-                for j in path[max(lo[x], x):hi[x]]:
-                    wm, we = _fx_norm(fan.zsum(i, j), p)
-                    tm, te = tab.inv_theta(s, i, j)
-                    sm, se = tm * (wm * wm >> p) >> p, te + 2 * we + 3 * p
-                    rows[i].append((j, sm, se))
-                    if j != i:
-                        rows[j].append((i, sm, se))
+        for i, j in links:
+            wm, we = _fx_norm(fan.zsum(i, j), p)
+            tm, te = tab.inv_theta(s, i, j)
+            sm, se = tm * (wm * wm >> p) >> p, te + 2 * we + 3 * p
+            rows[i].append((j, sm, se))
+            if j != i:
+                rows[j].append((i, sm, se))
 
         def row_sums(y):  # i -> _fx_sum of the terms S_ij h_j of row i
             h = {j: _fx_prod((tab.qint(j + 1), y[j], ibb[j]), p) for j in y}

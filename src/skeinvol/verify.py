@@ -71,7 +71,7 @@ from .qnum import (
     kirby_norm,
     sixj,
 )
-from .scans import _fan_colors, _wheel_start_bits, appendix_colors
+from .scans import _fan_colors, _fan_links, _wheel_start_bits, appendix_colors
 from .yokota import (
     admissible_colorings,
     fourier_dual,
@@ -196,8 +196,7 @@ def _fan_oracle_check(r: int) -> CheckResult:
         s, b = appendix_colors(kind, r)
         _, ends, mids = _fan_colors(r, 6, s, b)  # six spokes: ends and middles
         sixes = [(s, s, i, b, b, b) for i in ends]
-        sixes += [(s, i, j, b, b, b) for i in mids for j in mids
-                  if i <= j and is_admissible_triple(s, i, j, r)]
+        sixes += [(s, i, j, b, b, b) for i, j in _fan_links(lv, s, mids) if i <= j]
         fan = tab.fan(s, b)
         for t in sixes:
             with MP_LOCK, mp.workprec(prec):

@@ -230,14 +230,17 @@ DATA = pathlib.Path(__file__).parent / "data"
 
 @pytest.mark.parametrize("kind,rmax", [
     *(pytest.param(kind, 141, id=kind) for kind in ["sq-ideal", "sq-zero", "pent-ideal", "pent-zero"]),
-    *(pytest.param(kind, 321, id=f"{kind}-321") for kind in ["sq-ideal", "pent-ideal"]),
+    *(pytest.param(kind, 321, id=f"{kind}-321")
+      for kind in ["sq-ideal", "sq-zero", "pent-ideal", "pent-zero"]),
 ])
 def test_reproduce_appendix_golden_csv(kind, rmax, capsys):
     # The nine-column CSV is byte-stable: the 101-141 files were written by
     # the float and mpmath wheel sums before the fan tables and the rotation
-    # recurrence replaced their high-precision arithmetic, and the float
-    # wheel's 101-321 files (its default grid) before circle_table was read
-    # off circle_logs.
+    # recurrence replaced their high-precision arithmetic, the ideal kinds'
+    # 101-321 files (their default grid) before the float wheel read its
+    # Delta table off circle_logs, and the zero-angled kinds' 101-321 files
+    # before both wheel sums read their colors and link pairs off
+    # fusion_colors.
     golden = (DATA / f"appendix-{kind}-101-{rmax}.csv").read_bytes()
     rc, out, _ = run_cli(
         ["reproduce-appendix", "--which", kind, "--rmin", "101", "--rmax", str(rmax), "--rstep", "20"],
@@ -462,9 +465,15 @@ _BAD_FILES = {"BAD_FILE": "{not json", "TORUS_FILE": json.dumps(_TORUS),
     (["scan", "--graph", "TORUS_FILE", "--policy", "fixed", "--colors", "0,0,0,2,0,0,0,0",
       "--rmin", "7", "--rmax", "7"],
      "the rotation system does not embed in the sphere"),
+    # a graph file that cannot be read, and an output that cannot be written
+    (["scan", "--graph", "DIRECTORY", "--policy", "maximizer", "--rmax", "7"],
+     "could not parse graph file"),
+    (["scan", "--graph", "tetrahedron", "--policy", "maximizer", "--rmax", "7",
+      "--output", "MISSING_DIR_FILE"],
+     "could not write"),
 ])
 def test_invalid_input_prints_one_error_line(argv, message, tmp_path, capsys):
-    paths = {}
+    paths = {"DIRECTORY": tmp_path, "MISSING_DIR_FILE": tmp_path / "missing" / "x.csv"}
     for name, text in _BAD_FILES.items():
         paths[name] = tmp_path / f"{name.lower()}.json"
         paths[name].write_text(text, encoding="utf-8")

@@ -676,6 +676,25 @@ def test_appendix_colors():
         appendix_colors("no-such-kind", r)
 
 
+def test_fan_colors_and_links_follow_admissibility():
+    # the fan's colors and link pairs, read off fusion_colors, are the
+    # per-color admissibility filters over the level's colors
+    for r in (5, 7, 9, 11, 21, 41, 101):
+        lv = Level.of(r)
+        adm = {t for t in itertools.product(lv.colors, repeat=3) if is_admissible_triple(*t, lv)}
+        for s, b in itertools.product(lv.colors, repeat=2):
+            if (s, b, b) not in adm:
+                continue
+            rim = [i for i in lv.colors if (i, b, b) in adm]
+            ends = [i for i in rim if (s, s, i) in adm]
+            links = [(i, j) for i in rim for j in rim if (s, i, j) in adm]
+            for n, want in ((4, ends), (6, rim)):
+                got_lv, got_ends, path = scans._fan_colors(r, n, s, b)
+                assert got_lv is lv
+                assert list(got_ends) == ends and list(path) == want
+                assert scans._fan_links(lv, s, path) == [(i, j) for i, j in links if max(i, j) <= want[-1]]
+
+
 def test_wheel_closed_form_against_engine():
     # both twins on every admissible (spoke, rim) pair of the wheels with
     # 4 to 8 spokes; an invariant that is exactly 0 vanishes in both
