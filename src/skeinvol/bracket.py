@@ -17,20 +17,22 @@ that, with circle_weight for a free loop:
 Evaluation is by local moves: after the cheap rules above the graph is
 reduced with bigon collapses, triangle contractions, and — when the
 smallest face has degree four or more — the H-to-I rewiring that expands
-one edge into a weighted sum over recolorings.  Which move comes next
-depends only on the labeled graph and on which of its edges are colored
-0, never on the other colors.  So the moves run once per (labeled graph,
-zero-edge pattern, base_tet) over color slots, recording a straight-line
-program: color checks that can make the value 0, circle-weight,
-vertex-weight and 6j factors, and a last product over components or
-H-to-I sum over the new color, each term a sub-evaluation.  Every later
-coloring with those zero edges replays the program with the same scalar
-operations in the same order, so its value, step count and budget
-verdict are those of the moves themselves.  A seeded context records
-each reduction afresh, with its own random picks, and caches nothing.
+one edge into a weighted sum over recolorings.  A tetrahedron takes no
+rule of its own: one triangle contraction leaves a theta and its 6j.
+Which move comes next depends only on the labeled graph and on which of
+its edges are colored 0, never on the other colors.  So the moves run
+once per (labeled graph, zero-edge pattern) over color slots, recording
+a straight-line program: color checks that can make the value 0,
+circle-weight, vertex-weight and 6j factors, and a last product over
+components or H-to-I sum over the new color, each term a sub-evaluation.
+Every later coloring with those zero edges replays the program with the
+same scalar operations in the same order, so its value, step count and
+budget verdict are those of the moves themselves.  A seeded context
+records each reduction afresh, with its own random picks, and caches
+nothing.
 
 This module owns the memo.  Values of reduced forms are memoized under
-(r, base_tet, canonical colored signature), a key that only
+(r, canonical colored signature), a key that only
 _eval_canonical builds and looks up; `skeinvol.yokota` calls it for
 every squared bracket.  The signature belongs to `skeinvol.planar`: a
 sub-evaluation keeps its graph's canonical labelings, worked out once
@@ -74,11 +76,10 @@ def cache_clear():
 
 
 class _Ctx:
-    __slots__ = ("lv", "base_tet", "rng", "steps", "budget", "memo")
+    __slots__ = ("lv", "rng", "steps", "budget", "memo")
 
-    def __init__(self, lv, base_tet, seed, budget, memo):
+    def __init__(self, lv, seed, budget, memo):
         self.lv = lv
-        self.base_tet = base_tet
         self.rng = random.Random(seed) if seed is not None else None
         self.steps = 0
         self.budget = budget if budget is not None else _BUDGET
@@ -166,8 +167,7 @@ class _Compiler:
     """Record the reduction of rg as a _Program.
 
     rg is colored by slots, and bit k of mask says whether slot k is
-    colored 0.  Candidate moves are chosen with ctx.pick and the
-    tetrahedron shortcut follows ctx.base_tet.  When colors (the
+    colored 0.  Candidate moves are chosen with ctx.pick.  When colors (the
     coloring itself) is given, as for a seeded context, the color checks
     are decided here: the recording stops where the reduction returns 0,
     so it draws picks only where the reduction would.  Otherwise each
@@ -263,12 +263,6 @@ class _Compiler:
 
             if _is_theta(rg):
                 return self._end(_RETURN)
-
-            if self.ctx.base_tet:
-                t6 = _tet_sixtuple(rg)
-                if t6 is not None:
-                    self.steps.append((_SIXJ, itemgetter(*t6)))
-                    return self._end(_RETURN)
 
             faces = sorted(rg.faces(), key=len)
             fmin = faces[0]
@@ -416,37 +410,11 @@ def _is_theta(rg):
     return all(len(r) == 3 for r in rg.rot.values())
 
 
-def _tet_sixtuple(rg):
-    """Map a K4 rotation system to 6j argument order, or None."""
-    if len(rg.rot) != 4 or len(rg.col) != 6:
-        return None
-    if not all(len(r) == 3 for r in rg.rot.values()):
-        return None
-    for e in rg.col:
-        if rg.vof[2 * e] == rg.vof[2 * e + 1]:
-            return None
-    pairs = {}
-    for e in rg.col:
-        key = frozenset((rg.vof[2 * e], rg.vof[2 * e + 1]))
-        if len(key) != 2 or key in pairs:
-            return None
-        pairs[key] = e
-    v0 = min(rg.rot)
-    d1, d2, d3 = rg.rot[v0]
-    x, y, z = (rg.vof[d ^ 1] for d in (d1, d2, d3))
-    col = rg.col
-    n1, n2, n3 = col[d1 >> 1], col[d2 >> 1], col[d3 >> 1]
-    n4 = col[pairs[frozenset((y, z))]]
-    n5 = col[pairs[frozenset((x, z))]]
-    n6 = col[pairs[frozenset((x, y))]]
-    return (n1, n2, n3, n4, n5, n6)
-
-
 @lru_cache(maxsize=1024)
-def _program(g: PlanarGraph, mask: int, base_tet: bool) -> _Program:
+def _program(g: PlanarGraph, mask: int) -> _Program:
     """The reduction of g with zero-edge pattern mask, picks unseeded."""
     rg = _RGraph.from_graph(g, range(g.ne))  # colored by slots
-    return _Compiler(rg, mask, _Ctx(None, base_tet, None, None, None)).compile()
+    return _Compiler(rg, mask, _Ctx(None, None, None, None)).compile()
 
 
 _SHAPE_CACHES.append(_program)
@@ -517,23 +485,23 @@ def _eval_canonical(g: PlanarGraph, coloring, ctx, sig=None, mask=None) -> ExtSc
     """Value of (g, coloring), memoized under its canonical signature.
 
     This is the one place a reduction is compiled, looked up or run, and
-    the one place a memo key (r, base_tet, signature) is built and looked
+    the one place a memo key (r, signature) is built and looked
     up; a hit costs no steps.  coloring is a tuple.  sig can pass
     canonical_signature(g, coloring) and mask its _zero_mask when the
-    caller has them.  A miss replays the program of (g, mask, base_tet);
+    caller has them.  A miss replays the program of (g, mask);
     under a seeded context it records the reduction afresh against the
     coloring itself, with ctx's picks, and runs it once without caching.
     """
     if sig is None:
         sig = canonical_signature(g, coloring)
-    key = (ctx.lv.r, ctx.base_tet, sig)
+    key = (ctx.lv.r, sig)
     hit = ctx.memo.get(key)
     if hit is not None:
         return hit
     if mask is None:
         mask = _zero_mask(coloring)
     if ctx.rng is None:
-        prog = _program(g, mask, ctx.base_tet)
+        prog = _program(g, mask)
     else:
         prog = _Compiler(_RGraph.from_graph(g, range(g.ne)), mask, ctx, coloring).compile()
     val = _run(prog, coloring, ctx)
@@ -566,7 +534,6 @@ def bracket(
     coloring,
     level,
     *,
-    base_tet: bool = True,
     seed=None,
     budget=None,
     memo=None,
@@ -575,9 +542,8 @@ def bracket(
 
     coloring is a tuple of colors indexed by edge id.  All vertices must
     have valence 0, 2 or 3.  The value does not depend on the reduction
-    strategy: base_tet toggles the tetrahedron shortcut and seed
-    randomizes tie-breaking, which only affect speed (a fact the
-    test-suite checks rather than assumes).
+    strategy: seed randomizes tie-breaking, which only affects speed (a
+    fact the test-suite checks rather than assumes).
 
     budget caps the reduction steps (default 1e8); past it BudgetExceeded
     is raised.  memo is a dict of reduced values that the caller owns and
@@ -588,7 +554,7 @@ def bracket(
     coloring = _validate_coloring(graph, coloring, lv)
     if genus(graph) != 0:
         raise NotPlanar("the rotation system does not embed in the sphere")
-    ctx = _Ctx(lv, base_tet, seed, budget, memo)
+    ctx = _Ctx(lv, seed, budget, memo)
     return _eval_canonical(graph, coloring, ctx)
 
 

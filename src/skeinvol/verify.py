@@ -244,23 +244,44 @@ def suite_bigon(*, r: int = 7) -> List[CheckResult]:
         )
     )
 
-    # The prism forces the generic reduction through bigon collapses when
-    # the tetrahedron shortcut is disabled; its value is pinned by the
-    # triangle contraction to the squared 6j-symbol.
+    # Two bigons in a ring, joined by edges 4 and 5: each collapse is worth
+    # 1/circle_weight(c4), and the circle left is worth circle_weight(c4).
+    g = PlanarGraph(4, [(0, 1), (0, 1), (2, 3), (2, 3), (0, 2), (1, 3)],
+                    [(0, 2, 8), (1, 10, 3), (4, 6, 9), (5, 11, 7)])
+    worst = 0.0
+    cnt = 0
+    for col in itertools.product(range(0, r - 2, 2), repeat=6):
+        c4 = col[4]
+        want = 0.0
+        if (c4 == col[5] and is_admissible_triple(c4, col[0], col[1], r)
+                and is_admissible_triple(c4, col[2], col[3], r)):
+            want = 1.0 / circle_weight(c4, r)
+            cnt += 1
+        worst = max(worst, abs(bracket(g, col, r).to_complex() - want))
+    out.append(
+        CheckResult(
+            "bigon",
+            f"two bigons collapse to 1/circle_weight, r={r}",
+            worst <= 1e-12,
+            f"{cnt} nonzero colorings, worst abs {worst:.2e}",
+        )
+    )
+
+    # The prism reduces by two triangle contractions; its value is the
+    # squared 6j-symbol.
     worst = 0.0
     cases = 0
     for c in range(0, r - 2, 2):
         if not is_admissible_triple(c, c, c, r):
             continue
         want = sixj(c, c, c, c, c, c, r).to_complex() ** 2
-        got = bracket(triangular_prism(), [c] * 9, r, base_tet=False).to_complex()
-        also = bracket(triangular_prism(), [c] * 9, r).to_complex()
-        worst = max(worst, _rel(want, got, abs(want)), _rel(got, also, abs(want)))
+        got = bracket(triangular_prism(), [c] * 9, r).to_complex()
+        worst = max(worst, _rel(want, got, abs(want)))
         cases += 1
     out.append(
         CheckResult(
             "bigon",
-            f"prism reduces through bigons to the squared 6j, r={r}",
+            f"prism reduces through triangle contractions to the squared 6j, r={r}",
             worst <= 1e-10,
             f"{cases} constant colorings, worst rel {worst:.2e}",
         )
@@ -274,7 +295,7 @@ def suite_axiom3(*, r: int = 7) -> List[CheckResult]:
     cnt = 0
     for col in admissible_colorings(tetrahedron(), r):
         want = sixj(*_tet_slot_args(col), r).to_complex()
-        got = bracket(tetrahedron(), col, r, base_tet=False).to_complex()
+        got = bracket(tetrahedron(), col, r).to_complex()
         worst = max(worst, _rel(want, got, abs(want)))
         cnt += 1
     return [
@@ -308,7 +329,7 @@ def suite_axiom7(*, r: int = 7) -> List[CheckResult]:
             da, db = circle_weight(a, r), circle_weight(b, r)
             neg = (da < 0) + (db < 0)
             want = (-1j) ** neg / math.sqrt(abs(da) * abs(db))
-            got = bracket(g, col, r, base_tet=False).to_complex()
+            got = bracket(g, col, r).to_complex()
             worst = max(worst, _rel(want, got, abs(want)))
             cnt += 1
     return [
@@ -455,9 +476,9 @@ def suite_fusion(*, r: Optional[int] = None) -> List[CheckResult]:
         worst = 0.0
         for g in (triangular_prism(), cube()):
             col = [2] * g.ne
-            want = bracket(g, col, lvl, base_tet=False, memo=memos[None]).to_complex()
+            want = bracket(g, col, lvl, memo=memos[None]).to_complex()
             for seed in seeds:
-                got = bracket(g, col, lvl, base_tet=False, seed=seed, memo=memos[seed])
+                got = bracket(g, col, lvl, seed=seed, memo=memos[seed])
                 got = got.to_complex()
                 worst = max(worst, _rel(want, got, abs(want)))
         out.append(

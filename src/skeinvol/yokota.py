@@ -344,7 +344,7 @@ def _evaluator(graph, lv, anchors=None, budget=None, memo=None):
     shape = _shape(graph, _anchor_key(anchors))
     if not shape.planar:
         raise NotPlanar("the rotation system does not embed in the sphere")
-    ctx = _Ctx(lv, True, None, budget, memo)
+    ctx = _Ctx(lv, None, budget, memo)
     weights = lv.circle_logs
     rules, g2, src, slots, closing = shape.rules, shape.g2, shape.src, shape.slots, shape.closing
 

@@ -3,9 +3,9 @@
 The reference below reduces every memo miss imperatively: it walks the
 moves on a mutable rotation system, rebuilding faces and components at
 each step and multiplying the factors in as it goes.  The engine records
-those moves once per (labeled graph, zero-edge pattern, base_tet) and
-replays them, and must give the same values, memo entries, step counts
-and budget verdicts, bit for bit.
+those moves once per (labeled graph, zero-edge pattern) and replays
+them, and must give the same values, memo entries, step counts and
+budget verdicts, bit for bit.
 """
 
 import itertools
@@ -104,32 +104,6 @@ def _is_theta(rg):
     if len(rg.rot) != 2 or len(rg.col) != 3:
         return False
     return all(len(r) == 3 for r in rg.rot.values())
-
-
-def _tet_sixtuple(rg):
-    """Map a K4 rotation system to 6j argument order, or None."""
-    if len(rg.rot) != 4 or len(rg.col) != 6:
-        return None
-    if not all(len(r) == 3 for r in rg.rot.values()):
-        return None
-    for e in rg.col:
-        if rg.vof[2 * e] == rg.vof[2 * e + 1]:
-            return None
-    pairs = {}
-    for e in rg.col:
-        key = frozenset((rg.vof[2 * e], rg.vof[2 * e + 1]))
-        if len(key) != 2 or key in pairs:
-            return None
-        pairs[key] = e
-    v0 = min(rg.rot)
-    d1, d2, d3 = rg.rot[v0]
-    x, y, z = (rg.vof[d ^ 1] for d in (d1, d2, d3))
-    col = rg.col
-    n1, n2, n3 = col[d1 >> 1], col[d2 >> 1], col[d3 >> 1]
-    n4 = col[pairs[frozenset((y, z))]]
-    n5 = col[pairs[frozenset((x, z))]]
-    n6 = col[pairs[frozenset((x, y))]]
-    return (n1, n2, n3, n4, n5, n6)
 
 
 def _collapse_bigon(rg, face, ctx):
@@ -259,11 +233,6 @@ def _reduce(rg, ctx):
         if _is_theta(rg):
             return acc
 
-        if ctx.base_tet:
-            t6 = _tet_sixtuple(rg)
-            if t6 is not None:
-                return acc * sixj(*t6, ctx.lv)
-
         faces = sorted(rg.faces(), key=len)
         fmin = faces[0]
         if len(fmin) == 2:
@@ -293,7 +262,7 @@ def _reduce(rg, ctx):
 def _eval_canonical_reference(g, coloring, ctx, sig=None):
     if sig is None:
         sig = canonical_signature(g, coloring)
-    key = (ctx.lv.r, ctx.base_tet, sig)
+    key = (ctx.lv.r, sig)
     hit = ctx.memo.get(key)
     if hit is not None:
         return hit
@@ -304,10 +273,9 @@ def _eval_canonical_reference(g, coloring, ctx, sig=None):
     return val
 
 
-def bracket_reference(graph, coloring, level, *, base_tet=True, seed=None, budget=None,
-                      memo=None):
+def bracket_reference(graph, coloring, level, *, seed=None, budget=None, memo=None):
     """bracket() through the reference reduction; returns (value, steps)."""
-    ctx = _Ctx(Level.of(level), base_tet, seed, budget, memo)
+    ctx = _Ctx(Level.of(level), seed, budget, memo)
     return _eval_canonical_reference(graph, tuple(coloring), ctx), ctx.steps
 
 
@@ -358,13 +326,12 @@ BIT_CASES = {
 
 
 @pytest.mark.parametrize("seed", [None, 0, 1])
-@pytest.mark.parametrize("base_tet", [True, False], ids=["tet", "no-tet"])
 @pytest.mark.parametrize("case", list(BIT_CASES))
-def test_compiled_bit_identical_to_reference(case, base_tet, seed):
+def test_compiled_bit_identical_to_reference(case, seed):
     make, r, colorings, stride = BIT_CASES[case]
     g = make()
     cols = list(colorings())
-    kw = {"base_tet": base_tet, "seed": seed}
+    kw = {"seed": seed}
     memo, ref_memo = {}, {}
     for col in cols:
         got = bracket(g, col, r, memo=memo, **kw)
@@ -409,10 +376,25 @@ def test_step_counts_with_a_shared_memo():
     g, r = fanned_octahedron(), 5
     memo, ref_memo = {}, {}
     for col in itertools.islice(admissible_colorings(g, r), 600):
-        ctx = _Ctx(Level.of(r), True, None, None, memo)
+        ctx = _Ctx(Level.of(r), None, None, memo)
         got = _eval_canonical(g, col, ctx)
         want, steps = bracket_reference(g, col, r, memo=ref_memo)
         assert (bits(got), ctx.steps) == (bits(want), steps)
+
+
+def test_a_k4_ends_by_a_triangle_contraction():
+    # a K4 takes no rule of its own: one triangle contraction (one 6j step)
+    # leaves a theta, which returns; so the prism and the cube end too
+    cache_clear()
+    prog = bracket_module._program(tetrahedron(), 0)
+    assert [step[0] for step in prog.steps].count(bracket_module._SIXJ) == 1
+    assert prog.end == (bracket_module._RETURN,)
+    for make, steps, entries in [(tetrahedron, 2, 1), (triangular_prism, 3, 1), (cube, 18, 4)]:
+        g = make()
+        ctx = _Ctx(Level.of(7), None, None, {})
+        _eval_canonical(g, (2,) * g.ne, ctx)
+        assert (ctx.steps, len(ctx.memo)) == (steps, entries), make.__name__
+    cache_clear()
 
 
 def test_seeded_reduction_draws_the_reference_picks():
@@ -436,7 +418,7 @@ def test_seeded_reduction_draws_the_reference_picks():
     cols += [(4,) * 12, (2,) * 12, (6, 6) + (4,) * 10]
     g, r = cube(), 9
     for label, engine in [("engine", _eval_canonical), ("reference", _eval_canonical_reference)]:
-        ctx = Counted(Level.of(r), False, 5, None, {})
+        ctx = Counted(Level.of(r), 5, None, {})
         ctx.label = label
         vals = [bits(engine(g, col, ctx)) for col in cols]
         draws[label + "-state"] = ctx.rng.getstate()
@@ -515,7 +497,7 @@ def test_program_cache_bounded_and_invisible():
 
     def values():
         # a private memo each time, so every bracket is replayed
-        b = bracket(cube(), (2,) * 12, 7, memo={}, base_tet=False)
+        b = bracket(cube(), (2,) * 12, 7, memo={})
         y = yokota_ext(octahedron(), (2,) * 12, 5, memo={})
         return bits(b), bits(y)
 
@@ -539,9 +521,9 @@ def test_seeded_reductions_are_compiled_afresh_and_never_cached():
     seeded = []
     for seed in (1, 2, 3):
         before = programs()
-        seeded.append(bracket(g, col, 7, base_tet=False, seed=seed).to_complex())
+        seeded.append(bracket(g, col, 7, seed=seed).to_complex())
         assert programs() == before  # no hit, no miss, no new entry
-    want = bracket(g, col, 7, base_tet=False).to_complex()
+    want = bracket(g, col, 7).to_complex()
     assert programs().misses == programs().currsize > 0
     assert want != 0
     for got in seeded:
