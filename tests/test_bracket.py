@@ -74,6 +74,16 @@ def test_tetrahedron_matches_symbol():
     assert exact == 1 + 41 + 272
 
 
+def test_tet_shortcut_agrees_with_full_reduction():
+    # the shortcut reads a K4's value off its 6j symbol at once; the full
+    # reduction must give that value whatever order its moves are taken in
+    for col in [(2,) * 6, (2, 2, 2, 4, 4, 4), (0, 4, 4, 4, 4, 0)]:
+        fast = sixj(*(col[s] for s in TET_SLOTS), 7).to_complex()
+        for seed in (None, 0, 1, 2):
+            slow = bracket(tetrahedron(), col, 7, seed=seed).to_complex()
+            assert abs(fast - slow) < 1e-10 * max(1.0, abs(fast)), (col, seed)
+
+
 def test_bridge_vanishes():
     g = handcuffs()
     assert bracket(g, (2, 2, 2), 5).is_zero()
