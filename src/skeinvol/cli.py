@@ -10,8 +10,9 @@ verify              run a named identity suite, exit 1 on any failure
 Scan output follows the fixed CSV schema
 ``r,kind,color_policy,log_value,slope,target,rel_gap,cancel_digits,wall_ms``
 and is byte-identical for a given invocation whatever the number of cores
-the bound sweep's forked screen uses (timings are opt-in because they would
-break that). Every row is built by hypvol.ScanRecord.at, which works out
+the forked work uses: the bound sweep's screen and the link loop of the
+high-precision wheel sum (timings are opt-in because they would break
+that). Every row is built by hypvol.ScanRecord.at, which works out
 slope and rel_gap and the empty row of a level marked !zero or !budget.
 Human-readable summaries go to stderr so stdout stays machine-readable.
 

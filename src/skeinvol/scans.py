@@ -41,16 +41,21 @@ log-domain 6j evaluator:
   built per (spoke, rim) pair over the level's fixed-point factorials,
   so each z-term is one integer multiply, the row sums are added in
   integers too, and the factorials come from a rotation recurrence
-  instead of r mpmath sines.  On a 2-core box with pure-Python mpmath,
-  pent-zero at r = 321 takes about 0.4 s and the whole pent-zero grid
-  of reproduce-appendix about 2 s;
+  instead of r mpmath sines.  Its link loop, most of its time, deals
+  whole rows of link pairs to forked processes (see
+  wheel_log_invariant_mp) from 2 * _FORK_LINKS links on.  On a 2-core
+  box with pure-Python mpmath, pent-zero at r = 321 takes about 0.25 s
+  (0.36 s on one core) and the whole pent-zero grid of
+  reproduce-appendix about 1.7 s (2 s on one core);
 * the family fast path uses Y(prism, all-max) = sixj(max,...)^4 (one
   6j per level), checked against the graph engine at small levels in
   the test suite.
 
 run_levels evaluates the levels of a scan one after another, in level
-order.  The forked screen of the bound sweep is the only work spread
-over processes; the records are bit-identical for any core count.
+order.  Two kinds of work are spread over processes within a level, both
+through _fork_shares: the screen of the bound sweep and the link loop
+of the high-precision wheel sum.  Their records are bit-identical for
+any core count.
 The numpy tables every kernel here reads (lf, fneg) are the level's one
 factorial table on qnum.Level, which the scalar 6j reads too; the 6j
 kernel's sign and reversed tables are built from them there.  The wheel
@@ -599,63 +604,46 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
-def _screen_cover(lv: Level, blocks, hot_log: float):
-    """bound_record's screen over the cover's blocks, on every usable core.
+def _fork_shares(fn: Callable[[int, int], object], nshares: int) -> list:
+    """fn(share, nshares) for every share, in share order: shares 1 ..
+    nshares - 1 each in a forked process, share 0 in this one.
 
-    Returns (tuples, safe_max, worst_cancel, cand) as _screen_share does
-    for the whole cover.  The blocks are dealt round-robin: _cores() - 1
-    forked processes take one share each and this process the first.
-    Every process enumerates the whole cover and skips the blocks that
-    are not its own; a worker sends back only its four values.  Counts
-    add, maxima of floats are exact and the candidates are rechecked as
-    a sorted set, so the merge is exact.
-
-    It stays in-process when one core is usable, when the fork start
-    method is missing, while any other thread of the caller runs (a fork
-    copies only the calling thread, and the locks the others hold) and
-    when the cover holds fewer than _cores() full blocks, so that some
-    process would get no full block.  A fork and its result cost about
-    5 ms on a 2-core box, the kernel time of some 16,000 tuples.  The
-    first _cores() blocks are read before deciding, so a process holds
-    at most _cores() + 1 blocks.  A worker's exception, BudgetExceeded
-    included, is raised here, and no worker outlives the call.
+    nshares is the most shares the caller's work can use; it is cut to
+    _cores(), and to 1 when the fork start method is missing or while
+    any other thread of the caller runs (a fork copies only the calling
+    thread, and the locks the others hold).  With one share fn runs here
+    alone and nothing is forked or imported.  A worker sends back only
+    fn's result; a worker's exception is raised here, a worker that exits
+    without a result gives RuntimeError, and no worker outlives the call.
     """
+    nshares = min(nshares, _cores())
+    if nshares < 2 or threading.active_count() > 1:
+        return [fn(0, 1)]
     import multiprocessing  # here, so that importing skeinvol stays as fast
 
-    nproc = _cores()
-    if (nproc > 1 and threading.active_count() == 1
-            and "fork" in multiprocessing.get_all_start_methods()):
-        head = list(itertools.islice(blocks, nproc))
-        # only the last block of the cover can be short
-        if len(head) < nproc or head[-1][0].size < _BLOCK:
-            nproc = 1
-        blocks = itertools.chain(head, blocks)
-        del head  # the chain then frees the head blocks once it has passed them
-    else:
-        nproc = 1
-    if nproc == 1:
-        return _screen_share(lv, blocks, hot_log)
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return [fn(0, 1)]
 
     ctx = multiprocessing.get_context("fork")
     workers = []
     done = False
     try:
-        for share in range(1, nproc):
+        for share in range(1, nshares):
             recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_screen_worker, daemon=True,
-                               args=(send, lv, blocks, hot_log, share, nproc))
+            proc = ctx.Process(target=_fork_worker, daemon=True,
+                               args=(send, fn, share, nshares))
             proc.start()
             send.close()
             workers.append((proc, recv))
-        shares = [_screen_share(lv, blocks, hot_log, 0, nproc)]
+        results = [fn(0, nshares)]
         for proc, recv in workers:
             try:
                 ok, out = recv.recv()
             except EOFError:
-                raise RuntimeError("a bound sweep worker died without a result") from None
+                raise RuntimeError("a forked worker died without a result") from None
             if not ok:
                 raise out
-            shares.append(out)
+            results.append(out)
         done = True
     finally:
         for proc, recv in workers:
@@ -663,18 +651,47 @@ def _screen_cover(lv: Level, blocks, hot_log: float):
             if not done:
                 proc.terminate()
             proc.join()
-    return (sum(s[0] for s in shares), max(s[1] for s in shares),
-            max(s[2] for s in shares), [t for s in shares for t in s[3]])
+    return results
 
 
-def _screen_worker(send, *args) -> None:
-    """A forked process's side of _screen_cover: one share, sent back."""
+def _fork_worker(send, fn, share: int, nshares: int) -> None:
+    """A forked process's side of _fork_shares: one share, sent back."""
     try:
-        out = (True, _screen_share(*args))
-    except Exception as err:  # _screen_cover raises it in the parent
+        out = (True, fn(share, nshares))
+    except Exception as err:  # _fork_shares raises it in the parent
         out = (False, err)
     send.send(out)
     send.close()
+
+
+def _screen_cover(lv: Level, blocks, hot_log: float):
+    """bound_record's screen over the cover's blocks, on every usable core.
+
+    Returns (tuples, safe_max, worst_cancel, cand) as _screen_share does
+    for the whole cover.  The blocks are dealt round-robin to the shares
+    of _fork_shares, one share per usable core.  Every process
+    enumerates the whole cover and skips the blocks that are not its
+    own; a worker sends back only its four values.  Counts add, maxima
+    of floats are exact and the candidates are rechecked as a sorted
+    set, so the merge is exact.
+
+    Besides _fork_shares' own conditions, it stays in one share when the
+    cover holds fewer than _cores() full blocks, so that some process
+    would get no full block.  A fork and its result cost about 5 ms on a
+    2-core box, the kernel time of some 16,000 tuples.  The first
+    _cores() blocks are read before deciding, so a process holds at most
+    _cores() + 1 blocks.  A share's BudgetExceeded is raised here.
+    """
+    nproc = _cores()
+    head = list(itertools.islice(blocks, nproc))
+    # only the last block of the cover can be short
+    if len(head) < nproc or head[-1][0].size < _BLOCK:
+        nproc = 1
+    blocks = itertools.chain(head, blocks)
+    del head  # the chain then frees the head blocks once it has passed them
+    shares = _fork_shares(lambda share, n: _screen_share(lv, blocks, hot_log, share, n), nproc)
+    return (sum(s[0] for s in shares), max(s[1] for s in shares),
+            max(s[2] for s in shares), [t for s in shares for t in s[3]])
 
 
 def _screen_share(lv: Level, blocks, hot_log: float,
@@ -843,6 +860,11 @@ def _wheel_start_bits(r: int) -> int:
     return 2 * r + 256
 
 
+# links of the mp wheel's link loop that each process gets at least; see
+# wheel_log_invariant_mp for the break-even it was set from
+_FORK_LINKS = 1024
+
+
 def wheel_log_invariant_mp(r: int, n_spokes: int, s: int, b: int):
     """High-precision wheel sum: the float twin's contract, Y and colors.
 
@@ -861,9 +883,23 @@ def wheel_log_invariant_mp(r: int, n_spokes: int, s: int, b: int):
     which the links give from |v|, and whose ratio to |Y| is the
     cancellation.  Precision starts at 2r + 256 bits and doubles until
     the cancellation leaves at least 50 trusted bits.
+
+    The S_ij are formed on every usable core (_fork_shares), with at
+    least _FORK_LINKS links a process: whole rows i are dealt
+    round-robin, so a process reuses fan's tables of each i, and the
+    workers send back their (man, exp) pairs, which are put back in link
+    order.  The tables are built before the fork and everything after
+    the S_ij runs here, so no worker enters mpmath.  Every sum is exact,
+    so Y, its sign and the cancellation are the same for any process
+    count.  On a 2-core box pent-zero's link loop took about as long in
+    two processes as in one at 930 and 1,260 links (r = 121, 141), and
+    10-20% less from 1,640 links (r = 161) on; so two processes start at
+    2,048 links, r = 181 for pent-zero.
     """
     lv, ends, path = _fan_colors(r, n_spokes, s, b)
     links = [(i, j) for i, j in _fan_links(lv, s, path) if i <= j] if n_spokes > 4 else []
+    # the links of one i, dealt whole so that a process reuses fan's tables of that i
+    link_rows = [list(row) for _, row in itertools.groupby(links, key=lambda link: link[0])]
     start = _wheel_start_bits(r)
     for k in range(5):
         prec = start << k
@@ -876,15 +912,25 @@ def wheel_log_invariant_mp(r: int, n_spokes: int, s: int, b: int):
         # ya is the path-absolute y once a link has summed rows (before, |y|
         # is its own); only absolute sums read it, so its signs do not matter
         ya = None
-        # row i holds (j, S_ij) for every link pair, as (j, man, exp)
+
+        def squares(share, nshares):  # S_ij of the link rows share::nshares, as (man, exp)
+            out = []
+            for row in link_rows[share::nshares]:
+                out.append([])
+                for i, j in row:
+                    wm, we = _fx_norm(fan.zsum(i, j), p)
+                    tm, te = tab.inv_theta(s, i, j)
+                    out[-1].append((tm * (wm * wm >> p) >> p, te + 2 * we + 3 * p))
+            return out
+
+        shares = _fork_shares(squares, len(links) // _FORK_LINKS)
+        # row i holds (j, S_ij) for every link pair, as (j, man, exp), in link order
         rows = {i: [] for i in path}
-        for i, j in links:
-            wm, we = _fx_norm(fan.zsum(i, j), p)
-            tm, te = tab.inv_theta(s, i, j)
-            sm, se = tm * (wm * wm >> p) >> p, te + 2 * we + 3 * p
-            rows[i].append((j, sm, se))
-            if j != i:
-                rows[j].append((i, sm, se))
+        for x, row in enumerate(link_rows):
+            for (i, j), (sm, se) in zip(row, shares[x % len(shares)][x // len(shares)]):
+                rows[i].append((j, sm, se))
+                if j != i:
+                    rows[j].append((i, sm, se))
 
         def row_sums(y):  # i -> _fx_sum of the terms S_ij h_j of row i
             h = {j: _fx_prod((tab.qint(j + 1), y[j], ibb[j]), p) for j in y}

@@ -125,8 +125,9 @@ def test_criterion_8_hopf_sign_and_family_limit():
 
 
 def test_criterion_9_worker_determinism(monkeypatch, capsys):
-    # the bound sweep's screen is the one mechanism that spreads work over
-    # processes: with n cores each of the five levels forks n - 1 workers
+    # the bound sweep's screen spreads each level's work over processes (the
+    # high-precision wheel sum, the other forked work, is not run here):
+    # with n cores each of the five levels forks n - 1 workers
     forks = []
     real_fork = os.fork
 

@@ -610,6 +610,79 @@ def test_bound_record_on_caller_thread_forks_nothing(monkeypatch):
     assert got == want
 
 
+# (r, spokes, kind) -> forks with 1, 2 and 3 cores: pent-zero at r = 141
+# (1,260 links) stays in one process, at r = 261 (4,290 links) it forks
+# up to four processes; the zero-angled W_8 at r = 201 (2,550 links, two
+# processes) runs at two precisions and forks once in each
+WHEEL_FORKS = {(141, 5, "pent-zero"): [0, 0, 0], (261, 5, "pent-zero"): [0, 1, 2],
+               (201, 8, "sq-zero"): [0, 2, 2]}
+
+
+def test_wheel_bits_independent_of_worker_count(monkeypatch, forks):
+    for (r, n, kind), want_forks in WHEEL_FORKS.items():
+        seen, forked = set(), []
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(scans, "_cores", lambda cores=cores: cores)
+            del forks[:]
+            seen.add(tuple(map(float.hex, wheel_log_invariant_mp(r, n, *appendix_colors(kind, r)))))
+            forked.append(len(forks))
+            assert multiprocessing.active_children() == []
+        assert len(seen) == 1, (r, n, kind)
+        assert forked == want_forks, (r, n, kind)
+
+
+def test_wheel_worker_error_reaches_caller(monkeypatch):
+    # _fx_norm cuts every link's w_ij, so a worker's link share runs it
+    s, b = appendix_colors("pent-zero", 261)
+    parent, real = os.getpid(), scans._fx_norm
+    monkeypatch.setattr(scans, "_cores", lambda: 2)
+
+    def fails(pair, p):
+        if os.getpid() != parent:
+            raise ArithmeticError("a link share failed in a worker")
+        return real(pair, p)
+
+    monkeypatch.setattr(scans, "_fx_norm", fails)
+    with pytest.raises(ArithmeticError, match="failed in a worker"):
+        wheel_log_invariant_mp(261, 5, s, b)
+    assert multiprocessing.active_children() == []
+
+    def dies(pair, p):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real(pair, p)
+
+    monkeypatch.setattr(scans, "_fx_norm", dies)
+    with pytest.raises(RuntimeError, match="died"):
+        wheel_log_invariant_mp(261, 5, s, b)
+    assert multiprocessing.active_children() == []
+
+
+def test_wheel_on_caller_thread_forks_nothing(monkeypatch):
+    s, b = appendix_colors("pent-zero", 261)
+    monkeypatch.setattr(scans, "_cores", lambda: 3)
+    want = wheel_log_invariant_mp(261, 5, s, b)
+
+    def fork():
+        raise AssertionError("the wheel sum forked beside another thread")
+
+    monkeypatch.setattr(os, "fork", fork)
+    got, errors = [], []
+
+    def run():
+        try:
+            got.append(wheel_log_invariant_mp(261, 5, s, b))
+        except BaseException as err:
+            errors.append(err)
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert errors == []
+    assert [tuple(map(float.hex, g)) for g in got] == [tuple(map(float.hex, want))]
+
+
 def traced_peak(fn, *args):
     tracemalloc.start()
     try:
