@@ -65,9 +65,13 @@ def _fail(msg: str) -> "SystemExit":
     raise SystemExit(2)
 
 
+def _odd_level(flag: str, r: int) -> None:
+    if r < 5 or r % 2 == 0:
+        _fail(f"{flag} must be an odd level >= 5, got {r}")
+
+
 def _odd_levels(rmin: int, rmax: int, rstep: int) -> List[int]:
-    if rmin < 5 or rmin % 2 == 0:
-        _fail(f"--rmin must be an odd level >= 5, got {rmin}")
+    _odd_level("--rmin", rmin)
     if rstep < 2 or rstep % 2:
         _fail(f"--rstep must be a positive even integer, got {rstep}")
     if rmax < rmin:
@@ -149,8 +153,7 @@ def _extrapolation_note(records) -> None:
 
 
 def cmd_sixj(args) -> int:
-    if args.r < 5 or args.r % 2 == 0:
-        _fail(f"--r must be an odd level >= 5, got {args.r}")
+    _odd_level("--r", args.r)
     colors = _parse_colors(args.colors, expected=6)
     if any(c > args.r - 3 for c in colors):
         _fail(f"colors must lie in 0..{args.r - 3} at r={args.r}, got {colors}")
@@ -275,8 +278,8 @@ def cmd_verify(args) -> int:
         graph = args.graph.replace("_", "-")
         if graph not in FIXTURES:
             _fail(f"unknown fixture {args.graph!r}; choose from {', '.join(sorted(FIXTURES))}")
-    if args.r is not None and (args.r < 5 or args.r % 2 == 0):
-        _fail(f"--r must be an odd level >= 5, got {args.r}")
+    if args.r is not None:
+        _odd_level("--r", args.r)
     if args.rmax is not None and args.rmax < 5:
         _fail(f"--rmax must be at least 5, the smallest level a suite checks, got {args.rmax}")
     try:

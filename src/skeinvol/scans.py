@@ -26,8 +26,8 @@ log-domain 6j evaluator:
   dealt round-robin to forked processes (see _screen_cover), which send
   back only counts, maxima and candidates, so the record is
   bit-identical to one process's.  It stays in-process on one core,
-  without the fork start method, while other threads of the caller run,
-  and on covers with fewer than one block per core;
+  without os.fork, while other threads of the caller run, and on covers
+  with fewer than one block per core;
 * the full TV sweep (tv_tet_record) evaluates one tuple per tetrahedral
   class of the same cover, weighted by its orbit size.  Its orbit test
   (orbit_representatives) reads only a block's tie rows: the rows where
@@ -68,6 +68,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import pickle
 import threading
 import time
 from typing import Callable, Optional, Sequence
@@ -609,59 +610,53 @@ def _fork_shares(fn: Callable[[int, int], object], nshares: int) -> list:
     nshares - 1 each in a forked process, share 0 in this one.
 
     nshares is the most shares the caller's work can use; it is cut to
-    _cores(), and to 1 when the fork start method is missing or while
-    any other thread of the caller runs (a fork copies only the calling
-    thread, and the locks the others hold).  With one share fn runs here
-    alone and nothing is forked or imported.  A worker sends back only
-    fn's result; a worker's exception is raised here, a worker that exits
-    without a result gives RuntimeError, and no worker outlives the call.
+    _cores(), and to 1 when os.fork is missing or while any other thread
+    of the caller runs (a fork copies only the calling thread, and the
+    locks the others hold).  With one share fn runs here alone and
+    nothing is forked.  A worker pickles fn's result whole, writes it to
+    its pipe and leaves by os._exit, so none of the caller's cleanup
+    runs in it.  A worker's exception is raised here, a worker that
+    exits without a result gives RuntimeError, and every worker is
+    killed and reaped before the call returns.
     """
     nshares = min(nshares, _cores())
-    if nshares < 2 or threading.active_count() > 1:
+    if nshares < 2 or threading.active_count() > 1 or not hasattr(os, "fork"):
         return [fn(0, 1)]
-    import multiprocessing  # here, so that importing skeinvol stays as fast
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return [fn(0, 1)]
-
-    ctx = multiprocessing.get_context("fork")
-    workers = []
-    done = False
+    pids, recvs = [], []
     try:
         for share in range(1, nshares):
-            recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_fork_worker, daemon=True,
-                               args=(send, fn, share, nshares))
-            proc.start()
-            send.close()
-            workers.append((proc, recv))
+            rfd, wfd = os.pipe()
+            recvs.append(open(rfd, "rb"))
+            with open(wfd, "wb") as send:
+                pid = os.fork()
+                if pid == 0:  # the worker
+                    try:
+                        try:
+                            out = (True, fn(share, nshares))
+                        except Exception as err:  # raised in the caller
+                            out = (False, err)
+                        # pickled whole first, so a result that fails to pickle writes nothing
+                        send.write(pickle.dumps(out))
+                        send.close()
+                    finally:
+                        os._exit(0)
+            pids.append(pid)
         results = [fn(0, nshares)]
-        for proc, recv in workers:
-            try:
-                ok, out = recv.recv()
-            except EOFError:
-                raise RuntimeError("a forked worker died without a result") from None
+        for recv in recvs:
+            data = recv.read()
+            if not data:
+                raise RuntimeError("a forked worker died without a result")
+            ok, out = pickle.loads(data)
             if not ok:
                 raise out
             results.append(out)
-        done = True
     finally:
-        for proc, recv in workers:
+        for recv in recvs:
             recv.close()
-            if not done:
-                proc.terminate()
-            proc.join()
+        for pid in pids:
+            os.kill(pid, 9)  # SIGKILL, without importing signal; an exited worker is only reaped
+            os.waitpid(pid, 0)
     return results
-
-
-def _fork_worker(send, fn, share: int, nshares: int) -> None:
-    """A forked process's side of _fork_shares: one share, sent back."""
-    try:
-        out = (True, fn(share, nshares))
-    except Exception as err:  # _fork_shares raises it in the parent
-        out = (False, err)
-    send.send(out)
-    send.close()
 
 
 def _screen_cover(lv: Level, blocks, hot_log: float):
@@ -677,10 +672,10 @@ def _screen_cover(lv: Level, blocks, hot_log: float):
 
     Besides _fork_shares' own conditions, it stays in one share when the
     cover holds fewer than _cores() full blocks, so that some process
-    would get no full block.  A fork and its result cost about 5 ms on a
-    2-core box, the kernel time of some 16,000 tuples.  The first
-    _cores() blocks are read before deciding, so a process holds at most
-    _cores() + 1 blocks.  A share's BudgetExceeded is raised here.
+    would get no full block.  A fork and its result cost about 2.5 ms on
+    a 2-core box (3 ms for a process's first), the kernel time of some
+    9,000 tuples.  The first _cores() blocks are read before deciding,
+    so a process holds at most _cores() + 1 blocks.  A share's BudgetExceeded is raised here.
     """
     nproc = _cores()
     head = list(itertools.islice(blocks, nproc))

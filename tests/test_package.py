@@ -1,4 +1,4 @@
-"""The package namespace, and two rules its source keeps."""
+"""The package namespace, and three rules its source keeps."""
 
 import importlib
 import pathlib
@@ -38,3 +38,9 @@ def test_every_mpmath_precision_change_holds_mp_lock():
     changes = source_lines(r"mp\.workprec")
     assert changes
     assert [line for line in changes if "MP_LOCK" not in line] == []
+
+
+def test_package_forks_without_multiprocessing():
+    # scans._fork_shares forks with os.fork, a pipe and pickle, so the
+    # first fork of a process imports nothing
+    assert source_lines(r"\bmultiprocessing\b") == []
