@@ -379,10 +379,11 @@ def _pieces(cnt, cap):
         i = j
 
 
-def _cover_pieces(m: int, restrict: bool):
-    """Admissible 6-tuples of color indices, lexicographic in
-    (a, d, b, c, e, f), as pieces (a, (d, b, c, e), item, f): tuple k of a
-    piece is (a, d[item[k]], b[item[k]], c[item[k]], e[item[k]], f[k]).
+def _cover_pieces(m: int):
+    """The cover's 6-tuples of color indices (see sixtuple_chunks),
+    lexicographic in (a, d, b, c, e, f), as pieces (a, (d, b, c, e), item,
+    f): tuple k of a piece is (a, d[item[k]], b[item[k]], c[item[k]],
+    e[item[k]], f[k]).
 
     Each level is the expansion of per-item ranges.  Per color a, the
     (b, c) pairs are crossed with runs of d of at most _BLOCK // 8 4-tuples;
@@ -394,25 +395,20 @@ def _cover_pieces(m: int, restrict: bool):
     top = 2 * m - 1  # i + j + k <= r - 2
     cap = _BLOCK // 8
     for a in range(m):
-        lo = a if restrict else 0
-        b = np.arange(lo, m, dtype=np.int64)
-        clo = np.abs(a - b)
-        if restrict:
-            np.maximum(clo, b, out=clo)
-        item, pc = _ranges(clo, np.maximum(np.minimum(a + b, top - a - b) - clo + 1, 0))
+        # a <= b, so |a - b| <= b and c's lower bound is b itself
+        b = np.arange(a, m, dtype=np.int64)
+        item, pc = _ranges(b, np.maximum(np.minimum(a + b, top - a - b) - b + 1, 0))
         pb = b[item]
         if pb.size == 0:
             continue
         step = max(1, cap // pb.size)
-        for d0 in range(lo, m, step):
+        for d0 in range(a, m, step):
             dd = np.arange(d0, min(d0 + step, m), dtype=np.int64)
             d4 = np.repeat(dd, pb.size)
             b4 = np.tile(pb, dd.size)
             c4 = np.tile(pc, dd.size)
             cd = c4 + d4
-            elo = np.abs(c4 - d4)
-            if restrict:
-                np.maximum(elo, b4, out=elo)
+            elo = np.maximum(np.abs(c4 - d4), b4)
             ecnt = np.minimum(cd, top - cd) - elo + 1
             np.maximum(ecnt, 0, out=ecnt)
             for i, j in _pieces(ecnt, cap):
@@ -421,9 +417,8 @@ def _cover_pieces(m: int, restrict: bool):
                 bd = b5 + d5
                 ae = a + e
                 flo = np.maximum(np.abs(b5 - d5), np.abs(a - e))
-                if restrict:
-                    np.maximum(flo, b5 + (e < c5), out=flo)
-                    np.maximum(flo, np.where(e == b5, c5, 0), out=flo)
+                np.maximum(flo, b5 + (e < c5), out=flo)
+                np.maximum(flo, np.where(e == b5, c5, 0), out=flo)
                 fcnt = np.minimum(np.minimum(bd, top - bd), np.minimum(ae, top - ae))
                 fcnt -= flo - 1
                 np.maximum(fcnt, 0, out=fcnt)
@@ -432,16 +427,16 @@ def _cover_pieces(m: int, restrict: bool):
                     yield a, (d5[i2:j2], b5[i2:j2], c5[i2:j2], e[i2:j2]), item, f
 
 
-def sixtuple_chunks(lv: Level, *, restrict: bool = True, budget: Optional[int] = None):
-    """Yield admissible 6-tuples (a,b,c,d,e,f) as arrays of colors.
+def sixtuple_chunks(lv: Level, *, budget: Optional[int] = None):
+    """Yield the symmetry-reduced cover of the admissible 6-tuples
+    (a,b,c,d,e,f), as arrays of colors.
 
     All four vertex triples (a,b,c), (a,e,f), (b,d,f), (c,d,e) are
-    admissible.  With restrict=True only a symmetry-reduced cover is
-    produced: a must be the minimal color, and (b,c) lexicographically
-    minimal among its images (c,b), (e,f), (f,e) under the symmetries
-    that fix the a slot.  Every tetrahedral symmetry class keeps at
-    least one representative (ties may keep several), which is all the
-    max-scan needs, at roughly 1/24 of the full enumeration cost.
+    admissible.  In the cover a is the minimal color, and (b,c) is
+    lexicographically minimal among its images (c,b), (e,f), (f,e) under
+    the symmetries that fix the a slot.  Every tetrahedral symmetry class
+    keeps at least one representative (ties may keep several), which is
+    all the sweeps need, at roughly 1/24 of the full enumeration cost.
 
     Every condition is an interval bound.  In color indices (color =
     2 * index, m = (r-1)/2) a triple (i,j,k) is admissible exactly when
@@ -462,7 +457,7 @@ def sixtuple_chunks(lv: Level, *, restrict: bool = True, budget: Optional[int] =
     total = 0
     fill = 0
     out = None
-    for a, cols, item, f in _cover_pieces(lv.m, restrict):
+    for a, cols, item, f in _cover_pieces(lv.m):
         n = f.size
         total += n
         if budget is not None and total > budget:
@@ -515,12 +510,11 @@ def _orbit_key(idx, order, m):
 def orbit_representatives(lv: Level, tup):
     """Which tuples of a block are canonical, and their orbit sizes.
 
-    tup must be a block of the restricted cover (sixtuple_chunks with
-    restrict=True): a is the minimal color and (b,c) <= (c,b), (e,f),
-    (f,e).  A tuple is canonical when it is the lexicographic minimum of
-    its 24 tetrahedral images (qnum.SIXJ_SYMMETRIES); its orbit then has
-    24 // |stabilizer| members, the stabilizer being the symmetries that
-    fix it.  Returns (keep, weight): a boolean mask over the block and
+    tup must be a block of the cover (sixtuple_chunks): a is the minimal
+    color and (b,c) <= (c,b), (e,f), (f,e).  A tuple is canonical when it
+    is the lexicographic minimum of its 24 tetrahedral images
+    (qnum.SIXJ_SYMMETRIES); its orbit then has 24 // |stabilizer| members,
+    the stabilizer being the symmetries that fix it.  Returns (keep, weight): a boolean mask over the block and
     the orbit size of each kept tuple.  Every canonical tuple meets the
     cover's conditions, so the cover holds each class's representative
     exactly once.
@@ -575,7 +569,7 @@ def bound_record(r: int, *, margin: float = 4.0, budget: Optional[int] = None):
     lv = Level.of(r)
     thr_slope = V8 + margin * math.log(r) / r
     thr_log = thr_slope * r / (2 * math.pi)
-    blocks = sixtuple_chunks(lv, restrict=True, budget=budget)
+    blocks = sixtuple_chunks(lv, budget=budget)
     ntuples, safe_max, worst_cancel, cand = _screen_cover(lv, blocks, thr_log - 1.0)
     exact_max = -math.inf
     excess = -math.inf
@@ -689,8 +683,7 @@ def _screen_cover(lv: Level, blocks, hot_log: float):
             max(s[2] for s in shares), [t for s in shares for t in s[3]])
 
 
-def _screen_share(lv: Level, blocks, hot_log: float,
-                  share: int = 0, nshares: int = 1):
+def _screen_share(lv: Level, blocks, hot_log: float, share: int, nshares: int):
     """Screen the blocks k of the cover with k % nshares == share.
 
     Returns (tuples, safe_max, worst_cancel, cand): how many tuples were
@@ -915,7 +908,7 @@ def wheel_log_invariant_mp(r: int, n_spokes: int, s: int, b: int):
                 for i, j in row:
                     wm, we = _fx_norm(fan.zsum(i, j), p)
                     tm, te = tab.inv_theta(s, i, j)
-                    out[-1].append((tm * (wm * wm >> p) >> p, te + 2 * we + 3 * p))
+                    out[-1].append((tm * (wm * wm >> p) >> p, te + 2 * we + 2 * p))
             return out
 
         shares = _fork_shares(squares, len(links) // _FORK_LINKS)
@@ -930,7 +923,7 @@ def wheel_log_invariant_mp(r: int, n_spokes: int, s: int, b: int):
         def row_sums(y):  # i -> _fx_sum of the terms S_ij h_j of row i
             h = {j: _fx_prod((tab.qint(j + 1), y[j], ibb[j]), p) for j in y}
             return {i: _fx_sum([sm * h[j][0] >> p for j, sm, _ in row if j in h],
-                               [se + h[j][1] for j, _, se in row if j in h])
+                               [se + h[j][1] + p for j, _, se in row if j in h])
                     for i, row in rows.items()}
 
         for _ in range(n_spokes - 4):
@@ -986,14 +979,14 @@ def tv_tet_record(r: int, *, budget: Optional[int] = None) -> ScanRecord:
     running maximum of the logs, with the partial sum rescaled whenever
     it rises, so memory is bounded by the block, not by the level.  cancel_digits is
     the worst over the representatives; budget caps the enumerated
-    cover tuples (sixtuple_chunks with restrict=True).
+    cover tuples (sixtuple_chunks).
     """
     lv = Level.of(r)
     mx = -math.inf  # running max of log |6j|^2
     shifted = 0.0   # sum of weight * |6j|^2 / exp(mx)
     worst_cancel = 0.0
     work = _SixjWork()
-    for tup in sixtuple_chunks(lv, restrict=True, budget=budget):
+    for tup in sixtuple_chunks(lv, budget=budget):
         keep, weight = orbit_representatives(lv, tup)
         tup = tuple(x[keep] for x in tup)  # frees the rest of the block
         res = batch_sixj(lv, *tup, work=work)

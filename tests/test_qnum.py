@@ -223,7 +223,7 @@ def test_sixj_info_keeps_8_digits_or_escalates(monkeypatch):
     for r in (45, 61):
         lv = Level.of(r)
         monkeypatch.setattr(lv, "_sixj_cache", {})
-        for tup in sixtuple_chunks(lv, restrict=True):
+        for tup in sixtuple_chunks(lv):
             hard = batch_sixj(lv, *tup)["cancel"] >= 5
             for t in zip(*(x[hard].tolist() for x in tup)):
                 got, key = sixj_info(*t, lv), _canonical_sixtuple(t)

@@ -176,17 +176,26 @@ def assert_same_bits(got, want):
         assert got[key].tobytes() == want[key].tobytes(), key
 
 
+def first_unrestricted_block(tab):
+    """The first _BLOCK of all admissible 6-tuples, in (a, d, b, c, e, f)
+    order, from the reference enumerator."""
+    return tuple(x[:scans._BLOCK] for x in next(_sixtuple_chunks_reference(tab, restrict=False)))
+
+
 def test_batch_bit_identical_to_reference_on_chunks():
     for r in range(5, 33, 2):
         tab = Level.of(r)
-        for restrict in (True, False):
-            for tup in sixtuple_chunks(tab, restrict=restrict):
-                assert_same_bits(batch_sixj(tab, *tup), _batch_sixj_reference(tab, *tup))
+        blocks = itertools.chain(
+            sixtuple_chunks(tab),
+            _sixtuple_chunks_reference(tab, restrict=False, chunk=scans._BLOCK),
+        )
+        for tup in blocks:
+            assert_same_bits(batch_sixj(tab, *tup), _batch_sixj_reference(tab, *tup))
 
 
 def test_batch_bit_identical_to_reference_shuffled_and_degenerate():
     tab = Level.of(31)
-    tup = next(sixtuple_chunks(tab, restrict=False))
+    tup = first_unrestricted_block(tab)
     perm = np.random.default_rng(20261018).permutation(tup[0].size)
     shuffled = tuple(x[perm] for x in tup)
     assert_same_bits(batch_sixj(tab, *shuffled), _batch_sixj_reference(tab, *shuffled))
@@ -228,7 +237,7 @@ def test_workspace_reuse_is_stateless():
     cases = {}
     for r in (31, 25):
         tab = Level.of(r)
-        tup = next(sixtuple_chunks(tab, restrict=False))
+        tup = first_unrestricted_block(tab)
         assert tup[0].size == scans._BLOCK
         perm = np.random.default_rng(r).permutation(tup[0].size)
         t, q = _sixj_indices_reference(*tup)
@@ -245,6 +254,17 @@ def test_workspace_reuse_is_stateless():
             assert_same_bits(got, batch_sixj(tab, *tup))
 
 
+def test_batch_bit_identical_to_reference_above_16_bit_sort_keys():
+    # from r = 2**15 on the z-range lengths no longer fit the 16-bit sort
+    # keys, and the kernel sorts int64 keys instead
+    tab = Level.of(32771)
+    cols = np.array([
+        (0, 0, 0, 0, 0, 0), (2, 2, 2, 2, 2, 2), (4, 4, 4, 4, 4, 4), (6, 4, 2, 6, 4, 2),
+        (10, 6, 8, 10, 6, 8), (2, 4, 6, 8, 10, 12), (20, 30, 40, 20, 30, 40),
+    ]).T
+    assert_same_bits(batch_sixj(tab, *cols), _batch_sixj_reference(tab, *cols))
+
+
 def test_batch_exactly_zero_sixj_is_floored():
     # exactly 0 (the cyclotomic square vanishes); the doubles leave a sum
     # 14.5 digits below the absolute sum, within the kernel's rounding bound
@@ -256,22 +276,11 @@ def test_batch_exactly_zero_sixj_is_floored():
     assert np.all(d["cancel"] > 14)
 
 
-def test_chunks_enumerate_all_tuples():
-    r = 9
-    tab = Level.of(r)
-    seen = set()
-    for block in sixtuple_chunks(tab, restrict=False):
-        for row in zip(*[np.asarray(x).tolist() for x in block]):
-            seen.add(tuple(row))
-    assert seen == set(all_admissible_sixtuples(r))
-    assert len(seen) == 414
-
-
 def test_restricted_chunks_cover_all_classes():
     r = 9
     tab = Level.of(r)
     restricted = set()
-    for block in sixtuple_chunks(tab, restrict=True):
+    for block in sixtuple_chunks(tab):
         for row in zip(*[np.asarray(x).tolist() for x in block]):
             restricted.add(tuple(row))
     full = set(all_admissible_sixtuples(r))
@@ -382,18 +391,17 @@ def concatenated(blocks):
 
 
 def test_chunks_match_reference_in_order():
-    for restrict, rmax in ((True, 49), (False, 35)):
-        for r in range(5, rmax + 1, 2):
-            tab = Level.of(r)
-            want, _ = concatenated(_sixtuple_chunks_reference(tab, restrict=restrict))
-            blocks = list(sixtuple_chunks(tab, restrict=restrict))
-            got, sizes = concatenated(blocks)
-            for x, y in zip(got, want):
-                assert x.dtype == np.int64
-                assert np.array_equal(x, y), (r, restrict)
-            assert all(n == scans._BLOCK for n in sizes[:-1])
-            assert 0 < sizes[-1] <= scans._BLOCK
-            assert all(x.dtype == np.int64 for tup in blocks for x in tup)
+    for r in range(5, 50, 2):
+        tab = Level.of(r)
+        want, _ = concatenated(_sixtuple_chunks_reference(tab))
+        blocks = list(sixtuple_chunks(tab))
+        got, sizes = concatenated(blocks)
+        for x, y in zip(got, want):
+            assert x.dtype == np.int64
+            assert np.array_equal(x, y), r
+        assert all(n == scans._BLOCK for n in sizes[:-1])
+        assert 0 < sizes[-1] <= scans._BLOCK
+        assert all(x.dtype == np.int64 for tup in blocks for x in tup)
 
 
 def test_chunks_budget_edges():
@@ -720,7 +728,7 @@ def test_batch_memory_bounded():
     # enumerator's 214,386-tuple chunk it read 14.0 MB, and the padded
     # two-pass kernel peaked at 41.1 MB there.
     tab = Level.of(65)
-    blocks = sixtuple_chunks(tab, restrict=True)
+    blocks = sixtuple_chunks(tab)
     tup = tuple(x[:200_000] for x in concatenated(itertools.islice(blocks, 7))[0])
     assert tup[0].size == 200_000
     assert traced_peak(batch_sixj, tab, *tup) < 1.25 * 14.0 * 2**20
@@ -1050,7 +1058,7 @@ def reference_tv_tet_log(r):
     every log kept until the overall maximum is known."""
     tab = Level.of(r)
     logs = []
-    for tup in sixtuple_chunks(tab, restrict=False):
+    for tup in _sixtuple_chunks_reference(tab, restrict=False):
         lg = batch_sixj(tab, *tup)["log"]
         logs.append(2.0 * lg[np.isfinite(lg)])
     mx = max(float(lg.max()) for lg in logs if lg.size)
@@ -1062,7 +1070,7 @@ def test_orbit_representatives_one_per_class():
         full = all_admissible_sixtuples(r)
         tab = Level.of(r)
         kept = []
-        for tup in sixtuple_chunks(tab, restrict=True):
+        for tup in sixtuple_chunks(tab):
             keep, weight = orbit_representatives(tab, tup)
             rows = zip(*[x[keep].tolist() for x in tup])
             kept += [(row, int(w)) for row, w in zip(rows, weight)]
@@ -1105,7 +1113,7 @@ def test_orbit_representatives_matches_all_images():
     blocks = 0
     for r in [*range(5, 43, 2), 65]:
         tab = Level.of(r)
-        for tup in sixtuple_chunks(tab, restrict=True):
+        for tup in sixtuple_chunks(tab):
             keep, weight = orbit_representatives(tab, tup)
             want_keep, want_weight = reference_orbit_representatives(tab, tup)
             np.testing.assert_array_equal(keep, want_keep)
@@ -1134,7 +1142,7 @@ def test_tv_record_matches_unrestricted_sum():
     # first, so the running maximum rises and the partial sum is rescaled
     tab = Level.of(31)
     tops = []
-    for tup in sixtuple_chunks(tab, restrict=True):
+    for tup in sixtuple_chunks(tab):
         keep, _ = orbit_representatives(tab, tup)
         lg = batch_sixj(tab, *(x[keep] for x in tup))["log"]
         tops.append(float(lg[np.isfinite(lg)].max()))
@@ -1142,7 +1150,7 @@ def test_tv_record_matches_unrestricted_sum():
 
 
 def test_tv_record_budget_counts_cover_tuples():
-    cover = sum(tup[0].size for tup in sixtuple_chunks(Level.of(11), restrict=True))
+    cover = sum(tup[0].size for tup in sixtuple_chunks(Level.of(11)))
     assert tv_tet_record(11, budget=cover).log_value == pytest.approx(reference_tv_tet_log(11))
     with pytest.raises(BudgetExceeded):
         tv_tet_record(11, budget=cover - 1)
