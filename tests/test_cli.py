@@ -263,15 +263,18 @@ def test_scan_exhaustive_bound_golden_csv(capsys):
 
 
 @pytest.mark.parametrize("graph,rmax,name", [("triangular-prism", "9", "tv-prism-5-9.csv"),
+                                             ("triangular-prism", "13", "tv-prism-5-13.csv"),
                                              ("cube", "7", "tv-cube-5-7.csv"),
                                              ("tetrahedron", "41", "tv-tetrahedron-5-41.csv")])
 def test_scan_full_tv_sweep_golden_csv(graph, rmax, name, capsys):
-    # The prism and cube files were written before each coloring sum worked
-    # out its graph's shape once and read every bracket from the memo
-    # through canonical color getters.  The tetrahedron file was written
-    # before the 6-tuple stream came in blocks of _BLOCK tuples, which
-    # regrouped the orbit-weighted sum of tv_tet_record: at r = 37 its
-    # log_value moved one ulp, which the 12-digit CSV does not show.
+    # The prism 5-9 and cube files were written before each coloring sum
+    # worked out its graph's shape once and read every bracket from the memo
+    # through canonical color getters, and the prism 5-13 file before a bare
+    # shape evaluated each symmetry class of colorings once.  The
+    # tetrahedron file was written before the 6-tuple stream came in blocks
+    # of _BLOCK tuples, which regrouped the orbit-weighted sum of
+    # tv_tet_record: at r = 37 its log_value moved one ulp, which the
+    # 12-digit CSV does not show.
     golden = (DATA / name).read_bytes()
     rc, out, _ = run_cli(
         ["scan", "--graph", graph, "--policy", "full-TV-sweep", "--rmin", "5", "--rmax", rmax],

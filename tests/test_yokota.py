@@ -359,6 +359,47 @@ def low_valence():
     return PlanarGraph(7, edges, rot)
 
 
+def low_valence_loop_last():
+    """low_valence with edges 7 and 8 swapped: the loop at the trivalent
+    vertex 5 is now the last of its edges, so the filler closes that
+    vertex on the loop's color range."""
+    g = low_valence()
+    edges = list(g.edges)
+    edges[7], edges[8] = edges[8], edges[7]
+    swap = {14: 16, 15: 17, 16: 14, 17: 15}
+    rot = [[swap.get(d, d) for d in darts] for darts in g.rot]
+    return PlanarGraph(g.nv, edges, rot)
+
+
+def handcuff():
+    """Two loops joined by a bridge (edge 0): each trivalent vertex is
+    closed by its loop, with the bridge's color as the third one."""
+    return PlanarGraph(2, [(0, 1), (0, 0), (1, 1)], [[0, 2, 3], [1, 4, 5]])
+
+
+def relabeled(graph, seed):
+    """The same embedded graph under seeded vertex and edge ids and edge
+    orientations; each rotation keeps its starting corner."""
+    rng = random.Random(seed)
+    vperm = list(range(graph.nv))
+    rng.shuffle(vperm)
+    eperm = list(range(graph.ne))
+    rng.shuffle(eperm)
+    flip = [rng.randrange(2) for _ in range(graph.ne)]
+    edges = [None] * graph.ne
+    for e, (u, v) in enumerate(graph.edges):
+        u, v = vperm[u], vperm[v]
+        edges[eperm[e]] = (v, u) if flip[e] else (u, v)
+    rot = [None] * graph.nv
+    for v, darts in enumerate(graph.rot):
+        rot[vperm[v]] = [2 * eperm[d >> 1] + ((d & 1) ^ flip[d >> 1]) for d in darts]
+    return PlanarGraph(graph.nv, edges, rot)
+
+
+def relabeled_prism():
+    return relabeled(triangular_prism(), 2024)
+
+
 def bits(x):
     return (x.m, x.e, x.q)
 
@@ -369,6 +410,8 @@ TABLE_CASES = [
     ("octahedron", octahedron, 5),
     ("pyramid", square_pyramid, 7),
     ("low-valence", low_valence, 7),
+    ("tetrahedron", tetrahedron, 11),
+    ("relabeled-prism", relabeled_prism, 9),
 ]
 
 
@@ -404,6 +447,29 @@ def test_tv_graph_streams_the_colorings(monkeypatch, make, r, want):
 
     monkeypatch.setattr(yokota_module, "yokota_table", no_table)
     assert bits(tv_graph(make(), r, memo={})) == want
+
+
+@pytest.mark.parametrize("make,r,want", [
+    (triangular_prism, 9, 848),
+    (cube, 7, 272),
+    (octahedron, 5, 2250),
+])
+def test_tv_graph_reads_one_signature_per_class(monkeypatch, make, r, want):
+    # a bare connected shape evaluates one coloring per symmetry class and
+    # hands its value to the rest; the octahedron's fanned shape is read
+    # per coloring
+    calls = []
+
+    def counted(labelings, coloring=None):
+        calls.append(coloring)
+        return read_signature(labelings, coloring)
+
+    monkeypatch.setattr(yokota_module, "read_signature", counted)
+    memo = {}
+    tv_graph(make(), r, memo=memo)
+    assert len(calls) == want
+    if make is triangular_prism:
+        assert len(memo) == want
 
 
 @pytest.mark.parametrize("make,r", [(triangular_prism, 9), (cube, 5)])
@@ -469,7 +535,8 @@ def test_anchored_values_bit_identical_to_reference(name, make, r, anchor_sets, 
         assert memo.keys() == ref_memo.keys()
 
 
-ENUM_GRAPHS = [theta, tetrahedron, triangular_prism, octahedron, low_valence]
+ENUM_GRAPHS = [theta, tetrahedron, triangular_prism, octahedron, low_valence,
+               low_valence_loop_last, handcuff]
 
 
 @pytest.mark.parametrize("r", [5, 7, 9])
