@@ -21,8 +21,9 @@ name it was given: a JSON copy of a fixture, relabeled or mirrored,
 prints the fixture's rows.
 
 The CLI reads no environment: scan's evaluation budget comes from
---budget alone, and the high-precision floors (r + 64 bits for a 6j,
-2r + 256 for a wheel sum) are fixed in the library.
+--budget alone, and the high-precision starts (r + 64 bits for a 6j,
+and for a wheel sum a precision sized from its spoke count) are fixed
+in the library.
 
 Exit codes: 0 success, 1 failed verification, 2 invalid input.
 """

@@ -43,10 +43,12 @@ log-domain 6j evaluator:
   integers too, and the factorials come from a rotation recurrence
   instead of r mpmath sines.  Its link loop, most of its time, deals
   whole rows of link pairs to forked processes (see
-  wheel_log_invariant_mp) from 2 * _FORK_LINKS links on.  On a 2-core
-  box with pure-Python mpmath, pent-zero at r = 321 takes about 0.25 s
-  (0.36 s on one core) and the whole pent-zero grid of
-  reproduce-appendix about 1.7 s (2 s on one core);
+  wheel_log_invariant_mp) from 2 * _FORK_LINKS links on.  Its
+  precision starts at the wheel's measured cancellation plus a margin
+  (_wheel_start_bits).  On a 2-core box with pure-Python mpmath,
+  pent-zero at r = 321 takes about 0.24 s, at 522 bits, and the whole
+  pent-zero grid of reproduce-appendix about 1.9 s through the console
+  script (2.4 s on one core);
 * the family fast path uses Y(prism, all-max) = sixj(max,...)^4 (one
   6j per level), checked against the graph engine at small levels in
   the test suite.
@@ -58,9 +60,9 @@ of the high-precision wheel sum.  Their records are bit-identical for
 any core count.
 The numpy tables every kernel here reads (lf, fneg) are the level's one
 factorial table on qnum.Level, which the scalar 6j reads too; the 6j
-kernel's sign and reversed tables are built from them there.  The wheel
-sums start at the fixed floor of 2r + 256 bits; nothing here reads the
-environment.
+kernel's sign and reversed tables are built from them there.  The
+high-precision wheel sum starts at a precision sized from its spoke
+count (_wheel_start_bits); nothing here reads the environment.
 """
 
 from __future__ import annotations
@@ -782,6 +784,23 @@ def _row_logsum(rows, tl, sign, m: int):
         return mx + np.log(np.abs(acc)), np.where(acc < 0, -1, 1)
 
 
+# decimal digits the float wheel sum may lose and still be printed; past
+# them appendix_record escalates to the high-precision twin
+_FLOAT_LOSS = 8.0
+
+
+def _symbol_cancel(lv: Level, sj: dict):
+    """The digits each symbol of a batch_sixj result lost.  The kernel
+    floors a z-sum to 0 once it cancels past lv.zero_tol, which is above
+    10^-_FLOAT_LOSS from r = 2873 on; there a floored symbol may read
+    fewer digits lost than appendix_record escalates on, so it counts as
+    having lost all 16 of a double.  Below, every floored symbol reads
+    more than _FLOAT_LOSS already, and the result is batch_sixj's own."""
+    if lv.zero_tol <= 10.0 ** -_FLOAT_LOSS:
+        return sj["cancel"]
+    return np.where(np.isneginf(sj["log"]), np.maximum(sj["cancel"], 16.0), sj["cancel"])
+
+
 def wheel_log_invariant(r: int, n_spokes: int, s: int, b: int):
     """log |Y|, sign, and worst cancellation of a colored n-spoke wheel.
 
@@ -808,7 +827,7 @@ def wheel_log_invariant(r: int, n_spokes: int, s: int, b: int):
     rows = np.arange(len(ends))
     ulog, usign = np.full(len(path), -np.inf), np.zeros(len(path), dtype=np.int64)
     ulog[rows], usign[rows] = u["log"], np.where(u["quad"] % 2 == 0, 1, -1)
-    cancels = [u["cancel"]]
+    cancels = [_symbol_cancel(lv, u)]
     # y = M^(n-4) v is kept as the terms Delta_j y_j w_ij^2 of its last link:
     # rows i and the logs dl of |Delta_j|, yh of |y_j|^(1/2) (ya for the
     # path-absolute y) and w of |w_ij|; y = v is one term a row, dl = w = 0.
@@ -818,7 +837,7 @@ def wheel_log_invariant(r: int, n_spokes: int, s: int, b: int):
         ii, jj = ci >> 1, cj >> 1
         cs, cb = (np.full(ii.size, c, dtype=np.int64) for c in (s, b))
         wij = batch_sixj(lv, cs, ci, cj, cb, cb, cb)
-        cancels.append(wij["cancel"])
+        cancels.append(_symbol_cancel(lv, wij))
         wlog, wsign = wij["log"], np.where(wij["quad"] % 2 == 0, 1, -1)
     for link in range(n_spokes - 4):
         y, ysign = _row_logsum(rows, dl + 2.0 * (yh + w), sign, len(path))
@@ -842,10 +861,26 @@ def wheel_log_invariant(r: int, n_spokes: int, s: int, b: int):
     return log_y, (1.0 if acc > 0 else -1.0), worst_cancel
 
 
-def _wheel_start_bits(r: int) -> int:
+# bits that wheel_log_invariant_mp's tries keep above the cancellation
+# they expect: the 50 trusted bits it accepts on and 46 for the error of
+# _wheel_start_bits' law
+_WHEEL_MARGIN = 96
+
+
+def _wheel_start_bits(r: int, n_spokes: int) -> int:
     """The first precision of wheel_log_invariant_mp, at which the fan
-    oracle (verify) checks its z-sums too; a seam for tests."""
-    return 2 * r + 256
+    oracle (verify) checks its z-sums too; a seam for tests.
+
+    It is the cancellation of the zero-angled n-spoke wheel, measured at
+    r = 101..401 (0.55-0.58 r bits for n = 4 to r = 321, 1.21-1.28 r for 5,
+    1.92-2.02 r for 6, 2.65-2.79 r for 7, 3.39-3.58 r for 8, 4.15-4.37 r
+    for 9 and 4.91-5.17 r for 10), read as (0.58 + 0.75 (n - 4)) r, plus
+    _WHEEL_MARGIN.  Every wheel of the appendix grid, pent-zero to
+    r = 401 and the zero-angled W_6..W_10 at r = 101, 201 and 401 pass at
+    it in one try; colorings that cancel less run at more bits than they
+    need.
+    """
+    return (58 + 75 * (n_spokes - 4)) * r // 100 + _WHEEL_MARGIN
 
 
 # links of the mp wheel's link loop that each process gets at least; see
@@ -869,8 +904,17 @@ def wheel_log_invariant_mp(r: int, n_spokes: int, s: int, b: int):
     relative, a cut row sum too, of its terms' magnitudes; so Y is off
     by under 22n 2^-(P-1) of the path-absolute sum |a|^T |M|^(n-4) |v|,
     which the links give from |v|, and whose ratio to |Y| is the
-    cancellation.  Precision starts at 2r + 256 bits and doubles until
-    the cancellation leaves at least 50 trusted bits.
+    cancellation.  A try is accepted when the cancellation leaves at
+    least 50 trusted bits (cancel_bits <= prec - 50), and there are five
+    tries.  The first runs at _wheel_start_bits, the zero-angled wheel's
+    measured cancellation plus _WHEEL_MARGIN.  A failed try that still
+    trusts about 15 bits (cancel_bits <= prec + 8, so Y is off by under
+    22n 2^-23 of itself) has measured the cancellation to a fraction of a
+    bit, and the next runs at ceil(cancel_bits) + _WHEEL_MARGIN; a try
+    below that is noise, and the next doubles.  Each precision's value
+    is accepted on its own bound, never on two precisions agreeing.
+    pent-zero at r = 321 passes at 522 bits and the zero-angled W_10 at
+    r = 401 at 2,133, each in one try.
 
     The S_ij are formed on every usable core (_fork_shares), with at
     least _FORK_LINKS links a process: whole rows i are dealt
@@ -879,18 +923,21 @@ def wheel_log_invariant_mp(r: int, n_spokes: int, s: int, b: int):
     order.  The tables are built before the fork and everything after
     the S_ij runs here, so no worker enters mpmath.  Every sum is exact,
     so Y, its sign and the cancellation are the same for any process
-    count.  On a 2-core box pent-zero's link loop took about as long in
-    two processes as in one at 930 and 1,260 links (r = 121, 141), and
-    10-20% less from 1,640 links (r = 161) on; so two processes start at
-    2,048 links, r = 181 for pent-zero.
+    count.  On a 2-core box, at the precisions above, pent-zero's whole
+    sum took 9-18% longer in two processes than in one at 1,260 links
+    (r = 141), the same to 21% less at 1,640 (r = 161), and 15% less at
+    2,070 (r = 181) and 7-31% less at r = 201..261 (medians of 12 and 16
+    alternating pairs, two runs); so two processes start at 2,048 links,
+    r = 181 for pent-zero.
     """
     lv, ends, path = _fan_colors(r, n_spokes, s, b)
     links = [(i, j) for i, j in _fan_links(lv, s, path) if i <= j] if n_spokes > 4 else []
     # the links of one i, dealt whole so that a process reuses fan's tables of that i
     link_rows = [list(row) for _, row in itertools.groupby(links, key=lambda link: link[0])]
-    start = _wheel_start_bits(r)
+    prec = _wheel_start_bits(r, n_spokes)
     for k in range(5):
-        prec = start << k
+        if k:  # a try that kept about 15 trusted bits measured its cancellation; noise doubles
+            prec = math.ceil(cancel_bits) + _WHEEL_MARGIN if cancel_bits <= prec + 8 else 2 * prec
         tab = lv.mp_factorials(prec)
         fan, p = tab.fan(s, b), tab.bits
         sbb = tab.inv_theta(s, b, b)
@@ -964,7 +1011,7 @@ def appendix_record(kind: str, r: int) -> ScanRecord:
         log_y, _, worst_cancel = wheel_log_invariant(r, n_spokes, s, b)
     except ValueError:  # vanished in doubles; the mp twin raises any other again
         worst_cancel = math.inf
-    if worst_cancel > 8.0:
+    if worst_cancel > _FLOAT_LOSS:
         log_y, _, worst_cancel = wheel_log_invariant_mp(r, n_spokes, s, b)
     return ScanRecord.at(r, kind, f"{kind}[spoke={s} rim={b}]", log_y,
                          target=target, cancel_digits=worst_cancel)

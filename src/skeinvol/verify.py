@@ -188,7 +188,7 @@ def _fan_oracle_check(r: int) -> CheckResult:
     from .cyclo import sixj_exact_square
 
     lv = Level.of(r)
-    prec = _wheel_start_bits(r)
+    prec = _wheel_start_bits(r, 6)
     tab = lv.mp_factorials(prec)
     worst = 0.0
     cases = []

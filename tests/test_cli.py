@@ -228,20 +228,22 @@ def test_reproduce_appendix_deterministic(capsys):
 DATA = pathlib.Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("kind", [
-    pytest.param(kind, id=f"{kind}-321") for kind in ["sq-ideal", "sq-zero", "pent-ideal", "pent-zero"]
-])
-def test_reproduce_appendix_golden_csv(kind, capsys):
+@pytest.mark.parametrize("kind, rmin, rmax", [
+    pytest.param(kind, 101, 321, id=f"{kind}-321") for kind in ["sq-ideal", "sq-zero", "pent-ideal", "pent-zero"]
+] + [pytest.param("pent-zero", 341, 401, id="pent-zero-401")])
+def test_reproduce_appendix_golden_csv(kind, rmin, rmax, capsys):
     # The nine-column CSV is byte-stable on each kind's default grid,
     # r = 101..321: the first three rows of every file were written by the
     # float and mpmath wheel sums before the fan tables and the rotation
     # recurrence replaced their high-precision arithmetic, the ideal kinds'
     # files before the float wheel read its Delta table off circle_logs,
     # and the zero-angled kinds' files before both wheel sums read their
-    # colors and link pairs off fusion_colors.
-    golden = (DATA / f"appendix-{kind}-101-321.csv").read_bytes()
+    # colors and link pairs off fusion_colors.  pent-zero's file past the
+    # grid, r = 341..401, was written while the high-precision sum still
+    # started every wheel at 2r + 256 bits.
+    golden = (DATA / f"appendix-{kind}-{rmin}-{rmax}.csv").read_bytes()
     rc, out, _ = run_cli(
-        ["reproduce-appendix", "--which", kind, "--rmin", "101", "--rmax", "321", "--rstep", "20"],
+        ["reproduce-appendix", "--which", kind, "--rmin", str(rmin), "--rmax", str(rmax), "--rstep", "20"],
         capsys,
     )
     assert rc == 0

@@ -639,16 +639,22 @@ def test_bound_record_on_caller_thread_forks_nothing(monkeypatch):
     assert got == want
 
 
-# (r, spokes, kind) -> forks with 1, 2 and 3 cores: pent-zero at r = 141
-# (1,260 links) stays in one process, at r = 261 (4,290 links) it forks
-# up to four processes; the zero-angled W_8 at r = 201 (2,550 links, two
-# processes) runs at two precisions and forks once in each
-WHEEL_FORKS = {(141, 5, "pent-zero"): [0, 0, 0], (261, 5, "pent-zero"): [0, 1, 2],
-               (201, 8, "sq-zero"): [0, 2, 2]}
+# (r, spokes, kind, start) -> forks with 1, 2 and 3 cores, with
+# _wheel_start_bits patched to start unless it is None: pent-zero at
+# r = 141 (1,260 links) stays in one process, at r = 261 (4,290 links) it
+# forks up to four processes; the zero-angled W_8 at r = 201 (2,550
+# links, two processes) runs at one precision and forks once, and from
+# 720 bits, under the 756 it needs, it retries once above its measured
+# cancellation and forks once at each precision
+WHEEL_FORKS = {(141, 5, "pent-zero", None): [0, 0, 0], (261, 5, "pent-zero", None): [0, 1, 2],
+               (201, 8, "sq-zero", None): [0, 1, 1], (201, 8, "sq-zero", 720): [0, 2, 2]}
 
 
 def test_wheel_bits_independent_of_worker_count(monkeypatch, forks):
-    for (r, n, kind), want_forks in WHEEL_FORKS.items():
+    real = scans._wheel_start_bits
+    for (r, n, kind, start), want_forks in WHEEL_FORKS.items():
+        monkeypatch.setattr(scans, "_wheel_start_bits",
+                            real if start is None else lambda r, n, start=start: start)
         seen, forked = set(), []
         for cores in (1, 2, 3):
             monkeypatch.setattr(scans, "_cores", lambda cores=cores: cores)
@@ -656,8 +662,8 @@ def test_wheel_bits_independent_of_worker_count(monkeypatch, forks):
             seen.add(tuple(map(float.hex, wheel_log_invariant_mp(r, n, *appendix_colors(kind, r)))))
             forked.append(len(forks))
             assert no_children()
-        assert len(seen) == 1, (r, n, kind)
-        assert forked == want_forks, (r, n, kind)
+        assert len(seen) == 1, (r, n, kind, start)
+        assert forked == want_forks, (r, n, kind, start)
 
 
 def test_wheel_worker_error_reaches_caller(monkeypatch):
@@ -830,9 +836,10 @@ def test_wheel_float_vs_highprec():
 
 
 def test_wheel_mp_value_holds_at_1024_bits(monkeypatch):
-    # starting above the 2r + 256 = 458-bit floor changes the working
-    # precision, not the value; so does starting the zero-angled W_6 and
-    # W_8, whose middle links cancel the most, at twice the floor
+    # starting pent-zero at r = 101 at 1,024 bits, not its 230, changes
+    # the working precision, not the value; so does starting the
+    # zero-angled W_6 and W_8, whose middle links cancel the most, at
+    # 4r + 512 bits
     cases = [(101, 5, *appendix_colors("pent-zero", 101), 1024)]
     cases += [(r, n, *appendix_colors("sq-zero", r), 2 * (2 * r + 256))
               for r in (101, 201) for n in (6, 8)]
@@ -843,7 +850,7 @@ def test_wheel_mp_value_holds_at_1024_bits(monkeypatch):
                         lambda lv, prec: used.append(prec) or real(lv, prec))
     for (*case, start), (want, sign, _) in zip(cases, wants):
         used.clear()
-        monkeypatch.setattr(scans, "_wheel_start_bits", lambda r: start)
+        monkeypatch.setattr(scans, "_wheel_start_bits", lambda r, n: start)
         got, got_sign, _ = wheel_log_invariant_mp(*case)
         assert used == [start]
         assert got_sign == sign
@@ -980,12 +987,12 @@ def test_rotation_recurrence_keeps_full_table_precision():
 def reference_wheel_mp(r, n_spokes, s, b):
     """wheel_log_invariant_mp as the mpf outer loop it once was, over the
     divide reference: every z-sum, Theta and [k] an mpf, the terms summed
-    in order in mpf at the working precision, and the same precision
-    rule."""
+    in order in mpf at the working precision, and the same start and
+    retry rule."""
     lv = Level.of(r)
     ilist = [i for i in lv.colors
              if is_admissible_triple(s, s, i, lv) and is_admissible_triple(i, b, b, lv)]
-    prec = scans._wheel_start_bits(r)
+    prec = scans._wheel_start_bits(r, n_spokes)
     while True:
         facts = reference_facts(r, prec)
         with mp.workprec(prec):
@@ -1020,7 +1027,7 @@ def reference_wheel_mp(r, n_spokes, s, b):
             if cancel_bits <= prec - 50:
                 return (float(mp.log(abs(total))), 1.0 if total > 0 else -1.0,
                         cancel_bits * math.log10(2.0))
-        prec *= 2
+        prec = math.ceil(cancel_bits) + scans._WHEEL_MARGIN if cancel_bits <= prec + 8 else 2 * prec
 
 
 def test_wheel_mp_matches_reference_kernel():
@@ -1033,16 +1040,65 @@ def test_wheel_mp_matches_reference_kernel():
 
 def test_wheel_mp_error_names_last_precision(monkeypatch):
     # from 8 bits the five tries are 8 .. 128 bits, all below the
-    # cancellation of pent-zero at r = 101
+    # cancellation of pent-zero at r = 101 (123 bits): the first four are
+    # noise and double, and the fifth fails the 50-bit rule
     used = []
     real = Level.mp_factorials
     monkeypatch.setattr(Level, "mp_factorials",
                         lambda lv, prec: used.append(prec) or real(lv, prec))
-    monkeypatch.setattr(scans, "_wheel_start_bits", lambda r: 8)
+    monkeypatch.setattr(scans, "_wheel_start_bits", lambda r, n: 8)
     s, b = appendix_colors("pent-zero", 101)
     with pytest.raises(ValueError, match=r"cancels beyond 128 bits$"):
         wheel_log_invariant_mp(101, 5, s, b)
     assert used == [8, 16, 32, 64, 128]
+
+
+def test_wheel_mp_start_and_retry_schedule(monkeypatch):
+    # each wheel passes in one try at the start sized from its spoke
+    # count's cancellation law, with the bits it returned when every
+    # wheel started at 2r + 256; a start just under pent-zero's need at
+    # r = 261 (331 bits cancelled, so 381 needed) retries once, just
+    # above the cancellation it measured, not at twice the start
+    used = []
+    real = Level.mp_factorials
+    monkeypatch.setattr(Level, "mp_factorials",
+                        lambda lv, prec: used.append(prec) or real(lv, prec))
+    law = scans._wheel_start_bits
+    cases = [(r, n, *appendix_colors(kind, r)) for kind, n in (("sq-zero", 4), ("pent-zero", 5))
+             for r in (101, 321)]
+    cases += [(r, n, *appendix_colors("sq-zero", r)) for n in (6, 8, 10) for r in (101, 201)]
+    for case in cases:
+        used.clear()
+        got = wheel_log_invariant_mp(*case)
+        assert used == [law(*case[:2])], case
+        monkeypatch.setattr(scans, "_wheel_start_bits", lambda r, n: 2 * r + 256)
+        want = wheel_log_invariant_mp(*case)
+        monkeypatch.setattr(scans, "_wheel_start_bits", law)
+        assert list(map(float.hex, got)) == list(map(float.hex, want)), case
+    monkeypatch.setattr(scans, "_wheel_start_bits", lambda r, n: 380)
+    used.clear()
+    _, _, cancel = wheel_log_invariant_mp(261, 5, *appendix_colors("pent-zero", 261))
+    retry = math.ceil(cancel / math.log10(2.0)) + scans._WHEEL_MARGIN
+    assert used == [380, retry]
+    assert retry < 2 * 380
+
+
+def test_floored_symbol_escalates_above_the_float_floor(monkeypatch):
+    # batch_sixj floors a z-sum to 0 once it cancels past lv.zero_tol,
+    # above 1e-8 from r = 2873 on; a floored symbol that cancelled fewer
+    # than 8 digits then counts as lost, so appendix_record escalates
+    # instead of printing a float sum that dropped it.  At r = 101 one
+    # link symbol of spoke 14 and rim 18 cancels 3.35 digits, and raising
+    # the level's floor to 1e-3 floors it.
+    r, s, b = 101, 14, 18
+    monkeypatch.setitem(scans._APPENDIX, "floored", ("pentagonal-antiprism", 5, (s / r, b / r)))
+    assert appendix_colors("floored", r) == (s, b)
+    assert appendix_record("floored", r).cancel_digits < 4.0  # the float value, printed
+    log_mp, _, cancel_mp = wheel_log_invariant_mp(r, 5, s, b)
+    monkeypatch.setattr(Level.of(r), "zero_tol", 1e-3)
+    assert wheel_log_invariant(r, 5, s, b)[2] > 8.0
+    rec = appendix_record("floored", r)
+    assert (rec.log_value, rec.cancel_digits) == (log_mp, cancel_mp)
 
 
 def test_tv_record_matches_engine():
