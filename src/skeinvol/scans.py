@@ -789,15 +789,12 @@ def _row_logsum(rows, tl, sign, m: int):
 _FLOAT_LOSS = 8.0
 
 
-def _symbol_cancel(lv: Level, sj: dict):
+def _symbol_cancel(sj: dict):
     """The digits each symbol of a batch_sixj result lost.  The kernel
-    floors a z-sum to 0 once it cancels past lv.zero_tol, which is above
-    10^-_FLOAT_LOSS from r = 2873 on; there a floored symbol may read
-    fewer digits lost than appendix_record escalates on, so it counts as
-    having lost all 16 of a double.  Below, every floored symbol reads
-    more than _FLOAT_LOSS already, and the result is batch_sixj's own."""
-    if lv.zero_tol <= 10.0 ** -_FLOAT_LOSS:
-        return sj["cancel"]
+    floors a z-sum to 0 once it cancels past lv.zero_tol, which exceeds
+    10^-_FLOAT_LOSS from r = 2873 on, so a floored symbol may read fewer
+    digits lost than appendix_record escalates on; it counts as having
+    lost all 16 of a double."""
     return np.where(np.isneginf(sj["log"]), np.maximum(sj["cancel"], 16.0), sj["cancel"])
 
 
@@ -827,7 +824,7 @@ def wheel_log_invariant(r: int, n_spokes: int, s: int, b: int):
     rows = np.arange(len(ends))
     ulog, usign = np.full(len(path), -np.inf), np.zeros(len(path), dtype=np.int64)
     ulog[rows], usign[rows] = u["log"], np.where(u["quad"] % 2 == 0, 1, -1)
-    cancels = [_symbol_cancel(lv, u)]
+    cancels = [_symbol_cancel(u)]
     # y = M^(n-4) v is kept as the terms Delta_j y_j w_ij^2 of its last link:
     # rows i and the logs dl of |Delta_j|, yh of |y_j|^(1/2) (ya for the
     # path-absolute y) and w of |w_ij|; y = v is one term a row, dl = w = 0.
@@ -837,7 +834,7 @@ def wheel_log_invariant(r: int, n_spokes: int, s: int, b: int):
         ii, jj = ci >> 1, cj >> 1
         cs, cb = (np.full(ii.size, c, dtype=np.int64) for c in (s, b))
         wij = batch_sixj(lv, cs, ci, cj, cb, cb, cb)
-        cancels.append(_symbol_cancel(lv, wij))
+        cancels.append(_symbol_cancel(wij))
         wlog, wsign = wij["log"], np.where(wij["quad"] % 2 == 0, 1, -1)
     for link in range(n_spokes - 4):
         y, ysign = _row_logsum(rows, dl + 2.0 * (yh + w), sign, len(path))
@@ -913,6 +910,12 @@ def wheel_log_invariant_mp(r: int, n_spokes: int, s: int, b: int):
     bit, and the next runs at ceil(cancel_bits) + _WHEEL_MARGIN; a try
     below that is noise, and the next doubles.  Each precision's value
     is accepted on its own bound, never on two precisions agreeing.
+    A measured retry adds at most 104 bits, less than a doubling once
+    the start is 104 bits (r >= 14), so the fifth try runs at no more
+    than 16 _wheel_start_bits, (0.58 + 0.75 (n - 4)) r 16 + 1536 bits:
+    for n = 4 and 5 that is under the 16 (2r + 256) of a 2r + 256 start,
+    and a coloring cancelling between the two raises instead of
+    returning.
     pent-zero at r = 321 passes at 522 bits and the zero-angled W_10 at
     r = 401 at 2,133, each in one try.
 

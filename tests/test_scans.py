@@ -1085,11 +1085,11 @@ def test_wheel_mp_start_and_retry_schedule(monkeypatch):
 
 def test_floored_symbol_escalates_above_the_float_floor(monkeypatch):
     # batch_sixj floors a z-sum to 0 once it cancels past lv.zero_tol,
-    # above 1e-8 from r = 2873 on; a floored symbol that cancelled fewer
-    # than 8 digits then counts as lost, so appendix_record escalates
-    # instead of printing a float sum that dropped it.  At r = 101 one
-    # link symbol of spoke 14 and rim 18 cancels 3.35 digits, and raising
-    # the level's floor to 1e-3 floors it.
+    # above 1e-8 from r = 2873 on, so a floored symbol may have cancelled
+    # fewer than 8 digits; it counts as lost, and appendix_record
+    # escalates instead of printing a float sum that dropped it.  At
+    # r = 101 one link symbol of spoke 14 and rim 18 cancels 3.35 digits,
+    # and raising the level's floor to 1e-3 floors it.
     r, s, b = 101, 14, 18
     monkeypatch.setitem(scans._APPENDIX, "floored", ("pentagonal-antiprism", 5, (s / r, b / r)))
     assert appendix_colors("floored", r) == (s, b)
