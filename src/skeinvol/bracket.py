@@ -27,9 +27,10 @@ circle-weight, vertex-weight and 6j factors, and a last product over
 components or H-to-I sum over the new color, each term a sub-evaluation.
 Every later coloring with those zero edges replays the program with the
 same scalar operations in the same order, so its value, step count and
-budget verdict are those of the moves themselves.  A seeded context
-records each reduction afresh, with its own random picks, and caches
-nothing.
+budget verdict are those of the moves themselves.  Ties between moves
+are broken by the labels (the first smallest face, its least dart), so
+the order of the moves is a function of the labeled graph: a check that
+wants another order evaluates a relabeled copy of the same embedding.
 
 This module owns the memo.  Values of reduced forms are memoized under
 (r, canonical colored signature), a key that only
@@ -44,7 +45,6 @@ arguments.
 
 from __future__ import annotations
 
-import random
 from functools import lru_cache
 from operator import index, itemgetter
 
@@ -76,11 +76,10 @@ def cache_clear():
 
 
 class _Ctx:
-    __slots__ = ("lv", "rng", "steps", "budget", "memo")
+    __slots__ = ("lv", "steps", "budget", "memo")
 
-    def __init__(self, lv, seed, budget, memo):
+    def __init__(self, lv, budget, memo):
         self.lv = lv
-        self.rng = random.Random(seed) if seed is not None else None
         self.steps = 0
         self.budget = budget if budget is not None else _BUDGET
         self.memo = memo if memo is not None else {}
@@ -89,12 +88,6 @@ class _Ctx:
         self.steps += n
         if self.steps > self.budget:
             raise BudgetExceeded(f"evaluation exceeded {self.budget:g} steps")
-
-    def pick(self, seq):
-        """Deterministic first element, or a seeded random choice."""
-        if self.rng is None:
-            return seq[0]
-        return seq[self.rng.randrange(len(seq))]
 
 
 # ---------------------------------------------------------------------------
@@ -167,18 +160,13 @@ class _Compiler:
     """Record the reduction of rg as a _Program.
 
     rg is colored by slots, and bit k of mask says whether slot k is
-    colored 0.  Candidate moves are chosen with ctx.pick.  When colors (the
-    coloring itself) is given, as for a seeded context, the color checks
-    are decided here: the recording stops where the reduction returns 0,
-    so it draws picks only where the reduction would.  Otherwise each
-    check becomes a step, recorded once per program.
+    colored 0.  A color check that the zero edges do not decide becomes
+    a step, recorded once per program.
     """
 
-    def __init__(self, rg, mask, ctx, colors=None):
+    def __init__(self, rg, mask):
         self.rg = rg
         self.mask = mask
-        self.ctx = ctx
-        self.colors = colors
         self.nslots = len(rg.col)
         self.steps = []
         self.ticks = 0
@@ -194,8 +182,6 @@ class _Compiler:
             return True
         if self._zero(x) or self._zero(y):
             return False
-        if self.colors is not None:
-            return self.colors[x] == self.colors[y]
         if (x, y) not in self.checked and (y, x) not in self.checked:
             self.checked.add((x, y))
             self.steps.append((_EQUAL, self.ticks, x, y))
@@ -207,9 +193,6 @@ class _Compiler:
         for zx, p, q in ((x, y, z), (y, x, z), (z, x, y)):
             if self._zero(zx):
                 return self._equal(p, q)
-        if self.colors is not None:
-            a, b, c = (self.colors[s] for s in (x, y, z))
-            return a + b + c <= 2 * self.ctx.lv.r - 4 and abs(a - b) <= c <= a + b
         key = tuple(sorted((x, y, z)))
         if key not in self.checked:
             self.checked.add(key)
@@ -264,8 +247,7 @@ class _Compiler:
             if _is_theta(rg):
                 return self._end(_RETURN)
 
-            faces = sorted(rg.faces(), key=len)
-            fmin = faces[0]
+            fmin = min(rg.faces(), key=len)  # the first of the smallest
             if len(fmin) == 2:
                 if not self._collapse_bigon(fmin):
                     return self._end(_ZERO)
@@ -275,9 +257,7 @@ class _Compiler:
                 continue
 
             # smallest face has degree >= 4: spend one H-to-I move on it
-            degmin = len(fmin)
-            candidates = [f for f in faces if len(f) == degmin]
-            return self._whitehead(self.ctx.pick(candidates))
+            return self._whitehead(fmin)
 
     def _clean(self):
         """Valence/admissibility pass: 'zero', 'changed', 'clean', or a
@@ -360,15 +340,14 @@ class _Compiler:
     def _whitehead(self, face):
         """Rewire one edge of the face and end in the H-to-I sum.
 
-        The edge s (chosen canonically or by the seeded rng) is removed
-        and replaced by a transverse edge whose color i is summed over;
-        the value is sum_i circle_weight(i) * 6j(s, a, t1, i, t2, b) *
-        <rewired graph>.  The new edge reads slot nslots, the color i
-        appended to the coloring.
+        The edge s of the face's least dart is removed and replaced by a
+        transverse edge whose color i is summed over; the value is
+        sum_i circle_weight(i) * 6j(s, a, t1, i, t2, b) * <rewired graph>.
+        The new edge reads slot nslots, the color i appended to the
+        coloring.
         """
         rg = self.rg
-        darts = sorted(face, key=lambda d: (d >> 1, d & 1))
-        d = self.ctx.pick(darts)
+        d = min(face)
         sigma = rg.sigma()
         u1 = rg.vof[d]
         u2 = rg.vof[d ^ 1]
@@ -412,9 +391,9 @@ def _is_theta(rg):
 
 @lru_cache(maxsize=1024)
 def _program(g: PlanarGraph, mask: int) -> _Program:
-    """The reduction of g with zero-edge pattern mask, picks unseeded."""
+    """The reduction of g with zero-edge pattern mask."""
     rg = _RGraph.from_graph(g, range(g.ne))  # colored by slots
-    return _Compiler(rg, mask, _Ctx(None, None, None, None)).compile()
+    return _Compiler(rg, mask).compile()
 
 
 _SHAPE_CACHES.append(_program)
@@ -488,9 +467,7 @@ def _eval_canonical(g: PlanarGraph, coloring, ctx, sig=None, mask=None) -> ExtSc
     the one place a memo key (r, signature) is built and looked
     up; a hit costs no steps.  coloring is a tuple.  sig can pass
     canonical_signature(g, coloring) and mask its _zero_mask when the
-    caller has them.  A miss replays the program of (g, mask);
-    under a seeded context it records the reduction afresh against the
-    coloring itself, with ctx's picks, and runs it once without caching.
+    caller has them.  A miss replays the program of (g, mask).
     """
     if sig is None:
         sig = canonical_signature(g, coloring)
@@ -500,11 +477,7 @@ def _eval_canonical(g: PlanarGraph, coloring, ctx, sig=None, mask=None) -> ExtSc
         return hit
     if mask is None:
         mask = _zero_mask(coloring)
-    if ctx.rng is None:
-        prog = _program(g, mask)
-    else:
-        prog = _Compiler(_RGraph.from_graph(g, range(g.ne)), mask, ctx, coloring).compile()
-    val = _run(prog, coloring, ctx)
+    val = _run(_program(g, mask), coloring, ctx)
     if len(ctx.memo) >= _MEMO_MAX:
         ctx.memo.clear()
     ctx.memo[key] = val
@@ -534,16 +507,15 @@ def bracket(
     coloring,
     level,
     *,
-    seed=None,
     budget=None,
     memo=None,
 ) -> ExtScalar:
     """The invariant of a colored planar graph, as an ExtScalar.
 
     coloring is a tuple of colors indexed by edge id.  All vertices must
-    have valence 0, 2 or 3.  The value does not depend on the reduction
-    strategy: seed randomizes tie-breaking, which only affects speed (a
-    fact the test-suite checks rather than assumes).
+    have valence 0, 2 or 3.  The order of the moves follows the labels;
+    the value does not depend on it (a fact the test-suite checks on
+    relabeled copies rather than assumes).
 
     budget caps the reduction steps (default 1e8); past it BudgetExceeded
     is raised.  memo is a dict of reduced values that the caller owns and
@@ -554,7 +526,7 @@ def bracket(
     coloring = _validate_coloring(graph, coloring, lv)
     if genus(graph) != 0:
         raise NotPlanar("the rotation system does not embed in the sphere")
-    ctx = _Ctx(lv, seed, budget, memo)
+    ctx = _Ctx(lv, budget, memo)
     return _eval_canonical(graph, coloring, ctx)
 
 

@@ -508,6 +508,25 @@ def mirror(g: PlanarGraph) -> PlanarGraph:
     return PlanarGraph(g.nv, g.edges, [tuple(reversed(r)) for r in g.rot])
 
 
+def relabel(g: PlanarGraph, coloring, rng):
+    """The same colored embedding under shuffled vertex ids, edge ids,
+    edge orientations and rotation starting corners, all drawn from rng
+    (a random.Random, say).  Returns (graph, coloring)."""
+    vperm, eperm = list(range(g.nv)), list(range(g.ne))
+    rng.shuffle(vperm)
+    rng.shuffle(eperm)
+    flip = [rng.randrange(2) for _ in range(g.ne)]
+    edges, col = [None] * g.ne, [None] * g.ne
+    for e, (u, v) in enumerate(g.edges):
+        edges[eperm[e]] = (vperm[v], vperm[u]) if flip[e] else (vperm[u], vperm[v])
+        col[eperm[e]] = coloring[e]
+    rot = [None] * g.nv
+    for v, r in enumerate(g.rot):
+        k = rng.randrange(len(r)) if r else 0
+        rot[vperm[v]] = [2 * eperm[d >> 1] + ((d & 1) ^ flip[d >> 1]) for d in r[k:] + r[:k]]
+    return PlanarGraph(g.nv, edges, rot), tuple(col)
+
+
 def double_at(g: PlanarGraph, v: int, coloring=None):
     """Vertex sum of g with its own mirror image at vertex v.
 

@@ -21,11 +21,10 @@ factor 1.
 
 None of that surgery depends on the colors, so it is done once per
 shape: `yokota_ext`, `desingularize` and every sum over colorings look
-up the graph's desingularized shape (cached per graph and fan anchors;
-the rules in the order they apply, the fanned trivalent graph, its
-internal edges and the vertices each of them closes, one genus check,
-and the canonical labelings of `skeinvol.planar`).  Evaluating a
-coloring then costs the rules' color checks and factors, the admissible
+up the graph's desingularized shape (cached per graph; the rules in the
+order they apply, the fanned trivalent graph, its internal edges and the
+vertices each of them closes, one genus check, and the canonical
+labelings of `skeinvol.planar`).  Evaluating a coloring then costs the rules' color checks and factors, the admissible
 internal colors, and one call of `skeinvol.bracket`'s memoized
 evaluation per internal coloring, with the signature
 `skeinvol.planar.read_signature` reads off the labelings.  The bracket
@@ -121,16 +120,16 @@ def maximizing_color(level) -> int:
 # desingularization
 
 
-def _fan_vertex(rg, v, offset, next_vertex):
+def _fan_vertex(rg, v, next_vertex):
     """Split the >3-valent vertex v of rg into a path of trivalent ones.
 
-    offset rotates which corner of v the fan starts at; any choice gives
-    an equivalent (sphere-embedded) result.  Returns (new edge ids,
-    next free vertex id).
+    The fan starts at the first corner of v's rotation; a turned
+    rotation starts it elsewhere, and any start gives an equivalent
+    (sphere-embedded) result.  Returns (new edge ids, next free vertex
+    id).
     """
-    darts = rg.rot.pop(v)
-    k = len(darts)
-    a = darts[offset % k:] + darts[: offset % k]
+    a = rg.rot.pop(v)
+    k = len(a)
     fans = [rg.new_edge(None) for _ in range(k - 3)]
     verts = list(range(next_vertex, next_vertex + k - 2))
     rots = [[2 * fans[0], a[0], a[1]]]
@@ -144,29 +143,28 @@ def _fan_vertex(rg, v, offset, next_vertex):
     return fans, next_vertex + k - 2
 
 
-def _fan_all(rg, anchors):
+def _fan_all(rg):
     """Fan every vertex of valence > 3; returns the new edge ids."""
-    anchors = anchors or {}
     nxt = max(rg.rot) + 1
     internal = []
     for v in sorted(rg.rot):
         if len(rg.rot[v]) > 3:
-            fans, nxt = _fan_vertex(rg, v, anchors.get(v, 0), nxt)
+            fans, nxt = _fan_vertex(rg, v, nxt)
             internal.extend(fans)
     return internal
 
 
-def desingularize(graph: PlanarGraph, coloring, anchors=None):
+def desingularize(graph: PlanarGraph, coloring):
     """Split every vertex of valence > 3 into a fan of trivalent vertices.
 
-    anchors optionally maps a vertex id to the rotation offset its fan
-    starts at.  Returns (graph2, coloring2, internal) where coloring2
-    has None on the new internal edges and internal lists their ids in
-    graph2.  All vertices of graph must have valence 3 or more.
+    Each fan starts at the first corner of its vertex's rotation.
+    Returns (graph2, coloring2, internal) where coloring2 has None on
+    the new internal edges and internal lists their ids in graph2.  All
+    vertices of graph must have valence 3 or more.
     """
     if any(len(r) < 3 for r in graph.rot):
         raise LowValence("remove 1- and 2-valent vertices before splitting")
-    shape = _shape(graph, _anchor_key(anchors))
+    shape = _shape(graph)
     return shape.g2, [None if e is None else coloring[e] for e in shape.src], list(shape.slots)
 
 
@@ -222,7 +220,7 @@ def _strip_rules(rg):
 
 
 class _Shape:
-    """The coloring-independent part of the invariant of (graph, anchors).
+    """The coloring-independent part of the invariant of a graph.
 
     rules are the low-valence rules (see _strip_rules).  g2 is the
     fanned, frozen trivalent graph left after them (None when none of
@@ -240,7 +238,7 @@ class _Shape:
 
     __slots__ = ("rules", "g2", "src", "slots", "closing", "planar", "labelings", "automorphisms")
 
-    def __init__(self, graph, anchors):
+    def __init__(self, graph):
         rg = _RGraph.from_graph(graph, range(graph.ne))  # colored by edge ids
         self.rules = _strip_rules(rg)
         self.g2 = None
@@ -248,7 +246,7 @@ class _Shape:
         self.planar = True
         if not rg.rot:
             return
-        internal = _fan_all(rg, dict(anchors))
+        internal = _fan_all(rg)
         self.g2, self.src, emap = rg.freeze()
         self.slots = tuple(sorted(emap[e] for e in internal))
         self.closing = _closing(self.g2, self.slots)
@@ -282,17 +280,7 @@ def _automorphisms(labelings, src):
     return tuple(images)
 
 
-def _anchor_key(anchors):
-    """The anchors dict (or None) as the sorted pairs _shape takes."""
-    return tuple(sorted(anchors.items())) if anchors else ()
-
-
-@lru_cache(maxsize=256)
-def _shape(graph: PlanarGraph, anchors: tuple) -> _Shape:
-    """The _Shape of graph, anchors being sorted (vertex, offset) pairs."""
-    return _Shape(graph, anchors)
-
-
+_shape = lru_cache(maxsize=256)(_Shape)  # _shape(graph) is its _Shape, cached
 _SHAPE_CACHES.append(_shape)
 
 
@@ -417,7 +405,7 @@ def _fill(col, slots, closing, lv):
 # the invariant, per coloring
 
 
-def _evaluator(graph, lv, anchors=None, budget=None, memo=None):
+def _evaluator(graph, lv, budget=None, memo=None):
     """The function coloring -> invariant (ExtScalar) of graph at level lv.
 
     The shape is looked up once (see _Shape), and a shape that does not
@@ -432,10 +420,10 @@ def _evaluator(graph, lv, anchors=None, budget=None, memo=None):
     rule product is exactly 1, so multiplying by it only renormalizes.
     Colorings are not validated here.
     """
-    shape = _shape(graph, _anchor_key(anchors))
+    shape = _shape(graph)
     if not shape.planar:
         raise NotPlanar("the rotation system does not embed in the sphere")
-    ctx = _Ctx(lv, None, budget, memo)
+    ctx = _Ctx(lv, budget, memo)
     weights = lv.circle_logs
     rules, g2, src, slots, closing = shape.rules, shape.g2, shape.src, shape.slots, shape.closing
 
@@ -478,11 +466,11 @@ def _evaluator(graph, lv, anchors=None, budget=None, memo=None):
 
 
 def yokota_ext(
-    graph: PlanarGraph, coloring, level, *, anchors=None, budget=None, memo=None
+    graph: PlanarGraph, coloring, level, *, budget=None, memo=None
 ) -> ExtScalar:
     """The invariant as an ExtScalar (real; its sign can be negative).
 
-    The work splits in two.  Per shape, cached per (graph, anchors): the
+    The work splits in two.  Per shape, cached per graph: the
     low-valence rules, the fanned trivalent graph, its internal edges
     and their vertex triples, one genus check, and the canonical
     labelings.  Per coloring: the rules' color conditions and factors,
@@ -497,7 +485,7 @@ def yokota_ext(
     """
     lv = Level.of(level)
     coloring = _validate_coloring(graph, coloring, lv)
-    return _evaluator(graph, lv, anchors, budget, memo)(coloring)
+    return _evaluator(graph, lv, budget, memo)(coloring)
 
 
 def yokota(graph: PlanarGraph, coloring, level, **kwargs) -> float:
@@ -544,8 +532,8 @@ def _values(graph, lv, budget, memo):
     are evaluated per coloring: on fanned ones colorings of one class
     do not all get the same bits.
     """
-    value = _evaluator(graph, lv, budget=budget, memo=memo)
-    images = _shape(graph, ()).automorphisms
+    value = _evaluator(graph, lv, budget, memo)
+    images = _shape(graph).automorphisms
     colorings = admissible_colorings(graph, lv)
     if not images:
         for col in colorings:
@@ -628,9 +616,11 @@ def fourier_dual(
     with N = kirby_norm(level), g the number of independent cycles of
     graph, and H the Hopf pairing.  table can pass a precomputed
     yokota_table(graph, level); without it the colorings are streamed
-    in the table's order, as in tv_graph.
+    in the table's order, as in tv_graph.  dual_coloring is validated as
+    yokota_ext validates a coloring.
     """
     lv = Level.of(level)
+    dual_coloring = _validate_coloring(graph, dual_coloring, lv)
     items = _values(graph, lv, budget, memo) if table is None else table.items()
     # H(c, dual_coloring[e]) as a (negative, log) pair for every color c,
     # one table per edge e; a vanishing entry has log -inf

@@ -1,6 +1,7 @@
 """Recursive evaluation of colored trivalent graphs in the disc."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from skeinvol.planar import (
     circle,
     cube,
     genus,
+    relabel,
     square_pyramid,
     tetrahedron,
     theta,
@@ -74,14 +76,20 @@ def test_tetrahedron_matches_symbol():
     assert exact == 1 + 41 + 272
 
 
+def relabeled_copies(g, col, seeds):
+    """(g, col) and, per seed, a relabeled copy of the colored graph,
+    whose moves run in another order."""
+    return [(g, tuple(col))] + [relabel(g, col, random.Random(seed)) for seed in seeds]
+
+
 def test_tet_shortcut_agrees_with_full_reduction():
     # the shortcut reads a K4's value off its 6j symbol at once; the full
     # reduction must give that value whatever order its moves are taken in
     for col in [(2,) * 6, (2, 2, 2, 4, 4, 4), (0, 4, 4, 4, 4, 0)]:
         fast = sixj(*(col[s] for s in TET_SLOTS), 7).to_complex()
-        for seed in (None, 0, 1, 2):
-            slow = bracket(tetrahedron(), col, 7, seed=seed).to_complex()
-            assert abs(fast - slow) < 1e-10 * max(1.0, abs(fast)), (col, seed)
+        for g, c in relabeled_copies(tetrahedron(), col, (0, 1, 2)):
+            slow = bracket(g, c, 7).to_complex()
+            assert abs(fast - slow) < 1e-10 * max(1.0, abs(fast)), (col, g)
 
 
 def test_bridge_vanishes():
@@ -111,9 +119,10 @@ def test_inadmissible_coloring_vanishes():
 
 
 def test_seed_independence():
-    base = bracket(triangular_prism(), (2,) * 9, 7, seed=0).to_complex()
-    for seed in (1, 7, 123):
-        got = bracket(triangular_prism(), (2,) * 9, 7, seed=seed).to_complex()
+    # the value does not depend on the seed of a relabeling
+    base = bracket(*relabel(triangular_prism(), (2,) * 9, random.Random(0)), 7).to_complex()
+    for g, col in relabeled_copies(triangular_prism(), (2,) * 9, (1, 7, 123)):
+        got = bracket(g, col, 7).to_complex()
         assert abs(got - base) < 1e-10 * max(1.0, abs(base))
 
 
@@ -131,16 +140,18 @@ def test_library_ignores_skein_budget(monkeypatch):
 
 
 def test_fusion_order_check_runs_seeded_reductions(monkeypatch):
-    seeded = []  # per seeded cube evaluation: [reductions, random picks]
+    # the order check reduces seeded relabeled copies of the cube, each
+    # compiling reductions of its own labeled graphs
+    compiles = {}  # per cube graph the check evaluates: its compiles
     current = [None]
-    real_bracket, real_pick = verify.bracket, bracket_module._Ctx.pick
+    real_bracket = verify.bracket
     real_compile = bracket_module._Compiler.compile
 
     def counted_bracket(g, col, level, **kw):
-        if kw.get("seed") is None or (g.nv, g.ne) != (8, 12):  # only the cube
+        if (g.nv, g.ne) != (8, 12):  # only the cube
             return real_bracket(g, col, level, **kw)
-        current[0] = [0, 0]
-        seeded.append(current[0])
+        current[0] = g
+        compiles.setdefault(g, 0)
         try:
             return real_bracket(g, col, level, **kw)
         finally:
@@ -148,20 +159,17 @@ def test_fusion_order_check_runs_seeded_reductions(monkeypatch):
 
     def counted_compile(compiler):
         if current[0] is not None:
-            current[0][0] += 1
+            compiles[current[0]] += 1
         return real_compile(compiler)
-
-    def counted_pick(ctx, seq):
-        if current[0] is not None and ctx.rng is not None:
-            current[0][1] += 1
-        return real_pick(ctx, seq)
 
     monkeypatch.setattr(verify, "bracket", counted_bracket)
     monkeypatch.setattr(bracket_module._Compiler, "compile", counted_compile)
-    monkeypatch.setattr(bracket_module._Ctx, "pick", counted_pick)
+    cache_clear()  # compile afresh, so no program is taken from the cache
     assert all(res.passed for res in verify.suite_fusion(r=7))
-    assert len(seeded) == 3
-    assert all(reductions >= 1 and picks >= 1 for reductions, picks in seeded)
+    cube_copies = [g for g in compiles if g != cube()]
+    assert len(compiles) == 4 and len(cube_copies) == 3
+    assert all(compiles[g] >= 1 for g in compiles)
+    cache_clear()
 
 
 def test_bigon_suite_collapses_a_bigon(monkeypatch):

@@ -8,13 +8,12 @@ import pathlib
 import random
 
 import pytest
-from test_planar import relabel
 
 import skeinvol.cli as cli
 import skeinvol.verify as verify
 from skeinvol.cli import POLICIES, main
 from skeinvol.hypvol import extrapolate_limit, records_to_csv
-from skeinvol.planar import graph_to_json, mirror, tetrahedron, theta, wheel
+from skeinvol.planar import graph_to_json, mirror, relabel, tetrahedron, theta, wheel
 from skeinvol.scans import bound_record
 from skeinvol.yokota import yokota
 

@@ -1,4 +1,4 @@
-"""The package namespace, and three rules its source keeps."""
+"""The package namespace, and four rules its source keeps."""
 
 import importlib
 import pathlib
@@ -44,3 +44,12 @@ def test_package_forks_without_multiprocessing():
     # scans._fork_shares forks with os.fork, a pipe and pickle, so the
     # first fork of a process imports nothing
     assert source_lines(r"\bmultiprocessing\b") == []
+
+
+def test_graph_engine_imports_no_random():
+    # the engine's reduction order is a function of the labeled graph, and
+    # planar.relabel draws from the caller's generator
+    engine = {"bracket.py", "yokota.py", "planar.py"}
+    assert engine <= {path.name for path in SOURCES}
+    imports = source_lines(r"^\s*(import|from)\s+random\b")
+    assert [line for line in imports if line.split(":")[0] in engine] == []

@@ -30,6 +30,7 @@ from skeinvol.planar import (
     pentagonal_pyramid,
     read_signature,
     recognize,
+    relabel,
     same_embedding,
     square_pyramid,
     tetrahedron,
@@ -289,31 +290,6 @@ def reference_signature(g, coloring=None):
     return (isolated, tuple(sorted(sigs)))
 
 
-def relabel(g, coloring, rng):
-    """The same colored embedding under shuffled vertex ids, edge ids,
-    edge orientations and rotation starting points."""
-    vperm = list(range(g.nv))
-    eperm = list(range(g.ne))
-    rng.shuffle(vperm)
-    rng.shuffle(eperm)
-    flip = [rng.randrange(2) for _ in range(g.ne)]
-
-    def dart(d):
-        e = d >> 1
-        return 2 * eperm[e] + ((d & 1) ^ flip[e])
-
-    edges = [None] * g.ne
-    col = [None] * g.ne
-    for e, (u, v) in enumerate(g.edges):
-        edges[eperm[e]] = (vperm[v], vperm[u]) if flip[e] else (vperm[u], vperm[v])
-        col[eperm[e]] = coloring[e]
-    rot = [None] * g.nv
-    for v, r in enumerate(g.rot):
-        k = rng.randrange(len(r)) if r else 0
-        rot[vperm[v]] = [dart(d) for d in r[k:] + r[:k]]
-    return PlanarGraph(g.nv, edges, rot), tuple(col)
-
-
 def disjoint_union(g, h):
     shift = 2 * g.ne
     edges = list(g.edges) + [(u + g.nv, v + g.nv) for u, v in h.edges]
@@ -416,7 +392,7 @@ def signature_by_orders(g, coloring=None):
 
 def test_read_signature_matches_edge_order_formula():
     rng = random.Random(7)
-    fanned = [_shape(make(), ()).g2 for make in (octahedron, square_pyramid, low_valence)]
+    fanned = [_shape(make()).g2 for make in (octahedron, square_pyramid, low_valence)]
     graphs = [build() for build in FIXTURE_BUILDERS] + fanned + [circle()]
     for g in graphs:
         labelings = canonical_labelings(g)

@@ -22,6 +22,7 @@ from skeinvol.planar import (
     canonical_signature,
     cube,
     octahedron,
+    relabel,
     square_pyramid,
     tetrahedron,
     theta,
@@ -152,12 +153,12 @@ def _contract_triangle(rg, face, ctx):
 def _whitehead(rg, face, ctx):
     """Rewire one edge of the face; returns (surgery graph info, terms).
 
-    The edge s (chosen canonically or by the seeded rng) is removed and
-    replaced by a transverse edge whose color is summed over; the value is
+    The edge s of the face's least dart is removed and replaced by a
+    transverse edge whose color is summed over; the value is
     sum_i circle_weight(i) * 6j(s, a, t1, i, t2, b) * <rewired graph>.
     """
     darts = sorted(face, key=lambda d: (d >> 1, d & 1))
-    d = ctx.pick(darts)
+    d = darts[0]
     sigma = rg.sigma()
     u1 = rg.vof[d]
     u2 = rg.vof[d ^ 1]
@@ -248,8 +249,7 @@ def _reduce(rg, ctx):
         # smallest face has degree >= 4: spend one H-to-I move on it
         degmin = len(fmin)
         candidates = [f for f in faces if len(f) == degmin]
-        face = ctx.pick(candidates)
-        e_new, terms = _whitehead(rg, face, ctx)
+        e_new, terms = _whitehead(rg, candidates[0], ctx)
         total = ExtScalar()
         for i, coeff in terms:
             ctx.tick()
@@ -273,9 +273,9 @@ def _eval_canonical_reference(g, coloring, ctx, sig=None):
     return val
 
 
-def bracket_reference(graph, coloring, level, *, seed=None, budget=None, memo=None):
+def bracket_reference(graph, coloring, level, *, budget=None, memo=None):
     """bracket() through the reference reduction; returns (value, steps)."""
-    ctx = _Ctx(Level.of(level), seed, budget, memo)
+    ctx = _Ctx(Level.of(level), budget, memo)
     return _eval_canonical_reference(graph, tuple(coloring), ctx), ctx.steps
 
 
@@ -296,7 +296,7 @@ def cube_zero_patterns():
 
 
 def fanned_octahedron():
-    return _shape(octahedron(), ()).g2
+    return _shape(octahedron()).g2
 
 
 def cube_sample_9():
@@ -325,29 +325,40 @@ BIT_CASES = {
 }
 
 
-@pytest.mark.parametrize("seed", [None, 0, 1])
-@pytest.mark.parametrize("case", list(BIT_CASES))
-def test_compiled_bit_identical_to_reference(case, seed):
+def relabeled_case(case, copy):
+    """The graph and colorings of BIT_CASES[case], or for copy = 0, 1 a
+    relabeled copy of the graph, which the moves reduce in another order,
+    with the colorings carried over."""
     make, r, colorings, stride = BIT_CASES[case]
     g = make()
-    cols = list(colorings())
-    kw = {"seed": seed}
+    cols = [tuple(col) for col in colorings()]
+    if copy is None:
+        return g, r, cols, stride
+    rng = random.Random(f"{case}:{copy}")
+    h, eids = relabel(g, range(g.ne), rng)
+    return h, r, [tuple(col[e] for e in eids) for col in cols], stride
+
+
+@pytest.mark.parametrize("copy", [None, 0, 1])
+@pytest.mark.parametrize("case", list(BIT_CASES))
+def test_compiled_bit_identical_to_reference(case, copy):
+    g, r, cols, stride = relabeled_case(case, copy)
     memo, ref_memo = {}, {}
     for col in cols:
-        got = bracket(g, col, r, memo=memo, **kw)
-        want, _ = bracket_reference(g, col, r, memo=ref_memo, **kw)
+        got = bracket(g, col, r, memo=memo)
+        want, _ = bracket_reference(g, col, r, memo=ref_memo)
         assert bits(got) == bits(want), col
     assert any(not v.is_zero() for v in memo.values())
     assert memo.keys() == ref_memo.keys()
     assert all(bits(memo[k]) == bits(ref_memo[k]) for k in memo)
     # the step count is pinned by the budget verdicts one step either side
     for col in cols[::stride]:
-        want, steps = bracket_reference(g, col, r, memo={}, **kw)
-        assert bits(bracket(g, col, r, budget=steps, memo={}, **kw)) == bits(want)
+        want, steps = bracket_reference(g, col, r, memo={})
+        assert bits(bracket(g, col, r, budget=steps, memo={})) == bits(want)
         with pytest.raises(BudgetExceeded):
-            bracket(g, col, r, budget=steps - 1, memo={}, **kw)
+            bracket(g, col, r, budget=steps - 1, memo={})
         with pytest.raises(BudgetExceeded):
-            bracket_reference(g, col, r, budget=steps - 1, memo={}, **kw)
+            bracket_reference(g, col, r, budget=steps - 1, memo={})
 
 
 def test_fixtures_reach_every_end(monkeypatch):
@@ -376,7 +387,7 @@ def test_step_counts_with_a_shared_memo():
     g, r = fanned_octahedron(), 5
     memo, ref_memo = {}, {}
     for col in itertools.islice(admissible_colorings(g, r), 600):
-        ctx = _Ctx(Level.of(r), None, None, memo)
+        ctx = _Ctx(Level.of(r), None, memo)
         got = _eval_canonical(g, col, ctx)
         want, steps = bracket_reference(g, col, r, memo=ref_memo)
         assert (bits(got), ctx.steps) == (bits(want), steps)
@@ -391,42 +402,10 @@ def test_a_k4_ends_by_a_triangle_contraction():
     assert prog.end == (bracket_module._RETURN,)
     for make, steps, entries in [(tetrahedron, 2, 1), (triangular_prism, 3, 1), (cube, 18, 4)]:
         g = make()
-        ctx = _Ctx(Level.of(7), None, None, {})
+        ctx = _Ctx(Level.of(7), None, {})
         _eval_canonical(g, (2,) * g.ne, ctx)
         assert (ctx.steps, len(ctx.memo)) == (steps, entries), make.__name__
     cache_clear()
-
-
-def test_seeded_reduction_draws_the_reference_picks():
-    # the seeded engine draws as many random picks as the reference, so a
-    # run of seeded calls sharing one generator stays in step with it
-    draws = {}
-    real_pick = _Ctx.pick
-
-    def counting(ctx, seq):
-        draws[ctx.label] = draws.get(ctx.label, 0) + 1
-        return real_pick(ctx, seq)
-
-    class Counted(_Ctx):
-        __slots__ = ("label",)
-        pick = counting
-
-    # cube colorings at r = 9, many with an inadmissible vertex of nonzero
-    # colors, where the reduction returns 0 before it picks anything
-    rng = random.Random(3)
-    cols = [tuple(rng.choice((2, 4, 6)) for _ in range(12)) for _ in range(150)]
-    cols += [(4,) * 12, (2,) * 12, (6, 6) + (4,) * 10]
-    g, r = cube(), 9
-    for label, engine in [("engine", _eval_canonical), ("reference", _eval_canonical_reference)]:
-        ctx = Counted(Level.of(r), 5, None, {})
-        ctx.label = label
-        vals = [bits(engine(g, col, ctx)) for col in cols]
-        draws[label + "-state"] = ctx.rng.getstate()
-        draws[label + "-values"] = vals
-    assert draws["engine"] == draws["reference"] > 0
-    assert draws["engine-state"] == draws["reference-state"]
-    assert draws["engine-values"] == draws["reference-values"]
-    assert 0 < sum(v == bits(ExtScalar()) for v in draws["engine-values"]) < len(cols)
 
 
 def low_valence_graphs():
@@ -512,22 +491,6 @@ def test_program_cache_bounded_and_invisible():
     assert programs().currsize == maxsize
     evicted = values()
     assert cold == warm == evicted
-    cache_clear()
-
-
-def test_seeded_reductions_are_compiled_afresh_and_never_cached():
-    cache_clear()
-    g, col = cube(), (2,) * 12
-    seeded = []
-    for seed in (1, 2, 3):
-        before = programs()
-        seeded.append(bracket(g, col, 7, seed=seed).to_complex())
-        assert programs() == before  # no hit, no miss, no new entry
-    want = bracket(g, col, 7).to_complex()
-    assert programs().misses == programs().currsize > 0
-    assert want != 0
-    for got in seeded:
-        assert abs(got - want) <= 1e-12 * abs(want)
     cache_clear()
 
 
