@@ -125,22 +125,21 @@ _SUM = 4  # (_SUM, getter of (s, a, t1, t2, b), (sub, sub when the new color is 
 
 class _Sub:
     """A sub-evaluation: the graph, its canonical labelings (which its
-    memo keys are read off), the getter of its coloring from the
-    parent's, and its zero-edge pattern."""
+    memo keys are read off), and the getter of its coloring from the
+    parent's, whose zeros _eval_canonical reads."""
 
-    __slots__ = ("g", "labelings", "read", "mask")
+    __slots__ = ("g", "labelings", "read")
 
-    def __init__(self, g, read, mask):
+    def __init__(self, g, read):
         self.g = g
         self.labelings = canonical_labelings(g)
         self.read = read
-        self.mask = mask
 
     def value(self, col, ctx) -> ExtScalar:
         """The value of the sub-graph under the parent's coloring col."""
         subcol = self.read(col)
         sig = read_signature(self.labelings, subcol)
-        return _eval_canonical(self.g, subcol, ctx, sig, self.mask)
+        return _eval_canonical(self.g, subcol, ctx, sig)
 
 
 class _Program:
@@ -202,11 +201,7 @@ class _Compiler:
     def _sub(self, darts=None):
         """The sub-evaluation of (a component of) rg as it stands."""
         g, slots, _ = self.rg.freeze(darts)
-        mask = 0
-        for k, x in enumerate(slots):
-            if self._zero(x):
-                mask |= 1 << k
-        return _Sub(g, _vector_getter(slots), mask)
+        return _Sub(g, _vector_getter(slots))
 
     def _end(self, *end):
         return _Program(tuple(self.steps), self.ticks, end)
@@ -249,8 +244,7 @@ class _Compiler:
 
             fmin = min(rg.faces(), key=len)  # the first of the smallest
             if len(fmin) == 2:
-                if not self._collapse_bigon(fmin):
-                    return self._end(_ZERO)
+                self._collapse_bigon(fmin)
                 continue
             if len(fmin) == 3:
                 self._contract_triangle(fmin)
@@ -297,7 +291,8 @@ class _Compiler:
 
     def _collapse_bigon(self, face):
         """Degree-2 face: delta on the outer colors, factor 1/circle_weight.
-        False when the outer colors always differ."""
+        The outer edges are no loops, and compile removed every zero edge
+        but loops first, so the delta is always a replayed check."""
         rg = self.rg
         p, q = face
         u, w = rg.vof[p], rg.vof[q]
@@ -305,15 +300,13 @@ class _Compiler:
         tU = next(d for d in rg.rot[u] if d not in (p, q ^ 1))
         tW = next(d for d in rg.rot[w] if d not in (q, p ^ 1))
         etU, etW = tU >> 1, tW >> 1
-        if not self._equal(rg.col[etU], rg.col[etW]):
-            return False
+        self._equal(rg.col[etU], rg.col[etW])
         self.steps.append((_WEIGHT, _INV_CIRCLE, rg.col[etU]))
         rg.splice(tU, tW)  # the outer strands become one edge (keep etU)
         rg.remove_edge(ep)
         rg.remove_edge(eq)
         del rg.rot[u]
         del rg.rot[w]
-        return True
 
     def _contract_triangle(self, face):
         """Degree-3 face: contract to a vertex, multiply by a 6j symbol."""
@@ -366,11 +359,8 @@ class _Compiler:
         rg.vof[nB] = u2
         rg.vof[bD] = u1
         rg.vof[t1D] = u2
-        # one sub-evaluation per zero pattern: the new color nonzero, then 0
-        subs = [self._sub()]
-        self.mask |= 1 << self.nslots
-        subs.append(self._sub())
-        return self._end(_SUM, arms, tuple(subs))
+        # for the new color nonzero and 0: one graph, two zero patterns
+        return self._end(_SUM, arms, (self._sub(), self._sub()))
 
 
 def _bridges(rg):
@@ -460,14 +450,14 @@ def _run(prog: _Program, col, ctx) -> ExtScalar:
     raise end[1](end[2])
 
 
-def _eval_canonical(g: PlanarGraph, coloring, ctx, sig=None, mask=None) -> ExtScalar:
+def _eval_canonical(g: PlanarGraph, coloring, ctx, sig=None) -> ExtScalar:
     """Value of (g, coloring), memoized under its canonical signature.
 
     This is the one place a reduction is compiled, looked up or run, and
-    the one place a memo key (r, signature) is built and looked
-    up; a hit costs no steps.  coloring is a tuple.  sig can pass
-    canonical_signature(g, coloring) and mask its _zero_mask when the
-    caller has them.  A miss replays the program of (g, mask).
+    the one place a memo key (r, signature) or a zero-edge pattern is
+    built; a hit costs no steps.  coloring is a tuple, and sig can pass
+    canonical_signature(g, coloring).  A miss replays the program of
+    (g, _zero_mask(coloring)), for a sub-evaluation the pattern compiled.
     """
     if sig is None:
         sig = canonical_signature(g, coloring)
@@ -475,9 +465,7 @@ def _eval_canonical(g: PlanarGraph, coloring, ctx, sig=None, mask=None) -> ExtSc
     hit = ctx.memo.get(key)
     if hit is not None:
         return hit
-    if mask is None:
-        mask = _zero_mask(coloring)
-    val = _run(_program(g, mask), coloring, ctx)
+    val = _run(_program(g, _zero_mask(coloring)), coloring, ctx)
     if len(ctx.memo) >= _MEMO_MAX:
         ctx.memo.clear()
     ctx.memo[key] = val

@@ -22,18 +22,19 @@ factor 1.
 None of that surgery depends on the colors, so it is done once per
 shape: `yokota_ext`, `desingularize` and every sum over colorings look
 up the graph's desingularized shape (cached per graph; the rules in the
-order they apply, the fanned trivalent graph, its internal edges and the
-vertices each of them closes, one genus check, and the canonical
-labelings of `skeinvol.planar`).  Evaluating a coloring then costs the rules' color checks and factors, the admissible
-internal colors, and one call of `skeinvol.bracket`'s memoized
-evaluation per internal coloring, with the signature
-`skeinvol.planar.read_signature` reads off the labelings.  The bracket
-engine owns the memo: it looks the signature up and, on a miss, replays
-its compiled reduction of the fanned graph for that coloring's zero
-edges, so no coloring repeats the moves.  The memo is the caller's when
-passed as ``memo=`` (a hit in it costs no budget steps) and otherwise
-lives for one call, so the value and the budget verdict depend only on
-the arguments.  `skeinvol.bracket.cache_clear` empties the shape cache.
+order they apply, the fanned trivalent graph, its internal edges and
+one plan for filling them, one genus check, and the canonical labelings
+of `skeinvol.planar`).  Evaluating a coloring then costs the rules'
+color checks and factors, the admissible internal colors, and one call
+of `skeinvol.bracket`'s memoized evaluation per internal coloring, with
+the signature `skeinvol.planar.read_signature` reads off the
+labelings.  The bracket engine owns the memo: it looks the signature up
+and, on a miss, replays its compiled reduction of the fanned graph for
+that coloring's zero edges, so no coloring repeats the moves.  The memo
+is the caller's when passed as ``memo=`` (a hit in it costs no budget
+steps) and otherwise lives for one call, so the value and the budget
+verdict depend only on the arguments.  `skeinvol.bracket.cache_clear`
+empties the shape cache.
 
 The sums over colorings pay per symmetry class where they can: on a
 connected trivalent graph (a bare shape, such as the prism, the cube
@@ -44,14 +45,14 @@ takes that value, which is the one the memo would give them (see
 
 This module has one coloring filler, `_fill`: `admissible_colorings`
 fills every edge of a graph with it, and the invariant the internal
-edges of a shape.  It runs each slot over the interval of colors its
-trivalent vertices allow.
+edges of a shape by the shape's plan.  It runs each slot over the
+interval of colors its trivalent vertices allow.
 
 The invariant is real but can be negative; the graph analogue of a
 state sum therefore adds absolute values over all colorings
 (`tv_graph`).  `fourier_dual` relates the coloring table of a graph to
 single values on its planar dual through the Hopf-link pairing matrix
-`hopf_pairing`.
+`hopf_pairing`; `yokota_kirby` is its fold at the zero dual coloring.
 
 Circle weights and Hopf-pairing entries are read as (negative, log)
 pairs of a bool and a float, like the factorial table of
@@ -225,8 +226,8 @@ class _Shape:
     rules are the low-valence rules (see _strip_rules).  g2 is the
     fanned, frozen trivalent graph left after them (None when none of
     the graph is left), and src[i] the source edge of g2's edge i (None
-    on the internal fan edges, whose g2 ids are slots).  closing is the
-    _closing table of the slots.  planar says whether g2 embeds in the
+    on the internal fan edges, whose g2 ids are slots).  plan is their
+    filling plan (see _closing).  planar says whether g2 embeds in the
     sphere (True when none of the graph is left).  labelings are g2's
     canonical labelings, so that the memo key of a coloring col of g2 is
     read_signature(labelings, col) == canonical_signature(g2, col).
@@ -236,20 +237,20 @@ class _Shape:
     (see _automorphisms).
     """
 
-    __slots__ = ("rules", "g2", "src", "slots", "closing", "planar", "labelings", "automorphisms")
+    __slots__ = ("rules", "g2", "src", "slots", "plan", "planar", "labelings", "automorphisms")
 
     def __init__(self, graph):
         rg = _RGraph.from_graph(graph, range(graph.ne))  # colored by edge ids
         self.rules = _strip_rules(rg)
         self.g2 = None
-        self.src = self.slots = self.closing = self.automorphisms = ()
+        self.src = self.slots = self.plan = self.automorphisms = ()
         self.planar = True
         if not rg.rot:
             return
         internal = _fan_all(rg)
         self.g2, self.src, emap = rg.freeze()
         self.slots = tuple(sorted(emap[e] for e in internal))
-        self.closing = _closing(self.g2, self.slots)
+        self.plan = _closing(self.g2, self.slots)
         self.planar = genus(self.g2) == 0
         self.labelings = canonical_labelings(self.g2)
         if not self.rules and not self.slots and len(self.labelings[1]) == 1:
@@ -300,26 +301,37 @@ def _product(pairs):
 
 
 def _closing(graph, slots):
-    """Per slot k, the vertices of graph that slots[k] is the last slot
-    of, as (trivalent, other): the edge triples of the trivalent ones
-    and the edge tuples of the rest, each in vertex order."""
+    """The plan _fill reads: per slot, its edge e and, for the vertices
+    of graph whose last slot it is, in vertex order, the two other edges
+    of each trivalent one (pairs), the third edge of each trivalent one
+    with e as a loop (loops), and the edges of the others (other)."""
     pos = {e: k for k, e in enumerate(slots)}
-    closing = [([], []) for _ in slots]
+    plan = [(e, [], [], []) for e in slots]
     for rot in graph.rot:
         es = tuple(d >> 1 for d in rot)
         ks = [pos[e] for e in es if e in pos]
-        if ks:
-            closing[max(ks)][len(es) != 3].append(es)
-    return tuple((tuple(tri), tuple(other)) for tri, other in closing)
+        if not ks:
+            continue
+        e, pairs, loops, other = plan[max(ks)]
+        if len(es) != 3:
+            other.append(es)
+            continue
+        rest = tuple(x for x in es if x != e)
+        if len(rest) == 2:
+            pairs.append(rest)
+        else:
+            loops.append(rest[0])
+    return tuple((e, tuple(pairs), tuple(loops), tuple(other)) for e, pairs, loops, other in plan)
 
 
-def _fill(col, slots, closing, lv):
+def _fill(col, plan, lv):
     """Fill the slots of col in every way its vertices allow.
 
-    Slots are filled in order, smallest colors first, and each complete
-    filling yields its slot colors as a tuple; col is filled in place.
-    A slot takes only the colors its closing vertices (those whose last
-    slot it is) allow.  Every color is even and every color in col a
+    plan is the slots' _closing plan, built once per shape.  Slots are
+    filled in order, smallest colors first, and each complete filling
+    yields its slot colors as a tuple; col is filled in place.  A slot
+    takes only the colors its closing vertices (those whose last slot
+    it is) allow.  Every color is even and every color in col a
     valid one, so a trivalent vertex with other colors a and b allows
     |a - b| to min(a + b, 2r - 4 - a - b) in steps of 2, a loop at one
     (the slot's edge twice) with third color d allows every c with
@@ -330,24 +342,11 @@ def _fill(col, slots, closing, lv):
     color sum.  The filling is depth first on an explicit stack of color
     iterators, one per filled slot.
     """
-    n = len(slots)
-    if n == 0:
+    if not plan:
         yield ()
         return
     top = 2 * lv.r - 4
     high = lv.colors[-1]
-    # per slot: its edge, the two other edges of each trivalent vertex it
-    # closes, the third edge of each loop it closes, and the other vertices
-    plan = []
-    for e, (trivalent, other) in zip(slots, closing):
-        pairs, loops = [], []
-        for es in trivalent:
-            rest = [x for x in es if x != e]
-            if len(rest) == 2:
-                pairs.append(rest)
-            else:
-                loops.append(rest[0])
-        plan.append((e, pairs, loops, other))
 
     def fits(es):
         if len(es) == 1:
@@ -383,8 +382,8 @@ def _fill(col, slots, closing, lv):
                 keep.append(c)
         return iter(keep)
 
-    read = _vector_getter(slots)
-    last = n - 1
+    read = _vector_getter([e for e, _, _, _ in plan])
+    last = len(plan) - 1
     stack = [choices(0)]
     while stack:
         k = len(stack) - 1
@@ -425,9 +424,9 @@ def _evaluator(graph, lv, budget=None, memo=None):
         raise NotPlanar("the rotation system does not embed in the sphere")
     ctx = _Ctx(lv, budget, memo)
     weights = lv.circle_logs
-    rules, g2, src, slots, closing = shape.rules, shape.g2, shape.src, shape.slots, shape.closing
+    rules, g2, src, plan = shape.rules, shape.g2, shape.src, shape.plan
 
-    if g2 is not None and not rules and not slots:
+    if g2 is not None and not rules and not plan:
         def bare(coloring):
             col = tuple([coloring[e] for e in src])
             ctx.steps = 0
@@ -453,7 +452,7 @@ def _evaluator(graph, lv, budget=None, memo=None):
             return factor
         col = [None if e is None else coloring[e] for e in src]
         total = ExtScalar()
-        for assign in _fill(col, slots, closing, lv):
+        for assign in _fill(col, plan, lv):
             ctx.steps = 0
             b = _eval_canonical(g2, tuple(col), ctx, read_signature(shape.labelings, col))
             square = b * b
@@ -508,8 +507,7 @@ def admissible_colorings(graph: PlanarGraph, level):
     is checked when its last edge gets a color.
     """
     lv = Level.of(level)
-    slots = tuple(range(graph.ne))
-    yield from _fill([None] * graph.ne, slots, _closing(graph, slots), lv)
+    yield from _fill([None] * graph.ne, _closing(graph, range(graph.ne)), lv)
 
 
 def _values(graph, lv, budget, memo):
@@ -529,24 +527,19 @@ def _values(graph, lv, budget, memo):
     them, past 2**20 entries).  The dict costs memory: it peaks at
     58-72% of the colorings (4,328 of 7,317 on the prism at r = 9,
     98,757 of 137,862 on the cube at r = 9).  Shapes with rules or fans
-    are evaluated per coloring: on fanned ones colorings of one class
-    do not all get the same bits.
+    have no images, so each coloring is evaluated: on fanned ones
+    colorings of one class do not all get the same bits.
     """
     value = _evaluator(graph, lv, budget, memo)
     images = _shape(graph).automorphisms
-    colorings = admissible_colorings(graph, lv)
-    if not images:
-        for col in colorings:
-            yield col, value(col)
-        return
     pending = {}
-    for col in colorings:
+    for col in admissible_colorings(graph, lv):
         y = pending.pop(col, None)
         if y is None:
             y = value(col)
             for image in images:
                 pending[image(col)] = y
-            del pending[col]  # the identity's image
+            pending.pop(col, None)  # the identity's image
         yield col, y
 
 
@@ -581,21 +574,31 @@ def tv_graph(graph: PlanarGraph, level, *, budget=None, memo=None) -> ExtScalar:
     return total
 
 
+def _weighted_sum(items, tables):
+    """The sum over items' (col, y) of y * prod_e tables[e][col[e]], each
+    table mapping a color to a (negative, log) weight; a zero y or weight
+    product adds nothing."""
+    total = ExtScalar()
+    for col, y in items:
+        if y.is_zero():
+            continue
+        w = _product(map(dict.__getitem__, tables, col))
+        if not w.is_zero():
+            total = total + w * y
+    return total
+
+
 def yokota_kirby(graph: PlanarGraph, level, *, budget=None, memo=None) -> ExtScalar:
     """The invariant with every edge carrying the Kirby color.
 
     Each coloring is weighted by the product of the circle weights of
     its edge colors.  The result equals kirby_norm(level) raised to the
-    number of independent cycles of the graph.
+    number of independent cycles of the graph.  A circle weight is the
+    Hopf pairing with the color 0, so this is fourier_dual's fold at the
+    zero dual coloring, bit for bit, without its norm.
     """
     lv = Level.of(level)
-    weights = lv.circle_logs
-    total = ExtScalar()
-    for col, y in _values(graph, lv, budget, memo):
-        if y.is_zero():
-            continue
-        total = total + _product(map(weights.__getitem__, col)) * y
-    return total
+    return _weighted_sum(_values(graph, lv, budget, memo), (lv.circle_logs,) * graph.ne)
 
 
 # ---------------------------------------------------------------------------
@@ -626,12 +629,5 @@ def fourier_dual(
     # one table per edge e; a vanishing entry has log -inf
     hopf = [{c: _neg_log(hopf_pairing(c, cstar, lv)) for c in lv.colors}
             for cstar in dual_coloring]
-    total = ExtScalar()
-    for col, y in items:
-        if y.is_zero():
-            continue
-        h = _product(map(dict.__getitem__, hopf, col))
-        if not h.is_zero():
-            total = total + h * y
     g = betti(graph)
-    return ExtScalar.from_log(-g * math.log(kirby_norm(lv))) * total
+    return ExtScalar.from_log(-g * math.log(kirby_norm(lv))) * _weighted_sum(items, hopf)

@@ -13,6 +13,7 @@ from skeinvol.extscalar import ExtScalar
 from skeinvol.planar import (
     PlanarGraph,
     _vector_getter,
+    betti,
     canonical_signature,
     cube,
     double_at,
@@ -497,6 +498,46 @@ def test_low_valence_fixture_applies_every_rule():
         col[edge] = color
         assert yokota_ext(low_valence(), col, 7).is_zero()
         assert yokota_ext_reference(low_valence(), col, 7).is_zero()
+
+
+def subdivided_tetrahedron():
+    """The tetrahedron with edge 0 split by the two-valent vertex 4: edge 0
+    now ends at 4, and the new edge 6 runs from 4 to vertex 1."""
+    g = tetrahedron()
+    rot = [list(r) for r in g.rot] + [[1, 12]]
+    rot[1][rot[1].index(1)] = 13
+    return PlanarGraph(5, [(0, 4)] + list(g.edges[1:]) + [(4, 1)], rot)
+
+
+@pytest.mark.parametrize("r", [5, 7])
+def test_shape_with_rules_and_no_slots(r):
+    # one join rule leaves the tetrahedron itself, with no internal edge
+    # to fill: the invariant is the tetrahedron's over circle_weight
+    g = subdivided_tetrahedron()
+    shape = _shape(g)
+    assert [kind for kind, _, _ in shape.rules] == [_JOIN]
+    assert shape.slots == ()
+    table = yokota_table(g, r, memo={})
+    assert list(table) == list(brute_colorings(g, r))
+    ref_memo = {}
+    for col, y in table.items():
+        assert col[6] == col[0]
+        assert bits(y) == bits(yokota_ext_reference(g, col, r, memo=ref_memo))
+        want = yokota(tetrahedron(), col[:6], r) / circle_weight(col[0], r)
+        assert abs(y.to_float() - want) <= 1e-12 * max(1.0, abs(want))
+    assert bits(tv_graph(g, r, memo={})) == bits(tv_reference(table_reference(g, r, {})))
+
+
+@pytest.mark.parametrize("r", [5, 7])
+@pytest.mark.parametrize("make", [theta, tetrahedron, triangular_prism, cube],
+                         ids=["theta", "tetrahedron", "prism", "cube"])
+def test_kirby_sum_is_the_fourier_sum_at_the_zero_dual_coloring(make, r):
+    # Hopf pairing against the color 0 is the circle weight, so the Kirby
+    # sum is the Fourier sum at the zero dual coloring, times N**betti
+    g = make()
+    norm = ExtScalar.from_log(-betti(g) * math.log(kirby_norm(r)))
+    want = norm * yokota_kirby(g, r, memo={})
+    assert bits(fourier_dual(g, r, (0,) * g.ne, memo={})) == bits(want)
 
 
 def test_shape_key_is_the_canonical_signature():
