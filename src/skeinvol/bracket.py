@@ -120,7 +120,7 @@ _RETURN = 0  # (_RETURN,): acc
 _ZERO = 1  # (_ZERO,): 0
 _RAISE = 2  # (_RAISE, error class, message)
 _PRODUCT = 3  # (_PRODUCT, subs): acc times each component's value
-_SUM = 4  # (_SUM, getter of (s, a, t1, t2, b), (sub, sub when the new color is 0))
+_SUM = 4  # (_SUM, getter of (s, a, t1, t2, b), sub)
 
 
 class _Sub:
@@ -359,8 +359,8 @@ class _Compiler:
         rg.vof[nB] = u2
         rg.vof[bD] = u1
         rg.vof[t1D] = u2
-        # for the new color nonzero and 0: one graph, two zero patterns
-        return self._end(_SUM, arms, (self._sub(), self._sub()))
+        # one sub for every new color, 0 included: the value reads the zeros of its coloring
+        return self._end(_SUM, arms, self._sub())
 
 
 def _bridges(rg):
@@ -428,7 +428,7 @@ def _run(prog: _Program, col, ctx) -> ExtScalar:
     kind = end[0]
     if kind == _SUM:
         s, a, t1, t2, b = end[1](col)
-        subs = end[2]
+        sub = end[2]
         circle = tables[_CIRCLE]
         # the colors i with (a, i, b) and (t1, i, t2) admissible
         lo = max(abs(a - b), abs(t1 - t2))
@@ -437,7 +437,7 @@ def _run(prog: _Program, col, ctx) -> ExtScalar:
         for i in range(lo, hi + 1, 2):
             ctx.tick()
             coeff = circle[i] * sixj(s, a, t1, i, t2, b, lv)
-            total = total + coeff * subs[i == 0].value(col + (i,), ctx)
+            total = total + coeff * sub.value(col + (i,), ctx)
         return acc * total
     if kind == _RETURN:
         return acc

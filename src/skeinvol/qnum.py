@@ -66,9 +66,11 @@ class Level:
         fneg: numpy bool array, fneg[k] = [k]! < 0.  [k] is negative
             exactly for r/2 < k < r, so the sign of [k]! alternates with
             max(0, k - (r-1)/2).
-        zneg, rev, rneg, zero_tol: the batched 6j's read-only tables,
-            built from lf and fneg: the sign of (-1)^z [z+1]!, lf and
-            fneg reversed, and the rounding floor of a z-sum.
+        zneg, rev, rneg, log_sign, zero_tol: the batched 6j's read-only
+            tables, built from lf and fneg: the sign of (-1)^z [z+1]!, lf
+            and fneg reversed, the complex tables lf[1:] + 1j zneg, lf +
+            1j fneg and rev + 1j rneg of its flat pass, and the rounding
+            floor of a z-sum.
         ext_weights, circle_logs: per-color weight tables of the graph
             engine and the float wheel, built on first use from
             circle_weight.
@@ -99,6 +101,8 @@ class Level:
         # zneg[z] = [z+1]! < 0 xor z odd: the sign of (-1)^z [z+1]!
         self.zneg = self.fneg[1:] ^ (k[:-1] % 2 == 1)
         self.rev, self.rneg = self.lf[::-1].copy(), self.fneg[::-1].copy()
+        self.log_sign = (self.lf[1:] + 1j * self.zneg, self.lf + 1j * self.fneg,
+                         self.rev + 1j * self.rneg)
         self.zero_tol = (r + 16) * np.abs(self.lf).max() * 2.0**-52  # see scans._sixj_block
         self._lf = self.lf.tolist()
         self._fneg = self.fneg.tolist()
@@ -192,7 +196,8 @@ class MpFactorials:
     1.01 r 2**-(P-1) relative: past prec + 14 bits.
 
     fan(s, b) gives the tables of the wheel symbols sixj(s, x, y, b, b,
-    b), whose z-terms cost one multiply each (see MpFan).  zsum, qint,
+    b), whose z-sums are one exact dot product of two tables, with six
+    truncations behind each term (see MpFan).  zsum, qint,
     inv_theta, square and the fan z-sums all return (man, exp) pairs, the
     one format of the high-precision layer: _fx_prod multiplies them with
     no mpmath state, and mpmath reads one as it is where a log is wanted.
@@ -292,16 +297,21 @@ class MpFan:
         B_y(z) C_{x+y}(z) = B(w) C(w + b - (s+x)/2) = E_x(w),
 
     which depends on x alone, so a term is D_x(z) E_x(z - y/2 - b) with
-    D_x = A B_x.  A, B, C, D and E are lists of fixed-point entries in
-    the convention of MpFactorials: an entry is man * 2**exp with a
-    signed mantissa of at most P bits, and a product of two is (m1 * m2
-    >> P) * 2**(e1 + e2 + P).  D_x and E_x are kept for the last x asked for
-    only, so callers should vary y fastest; a term then costs one
-    multiply, against seven in MpFactorials.zsum.  Its eight factorial
-    factors still pass through seven truncations (one each in A, B and
-    C, one each to form D and E, one for the term), so the 2**-(P-9)
-    bound holds, and the tables hold O(r) entries however many fan
-    colors there are.
+    D_x = A B_x.  A, B and C are lists of fixed-point entries in the
+    convention of MpFactorials: an entry is man * 2**exp with a signed
+    mantissa of at most P bits, and a product of two is (m1 * m2 >> P) *
+    2**(e1 + e2 + P).  D_x and E_x are formed that way and then each
+    shifted up onto its own lowest exponent, exactly, so a table is one
+    exponent and a list of mantissas, and a z-sum is the exact integer
+    dot product of two slices of them, with no shift, cut or exponent
+    per term.  They are kept for the last x asked for only, so callers
+    should vary y fastest; a term then costs one multiply, against seven
+    in MpFactorials.zsum.  Its eight factorial factors pass through six
+    truncations: one each in A, B_x, B_y and C, each leaving at least P -
+    2 bits, and one each to form D and E, at least P - 4, so a term is
+    off by under (4 * 2**2 + 2 * 2**4) 2**-P < 2**-(P-6) relative (the
+    2**-(P-9) of MpFactorials.zsum has a seventh, at P - 8 bits).  The
+    tables hold O(r) entries however many fan colors there are.
     """
 
     def __init__(self, tab: MpFactorials, s: int, b: int):
@@ -318,32 +328,32 @@ class MpFan:
         self._x = self._dtab = self._etab = None
 
     def _tables(self, x: int):
-        """D_x over z and E_x over w, each as (lo, mantissas, exponents),
-        kept for the last x."""
+        """D_x over z and E_x over w, each as (lo, mantissas, exp): one
+        exponent per table, the mantissas shifted onto it, kept for the
+        last x."""
         if x != self._x:
-            self._dtab = _products(self._alo, self._am, self._ae,
-                                   x // 2 + self.b, self._bm, self._be, self.bits)
-            self._etab = _products(0, self._bm, self._be,
-                                   (self.s + x) // 2 - self.b, self._cm, self._ce, self.bits)
+            self._dtab = _common_exp(*_products(self._alo, self._am, self._ae,
+                                                x // 2 + self.b, self._bm, self._be, self.bits))
+            self._etab = _common_exp(*_products(0, self._bm, self._be,
+                                                (self.s + x) // 2 - self.b, self._cm, self._ce, self.bits))
             self._x = x
         return self._dtab, self._etab
 
     def zsum(self, x: int, y: int) -> tuple[int, int]:
         """Signed z-sum of sixj(s, x, y, b, b, b) (no vertex normalization),
-        as a fixed-point pair (man, exp): the value is man * 2**exp, and
-        its terms were added exactly."""
+        as a fixed-point pair (man, exp): the value is man * 2**exp, the
+        exact dot product of the two tables' mantissas."""
         (dlo, dm, de), (elo, em, ee) = self._tables(x)
         elo += y // 2 + self.b  # E_x's first w, as a z
         lo, hi = max(dlo, elo), min(dlo + len(dm), elo + len(em))
-        sd, se = slice(lo - dlo, hi - dlo), slice(lo - elo, hi - elo)
-        p = self.bits
-        exps = list(map(operator.add, de[sd], ee[se]))
-        emin = min(exps)
-        acc = 0
-        for u, v, e in zip(dm[sd], em[se], exps):
-            acc += (u * v >> p) << (e - emin)
-        # the term's one truncation scaled its mantissa by 2**-p
-        return acc, emin + p
+        return sum(map(operator.mul, dm[lo - dlo:hi - dlo], em[lo - elo:hi - elo])), de + ee
+
+
+def _common_exp(lo, mans, exps):
+    """A table of fixed-point entries as (lo, mantissas, e): every
+    mantissa shifted up onto the lowest exponent e, exactly."""
+    e = min(exps, default=0)
+    return lo, [m << (x - e) for m, x in zip(mans, exps)], e
 
 
 def _products(alo, am, ae, blo, bm, be, p):

@@ -7,7 +7,15 @@ log-domain 6j evaluator:
 
 * the batched 6j (batch_sixj) sorts each block of 6-tuples by the
   length of its z-range, so every term of every alternating z-sum is
-  computed exactly once and no lane is padded.  Its work arrays live in
+  computed exactly once and no lane is padded.  The sorted block is cut
+  into pieces of at most _TERMS terms, and each piece sums its z-sums
+  in one of two layouts, chosen from its shape: a wide piece (terms at
+  least _NARROW times its longest z-range, as in a block of the cover)
+  runs the step loop, all tuples' k-th terms at once, step by step; a
+  narrow one (few tuples with long z-ranges, as the wheel's symbols)
+  lays every tuple's terms end to end and sums them in one flat pass,
+  so it makes some fifty numpy calls a pass instead of some thirty-five
+  a step.  Both give the same bits.  Its work arrays live in
   a workspace (_SixjWork) that lasts for one level's screen or TV sweep,
   so the blocks reuse them instead of faulting fresh memory in.  On a
   2-core box it runs about 3.7 M tuples/s per process on the bound sweep
@@ -39,16 +47,16 @@ log-domain 6j evaluator:
   The zero-angled colorings cancel hundreds of bits, so they run on the
   high-precision twin.  Its z-sums read the fan tables of qnum.MpFan,
   built per (spoke, rim) pair over the level's fixed-point factorials,
-  so each z-term is one integer multiply, the row sums are added in
-  integers too, and the factorials come from a rotation recurrence
-  instead of r mpmath sines.  Its link loop, most of its time, deals
-  whole rows of link pairs to forked processes (see
+  so each z-sum is one exact integer dot product, the row sums are
+  added in integers too, and the factorials come from a rotation
+  recurrence instead of r mpmath sines.  Its link loop, most of its
+  time, deals whole rows of link pairs to forked processes (see
   wheel_log_invariant_mp) from 2 * _FORK_LINKS links on.  Its
   precision starts at the wheel's measured cancellation plus a margin
   (_wheel_start_bits).  On a 2-core box with pure-Python mpmath,
-  pent-zero at r = 321 takes about 0.24 s, at 522 bits, and the whole
-  pent-zero grid of reproduce-appendix about 1.9 s through the console
-  script (2.4 s on one core);
+  pent-zero at r = 321 takes about 0.19 s, at 522 bits, and the whole
+  pent-zero grid of reproduce-appendix about 1.35 s through the console
+  script (1.4 s on one core);
 * the family fast path uses Y(prism, all-max) = sixj(max,...)^4 (one
   6j per level), checked against the graph engine at small levels in
   the test suite.
@@ -114,6 +122,14 @@ __all__ = [
 
 _BLOCK = 32_768  # tuples per block of the 6-tuple stream and of the kernel: they stay in the L2 cache
 _TERMS = 32_768  # z-terms kept at once (9 bytes each), whatever the level
+# A piece of a sorted block with fewer than _NARROW times as many terms as
+# its longest z-range has sums in one flat pass (_zsum_flat), any other the
+# step loop (_zsum_sorted).  Timed on the pieces of the bound sweep (r = 41,
+# 65), the TV sweep (r = 35, 41) and the float wheel sums (r = 101..301) on
+# a 2-core box, the flat pass took 0.15-0.6 of the step loop's time at
+# widths under 512, 0.76 at 512-768, 0.90 at 768-1,024, 1.09 at
+# 1,024-1,536 and 1.4-2.4 from 1,536 on, where the cover's pieces lie.
+_NARROW = 1024
 
 
 def batch_sixj(lv: Level, a, b, c, d, e, f, *, work: Optional[_SixjWork] = None) -> dict:
@@ -142,7 +158,10 @@ def batch_sixj(lv: Level, a, b, c, d, e, f, *, work: Optional[_SixjWork] = None)
     the input (tests/test_scans.py keeps that kernel as the reference).
     An online-rescaled log-sum-exp would keep no terms but would break
     this: exp(a-b) * exp(b-c) is not bitwise exp(a-c).  Instead the
-    kept terms are capped at _TERMS by summing a sorted block in pieces.
+    kept terms are capped at _TERMS by summing a sorted block in pieces,
+    and each piece takes the layout its shape picks (_NARROW): the step
+    loop (_zsum_sorted) or the flat pass (_zsum_flat), which make the
+    same float operations in the same order.
 
     log_ub replaces the signed sum by the sum of absolute values, which
     cannot cancel, so it bounds the true magnitude from above regardless
@@ -168,10 +187,11 @@ def batch_sixj(lv: Level, a, b, c, d, e, f, *, work: Optional[_SixjWork] = None)
 class _SixjWork:
     """The scratch arrays of batch_sixj, reused from block to block.
 
-    The kernel writes every intermediate into these arrays with out=.
-    Made afresh per block, some twenty block-sized arrays would go back
-    to the system at the end of each block and be faulted in again at
-    the next.  The arrays grow on demand to the largest block and term
+    The kernel writes every intermediate into these arrays with out=,
+    but for the flat pass's repeat expansions of at most _TERMS // 4
+    entries each.  Made afresh per block, some twenty block-sized arrays
+    would go back to the system at the end of each block and be faulted
+    in again at the next.  The arrays grow on demand to the largest block and term
     list seen, so memory stays bounded by the block, not by the level.
     The workspace holds scratch only; the level's tables are on Level.
     It belongs to one caller on one thread (there is no module-level
@@ -179,7 +199,7 @@ class _SixjWork:
     """
 
     def __init__(self):
-        self._cap = self._terms_cap = 0
+        self._cap = self._terms_cap = self._flat_cap = 0
         self._out_cap = -1  # the first outputs call allocates, even for n = 0
 
     def block(self, n: int):
@@ -202,6 +222,16 @@ class _SixjWork:
             self._tl = np.empty(self._terms_cap)
             self._neg = np.empty(self._terms_cap, dtype=bool)
         return self._tl[:n], self._neg[:n]
+
+    def flat(self, n: int, slack: int):
+        """The flat pass's buffers: n complex term entries, n complex
+        gather targets and n int64 indices, grown to n + slack entries
+        when they must grow."""
+        if n > self._flat_cap:
+            self._flat_cap = n + slack
+            self._fc = np.empty((2, self._flat_cap), dtype=complex)
+            self._fidx = np.empty(self._flat_cap, dtype=np.int64)
+        return self._fc[0, :n], self._fc[1, :n], self._fidx[:n]
 
     def outputs(self, n: int) -> dict:
         """batch_sixj's five result arrays, as views of n entries."""
@@ -273,9 +303,15 @@ def _sixj_block(lv: Level, cols, work: _SixjWork, out: dict) -> None:
     np.add(nzs, 1, out=zlo)
     kept = np.cumsum(zlo, out=zlo)
     cuts = np.searchsorted(kept, np.arange(_TERMS, kept[-1], _TERMS), side="right").tolist()
-    for part in map(slice, [0, *cuts], [*cuts, n]):
-        _zsum_sorted(lv, work, (tmp, b1), zs[part], [x[part] for x in lo], [x[part] for x in hi],
-                     nzs[part], mlog[part], acc[part], absacc[part])
+    for i, j in zip([0, *cuts], [*cuts, n]):
+        part = slice(i, j)
+        terms = int(kept[j - 1]) - (int(kept[i - 1]) if i else 0)
+        if terms < _NARROW * (int(nzs[i]) + 1):
+            _zsum_flat(lv, work, zs[part], [x[part] for x in lo], [x[part] for x in hi],
+                       nzs[part], mlog[part], acc[part], absacc[part])
+        else:
+            _zsum_sorted(lv, work, (tmp, b1), zs[part], [x[part] for x in lo], [x[part] for x in hi],
+                         nzs[part], mlog[part], acc[part], absacc[part])
 
     # back to input order
     for arr in (acc, absacc, mlog):
@@ -351,6 +387,56 @@ def _zsum_sorted(lv: Level, work: _SixjWork, scratch, zlo, lo, hi, nz, mlog, acc
         absacc[:m] += mag
         np.negative(mag, out=mag, where=neg)
         acc[:m] += mag
+
+
+def _zsum_flat(lv: Level, work: _SixjWork, zlo, lo, hi, nz, mlog, acc, absacc) -> None:
+    """_zsum_sorted's z-sums, each tuple's terms laid end to end and
+    summed in one flat pass per _TERMS // 4 terms.
+
+    Term k of a tuple reads every table at the tuple's index row plus k,
+    so each row is expanded once, by repeat, onto the terms.  The log and
+    sign entries come from Level.log_sign, log + 1j * sign, so one complex
+    gather and subtract per factor gives the term's log (the same float
+    subtractions in the same order as the step loop) beside a count whose
+    parity is the term's sign.  Each tuple's largest log is a maximum
+    (exact), and np.bincount adds each tuple's exp(term - max) in term
+    order from 0, as the step loop does, so every output has its bits.  A
+    term takes 40 bytes of buffers here against 9 in the step loop, hence
+    the quarter-size passes.
+    """
+    zt, lt, rt = lv.log_sign
+    cnt = nz + 1
+    ends = np.cumsum(cnt)
+    starts = ends - cnt
+    # the index rows z, lo and hi, each as a step from the one before;
+    # term t of the piece then reads z at rows[0] + t
+    rows = np.diff([zlo, *lo, *hi], axis=0, prepend=0)
+    rows[0] -= starts
+    cuts = np.searchsorted(ends, np.arange(_TERMS // 4, ends[-1], _TERMS // 4), side="right").tolist()
+    for i, j in zip([0, *cuts], [*cuts, nz.size]):
+        part, c, base = slice(i, j), cnt[i:j], int(starts[i])
+        tc, fc, idx = work.flat(int(ends[j - 1]) - base, lv.r)
+        np.add(np.repeat(rows[0, part] + base, c), np.arange(tc.size), out=idx)
+        zt.take(idx, out=tc, mode="clip")
+        for table, row in zip((lt, lt, lt, lt, rt, rt, rt), rows[1:, part]):
+            idx += np.repeat(row, c)
+            table.take(idx, out=fc, mode="clip")
+            tc -= fc
+        tl = tc.real
+        np.maximum.reduceat(tl, starts[part] - base, out=mlog[part])
+        mag, sgn = fc.view(float).reshape(2, -1)
+        np.subtract(tl, np.repeat(mlog[part], c), out=mag)
+        np.exp(mag, out=mag)
+        seg = np.repeat(np.arange(j - i), c)
+        absacc[part] = np.bincount(seg, weights=mag)
+        # sgn = 1 - 2 (tc.imag mod 2), read as 1 - 4 (h - floor(h)) with h = tc.imag / 2
+        np.multiply(tc.imag, 0.5, out=sgn)
+        np.floor(sgn, out=tl)
+        sgn -= tl
+        sgn *= -4.0
+        sgn += 1.0
+        sgn *= mag
+        acc[part] = np.bincount(seg, weights=sgn)
 
 
 # ---------------------------------------------------------------------------
@@ -767,9 +853,14 @@ def _fan_colors(r: int, n_spokes: int, s: int, b: int):
 
 
 def _fan_links(lv: Level, s: int, path):
-    """The link pairs (i, j) of a fan path, row-major: i and j on the
-    path with (s, i, j) admissible."""
-    return [(i, j) for i in path for j in fusion_colors(s, i, lv) if j <= path[-1]]
+    """The link pairs (i, j) of a fan path, row-major, as two int64 arrays
+    of colors: i and j on the path with (s, i, j) admissible, so j runs
+    over qnum.fusion_colors(s, i) up to the path's last color."""
+    i = np.array(path, dtype=np.int64)
+    lo = np.abs(s - i)
+    hi = np.minimum(np.minimum(s + i, 2 * lv.r - 4 - s - i), path[-1])
+    item, j = _ranges(lo >> 1, np.maximum((hi - lo >> 1) + 1, 0))
+    return i[item], 2 * j
 
 
 def _row_logsum(rows, tl, sign, m: int):
@@ -808,9 +899,10 @@ def wheel_log_invariant(r: int, n_spokes: int, s: int, b: int):
     end colors, with (s,s,i) and (i,b,b) admissible; the middle colors of
     n >= 6 need (i,b,b) alone (_fan_colors).  In the log domain y = v, a
     half log, passes the middle links row by row, and the last link is
-    one flat sum of the terms a_i M_ij y_j; squares give (-1)^quad to the
-    sign.  The cancellation is the worst of the 6j symbols' own and that
-    of Y against the path-absolute sum |a|^T |M|^(n-4) |v|.  Raises
+    one flat sum of the terms a_i M_ij y_j over the end rows i, where a
+    lives; squares give (-1)^quad to the sign.  The cancellation is the
+    worst of the 6j symbols' own and that of Y against the path-absolute
+    sum |a|^T |M|^(n-4) |v|.  Raises
     ValueError for n < 4 or when the sum vanishes outright, and
     Inadmissible for an inadmissible (s, b, b).
     """
@@ -830,7 +922,7 @@ def wheel_log_invariant(r: int, n_spokes: int, s: int, b: int):
     # path-absolute y) and w of |w_ij|; y = v is one term a row, dl = w = 0.
     dl, yh, ya, w, sign = 0.0, ulog[rows], ulog[rows], 0.0, usign[rows]
     if n_spokes > 4:  # the rows ii, jj of the link pairs, and their w_ij
-        ci, cj = np.array(_fan_links(lv, s, path), dtype=np.int64).reshape(-1, 2).T
+        ci, cj = _fan_links(lv, s, path)
         ii, jj = ci >> 1, cj >> 1
         cs, cb = (np.full(ii.size, c, dtype=np.int64) for c in (s, b))
         wij = batch_sixj(lv, cs, ci, cj, cb, cb, cb)
@@ -842,6 +934,9 @@ def wheel_log_invariant(r: int, n_spokes: int, s: int, b: int):
         yabs = _row_logsum(rows, dl + 2.0 * (ya + w), 1, len(path))[0] if link else y
         rows, w = ii, wlog
         dl, yh, ya, sign = dlog[jj], y[jj] / 2, yabs[jj] / 2, dsign[jj] * ysign[jj] * wsign
+    if n_spokes > 5:  # the last link ends on a_i, which lives on the end rows only
+        last = rows < len(ends)
+        rows, dl, yh, ya, w, sign = (x[last] for x in (rows, dl, yh, ya, w, sign))
     tl = dlog[rows] + dl + 2.0 * (ulog[rows] + yh + w)
     tla = dlog[rows] + dl + 2.0 * (ulog[rows] + ya + w)
     ts = (dsign[rows] * usign[rows] * sign).astype(float)
@@ -896,10 +991,13 @@ def wheel_log_invariant_mp(r: int, n_spokes: int, s: int, b: int):
     of sixj(s,s,i,b,b,b), and a link is (M y)_i =
     sum_j S_ij h_j / (Theta(s,b,b) Theta(i,b,b)), h_j = Delta_j y_j /
     Theta(j,b,b), S_ij = w_ij^2 / Theta(s,i,j) formed once per i <= j.
-    Rows and Y = sum_i a_i y_i are summed exactly (_fx_sum).  A path term
-    takes 39 + 22(n-4) cuts (three per 1/Theta), each under 2^-(P-1)
-    relative, a cut row sum too, of its terms' magnitudes; so Y is off
-    by under 22n 2^-(P-1) of the path-absolute sum |a|^T |M|^(n-4) |v|,
+    Rows and Y = sum_i a_i y_i are summed exactly (_fx_sum), and so is
+    every z-sum, an integer dot product of two fan tables whose terms
+    are each six truncations, under 2^-(P-6) relative, from their
+    factorials (MpFan).  Past the z-sums a path term takes 39 + 22(n-4)
+    cuts (three per 1/Theta), each under 2^-(P-1) relative, a cut row
+    sum too, of its terms' magnitudes; so Y is off by under
+    22n 2^-(P-1) of the path-absolute sum |a|^T |M|^(n-4) |v|,
     which the links give from |v|, and whose ratio to |Y| is the
     cancellation.  A try is accepted when the cancellation leaves at
     least 50 trusted bits (cancel_bits <= prec - 50), and there are five
@@ -934,7 +1032,8 @@ def wheel_log_invariant_mp(r: int, n_spokes: int, s: int, b: int):
     r = 181 for pent-zero.
     """
     lv, ends, path = _fan_colors(r, n_spokes, s, b)
-    links = [(i, j) for i, j in _fan_links(lv, s, path) if i <= j] if n_spokes > 4 else []
+    links = ([(i, j) for i, j in zip(*(x.tolist() for x in _fan_links(lv, s, path))) if i <= j]
+             if n_spokes > 4 else [])
     # the links of one i, dealt whole so that a process reuses fan's tables of that i
     link_rows = [list(row) for _, row in itertools.groupby(links, key=lambda link: link[0])]
     prec = _wheel_start_bits(r, n_spokes)

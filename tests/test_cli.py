@@ -229,7 +229,7 @@ DATA = pathlib.Path(__file__).parent / "data"
 
 @pytest.mark.parametrize("kind, rmin, rmax", [
     pytest.param(kind, 101, 321, id=f"{kind}-321") for kind in ["sq-ideal", "sq-zero", "pent-ideal", "pent-zero"]
-] + [pytest.param("pent-zero", 341, 401, id="pent-zero-401")])
+] + [pytest.param(kind, 341, 401, id=f"{kind}-401") for kind in ["sq-ideal", "pent-ideal", "pent-zero"]])
 def test_reproduce_appendix_golden_csv(kind, rmin, rmax, capsys):
     # The nine-column CSV is byte-stable on each kind's default grid,
     # r = 101..321: the first three rows of every file were written by the
@@ -239,7 +239,9 @@ def test_reproduce_appendix_golden_csv(kind, rmin, rmax, capsys):
     # and the zero-angled kinds' files before both wheel sums read their
     # colors and link pairs off fusion_colors.  pent-zero's file past the
     # grid, r = 341..401, was written while the high-precision sum still
-    # started every wheel at 2r + 256 bits.
+    # started every wheel at 2r + 256 bits, and the ideal kinds' files
+    # there, whose float z-sums are the longest, before batch_sixj summed
+    # narrow pieces in one flat pass.
     golden = (DATA / f"appendix-{kind}-{rmin}-{rmax}.csv").read_bytes()
     rc, out, _ = run_cli(
         ["reproduce-appendix", "--which", kind, "--rmin", str(rmin), "--rmax", str(rmax), "--rstep", "20"],

@@ -276,6 +276,75 @@ def test_batch_exactly_zero_sixj_is_floored():
     assert np.all(d["cancel"] > 14)
 
 
+def zsum_layouts(monkeypatch):
+    """The z-sum layout each piece of the next batch_sixj calls takes, in order."""
+    ran = []
+    for name in ("_zsum_flat", "_zsum_sorted"):
+        real = getattr(scans, name)
+        monkeypatch.setattr(scans, name, lambda *a, real=real, name=name: ran.append(name) or real(*a))
+    return ran
+
+
+def wheel_batch(kind, r, symbol):
+    """The level and six columns of the float wheel sum's u (spoke pairs)
+    or w (link pairs) batch_sixj call."""
+    s, b = appendix_colors(kind, r)
+    lv, ends, path = scans._fan_colors(r, 5 if kind.startswith("pent") else 4, s, b)
+    x, y = (np.full(len(ends), s), np.array(ends)) if symbol == "u" else scans._fan_links(lv, s, path)
+    return lv, (np.full(x.size, s), x, y, np.full(x.size, b), np.full(x.size, b), np.full(x.size, b))
+
+
+@pytest.mark.parametrize("layout, case", [
+    ("_zsum_flat", ("sq-zero", 321, "u")),
+    ("_zsum_flat", ("pent-zero", 101, "w")),
+    ("_zsum_sorted", 41),
+    ("_zsum_sorted", 65),
+    ("_zsum_flat", "one"),
+])
+def test_zsum_layouts_bit_identical_to_reference(monkeypatch, layout, case):
+    # narrow pieces (the wheel's symbols: few tuples, long z-ranges) take
+    # the flat pass, wide ones (a block of the cover) the step loop, and a
+    # lone tuple is narrow; either way every output is the padded
+    # reference's to the bit
+    if case == "one":
+        lv, cols = Level.of(101), tuple(np.array([x]) for x in (26, 38, 26, 38, 26, 38))
+    elif isinstance(case, int):
+        lv = Level.of(case)
+        cols = next(sixtuple_chunks(lv))
+        assert cols[0].size == scans._BLOCK
+    else:
+        lv, cols = wheel_batch(*case)
+    ran = zsum_layouts(monkeypatch)
+    got = batch_sixj(lv, *cols)
+    assert ran and set(ran) == {layout}
+    assert_same_bits(got, _batch_sixj_reference(lv, *cols))
+
+
+# (log |Y|, sign, cancellation) of the float wheel sum on the wheels with
+# 6 to 8 spokes, as float.hex, from before its last link was formed over
+# the end rows only: zero-angled (sq-zero's colors) and pent-ideal's colors
+WHEEL_FLOAT_BITS = {
+    ("pent-ideal", 6, 101): ("0x1.f695f1bc328bfp+6", "-0x1.0000000000000p+0", "0x1.54a53e4be8878p+3"),
+    ("pent-ideal", 6, 201): ("0x1.0ad20625b4e78p+8", "-0x1.0000000000000p+0", "0x1.e4e5bea486916p+3"),
+    ("pent-ideal", 7, 101): ("0x1.6707f10880390p+7", "0x1.0000000000000p+0", "0x1.f58cf10e80c52p+3"),
+    ("pent-ideal", 7, 201): ("0x1.8d8dbf3131288p+8", "0x1.0000000000000p+0", "0x1.08fc0fe0a9e96p+4"),
+    ("pent-ideal", 8, 101): ("0x1.be12138669e9fp+7", "-0x1.0000000000000p+0", "0x1.9344748961cbfp+4"),
+    ("pent-ideal", 8, 201): ("0x1.f511b5100feffp+8", "-0x1.0000000000000p+0", "0x1.dccc4f276bf92p+4"),
+    ("sq-zero", 6, 101): ("0x1.6bb3e680fa7efp+8", "-0x1.0000000000000p+0", "0x1.c1bf2199c8e28p+4"),
+    ("sq-zero", 6, 201): ("0x1.9b9d89c6e2cb6p+9", "0x1.0000000000000p+0", "0x1.c71d1fb8aff0ep+4"),
+    ("sq-zero", 7, 101): ("0x1.d55f4fdf9a006p+8", "0x1.0000000000000p+0", "0x1.cf6174611a215p+4"),
+    ("sq-zero", 7, 201): ("0x1.057214d9864d4p+10", "0x1.0000000000000p+0", "0x1.c95f4fe577620p+4"),
+    ("sq-zero", 8, 101): ("0x1.106ca50bbabf8p+9", "0x1.0000000000000p+0", "0x1.5768b1a368051p+5"),
+    ("sq-zero", 8, 201): ("0x1.35e2dd45a80f8p+10", "0x1.0000000000000p+0", "0x1.49d7297c522cdp+5"),
+}
+
+
+@pytest.mark.parametrize("kind, n, r", sorted(WHEEL_FLOAT_BITS))
+def test_float_wheel_bits_on_six_to_eight_spokes(kind, n, r):
+    got = wheel_log_invariant(r, n, *appendix_colors(kind, r))
+    assert tuple(map(float.hex, got)) == WHEEL_FLOAT_BITS[kind, n, r]
+
+
 def test_restricted_chunks_cover_all_classes():
     r = 9
     tab = Level.of(r)
@@ -800,7 +869,10 @@ def test_fan_colors_and_links_follow_admissibility():
                 got_lv, got_ends, path = scans._fan_colors(r, n, s, b)
                 assert got_lv is lv
                 assert list(got_ends) == ends and list(path) == want
-                assert scans._fan_links(lv, s, path) == [(i, j) for i, j in links if max(i, j) <= want[-1]]
+                ci, cj = scans._fan_links(lv, s, path)
+                assert ci.dtype == cj.dtype == np.int64
+                assert list(zip(ci.tolist(), cj.tolist())) == [
+                    (i, j) for i, j in links if max(i, j) <= want[-1]]
 
 
 def test_wheel_closed_form_against_engine():
