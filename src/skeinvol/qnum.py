@@ -332,10 +332,10 @@ class MpFan:
         exponent per table, the mantissas shifted onto it, kept for the
         last x."""
         if x != self._x:
-            self._dtab = _common_exp(*_products(self._alo, self._am, self._ae,
-                                                x // 2 + self.b, self._bm, self._be, self.bits))
-            self._etab = _common_exp(*_products(0, self._bm, self._be,
-                                                (self.s + x) // 2 - self.b, self._cm, self._ce, self.bits))
+            self._dtab = _products(self._alo, self._am, self._ae,
+                                   x // 2 + self.b, self._bm, self._be, self.bits)
+            self._etab = _products(0, self._bm, self._be,
+                                   (self.s + x) // 2 - self.b, self._cm, self._ce, self.bits)
             self._x = x
         return self._dtab, self._etab
 
@@ -349,22 +349,17 @@ class MpFan:
         return sum(map(operator.mul, dm[lo - dlo:hi - dlo], em[lo - elo:hi - elo])), de + ee
 
 
-def _common_exp(lo, mans, exps):
-    """A table of fixed-point entries as (lo, mantissas, e): every
-    mantissa shifted up onto the lowest exponent e, exactly."""
-    e = min(exps, default=0)
-    return lo, [m << (x - e) for m, x in zip(mans, exps)], e
-
-
 def _products(alo, am, ae, blo, bm, be, p):
     """The fixed-point product of two tables, the first read at index
     k - alo and the second at k - blo, over the k where both are
-    defined, as (first k, mantissas, exponents)."""
+    defined, as (first k, mantissas, e): each product is cut by >> p and
+    then shifted up, exactly, onto the lowest exponent e."""
     lo = max(alo, blo)
     hi = min(alo + len(am), blo + len(bm))
     sa, sb = slice(lo - alo, hi - alo), slice(lo - blo, hi - blo)
-    return (lo, [u * v >> p for u, v in zip(am[sa], bm[sb])],
-            [u + v + p for u, v in zip(ae[sa], be[sb])])
+    exps = [u + v + p for u, v in zip(ae[sa], be[sb])]
+    e = min(exps, default=0)
+    return lo, [(u * v >> p) << (x - e) for u, v, x in zip(am[sa], bm[sb], exps)], e
 
 
 def _inverse_pairs(im, ie, n: int, p: int):
