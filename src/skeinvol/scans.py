@@ -128,7 +128,8 @@ _TERMS = 32_768  # z-terms kept at once (9 bytes each), whatever the level
 # 65), the TV sweep (r = 35, 41) and the float wheel sums (r = 101..301) on
 # a 2-core box, the flat pass took 0.15-0.6 of the step loop's time at
 # widths under 512, 0.76 at 512-768, 0.90 at 768-1,024, 1.09 at
-# 1,024-1,536 and 1.4-2.4 from 1,536 on, where the cover's pieces lie.
+# 1,024-1,536 and 1.4-2.4 from 1,536 on, where nearly every piece of a
+# cover lies.
 _NARROW = 1024
 
 
