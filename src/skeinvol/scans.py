@@ -8,18 +8,18 @@ log-domain 6j evaluator:
 * the batched 6j (batch_sixj) sorts each block of 6-tuples by the
   length of its z-range, so every term of every alternating z-sum is
   computed exactly once and no lane is padded.  The sorted block is cut
-  into pieces of at most _TERMS terms, and each piece sums its z-sums
-  in one of two layouts, chosen from its shape: a wide piece (terms at
-  least _NARROW times its longest z-range, as in a block of the cover)
-  runs the step loop, all tuples' k-th terms at once, step by step; a
-  narrow one (few tuples with long z-ranges, as the wheel's symbols)
-  lays every tuple's terms end to end and sums them in one flat pass,
-  so it makes some fifty numpy calls a pass instead of some thirty-five
-  a step.  Both give the same bits.  Its work arrays live in
-  a workspace (_SixjWork) that lasts for one level's screen or TV sweep,
-  so the blocks reuse them instead of faulting fresh memory in.  On a
-  2-core box it runs about 3.7 M tuples/s per process on the bound sweep
-  at r = 41..65;
+  into pieces of at most _TERMS terms (or of one tuple), and each piece
+  sums its z-sums in one of two layouts, chosen from its shape: a wide
+  piece (terms at least _NARROW times its longest z-range, as in a
+  block of the cover) runs the step loop, all tuples' k-th terms at
+  once, step by step; a narrow one (few tuples with long z-ranges, as
+  the wheel's symbols) lays every tuple's terms end to end and sums them
+  in one flat pass, so it makes some fifty numpy calls a pass instead of
+  some thirty-five a step.  Both give the same bits.  Its work arrays
+  live in a workspace (_SixjWork) that lasts for one level's screen or
+  TV sweep, so the blocks reuse them instead of faulting fresh memory
+  in.  On a 2-core box it runs about 3.7 M tuples/s per process on the
+  bound sweep at r = 41..65;
 * the 6-tuple enumeration (sixtuple_chunks) reads every admissibility
   and cover condition as an interval bound, so each slot's colors are
   one range given the earlier slots; the ranges are expanded with
@@ -190,10 +190,10 @@ class _SixjWork:
 
     The kernel writes every intermediate into these arrays with out=,
     but for the flat pass's repeat expansions of at most _TERMS // 4
-    entries each.  Made afresh per block, some twenty block-sized arrays
-    would go back to the system at the end of each block and be faulted
-    in again at the next.  The arrays grow on demand to the largest block and term
-    list seen, so memory stays bounded by the block, not by the level.
+    entries each (or one tuple's terms).  Made afresh per block, some
+    twenty block-sized arrays would go back to the system at the end of
+    each block and be faulted in again at the next.  The arrays grow on
+    demand to the largest block and term list seen, so memory stays bounded by the block, not by the level.
     The workspace holds scratch only; the level's tables are on Level.
     It belongs to one caller on one thread (there is no module-level
     one) and carries no result from one call to the next.
@@ -301,13 +301,10 @@ def _sixj_block(lv: Level, cols, work: _SixjWork, out: dict) -> None:
 
     acc.fill(0.0)
     absacc.fill(0.0)
-    np.add(nzs, 1, out=zlo)
-    kept = np.cumsum(zlo, out=zlo)
-    cuts = np.searchsorted(kept, np.arange(_TERMS, kept[-1], _TERMS), side="right").tolist()
-    for i, j in zip([0, *cuts], [*cuts, n]):
+    cnt = np.add(nzs, 1, out=zlo)
+    for i, j in _pieces(cnt, _TERMS):
         part = slice(i, j)
-        terms = int(kept[j - 1]) - (int(kept[i - 1]) if i else 0)
-        if terms < _NARROW * (int(nzs[i]) + 1):
+        if int(cnt[part].sum()) < _NARROW * int(cnt[i]):
             _zsum_flat(lv, work, zs[part], [x[part] for x in lo], [x[part] for x in hi],
                        nzs[part], mlog[part], acc[part], absacc[part])
         else:
@@ -359,7 +356,7 @@ def _zsum_sorted(lv: Level, work: _SixjWork, scratch, zlo, lo, hi, nz, mlog, acc
     a float and a bool array at least as long as the views."""
     lf, fneg, rev, rneg, zneg = lv.lf, lv.fneg, lv.rev, lv.rneg, lv.zneg
     live = np.cumsum(np.bincount(nz)[::-1])[::-1].tolist()  # live[k] = #{nz >= k}
-    tls, negs = work.terms(sum(live), lv.r)  # a piece holds under _TERMS + r terms
+    tls, negs = work.terms(sum(live), lv.r)  # a piece holds _TERMS terms or one tuple's < r
     tmp, bmp = scratch
     steps = []
     start = 0
@@ -392,7 +389,8 @@ def _zsum_sorted(lv: Level, work: _SixjWork, scratch, zlo, lo, hi, nz, mlog, acc
 
 def _zsum_flat(lv: Level, work: _SixjWork, zlo, lo, hi, nz, mlog, acc, absacc) -> None:
     """_zsum_sorted's z-sums, each tuple's terms laid end to end and
-    summed in one flat pass per _TERMS // 4 terms.
+    summed in one flat pass per run of at most _TERMS // 4 terms (or of
+    one tuple).
 
     Term k of a tuple reads every table at the tuple's index row plus k,
     so each row is expanded once, by repeat, onto the terms.  The log and
@@ -413,8 +411,7 @@ def _zsum_flat(lv: Level, work: _SixjWork, zlo, lo, hi, nz, mlog, acc, absacc) -
     # term t of the piece then reads z at rows[0] + t
     rows = np.diff([zlo, *lo, *hi], axis=0, prepend=0)
     rows[0] -= starts
-    cuts = np.searchsorted(ends, np.arange(_TERMS // 4, ends[-1], _TERMS // 4), side="right").tolist()
-    for i, j in zip([0, *cuts], [*cuts, nz.size]):
+    for i, j in _pieces(cnt, _TERMS // 4):
         part, c, base = slice(i, j), cnt[i:j], int(starts[i])
         tc, fc, idx = work.flat(int(ends[j - 1]) - base, lv.r)
         np.add(np.repeat(rows[0, part] + base, c), np.arange(tc.size), out=idx)
@@ -854,14 +851,9 @@ def _fan_colors(r: int, n_spokes: int, s: int, b: int):
 
 
 def _fan_links(lv: Level, s: int, path):
-    """The link pairs (i, j) of a fan path, row-major, as two int64 arrays
-    of colors: i and j on the path with (s, i, j) admissible, so j runs
-    over qnum.fusion_colors(s, i) up to the path's last color."""
-    i = np.array(path, dtype=np.int64)
-    lo = np.abs(s - i)
-    hi = np.minimum(np.minimum(s + i, 2 * lv.r - 4 - s - i), path[-1])
-    item, j = _ranges(lo >> 1, np.maximum((hi - lo >> 1) + 1, 0))
-    return i[item], 2 * j
+    """The link pairs (i, j) of a fan path, row-major: i and j on the
+    path with (s, i, j) admissible."""
+    return [(i, j) for i in path for j in fusion_colors(s, i, lv) if j <= path[-1]]
 
 
 def _row_logsum(rows, tl, sign, m: int):
@@ -923,7 +915,7 @@ def wheel_log_invariant(r: int, n_spokes: int, s: int, b: int):
     # path-absolute y) and w of |w_ij|; y = v is one term a row, dl = w = 0.
     dl, yh, ya, w, sign = 0.0, ulog[rows], ulog[rows], 0.0, usign[rows]
     if n_spokes > 4:  # the rows ii, jj of the link pairs, and their w_ij
-        ci, cj = _fan_links(lv, s, path)
+        ci, cj = np.array(_fan_links(lv, s, path), dtype=np.int64).reshape(-1, 2).T
         ii, jj = ci >> 1, cj >> 1
         cs, cb = (np.full(ii.size, c, dtype=np.int64) for c in (s, b))
         wij = batch_sixj(lv, cs, ci, cj, cb, cb, cb)
@@ -1033,8 +1025,7 @@ def wheel_log_invariant_mp(r: int, n_spokes: int, s: int, b: int):
     r = 181 for pent-zero.
     """
     lv, ends, path = _fan_colors(r, n_spokes, s, b)
-    links = ([(i, j) for i, j in zip(*(x.tolist() for x in _fan_links(lv, s, path))) if i <= j]
-             if n_spokes > 4 else [])
+    links = [(i, j) for i, j in _fan_links(lv, s, path) if i <= j] if n_spokes > 4 else []
     # the links of one i, dealt whole so that a process reuses fan's tables of that i
     link_rows = [list(row) for _, row in itertools.groupby(links, key=lambda link: link[0])]
     prec = _wheel_start_bits(r, n_spokes)

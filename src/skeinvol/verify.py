@@ -198,8 +198,7 @@ def _fan_oracle_check(r: int) -> CheckResult:
         s, b = appendix_colors(kind, r)
         _, ends, mids = _fan_colors(r, 6, s, b)  # six spokes: ends and middles
         sixes = [(s, s, i, b, b, b) for i in ends]
-        sixes += [(s, i, j, b, b, b) for i, j in zip(*(x.tolist() for x in _fan_links(lv, s, mids)))
-                  if i <= j]
+        sixes += [(s, i, j, b, b, b) for i, j in _fan_links(lv, s, mids) if i <= j]
         fan = tab.fan(s, b)
         for t in sixes:
             with MP_LOCK, mp.workprec(prec):

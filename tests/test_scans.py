@@ -256,13 +256,17 @@ def test_workspace_reuse_is_stateless():
 
 def test_batch_bit_identical_to_reference_above_16_bit_sort_keys():
     # from r = 2**15 on the z-range lengths no longer fit the 16-bit sort
-    # keys, and the kernel sorts int64 keys instead
-    tab = Level.of(32771)
-    cols = np.array([
-        (0, 0, 0, 0, 0, 0), (2, 2, 2, 2, 2, 2), (4, 4, 4, 4, 4, 4), (6, 4, 2, 6, 4, 2),
-        (10, 6, 8, 10, 6, 8), (2, 4, 6, 8, 10, 12), (20, 30, 40, 20, 30, 40),
-    ]).T
-    assert_same_bits(batch_sixj(tab, *cols), _batch_sixj_reference(tab, *cols))
+    # keys, and the kernel sorts int64 keys instead.  (21844,) * 6 has
+    # 10,923 terms, more than a flat pass holds, and at r = 200,003 the
+    # all-66,666 tuple has 33,334, more than a piece holds: a lone tuple
+    # is a piece, and a run of the flat pass, of its own.
+    for r, top in ((32771, 21844), (200_003, 66_666)):
+        tab = Level.of(r)
+        cols = np.array([
+            (0, 0, 0, 0, 0, 0), (2, 2, 2, 2, 2, 2), (4, 4, 4, 4, 4, 4), (6, 4, 2, 6, 4, 2),
+            (10, 6, 8, 10, 6, 8), (2, 4, 6, 8, 10, 12), (20, 30, 40, 20, 30, 40), (top,) * 6,
+        ]).T
+        assert_same_bits(batch_sixj(tab, *cols), _batch_sixj_reference(tab, *cols))
 
 
 def test_batch_exactly_zero_sixj_is_floored():
@@ -290,7 +294,10 @@ def wheel_batch(kind, r, symbol):
     or w (link pairs) batch_sixj call."""
     s, b = appendix_colors(kind, r)
     lv, ends, path = scans._fan_colors(r, 5 if kind.startswith("pent") else 4, s, b)
-    x, y = (np.full(len(ends), s), np.array(ends)) if symbol == "u" else scans._fan_links(lv, s, path)
+    if symbol == "u":
+        x, y = np.full(len(ends), s), np.array(ends)
+    else:
+        x, y = np.array(scans._fan_links(lv, s, path)).T
     return lv, (np.full(x.size, s), x, y, np.full(x.size, b), np.full(x.size, b), np.full(x.size, b))
 
 
@@ -869,10 +876,7 @@ def test_fan_colors_and_links_follow_admissibility():
                 got_lv, got_ends, path = scans._fan_colors(r, n, s, b)
                 assert got_lv is lv
                 assert list(got_ends) == ends and list(path) == want
-                ci, cj = scans._fan_links(lv, s, path)
-                assert ci.dtype == cj.dtype == np.int64
-                assert list(zip(ci.tolist(), cj.tolist())) == [
-                    (i, j) for i, j in links if max(i, j) <= want[-1]]
+                assert scans._fan_links(lv, s, path) == [(i, j) for i, j in links if max(i, j) <= want[-1]]
 
 
 def test_wheel_closed_form_against_engine():
