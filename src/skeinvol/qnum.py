@@ -66,11 +66,9 @@ class Level:
         fneg: numpy bool array, fneg[k] = [k]! < 0.  [k] is negative
             exactly for r/2 < k < r, so the sign of [k]! alternates with
             max(0, k - (r-1)/2).
-        zneg, rev, rneg, log_sign, zero_tol: the batched 6j's read-only
-            tables, built from lf and fneg: the sign of (-1)^z [z+1]!, lf
-            and fneg reversed, the complex tables lf[1:] + 1j zneg, lf +
-            1j fneg and rev + 1j rneg of its flat pass, and the rounding
-            floor of a z-sum.
+        zneg, rev, rneg, zero_tol: the batched 6j's read-only tables,
+            built from lf and fneg: the sign of (-1)^z [z+1]!, lf and
+            fneg reversed, and the rounding floor of a z-sum.
         ext_weights, circle_logs: per-color weight tables of the graph
             engine and the float wheel, built on first use from
             circle_weight.
@@ -101,8 +99,6 @@ class Level:
         # zneg[z] = [z+1]! < 0 xor z odd: the sign of (-1)^z [z+1]!
         self.zneg = self.fneg[1:] ^ (k[:-1] % 2 == 1)
         self.rev, self.rneg = self.lf[::-1].copy(), self.fneg[::-1].copy()
-        self.log_sign = (self.lf[1:] + 1j * self.zneg, self.lf + 1j * self.fneg,
-                         self.rev + 1j * self.rneg)
         self.zero_tol = (r + 16) * np.abs(self.lf).max() * 2.0**-52  # see scans._sixj_block
         self._lf = self.lf.tolist()
         self._fneg = self.fneg.tolist()

@@ -14,8 +14,10 @@ log-domain 6j evaluator:
   block of the cover) runs the step loop, all tuples' k-th terms at
   once, step by step; a narrow one (few tuples with long z-ranges, as
   the wheel's symbols) lays every tuple's terms end to end and sums them
-  in one flat pass, so it makes some fifty numpy calls a pass instead of
-  some thirty-five a step.  Both give the same bits.  Its work arrays
+  in one flat pass, so it makes some sixty numpy calls a pass instead of
+  some thirty-five a step.  Both, and the vertex thetas, read a term's
+  factors through one gather loop (_terms), a float log and a bool sign
+  per factor, so both give the same bits.  Its work arrays
   live in a workspace (_SixjWork) that lasts for one level's screen or
   TV sweep, so the blocks reuse them instead of faulting fresh memory
   in.  On a 2-core box it runs about 3.7 M tuples/s per process on the
@@ -55,8 +57,8 @@ log-domain 6j evaluator:
   precision starts at the wheel's measured cancellation plus a margin
   (_wheel_start_bits).  On a 2-core box with pure-Python mpmath,
   pent-zero at r = 321 takes about 0.19 s, at 522 bits, and the whole
-  pent-zero grid of reproduce-appendix about 1.35 s through the console
-  script (1.4 s on one core);
+  pent-zero grid of reproduce-appendix about 1.1 s through the console
+  script (1.15 s on one core, 2026-10-22);
 * the family fast path uses Y(prism, all-max) = sixj(max,...)^4 (one
   6j per level), checked against the graph engine at small levels in
   the test suite.
@@ -124,12 +126,12 @@ _BLOCK = 32_768  # tuples per block of the 6-tuple stream and of the kernel: the
 _TERMS = 32_768  # z-terms kept at once (9 bytes each), whatever the level
 # A piece of a sorted block with fewer than _NARROW times as many terms as
 # its longest z-range has sums in one flat pass (_zsum_flat), any other the
-# step loop (_zsum_sorted).  Timed on the pieces of the bound sweep (r = 41,
-# 65), the TV sweep (r = 35, 41) and the float wheel sums (r = 101..301) on
-# a 2-core box, the flat pass took 0.15-0.6 of the step loop's time at
-# widths under 512, 0.76 at 512-768, 0.90 at 768-1,024, 1.09 at
-# 1,024-1,536 and 1.4-2.4 from 1,536 on, where nearly every piece of a
-# cover lies.
+# step loop (_zsum_sorted).  Timed on the pieces of the whole covers at
+# r = 35, 41 and 65 and of the float wheel sums (r = 101..301) on a 2-core
+# box, the flat pass took 0.18-0.19 of the step loop's time at widths
+# under 256, 0.62-0.64 at 256-512, 0.73-0.79 at 512-768, 0.94-0.96 at
+# 768-1,024, 1.17 at 1,024-1,536 and 2.2-2.3 from 1,536 on, where nearly
+# every piece of a cover lies (two runs, 2026-10-22).
 _NARROW = 1024
 
 
@@ -162,7 +164,8 @@ def batch_sixj(lv: Level, a, b, c, d, e, f, *, work: Optional[_SixjWork] = None)
     kept terms are capped at _TERMS by summing a sorted block in pieces,
     and each piece takes the layout its shape picks (_NARROW): the step
     loop (_zsum_sorted) or the flat pass (_zsum_flat), which make the
-    same float operations in the same order.
+    same float operations in the same order through one gather loop
+    (_terms).
 
     log_ub replaces the signed sum by the sum of absolute values, which
     cannot cancel, so it bounds the true magnitude from above regardless
@@ -225,14 +228,15 @@ class _SixjWork:
         return self._tl[:n], self._neg[:n]
 
     def flat(self, n: int, slack: int):
-        """The flat pass's buffers: n complex term entries, n complex
-        gather targets and n int64 indices, grown to n + slack entries
-        when they must grow."""
+        """The flat pass's buffers, n entries each: term logs and float
+        scratch, term signs and bool scratch, and int64 indices, grown to
+        n + slack entries when they must grow."""
         if n > self._flat_cap:
             self._flat_cap = n + slack
-            self._fc = np.empty((2, self._flat_cap), dtype=complex)
+            self._ff = np.empty((2, self._flat_cap))
+            self._fb = np.empty((2, self._flat_cap), dtype=bool)
             self._fidx = np.empty(self._flat_cap, dtype=np.int64)
-        return self._fc[0, :n], self._fc[1, :n], self._fidx[:n]
+        return (*self._ff[:, :n], *self._fb[:, :n], self._fidx[:n])
 
     def outputs(self, n: int) -> dict:
         """batch_sixj's five result arrays, as views of n entries."""
@@ -247,26 +251,23 @@ class _SixjWork:
 def _sixj_block(lv: Level, cols, work: _SixjWork, out: dict) -> None:
     """batch_sixj on one non-empty block, written into the views in out."""
     n = cols[0].shape[0]
-    r, lf, fneg, zneg = lv.r, lv.lf, lv.fneg, lv.zneg
+    r = lv.r
     ints, floats, bools, key = work.block(n)
     t, q = _sum_ranges(cols, out=ints[:7])
     zlo, nz, zs, nzs = ints[7:]
     preflog, mlog, acc, absacc, tmp, tmp2 = floats
     b1, b2 = bools
 
-    # Theta(x,y,w) = (-1)^s [s+1]! / ([s-x]! [s-y]! [s-w]!), and t holds s
+    # The (log, sign) table pairs of a z-term's factors: [z+1]! with the
+    # parity of z, the four [z-t_i]! and the three [q_j-z]!.  The first
+    # four are also Theta(x,y,w) = (-1)^s [s+1]! / ([s-x]! [s-y]! [s-w]!),
+    # read at s, s-x, s-y and s-w, and t holds s.
+    tables = ((lv.lf[1:], lv.zneg),) + ((lv.lf, lv.fneg),) * 4 + ((lv.rev, lv.rneg),) * 3
     preflog.fill(0.0)
     quad = out["quad"]
     quad.fill(0)
     for s, tri in zip(t, _vertex_triples(cols)):
-        lf[1:].take(s, out=tmp, mode="clip")
-        zneg.take(s, out=b1, mode="clip")
-        for x in tri:
-            np.subtract(s, x, out=zs)
-            lf.take(zs, out=tmp2, mode="clip")
-            tmp -= tmp2
-            fneg.take(zs, out=b2, mode="clip")
-            b1 ^= b2
+        _terms(tables[:4], itertools.chain([s], (np.subtract(s, x, out=zs) for x in tri)), tmp, b1, tmp2, b2)
         tmp *= 0.5
         preflog -= tmp
         quad += b1
@@ -290,26 +291,26 @@ def _sixj_block(lv: Level, cols, work: _SixjWork, out: dict) -> None:
     #   [z+1]!   -> lf[k+1:][zlo]
     #   [z-t_i]! -> lf[k:][zlo - t_i]
     #   [q_j-z]! -> rev[k:][(r-1) - (q_j - zlo)]   with rev = lf[::-1]
-    # and the parity of z rides on zneg.  lo and hi overwrite t and q;
-    # the unsorted zlo and nz are spent, and serve as scratch.
+    # and the parity of z rides on zneg.  The index rows zlo, zlo - t_i
+    # and (r-1) - (q_j - zlo) overwrite t and q; the unsorted zlo and nz
+    # are spent, and serve as scratch.
     np.add(zs, r - 1, out=nz)
     for base, xs in ((zs, t), (nz, q)):
         for x in xs:
             x.take(order, out=zlo, mode="clip")
             np.subtract(base, zlo, out=x)
-    lo, hi = t, q
+    rows = (zs, *t, *q)
 
     acc.fill(0.0)
     absacc.fill(0.0)
     cnt = np.add(nzs, 1, out=zlo)
     for i, j in _pieces(cnt, _TERMS):
         part = slice(i, j)
+        args = tables, [x[part] for x in rows], nzs[part], mlog[part], acc[part], absacc[part]
         if int(cnt[part].sum()) < _NARROW * int(cnt[i]):
-            _zsum_flat(lv, work, zs[part], [x[part] for x in lo], [x[part] for x in hi],
-                       nzs[part], mlog[part], acc[part], absacc[part])
+            _zsum_flat(lv, work, *args)
         else:
-            _zsum_sorted(lv, work, (tmp, b1), zs[part], [x[part] for x in lo], [x[part] for x in hi],
-                         nzs[part], mlog[part], acc[part], absacc[part])
+            _zsum_sorted(lv, work, (tmp, b1), *args)
 
     # back to input order
     for arr in (acc, absacc, mlog):
@@ -348,13 +349,14 @@ def _sixj_block(lv: Level, cols, work: _SixjWork, out: dict) -> None:
     np.copyto(out["sign"], 0.0, where=zero)
 
 
-def _zsum_sorted(lv: Level, work: _SixjWork, scratch, zlo, lo, hi, nz, mlog, acc, absacc) -> None:
+def _zsum_sorted(lv: Level, work: _SixjWork, scratch, tables, rows, nz, mlog, acc, absacc) -> None:
     """The z-sums of tuples sorted by nz, longest first, into the views
     mlog (largest term log), acc and absacc (signed and absolute sums of
-    exp(term - mlog)).  The first loop keeps every term it computes, the
-    terms of step k one after another in work's term buffers; scratch is
-    a float and a bool array at least as long as the views."""
-    lf, fneg, rev, rneg, zneg = lv.lf, lv.fneg, lv.rev, lv.rneg, lv.zneg
+    exp(term - mlog)).  Term k of a tuple reads the (log, sign) tables,
+    shifted by k, at its entries of the index rows.  The first loop keeps
+    every term it computes, the terms of step k one after another in
+    work's term buffers; scratch is a float and a bool array at least as
+    long as the views."""
     live = np.cumsum(np.bincount(nz)[::-1])[::-1].tolist()  # live[k] = #{nz >= k}
     tls, negs = work.terms(sum(live), lv.r)  # a piece holds _TERMS terms or one tuple's < r
     tmp, bmp = scratch
@@ -363,16 +365,7 @@ def _zsum_sorted(lv: Level, work: _SixjWork, scratch, zlo, lo, hi, nz, mlog, acc
     for k, m in enumerate(live):
         tl, neg = tls[start:start + m], negs[start:start + m]
         start += m
-        tm, bm = tmp[:m], bmp[:m]
-        lf[k + 1:].take(zlo[:m], out=tl, mode="clip")
-        zneg[k:].take(zlo[:m], out=neg, mode="clip")
-        for table, sgn, ixs in ((lf[k:], fneg[k:], lo), (rev[k:], rneg[k:], hi)):
-            for ix in ixs:
-                ix = ix[:m]
-                table.take(ix, out=tm, mode="clip")
-                tl -= tm
-                sgn.take(ix, out=bm, mode="clip")
-                neg ^= bm
+        _terms([(x[k:], y[k:]) for x, y in tables], [x[:m] for x in rows], tl, neg, tmp[:m], bmp[:m])
         if k == 0:
             mlog[:] = tl
         else:
@@ -387,54 +380,60 @@ def _zsum_sorted(lv: Level, work: _SixjWork, scratch, zlo, lo, hi, nz, mlog, acc
         acc[:m] += mag
 
 
-def _zsum_flat(lv: Level, work: _SixjWork, zlo, lo, hi, nz, mlog, acc, absacc) -> None:
+def _zsum_flat(lv: Level, work: _SixjWork, tables, rows, nz, mlog, acc, absacc) -> None:
     """_zsum_sorted's z-sums, each tuple's terms laid end to end and
     summed in one flat pass per run of at most _TERMS // 4 terms (or of
     one tuple).
 
     Term k of a tuple reads every table at the tuple's index row plus k,
-    so each row is expanded once, by repeat, onto the terms.  The log and
-    sign entries come from Level.log_sign, log + 1j * sign, so one complex
-    gather and subtract per factor gives the term's log (the same float
-    subtractions in the same order as the step loop) beside a count whose
-    parity is the term's sign.  Each tuple's largest log is a maximum
-    (exact), and np.bincount adds each tuple's exp(term - max) in term
-    order from 0, as the step loop does, so every output has its bits.  A
-    term takes 40 bytes of buffers here against 9 in the step loop, hence
-    the quarter-size passes.
+    so each row is expanded once, by repeat, onto the terms, and _terms
+    makes the step loop's gathers, subtractions and sign XORs in the
+    same order.  Each tuple's largest log is a maximum (exact), and
+    np.bincount adds each tuple's exp(term - max), negated where the
+    term is, in term order from 0, as the step loop does, so every
+    output has its bits.  A term takes 26 bytes of buffers here (two
+    floats, two bools and an index) and up to 16 more in the repeat
+    expansions, against 9 in the step loop, hence the quarter-size runs.
     """
-    zt, lt, rt = lv.log_sign
     cnt = nz + 1
     ends = np.cumsum(cnt)
     starts = ends - cnt
-    # the index rows z, lo and hi, each as a step from the one before;
-    # term t of the piece then reads z at rows[0] + t
-    rows = np.diff([zlo, *lo, *hi], axis=0, prepend=0)
+    # each index row as a step from the one before; term t of the piece
+    # then reads the first table at rows[0] + t
+    rows = np.diff(rows, axis=0, prepend=0)
     rows[0] -= starts
     for i, j in _pieces(cnt, _TERMS // 4):
         part, c, base = slice(i, j), cnt[i:j], int(starts[i])
-        tc, fc, idx = work.flat(int(ends[j - 1]) - base, lv.r)
-        np.add(np.repeat(rows[0, part] + base, c), np.arange(tc.size), out=idx)
-        zt.take(idx, out=tc, mode="clip")
-        for table, row in zip((lt, lt, lt, lt, rt, rt, rt), rows[1:, part]):
-            idx += np.repeat(row, c)
-            table.take(idx, out=fc, mode="clip")
-            tc -= fc
-        tl = tc.real
+        tl, tmp, neg, bmp, idx = work.flat(int(ends[j - 1]) - base, lv.r)
+        np.add(np.repeat(rows[0, part] + base, c), np.arange(tl.size), out=idx)
+        steps = (np.add(idx, np.repeat(row, c), out=idx) for row in rows[1:, part])
+        _terms(tables, itertools.chain([idx], steps), tl, neg, tmp, bmp)
         np.maximum.reduceat(tl, starts[part] - base, out=mlog[part])
-        mag, sgn = fc.view(float).reshape(2, -1)
-        np.subtract(tl, np.repeat(mlog[part], c), out=mag)
-        np.exp(mag, out=mag)
+        np.subtract(tl, np.repeat(mlog[part], c), out=tmp)
+        mag = np.exp(tmp, out=tmp)
         seg = np.repeat(np.arange(j - i), c)
         absacc[part] = np.bincount(seg, weights=mag)
-        # sgn = 1 - 2 (tc.imag mod 2), read as 1 - 4 (h - floor(h)) with h = tc.imag / 2
-        np.multiply(tc.imag, 0.5, out=sgn)
-        np.floor(sgn, out=tl)
-        sgn -= tl
-        sgn *= -4.0
-        sgn += 1.0
-        sgn *= mag
-        acc[part] = np.bincount(seg, weights=sgn)
+        np.negative(mag, out=mag, where=neg)
+        acc[part] = np.bincount(seg, weights=mag)
+
+
+def _terms(tables, idxs, tl, neg, tmp, bmp) -> None:
+    """Log-magnitudes and signs of quotients of table entries, into tl
+    and neg: the first (log, sign) pair of tables read at the first index
+    array, less the log and XOR the sign of each later pair at the next
+    index array, in order.  This order of the float subtractions is the
+    one every 6j kernel here keeps, so their terms have the same bits.
+    idxs may be lazy and reuse one buffer: each array is read before the
+    next is drawn.  tmp and bmp are float and bool scratch like tl."""
+    pairs = zip(tables, idxs)
+    (table, sgn), idx = next(pairs)
+    table.take(idx, out=tl, mode="clip")
+    sgn.take(idx, out=neg, mode="clip")
+    for (table, sgn), idx in pairs:
+        table.take(idx, out=tmp, mode="clip")
+        tl -= tmp
+        sgn.take(idx, out=bmp, mode="clip")
+        neg ^= bmp
 
 
 # ---------------------------------------------------------------------------
@@ -1018,11 +1017,12 @@ def wheel_log_invariant_mp(r: int, n_spokes: int, s: int, b: int):
     the S_ij runs here, so no worker enters mpmath.  Every sum is exact,
     so Y, its sign and the cancellation are the same for any process
     count.  On a 2-core box, at the precisions above, pent-zero's whole
-    sum took 9-18% longer in two processes than in one at 1,260 links
-    (r = 141), the same to 21% less at 1,640 (r = 161), and 15% less at
-    2,070 (r = 181) and 7-31% less at r = 201..261 (medians of 12 and 16
-    alternating pairs, two runs); so two processes start at 2,048 links,
-    r = 181 for pent-zero.
+    sum took 5% longer in two processes than in one at 1,260 links
+    (r = 141), the same at 1,640 (r = 161), 13% less at 2,070 (r = 181)
+    and 29-32% less at r = 221 and 261 (medians of 8 alternating pairs,
+    2026-10-22; the two-process run won 3, 5, 5, 6 and 6 of them); so two
+    processes start at 2,048 links, r = 181 for pent-zero.  How much a
+    second process gains moves with the load on the host's cores.
     """
     lv, ends, path = _fan_colors(r, n_spokes, s, b)
     links = [(i, j) for i, j in _fan_links(lv, s, path) if i <= j] if n_spokes > 4 else []

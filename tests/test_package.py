@@ -1,4 +1,4 @@
-"""The package namespace, and four rules its source keeps."""
+"""The package namespace, and five rules its source keeps."""
 
 import importlib
 import pathlib
@@ -53,3 +53,13 @@ def test_graph_engine_imports_no_random():
     assert engine <= {path.name for path in SOURCES}
     imports = source_lines(r"^\s*(import|from)\s+random\b")
     assert [line for line in imports if line.split(":")[0] in engine] == []
+
+
+def test_sixj_tables_hold_no_complex_numbers():
+    # the scalar and batched z-sums carry a term as a float log beside a
+    # bool sign, so the factorial tables and the kernel that reads them
+    # build no complex array
+    kernel = {"qnum.py", "scans.py"}
+    assert kernel <= {path.name for path in SOURCES}
+    lines = source_lines(r"(?<![\w.])1j\b|dtype=complex\b")
+    assert [line for line in lines if line.split(":")[0] in kernel] == []

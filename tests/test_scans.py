@@ -191,6 +191,11 @@ def test_batch_bit_identical_to_reference_on_chunks():
         )
         for tup in blocks:
             assert_same_bits(batch_sixj(tab, *tup), _batch_sixj_reference(tab, *tup))
+    # the whole cover at the bound sweep's first and last levels
+    for r in (41, 65):
+        tab = Level.of(r)
+        for tup in sixtuple_chunks(tab):
+            assert_same_bits(batch_sixj(tab, *tup), _batch_sixj_reference(tab, *tup))
 
 
 def test_batch_bit_identical_to_reference_shuffled_and_degenerate():
@@ -307,12 +312,14 @@ def wheel_batch(kind, r, symbol):
     ("_zsum_sorted", 41),
     ("_zsum_sorted", 65),
     ("_zsum_flat", "one"),
+    ("both", ("pent-zero", 321, "w")),
 ])
 def test_zsum_layouts_bit_identical_to_reference(monkeypatch, layout, case):
     # narrow pieces (the wheel's symbols: few tuples, long z-ranges) take
     # the flat pass, wide ones (a block of the cover) the step loop, and a
     # lone tuple is narrow; either way every output is the padded
-    # reference's to the bit
+    # reference's to the bit.  pent-zero's w call at r = 321 (12,880
+    # tuples) takes both in one call: 8 narrow pieces, then 3 wide ones.
     if case == "one":
         lv, cols = Level.of(101), tuple(np.array([x]) for x in (26, 38, 26, 38, 26, 38))
     elif isinstance(case, int):
@@ -323,7 +330,10 @@ def test_zsum_layouts_bit_identical_to_reference(monkeypatch, layout, case):
         lv, cols = wheel_batch(*case)
     ran = zsum_layouts(monkeypatch)
     got = batch_sixj(lv, *cols)
-    assert ran and set(ran) == {layout}
+    if layout == "both":
+        assert ran == ["_zsum_flat"] * 8 + ["_zsum_sorted"] * 3
+    else:
+        assert ran and set(ran) == {layout}
     assert_same_bits(got, _batch_sixj_reference(lv, *cols))
 
 
